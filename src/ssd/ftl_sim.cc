@@ -1,6 +1,6 @@
 #include "ssd/ftl_sim.h"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/logging.h"
@@ -66,6 +66,10 @@ FtlSimulator::reset()
         free_blocks_.push_back(b);
     active_blocks_ = {-1, -1};
     gc_blocks_ = {-1, -1};
+    words_ = (static_cast<std::size_t>(config_.num_blocks) + 63) / 64;
+    victim_index_.assign(
+        words_ * static_cast<std::size_t>(config_.pages_per_block + 1), 0);
+    min_valid_ = config_.pages_per_block;
     rng_ = util::Xorshift64Star(config_.seed);
     stats_ = FtlStats{};
     measuring_ = false;
@@ -92,6 +96,8 @@ FtlSimulator::allocatePage(int stream)
                config_.gc_threshold_blocks) {
             collectOneBlock();
         }
+        if (active >= 0)
+            closeBlock(active);
         active = free_blocks_.back();
         free_blocks_.pop_back();
     }
@@ -106,6 +112,8 @@ FtlSimulator::allocateGcPage(int stream)
         blocks_[gc_block].next_page >= config_.pages_per_block) {
         if (free_blocks_.empty())
             util::panic("FTL ran out of blocks during GC");
+        if (gc_block >= 0)
+            closeBlock(gc_block);
         gc_block = free_blocks_.back();
         free_blocks_.pop_back();
     }
@@ -120,33 +128,64 @@ FtlSimulator::streamFor(std::uint64_t lba) const
     return (separate && isHotLba(lba)) ? 1 : 0;
 }
 
-int
-FtlSimulator::victimBlock() const
+void
+FtlSimulator::invalidatePage(std::int64_t page)
 {
-    int victim = -1;
-    int victim_valid = config_.pages_per_block + 1;
-    for (int b = 0; b < config_.num_blocks; ++b) {
-        const Block &block = blocks_[b];
-        if (b == active_blocks_[0] || b == active_blocks_[1] ||
-            b == gc_blocks_[0] || b == gc_blocks_[1]) {
-            continue;
-        }
-        if (block.next_page < config_.pages_per_block)
-            continue;  // not fully written; skip open/free blocks
-        if (block.valid < victim_valid) {
-            victim_valid = block.valid;
-            victim = b;
+    reverse_table_[page] = -1;
+    const int block_id = static_cast<int>(page / config_.pages_per_block);
+    const int valid = blocks_[block_id].valid--;
+    std::uint64_t *word = &victim_index_[indexSlot(valid, block_id)];
+    const std::uint64_t bit = blockBit(block_id);
+    if (*word & bit) {
+        *word &= ~bit;
+        *(word - words_) |= bit;
+        if (valid - 1 < min_valid_)
+            min_valid_ = valid - 1;
+    }
+}
+
+void
+FtlSimulator::closeBlock(int block_id)
+{
+    const int valid = blocks_[block_id].valid;
+    victim_index_[indexSlot(valid, block_id)] |= blockBit(block_id);
+    if (valid < min_valid_)
+        min_valid_ = valid;
+}
+
+int
+FtlSimulator::indexedVictim(int &row) const
+{
+    for (row = min_valid_; row <= config_.pages_per_block; ++row) {
+        const std::uint64_t *bits = &victim_index_[indexSlot(row, 0)];
+        for (std::size_t w = 0; w < words_; ++w) {
+            if (bits[w] != 0) {
+                return static_cast<int>(w * 64) +
+                       std::countr_zero(bits[w]);
+            }
         }
     }
-    if (victim < 0)
-        util::panic("FTL GC found no victim block");
-    return victim;
+    return -1;
 }
 
 void
 FtlSimulator::collectOneBlock()
 {
-    const int victim = victimBlock();
+    const int victim = indexedVictim(min_valid_);
+    if (victim < 0)
+        util::panic("FTL GC found no victim block");
+    if (min_valid_ == config_.pages_per_block) {
+        // Every closed block is fully valid: collecting one frees no
+        // page, so the free pool can never refill.
+        util::fatal("FTL garbage collection cannot make progress: every "
+                    "closed block is fully valid (num_blocks=",
+                    config_.num_blocks,
+                    ", pages_per_block=", config_.pages_per_block,
+                    ", over_provision=", config_.over_provision,
+                    ", gc_threshold_blocks=", config_.gc_threshold_blocks,
+                    "); raise over_provision");
+    }
+    victim_index_[indexSlot(min_valid_, victim)] &= ~blockBit(victim);
     Block &block = blocks_[victim];
     ++stats_.gc_invocations;
 
@@ -207,10 +246,8 @@ void
 FtlSimulator::writePage(std::uint64_t lba)
 {
     const std::int64_t old_page = page_table_[lba];
-    if (old_page >= 0) {
-        reverse_table_[old_page] = -1;
-        --blocks_[old_page / config_.pages_per_block].valid;
-    }
+    if (old_page >= 0)
+        invalidatePage(old_page);
     const std::int64_t new_page = allocatePage(streamFor(lba));
     page_table_[lba] = new_page;
     reverse_table_[new_page] = lba;
@@ -253,7 +290,36 @@ FtlSimulator::checkConsistency() const
             return false;
         total_valid += static_cast<std::uint64_t>(valid);
     }
-    return total_valid == mapped;
+    if (total_valid != mapped)
+        return false;
+
+    // The victim index holds exactly the closed blocks, each in the
+    // row of its valid count, and picks the block a scan of every
+    // block picks: the fewest valid pages, ties to the lowest id.
+    int scan_victim = -1;
+    int scan_valid = config_.pages_per_block + 1;
+    for (int b = 0; b < config_.num_blocks; ++b) {
+        const Block &block = blocks_[b];
+        const bool frontier = b == active_blocks_[0] ||
+                              b == active_blocks_[1] ||
+                              b == gc_blocks_[0] || b == gc_blocks_[1];
+        const bool closed =
+            !frontier && block.next_page >= config_.pages_per_block;
+        for (int row = 0; row <= config_.pages_per_block; ++row) {
+            const bool indexed =
+                (victim_index_[indexSlot(row, b)] & blockBit(b)) != 0;
+            if (indexed != (closed && row == block.valid))
+                return false;
+        }
+        if (closed && block.valid < scan_valid) {
+            scan_valid = block.valid;
+            scan_victim = b;
+        }
+    }
+    if (scan_victim >= 0 && min_valid_ > scan_valid)
+        return false;
+    int row = 0;
+    return indexedVictim(row) == scan_victim;
 }
 
 FtlStats

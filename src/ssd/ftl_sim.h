@@ -11,6 +11,20 @@
  * to an active block; when the free-block pool drops below a threshold,
  * the block with the fewest valid pages is collected (its live pages
  * relocated) and erased.
+ *
+ * Victim index: the GC candidates are the closed blocks, i.e. full
+ * blocks that are neither a write nor a GC frontier. They are kept in
+ * one bitset row per valid-page count 0..pages_per_block, so a GC
+ * takes the lowest set bit of the lowest non-empty row (fewest valid
+ * pages, ties to the lowest block id) instead of scanning every block.
+ * A block enters the index when a frontier moves off it, drops one row
+ * per invalidated page (a closed block's valid count only falls), and
+ * leaves it when it is collected.
+ *
+ * Livelock: when the cheapest victim has no invalid page, every closed
+ * block is fully valid, collecting one frees no space, and GC could
+ * never end. The simulator then stops with util::fatal naming the
+ * geometry, over-provisioning and GC threshold; raise over_provision.
  */
 
 #ifndef ACT_SSD_FTL_SIM_H
@@ -58,7 +72,11 @@ struct FtlConfig
     bool separate_hot_cold = false;
 };
 
-/** Measured statistics. */
+/**
+ * Measured statistics. Page writes, relocations and erases count only
+ * the measured phase; gc_invocations also counts the collections run
+ * while preconditioning, so it exceeds erases.
+ */
 struct FtlStats
 {
     std::uint64_t user_pages_written = 0;
@@ -91,7 +109,10 @@ class FtlSimulator
     /**
      * Structural invariant check over the FTL state after run():
      * page table and reverse map agree, per-block valid counts match,
-     * and total valid pages equal the logical space. Used by tests.
+     * total valid pages equal the logical space, and the victim index
+     * holds exactly the closed blocks, each in the row of its valid
+     * count, and picks the victim a scan of every block would pick.
+     * Used by tests.
      */
     bool checkConsistency() const;
 
@@ -119,6 +140,24 @@ class FtlSimulator
      *  the victim) and does not re-mix hot and cold data. */
     std::array<int, 2> gc_blocks_ = {-1, -1};
 
+    /** Victim index: row v (words_ words) has bit b set iff block b
+     *  is closed with v valid pages. */
+    std::vector<std::uint64_t> victim_index_;
+    std::size_t words_ = 0;
+    /** No row below this one is non-empty. */
+    int min_valid_ = 0;
+
+    /** Victim-index word holding block's bit in row. */
+    std::size_t indexSlot(int row, int block) const
+    {
+        return static_cast<std::size_t>(row) * words_ +
+               static_cast<std::size_t>(block) / 64;
+    }
+    static std::uint64_t blockBit(int block)
+    {
+        return std::uint64_t{1} << (block % 64);
+    }
+
     util::Xorshift64Star rng_{42};
     FtlStats stats_;
     bool measuring_ = false;
@@ -134,8 +173,15 @@ class FtlSimulator
     /** Stream for a user or relocated write of this LBA. */
     int streamFor(std::uint64_t lba) const;
     std::int64_t pageInBlock(int block);
+    /** Mark a physical page invalid, moving its block down one row of
+     *  the victim index when the block is closed. */
+    void invalidatePage(std::int64_t page);
+    /** Add a full block that a frontier has just moved off. */
+    void closeBlock(int block);
+    /** Lowest indexed block at or above row min_valid_, or -1; sets
+     *  row to its valid count. */
+    int indexedVictim(int &row) const;
     void collectOneBlock();
-    int victimBlock() const;
 };
 
 } // namespace act::ssd

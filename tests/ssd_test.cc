@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <iostream>
+
 #include "ssd/ftl_sim.h"
 #include "ssd/lifetime.h"
 #include "ssd/wa_model.h"
@@ -198,6 +201,134 @@ TEST(FtlSim, StateIsConsistentAfterRuns)
         FtlSimulator sim(config);
         sim.run();
         EXPECT_TRUE(sim.checkConsistency()) << separated;
+    }
+}
+
+/**
+ * Exact statistics of Fig. 15's eight runs and of one separated
+ * hot/cold run, recorded from the block-scanning greedy GC. Any change
+ * to the victim sequence moves at least one of these counters.
+ */
+struct PinnedRun
+{
+    double over_provision;
+    std::uint64_t physical_pages_written;
+    std::uint64_t gc_invocations;
+    std::uint64_t pages_relocated;
+    std::uint64_t erases;
+};
+
+void
+expectPinned(const FtlConfig &config, const PinnedRun &pinned)
+{
+    FtlSimulator sim(config);
+    const FtlStats stats = sim.run();
+    EXPECT_EQ(stats.user_pages_written, config.user_writes);
+    EXPECT_EQ(stats.physical_pages_written,
+              pinned.physical_pages_written);
+    EXPECT_EQ(stats.gc_invocations, pinned.gc_invocations);
+    EXPECT_EQ(stats.pages_relocated, pinned.pages_relocated);
+    EXPECT_EQ(stats.erases, pinned.erases);
+    EXPECT_TRUE(sim.checkConsistency());
+}
+
+TEST(FtlSim, Figure15VictimSequenceIsPinned)
+{
+    const PinnedRun runs[] = {
+        {0.04, 1'931'439, 62'646, 1'781'439, 60'357},
+        {0.08, 1'006'769, 32'597, 856'769, 31'461},
+        {0.12, 709'009, 22'881, 559'009, 22'157},
+        {0.16, 559'502, 18'009, 409'502, 17'485},
+        {0.22, 435'763, 13'993, 285'763, 13'618},
+        {0.28, 365'261, 11'687, 215'261, 11'415},
+        {0.34, 320'143, 10'220, 170'143, 10'005},
+        {0.40, 289'267, 9'209, 139'267, 9'039},
+    };
+    for (const PinnedRun &run : runs) {
+        SCOPED_TRACE(run.over_provision);
+        FtlConfig config;
+        config.num_blocks = 192;
+        config.pages_per_block = 32;
+        config.over_provision = run.over_provision;
+        config.user_writes = 150'000;
+        expectPinned(config, run);
+    }
+}
+
+TEST(FtlSim, SeparatedHotColdVictimSequenceIsPinned)
+{
+    FtlConfig config;
+    config.num_blocks = 128;
+    config.pages_per_block = 16;
+    config.over_provision = 0.2;
+    config.user_writes = 100'000;
+    config.pattern = WritePattern::HotCold;
+    config.hot_lba_fraction = 0.1;
+    config.hot_write_fraction = 0.9;
+    config.separate_hot_cold = true;
+    expectPinned(config, {0.2, 257'007, 16'170, 157'007, 16'062});
+}
+
+TEST(FtlSim, FullyValidVictimIsFatal)
+{
+    // Too little spare area: GC runs out of blocks with any invalid
+    // page, so collecting the victim frees nothing. This used to spin
+    // forever inside allocatePage.
+    FtlConfig config;
+    config.num_blocks = 64;
+    config.pages_per_block = 32;
+    config.over_provision = 0.04;
+    config.user_writes = 20'000;
+    EXPECT_EXIT(FtlSimulator(config).run(), ::testing::ExitedWithCode(1),
+                "fatal: .*num_blocks=64, pages_per_block=32, "
+                "over_provision=0.04, gc_threshold_blocks=2");
+
+    config.over_provision = 0.07;
+    config.pattern = WritePattern::HotCold;
+    config.separate_hot_cold = true;
+    EXPECT_EXIT(FtlSimulator(config).run(), ::testing::ExitedWithCode(1),
+                "fatal: ");
+}
+
+/** Clean exit (0) or a fatal (1); anything else is a failure. */
+bool
+finishedOrFatal(int status)
+{
+    return ::testing::ExitedWithCode(0)(status) ||
+           ::testing::ExitedWithCode(1)(status);
+}
+
+TEST(FtlSim, BorderlineGeometriesFinishConsistentlyOrFail)
+{
+    // Around the livelock boundary every run either completes with a
+    // consistent state or stops with a fatal; none hangs or aborts.
+    for (int blocks : {16, 64}) {
+        for (int pages : {8, 32}) {
+            for (double op : {0.02, 0.05, 0.1, 0.3}) {
+                for (int pattern = 0; pattern < 3; ++pattern) {
+                    FtlConfig config;
+                    config.num_blocks = blocks;
+                    config.pages_per_block = pages;
+                    config.over_provision = op;
+                    config.user_writes = 20'000;
+                    config.pattern = pattern == 0 ? WritePattern::Uniform
+                                                  : WritePattern::HotCold;
+                    config.separate_hot_cold = pattern == 2;
+                    EXPECT_EXIT(
+                        {
+                            FtlSimulator sim(config);
+                            sim.run();
+                            std::cerr << (sim.checkConsistency()
+                                              ? "consistent"
+                                              : "inconsistent");
+                            std::exit(0);
+                        },
+                        finishedOrFatal, "^(consistent|fatal: )")
+                        << blocks << "x" << pages << " op=" << op
+                        << " pattern=" << pattern;
+                }
+            }
+        }
     }
 }
 
