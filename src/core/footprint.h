@@ -11,6 +11,8 @@
 #ifndef ACT_CORE_FOOTPRINT_H
 #define ACT_CORE_FOOTPRINT_H
 
+#include <cstdint>
+
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/units.h"
@@ -20,7 +22,7 @@ namespace act::core {
 namespace detail {
 
 /** The shared "core.eq1.evals" counter; combineFootprint() and
- *  Eq1Amortizer::combine() both count through it. */
+ *  countEq1Evals() both count through it. */
 util::Counter &eq1Evals();
 
 /** Cold half of Eq1Amortizer's T <= LT check. */
@@ -60,12 +62,14 @@ CarbonFootprint lifetimeFootprint(util::Mass operational,
                                   util::Mass embodied_total);
 
 /**
- * Batched Eq. 1 for hot loops that charge many executions against one
- * hardware lifetime (e.g. fleet replay, which evaluates it once per
- * job x scenario). The LT > 0 check runs once at construction;
- * combine() then evaluates combineFootprint()'s exact expression tree,
- * T-validation, and metrics count inline -- the two are
- * interchangeable call-for-call, including the fatal messages.
+ * Eq. 1's embodied term with LT fixed, for hot loops that charge many
+ * executions against one hardware lifetime (e.g. fleet replay, which
+ * needs it once per job x distinct lifetime and shares it across every
+ * scenario with that lifetime). The LT > 0 check runs once at
+ * construction; allocateEmbodied() then evaluates combineFootprint()'s
+ * exact embodied expression and T-validation inline, fatal messages
+ * included. It does not count: the caller adds the Eq. 1 evaluations
+ * it stands for with countEq1Evals().
  */
 class Eq1Amortizer
 {
@@ -76,34 +80,33 @@ class Eq1Amortizer
             util::fatal("hardware lifetime must be positive");
     }
 
-    /** Eq. 1 with LT fixed; identical to combineFootprint(operational,
-     *  embodied_total, execution_time, lifetime()). */
-    CarbonFootprint
-    combine(util::Mass operational, util::Mass embodied_total,
-            util::Duration execution_time) const
+    /** (T / LT) * ECF; bit-identical to combineFootprint(operational,
+     *  embodied_total, execution_time, lifetime()).embodied_allocated. */
+    util::Mass
+    allocateEmbodied(util::Mass embodied_total,
+                     util::Duration execution_time) const
     {
-        evals_.add();
         if (util::asSeconds(execution_time) < 0.0)
             util::fatal("execution time must be non-negative");
         if (execution_time > lifetime_) {
             detail::fatalExecutionExceedsLifetime(execution_time,
                                                   lifetime_);
         }
-        CarbonFootprint footprint;
-        footprint.operational = operational;
-        footprint.embodied_allocated =
-            embodied_total * (execution_time / lifetime_);
-        return footprint;
+        return embodied_total * (execution_time / lifetime_);
     }
 
     util::Duration lifetime() const { return lifetime_; }
 
   private:
     util::Duration lifetime_;
-    /** Cached once so the hot path is Counter::add()'s inline
-     *  relaxed load + store, with no registry lookup. */
-    util::Counter &evals_ = detail::eq1Evals();
 };
+
+/** Add @p n Eq. 1 evaluations to "core.eq1.evals" in one step. */
+inline void
+countEq1Evals(std::uint64_t n)
+{
+    detail::eq1Evals().add(n);
+}
 
 } // namespace act::core
 

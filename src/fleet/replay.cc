@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
 #include <utility>
 
 #include "core/footprint.h"
@@ -87,24 +89,26 @@ allowedSlack(const FleetSetup &setup, const FleetScenario &scenario,
  *  dispatch, small enough to stay cache-resident per thread. */
 constexpr std::size_t kJobBlock = 512;
 
-/**
- * Scenarios sharing one placement per job. Placement depends on the
- * scenario only through the policy kind (slack + cross-region flag)
- * and the home region; lifetime enters combineFootprint() afterwards.
- * A policy x region x lifetime grid therefore needs only
- * |kinds| x |regions| placements per job, fanned out to its cells.
- */
 /** Shift-window classes a job exposes, ordered by width: the fixed
  *  arrival sample, the per-job slack draw, and the fleet-wide greedy
- *  window (counts never shrink along this order, see
- *  allowedSlackHours()). */
+ *  window. Counts never shrink along this order (see
+ *  allowedSlackHours()), so each class's window is a prefix of the
+ *  next one's. */
 enum WindowClass : std::size_t
 {
     kWindowUnit = 0,
     kWindowSlack = 1,
     kWindowGreedy = 2,
+    kWindowClasses = 3,
 };
 
+/**
+ * Scenarios sharing one placement per job. Placement depends on the
+ * scenario only through the policy kind (slack + cross-region flag)
+ * and the home region; lifetime enters the Eq. 1 amortization
+ * afterwards. A policy x region x lifetime grid therefore needs only
+ * |kinds| x |regions| placements per job, fanned out to its cells.
+ */
 struct PlacementGroup
 {
     core::DeferralPolicy kind = core::DeferralPolicy::Uniform;
@@ -133,9 +137,6 @@ windowClassOf(core::DeferralPolicy kind)
     util::fatal("unknown deferral policy kind");
 }
 
-/** Empty slot marker of the per-job argmin memo. */
-constexpr std::size_t kNoArgmin = static_cast<std::size_t>(-1);
-
 /** Below this window width the kernel-dispatch overhead outweighs the
  *  lanes; the inline strict-< scan wins. The result is identical
  *  either way: argmin is an exact integer reduction (first index of
@@ -143,34 +144,27 @@ constexpr std::size_t kNoArgmin = static_cast<std::size_t>(-1);
 constexpr std::size_t kArgminKernelMin = 32;
 
 /**
- * Memoized argmin over one region's cost row. Within a job, every
- * group of the same window class (per-job slack vs the fleet-wide
- * greedy window) asks the same (region, count) query -- notably each
- * cross-region group scans all regions -- so the reduction runs once
- * per distinct query.
+ * Extend a first-index strict-< argmin of @p row from [0, begin),
+ * whose answer is @p best, to [0, end). A later index replaces @p best
+ * only when strictly smaller, so the result is the argmin of the whole
+ * prefix, exactly as one left-to-right scan would find it.
  */
 std::size_t
-memoArgmin(const util::simd::KernelTable &kt,
-           std::vector<std::size_t> &memo, std::size_t region,
-           bool greedy, const double *costs_row, std::size_t count)
+extendArgmin(const util::simd::KernelTable &kt, const double *row,
+             std::size_t best, std::size_t begin, std::size_t end)
 {
-    std::size_t &slot = memo[region * 2 + (greedy ? 1 : 0)];
-    if (slot == kNoArgmin) {
-        if (count < kArgminKernelMin) {
-            std::size_t best = 0;
-            double best_value = costs_row[0];
-            for (std::size_t s = 1; s < count; ++s) {
-                if (costs_row[s] < best_value) {
-                    best_value = costs_row[s];
-                    best = s;
-                }
-            }
-            slot = best;
-        } else {
-            slot = kt.argmin_first(costs_row, count);
-        }
+    if (end - begin >= kArgminKernelMin) {
+        const std::size_t tail =
+            begin + kt.argmin_first(row + begin, end - begin);
+        return row[tail] < row[best] ? tail : best;
     }
-    return slot;
+    double best_value = row[best];
+    for (std::size_t s = begin; s < end; ++s) {
+        const bool lt = row[s] < best_value;
+        best_value = lt ? row[s] : best_value;
+        best = lt ? s : best;
+    }
+    return best;
 }
 
 std::vector<PlacementGroup>
@@ -199,6 +193,59 @@ buildPlacementGroups(const FleetSetup &setup)
         match->scenarios.push_back(s);
     }
     return groups;
+}
+
+/** Running per-job sums of one placement group: every scenario in the
+ *  group receives exactly these adds, in this order. */
+struct GroupSums
+{
+    std::uint64_t deferred = 0;
+    std::uint64_t migrated = 0;
+    double operational_g = 0.0;
+};
+
+/** A payload count: a JSON integer >= 0. Throws JsonTypeError naming
+ *  @p key otherwise (a bare cast would wrap -1 and truncate 0.5). */
+std::uint64_t
+countAt(const config::JsonValue &value, const char *key)
+{
+    std::int64_t count = 0;
+    try {
+        count = value.at(key).asInteger();
+    } catch (const config::JsonTypeError &error) {
+        throw config::JsonTypeError(std::string("'") + key +
+                                    "' must be a non-negative integer (" +
+                                    error.what() + ")");
+    }
+    if (count < 0) {
+        throw config::JsonTypeError(std::string("'") + key +
+                                    "' must be a non-negative integer "
+                                    "(got " +
+                                    std::to_string(count) + ")");
+    }
+    return static_cast<std::uint64_t>(count);
+}
+
+/** A payload sum: a finite JSON number. Throws JsonTypeError naming
+ *  @p key otherwise. */
+double
+finiteAt(const config::JsonValue &value, const char *key)
+{
+    double number = 0.0;
+    try {
+        number = value.at(key).asNumber();
+    } catch (const config::JsonTypeError &error) {
+        throw config::JsonTypeError(std::string("'") + key +
+                                    "' must be a finite number (" +
+                                    error.what() + ")");
+    }
+    if (!std::isfinite(number)) {
+        std::ostringstream message;
+        message << "'" << key << "' must be a finite number (got "
+                << number << ")";
+        throw config::JsonTypeError(message.str());
+    }
+    return number;
 }
 
 } // namespace
@@ -352,12 +399,32 @@ replayJobs(const FleetSetup &setup, util::IndexRange range)
     const double embodied_g = util::asGrams(setup.platform.embodied);
     const std::vector<PlacementGroup> groups =
         buildPlacementGroups(setup);
-    // Per-scenario Eq. 1 with the LT > 0 check hoisted out of the job
-    // loop; combine() below is combineFootprint() inlined.
-    std::vector<core::Eq1Amortizer> amortizers;
-    amortizers.reserve(setup.scenarios.size());
-    for (const FleetScenario &scenario : setup.scenarios)
-        amortizers.emplace_back(scenario.lifetime);
+
+    // Every scenario's accumulator gets its adds in job order, and
+    // each field's add depends on the scenario only through one key:
+    // energy and busy hours on nothing, embodied on the lifetime,
+    // baseline on the home region, and operational / deferred /
+    // migrated on the placement group. One running sum per distinct
+    // key therefore carries the exact bits of every accumulator that
+    // shares it; the accumulators are filled from them at the end.
+    std::vector<core::Eq1Amortizer> lifetimes;
+    std::vector<std::size_t> lifetime_of(setup.scenarios.size());
+    for (std::size_t s = 0; s < setup.scenarios.size(); ++s) {
+        const FleetScenario &scenario = setup.scenarios[s];
+        std::size_t l = 0;
+        while (l < lifetimes.size() &&
+               lifetimes[l].lifetime() != scenario.lifetime)
+            ++l;
+        if (l == lifetimes.size())
+            lifetimes.emplace_back(scenario.lifetime);
+        lifetime_of[s] = l;
+    }
+    double energy_kwh = 0.0;
+    double busy_hours = 0.0;
+    std::vector<double> embodied_sums(lifetimes.size(), 0.0);
+    std::vector<double> baseline_sums(n_regions, 0.0);
+    std::vector<GroupSums> group_sums(groups.size());
+
     // Upper bound on shifts any policy grants: greedy uses the stream
     // maximum; the per-job slack draw stays below it.
     const std::size_t max_count =
@@ -378,28 +445,15 @@ replayJobs(const FleetSetup &setup, util::IndexRange range)
     thread_local std::vector<std::size_t> arrivals;
     thread_local std::vector<double> costs;
     costs.resize(n_regions * max_count);
-    // Widest window class each region's cost row must cover, fixed by
-    // the group structure (cross-region groups touch every region);
-    // kNoArgmin marks regions no group reads. Counts are monotone in
-    // the class, so the widest class is the widest count.
-    std::vector<std::size_t> region_class(n_regions, kNoArgmin);
-    for (const PlacementGroup &group : groups) {
-        if (group.cross_region) {
-            for (std::size_t r = 0; r < n_regions; ++r) {
-                if (region_class[r] == kNoArgmin ||
-                    region_class[r] < group.window_class)
-                    region_class[r] = group.window_class;
-            }
-        } else {
-            std::size_t &slot = region_class[group.home_region];
-            if (slot == kNoArgmin || slot < group.window_class)
-                slot = group.window_class;
-        }
-    }
-    // Memoized per-job argmin results: groups of the same kind class
-    // share (region, shift-count) argmin queries, so each distinct
-    // query runs once. Index = r * 2 + (greedy window ? 1 : 0).
-    std::vector<std::size_t> argmin_memo(n_regions * 2);
+    // The widest window class any group reads. Every region's cost row
+    // covers it: a fleetSetupFromJson() grid runs every policy from
+    // every home region, so each row is read at that width.
+    std::size_t widest = kWindowUnit;
+    for (const PlacementGroup &group : groups)
+        widest = std::max(widest, group.window_class);
+    // Per job, argmins[r * kWindowClasses + c] is the best shift of
+    // region r within window class c, for every class up to widest.
+    std::vector<std::size_t> argmins(n_regions * kWindowClasses, 0);
 
     for (std::size_t first = range.begin; first < range.end;
          first += kJobBlock) {
@@ -434,6 +488,16 @@ replayJobs(const FleetSetup &setup, util::IndexRange range)
             const bool deferrable = block.deferrable[i] != 0;
             const double job_slack = block.slack_hours[i];
 
+            // Eq. 1's embodied share, once per distinct lifetime; in
+            // lifetime order, so a too-short lifetime fails with the
+            // oracle's message (it checks the scenarios in order).
+            for (std::size_t l = 0; l < lifetimes.size(); ++l) {
+                embodied_sums[l] +=
+                    util::asGrams(lifetimes[l].allocateEmbodied(
+                        util::grams(embodied_g),
+                        util::hours(duration)));
+            }
+
             // The window shape every region shares for this job.
             const auto full_samples =
                 static_cast<std::size_t>(duration / step);
@@ -443,63 +507,65 @@ replayJobs(const FleetSetup &setup, util::IndexRange range)
             const double cycles =
                 static_cast<double>(full_samples / n);
 
-            // Shift-window classes of this job: the per-job slack
-            // (deadline / migrate) and the fleet-wide greedy window.
-            const std::size_t slack_count =
-                static_cast<std::size_t>(
-                    allowedSlackHours(setup,
-                                      core::DeferralPolicy::
-                                          DeadlineBounded,
-                                      deferrable, job_slack) /
-                    step) +
-                1;
-            const std::size_t greedy_count =
-                static_cast<std::size_t>(
-                    allowedSlackHours(setup,
-                                      core::DeferralPolicy::
-                                          GreedyGreenest,
-                                      deferrable, job_slack) /
-                    step) +
-                1;
-
-            // This job's shift count per window class.
-            const std::size_t counts[3] = {1, slack_count,
-                                           greedy_count};
+            // This job's shift count per window class: the arrival
+            // sample, the per-job slack (deadline / migrate) and the
+            // fleet-wide greedy window.
+            const auto shifts = [&](core::DeferralPolicy kind) {
+                return static_cast<std::size_t>(
+                           allowedSlackHours(setup, kind, deferrable,
+                                             job_slack) /
+                           step) +
+                       1;
+            };
+            const std::size_t counts[kWindowClasses] = {
+                1, shifts(core::DeferralPolicy::DeadlineBounded),
+                shifts(core::DeferralPolicy::GreedyGreenest)};
             for (std::size_t r = 0; r < n_regions; ++r) {
-                if (region_class[r] == kNoArgmin)
-                    continue;
                 const RegionSeries &region = setup.regions[r];
+                double *row = costs.data() + r * max_count;
                 util::simd::WindowCostProblem problem;
                 problem.prefix = region.prefix_g.data();
                 problem.grams2x = region.grams2x.data();
                 problem.n = n;
                 problem.start0 = arrival;
-                problem.count = counts[region_class[r]];
+                problem.count = counts[widest];
                 problem.rem = rem;
                 problem.base = cycles * region.prefix_g[n];
                 problem.step = step;
                 problem.tail_hours = tail_hours;
-                kt.window_costs(problem,
-                                costs.data() + r * max_count);
-            }
-            std::fill(argmin_memo.begin(), argmin_memo.end(),
-                      kNoArgmin);
+                kt.window_costs(problem, row);
 
-            for (const PlacementGroup &group : groups) {
-                const bool greedy =
-                    group.window_class == kWindowGreedy;
-                const std::size_t group_count =
-                    counts[group.window_class];
-                const double *home_costs =
-                    costs.data() + group.home_region * max_count;
-                const double baseline_weight = home_costs[0];
+                // One pass over the row: each class's window is a
+                // prefix of the next, so the scan records every
+                // class's answer on its way to the widest.
+                std::size_t *best = argmins.data() + r * kWindowClasses;
+                for (std::size_t c = kWindowSlack; c <= widest; ++c) {
+                    best[c] = extendArgmin(kt, row, best[c - 1],
+                                           counts[c - 1], counts[c]);
+                }
+            }
+
+            energy_kwh += job_grid_kw * duration;
+            busy_hours += duration;
+            for (std::size_t r = 0; r < n_regions; ++r)
+                baseline_sums[r] += job_grid_kw * costs[r * max_count];
+
+            for (std::size_t g = 0; g < groups.size(); ++g) {
+                const PlacementGroup &group = groups[g];
+                const std::size_t home = group.home_region;
 
                 // Greenest window within slack; ties resolve to the
                 // earliest start, then the lowest region index
-                // (replayJobsOracle's scalar scan semantics).
-                double best_weight = baseline_weight;
-                std::size_t best_shift = 0;
-                std::size_t best_region = group.home_region;
+                // (replayJobsOracle's scalar scan semantics). A
+                // cross-region group starts from home@0, the oracle's
+                // initial candidate.
+                std::size_t best_shift =
+                    group.cross_region
+                        ? 0
+                        : argmins[home * kWindowClasses +
+                                  group.window_class];
+                double best_weight = costs[home * max_count + best_shift];
+                std::size_t best_region = home;
                 if (group.cross_region) {
                     // Region-major argmin combine. The scalar scan is
                     // shift-major with strict <, and its initial
@@ -509,52 +575,41 @@ replayJobs(const FleetSetup &setup, util::IndexRange range)
                     // strict improvement equal weights win exactly
                     // when they start earlier.
                     for (std::size_t r = 0; r < n_regions; ++r) {
-                        const double *region_costs =
-                            costs.data() + r * max_count;
-                        const std::size_t shift = memoArgmin(
-                            kt, argmin_memo, r, greedy, region_costs,
-                            group_count);
-                        const double weight = region_costs[shift];
+                        const std::size_t r_shift =
+                            argmins[r * kWindowClasses +
+                                    group.window_class];
+                        const double weight =
+                            costs[r * max_count + r_shift];
                         if (weight < best_weight ||
                             (weight == best_weight &&
-                             shift < best_shift)) {
+                             r_shift < best_shift)) {
                             best_weight = weight;
-                            best_shift = shift;
+                            best_shift = r_shift;
                             best_region = r;
                         }
                     }
-                } else if (group_count > 1) {
-                    const std::size_t shift = memoArgmin(
-                        kt, argmin_memo, group.home_region, greedy,
-                        home_costs, group_count);
-                    best_weight = home_costs[shift];
-                    best_shift = shift;
                 }
-                const std::size_t best_start = arrival + best_shift;
 
-                const double operational_g_job =
-                    job_grid_kw * best_weight;
-                for (const std::size_t s : group.scenarios) {
-                    const core::CarbonFootprint footprint =
-                        amortizers[s].combine(
-                            util::grams(operational_g_job),
-                            util::grams(embodied_g),
-                            util::hours(duration));
-
-                    FleetAccumulator &acc = accumulators[s];
-                    acc.jobs += 1;
-                    acc.deferred += best_start != arrival ? 1 : 0;
-                    acc.migrated +=
-                        best_region != group.home_region ? 1 : 0;
-                    acc.operational_g +=
-                        util::asGrams(footprint.operational);
-                    acc.embodied_g +=
-                        util::asGrams(footprint.embodied_allocated);
-                    acc.energy_kwh += job_grid_kw * duration;
-                    acc.busy_hours += duration;
-                    acc.baseline_g += job_grid_kw * baseline_weight;
-                }
+                GroupSums &sums = group_sums[g];
+                sums.deferred += best_shift != 0 ? 1 : 0;
+                sums.migrated += best_region != home ? 1 : 0;
+                sums.operational_g += job_grid_kw * best_weight;
             }
+        }
+        core::countEq1Evals(count * setup.scenarios.size());
+    }
+
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        for (const std::size_t s : groups[g].scenarios) {
+            FleetAccumulator &acc = accumulators[s];
+            acc.jobs = range.size();
+            acc.deferred = group_sums[g].deferred;
+            acc.migrated = group_sums[g].migrated;
+            acc.operational_g = group_sums[g].operational_g;
+            acc.embodied_g = embodied_sums[lifetime_of[s]];
+            acc.energy_kwh = energy_kwh;
+            acc.busy_hours = busy_hours;
+            acc.baseline_g = baseline_sums[groups[g].home_region];
         }
     }
     return accumulators;
@@ -666,17 +721,14 @@ FleetAccumulator
 fleetAccumulatorFromJson(const config::JsonValue &value)
 {
     FleetAccumulator accumulator;
-    accumulator.jobs =
-        static_cast<std::uint64_t>(value.at("jobs").asNumber());
-    accumulator.deferred =
-        static_cast<std::uint64_t>(value.at("deferred").asNumber());
-    accumulator.migrated =
-        static_cast<std::uint64_t>(value.at("migrated").asNumber());
-    accumulator.operational_g = value.at("operational_g").asNumber();
-    accumulator.embodied_g = value.at("embodied_g").asNumber();
-    accumulator.energy_kwh = value.at("energy_kwh").asNumber();
-    accumulator.busy_hours = value.at("busy_hours").asNumber();
-    accumulator.baseline_g = value.at("baseline_g").asNumber();
+    accumulator.jobs = countAt(value, "jobs");
+    accumulator.deferred = countAt(value, "deferred");
+    accumulator.migrated = countAt(value, "migrated");
+    accumulator.operational_g = finiteAt(value, "operational_g");
+    accumulator.embodied_g = finiteAt(value, "embodied_g");
+    accumulator.energy_kwh = finiteAt(value, "energy_kwh");
+    accumulator.busy_hours = finiteAt(value, "busy_hours");
+    accumulator.baseline_g = finiteAt(value, "baseline_g");
     return accumulator;
 }
 

@@ -121,11 +121,17 @@ struct FleetAccumulator
  * lowest region index).
  *
  * Batched implementation (DESIGN.md §15): jobs are generated in SoA
- * blocks, scenarios sharing a (policy kind, home region) pair share
- * one placement per job (lifetime only affects the footprint
- * amortization), and the per-shift window costs + argmin run through
- * the SIMD kernel table -- bit-identical to replayJobsOracle() at
- * every dispatch level.
+ * blocks; scenarios sharing a (policy kind, home region) pair share
+ * one placement per job; each region's per-shift window costs run
+ * through the SIMD kernel table and one argmin pass per row answers
+ * every window class (each class's window is a prefix of the next).
+ * Totals are kept as one running sum per distinct key -- job stream,
+ * lifetime, home region, placement group -- and copied into each
+ * scenario's accumulator at the end, so Eq. 1's embodied share is
+ * computed once per (job, distinct lifetime). Every scenario still
+ * receives its adds in job order: the result is bit-identical to
+ * replayJobsOracle() at every dispatch level, and "core.eq1.evals"
+ * grows by jobs x scenarios on both paths.
  */
 std::vector<FleetAccumulator> replayJobs(const FleetSetup &setup,
                                          util::IndexRange range);
@@ -140,7 +146,9 @@ std::vector<FleetAccumulator> replayJobs(const FleetSetup &setup,
 std::vector<FleetAccumulator>
 replayJobsOracle(const FleetSetup &setup, util::IndexRange range);
 
-/** Chunk payload codec (bit-exact doubles, exact counts). */
+/** Chunk payload codec (bit-exact doubles, exact counts). Decoding
+ *  throws config::JsonTypeError naming the field when a count is not a
+ *  non-negative integer or a sum is not a finite number. */
 config::JsonValue toJson(const FleetAccumulator &accumulator);
 FleetAccumulator fleetAccumulatorFromJson(const config::JsonValue &value);
 

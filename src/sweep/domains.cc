@@ -741,15 +741,26 @@ fleetResultFromPayloads(const SweepPlan &plan,
     const fleet::FleetSetup setup =
         fleet::fleetSetupFromJson(plan.config, plan.seed);
     std::vector<fleet::FleetAccumulator> totals(setup.scenarios.size());
-    for (const JsonValue &chunk : results) {
-        const JsonArray &payload = chunk.asArray();
+    for (std::size_t c = 0; c < results.size(); ++c) {
+        if (!results[c].isArray())
+            util::fatal("fleet chunk ", c, " payload is not an array");
+        const JsonArray &payload = results[c].asArray();
         if (payload.size() != totals.size()) {
-            util::fatal("fleet chunk payload carries ", payload.size(),
+            util::fatal("fleet chunk ", c, " payload carries ",
+                        payload.size(),
                         " scenarios but the plan's grid has ",
                         totals.size());
         }
-        for (std::size_t s = 0; s < totals.size(); ++s)
-            totals[s].add(fleet::fleetAccumulatorFromJson(payload[s]));
+        for (std::size_t s = 0; s < totals.size(); ++s) {
+            try {
+                totals[s].add(
+                    fleet::fleetAccumulatorFromJson(payload[s]));
+            } catch (const config::JsonTypeError &error) {
+                util::fatal("fleet chunk ", c, " scenario '",
+                            setup.scenarios[s].label, "': ",
+                            error.what());
+            }
+        }
     }
     return totals;
 }

@@ -102,8 +102,10 @@ monteCarloResultFromPayloads(std::size_t samples,
 /**
  * Fold a fleet result document's chunk payloads, in order, into the
  * final per-scenario accumulators (index-aligned with the scenario
- * grid of the plan's config). Fatal when a chunk payload disagrees
- * with the grid size.
+ * grid of the plan's config). Fatal, naming the chunk (and the
+ * scenario label), when a chunk payload disagrees with the grid size
+ * or carries a count that is not a non-negative integer or a sum that
+ * is not a finite number.
  */
 std::vector<fleet::FleetAccumulator>
 fleetResultFromPayloads(const SweepPlan &plan,

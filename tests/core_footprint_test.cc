@@ -1,9 +1,13 @@
 /** @file Tests for Eq. 1/2: operational footprint and CF combination. */
 
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/footprint.h"
 #include "core/operational.h"
+#include "util/metrics.h"
 
 namespace act::core {
 namespace {
@@ -98,6 +102,61 @@ TEST(Footprint, InvalidTimesAreFatal)
     EXPECT_EXIT(combineFootprint(grams(1.0), grams(1.0), years(4.0),
                                  years(3.0)),
                 ::testing::ExitedWithCode(1), "");
+}
+
+TEST(Footprint, AmortizerMatchesCombineFootprintBitwise)
+{
+    // Odd durations and lifetimes, so T / LT is inexact and any
+    // reassociation would show in the last bit.
+    const double embodied_g = 1234567.891;
+    for (const double lifetime_years : {2.0, 3.7, 4.0}) {
+        const Eq1Amortizer amortizer(years(lifetime_years));
+        for (const double hours : {0.0, 0.1, 1.0 / 3.0, 7.25, 123.4}) {
+            const CarbonFootprint expected = combineFootprint(
+                grams(0.0), grams(embodied_g), util::hours(hours),
+                years(lifetime_years));
+            EXPECT_EQ(asGrams(amortizer.allocateEmbodied(
+                          grams(embodied_g), util::hours(hours))),
+                      asGrams(expected.embodied_allocated))
+                << hours << " h of " << lifetime_years << " y";
+        }
+    }
+}
+
+TEST(Footprint, AmortizerCountsNothingAndBulkCountAdds)
+{
+    const util::Counter &evals =
+        util::MetricsRegistry::instance().counter("core.eq1.evals");
+    const Eq1Amortizer amortizer(years(4.0));
+    const std::uint64_t before = evals.value();
+    (void)amortizer.allocateEmbodied(grams(1.0), years(1.0));
+    EXPECT_EQ(evals.value(), before);
+    countEq1Evals(12);
+    EXPECT_EQ(evals.value(), before + 12);
+}
+
+TEST(Footprint, AmortizerFatalsMatchCombineFootprint)
+{
+    const Eq1Amortizer amortizer(years(3.0));
+    EXPECT_EXIT(
+        amortizer.allocateEmbodied(grams(1.0), years(-1.0)),
+        ::testing::ExitedWithCode(1),
+        "fatal: execution time must be non-negative");
+    EXPECT_EXIT(
+        combineFootprint(grams(1.0), grams(1.0), years(-1.0), years(3.0)),
+        ::testing::ExitedWithCode(1),
+        "fatal: execution time must be non-negative");
+    // Same message, same numbers, from both paths.
+    const std::string exceeds =
+        "fatal: execution time \\(1\\.26144e\\+08 s\\) exceeds "
+        "hardware lifetime \\(9\\.4608e\\+07 s\\)";
+    EXPECT_EXIT(amortizer.allocateEmbodied(grams(1.0), years(4.0)),
+                ::testing::ExitedWithCode(1), exceeds);
+    EXPECT_EXIT(
+        combineFootprint(grams(1.0), grams(1.0), years(4.0), years(3.0)),
+        ::testing::ExitedWithCode(1), exceeds);
+    EXPECT_EXIT(Eq1Amortizer(years(0.0)), ::testing::ExitedWithCode(1),
+                "fatal: hardware lifetime must be positive");
 }
 
 /** Property: CF is linear in T for fixed OPCF rate and ECF. */

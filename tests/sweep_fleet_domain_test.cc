@@ -7,7 +7,11 @@
  * job seeds its own RNG stream from its index.
  */
 
+#include <cstdint>
+#include <limits>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,8 +20,10 @@
 #include "sweep/domains.h"
 #include "sweep/engine.h"
 #include "sweep/plan.h"
+#include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/simd.h"
+#include "util/units.h"
 
 namespace act::sweep {
 namespace {
@@ -111,6 +117,30 @@ expectBitIdentical(const std::vector<fleet::FleetAccumulator> &actual,
     }
 }
 
+/** Bit-identity of replayJobs() against the oracle at every SIMD
+ *  level over block-ragged ranges (512-job blocks): the whole stream
+ *  of @p items jobs, a mid-stream slice and the last job alone. */
+void
+expectOracleParity(const fleet::FleetSetup &setup, std::size_t items,
+                   const std::string &label)
+{
+    const util::IndexRange ranges[] = {
+        {0, items}, {237, 749}, {items - 1, items}};
+    for (const util::IndexRange range : ranges) {
+        const std::vector<fleet::FleetAccumulator> expected =
+            fleet::replayJobsOracle(setup, range);
+        for (const util::SimdLevel level : availableSimdLevels()) {
+            util::setSimdLevel(level);
+            expectBitIdentical(
+                fleet::replayJobs(setup, range), expected,
+                label + " " + util::simdLevelName(level) + " range [" +
+                    std::to_string(range.begin) + ", " +
+                    std::to_string(range.end) + ")");
+        }
+        util::setSimdLevel(util::detectedSimdLevel());
+    }
+}
+
 TEST_F(SweepFleetDomainTest, DomainIsRegistered)
 {
     bool found = false;
@@ -193,22 +223,7 @@ TEST_F(SweepFleetDomainTest, PlacementGroupsMatchPerScenarioOracle)
         }
     })");
     ASSERT_EQ(setup.scenarios.size(), 24u);
-
-    const util::IndexRange ranges[] = {{0, 1500}, {237, 749},
-                                       {1499, 1500}};
-    for (const util::IndexRange range : ranges) {
-        const std::vector<fleet::FleetAccumulator> expected =
-            fleet::replayJobsOracle(setup, range);
-        for (const util::SimdLevel level : availableSimdLevels()) {
-            util::setSimdLevel(level);
-            expectBitIdentical(
-                fleet::replayJobs(setup, range), expected,
-                std::string(util::simdLevelName(level)) + " range [" +
-                    std::to_string(range.begin) + ", " +
-                    std::to_string(range.end) + ")");
-        }
-        util::setSimdLevel(util::detectedSimdLevel());
-    }
+    expectOracleParity(setup, 1500, "placement groups");
 }
 
 TEST_F(SweepFleetDomainTest, ZeroSlackStreamMatchesOracle)
@@ -232,15 +247,98 @@ TEST_F(SweepFleetDomainTest, ZeroSlackStreamMatchesOracle)
             "jobs": {"horizon_hours": 48, "max_slack_hours": 0}
         }
     })");
-    const std::vector<fleet::FleetAccumulator> expected =
-        fleet::replayJobsOracle(setup, {0, 800});
-    for (const util::SimdLevel level : availableSimdLevels()) {
-        util::setSimdLevel(level);
-        expectBitIdentical(fleet::replayJobs(setup, {0, 800}),
-                           expected,
-                           std::string("zero-slack ") +
-                               util::simdLevelName(level));
+    expectOracleParity(setup, 800, "zero-slack");
+}
+
+/** A three-region fleet plan with @p config_fields spliced into its
+ *  config object and @p series_fields into every region's series. */
+std::string
+fleetPlanText(const std::string &config_fields,
+              const std::string &series_fields = "")
+{
+    return R"({"domain": "fleet", "items": 1100, "seed": 11,
+        "config": {)" +
+           config_fields + R"(,
+            "regions": [
+                {"name": "tw-solar", "profile": "solar",
+                 "region": "Taiwan", "share": 0.25)" +
+           series_fields + R"(},
+                {"name": "us-wind", "profile": "wind",
+                 "region": "United States", "share": 0.3)" +
+           series_fields + R"(},
+                {"name": "is-flat", "profile": "flat",
+                 "region": "Iceland")" +
+           series_fields + R"(}
+            ]}})";
+}
+
+TEST_F(SweepFleetDomainTest, DuplicateLifetimesMatchOracle)
+{
+    // Equal lifetimes share one running embodied sum; both 4-year
+    // columns must still carry the oracle's bits, and the 2-year one
+    // its own.
+    const fleet::FleetSetup setup = setupFromText(fleetPlanText(R"(
+        "lifetime_years": [4, 2, 4],
+        "policies": ["uniform", "greedy", "deadline", "migrate"],
+        "jobs": {"horizon_hours": 48, "max_slack_hours": 12})"));
+    ASSERT_EQ(setup.scenarios.size(), 36u);
+    expectOracleParity(setup, 1100, "duplicate lifetimes");
+}
+
+TEST_F(SweepFleetDomainTest, WideWindowMatchesOracle)
+{
+    // 97 shifts: both the slack prefix and the greedy tail of a cost
+    // row reach the argmin_first kernel path (>= 32 elements). A
+    // seasonal envelope keeps the series from repeating every 24 h, so
+    // the greenest start is often days into the window.
+    const fleet::FleetSetup setup = setupFromText(fleetPlanText(
+        R"(
+        "lifetime_years": [3],
+        "policies": ["uniform", "greedy", "deadline", "migrate"],
+        "deadline_samples": 96,
+        "jobs": {"horizon_hours": 600, "max_slack_hours": 96})",
+        R"(, "days": 28, "seasonal_amplitude": 0.3)"));
+    expectOracleParity(setup, 1100, "wide window");
+}
+
+TEST_F(SweepFleetDomainTest, PartlyCrossRegionGridsMatchOracle)
+{
+    // Only some policies scan every region: a cross-region policy
+    // listed first, a time-only one without a slack window, and one
+    // with the widest (greedy) window next to it.
+    for (const char *policies :
+         {R"(["migrate", "uniform"])", R"(["uniform", "migrate"])",
+          R"(["greedy", "migrate"])", R"(["deadline", "migrate"])"}) {
+        const fleet::FleetSetup setup =
+            setupFromText(fleetPlanText(std::string(R"(
+                "lifetime_years": [5, 3],
+                "policies": )") + policies + R"(,
+                "jobs": {"horizon_hours": 72, "max_slack_hours": 40})"));
+        expectOracleParity(setup, 1100, policies);
     }
+}
+
+TEST_F(SweepFleetDomainTest, Eq1EvalCountMatchesOracle)
+{
+    // One Eq. 1 evaluation per job x scenario on both paths, even
+    // though the batched path computes one embodied share per
+    // distinct lifetime.
+    const fleet::FleetSetup setup = setupFromText(fleetPlanText(R"(
+        "lifetime_years": [4, 2, 4],
+        "policies": ["uniform", "migrate"],
+        "jobs": {"horizon_hours": 48, "max_slack_hours": 12})"));
+    const util::Counter &evals =
+        util::MetricsRegistry::instance().counter("core.eq1.evals");
+    const util::IndexRange range{100, 1100};
+    const std::uint64_t expected =
+        range.size() * setup.scenarios.size();
+
+    std::uint64_t before = evals.value();
+    (void)fleet::replayJobs(setup, range);
+    EXPECT_EQ(evals.value() - before, expected);
+    before = evals.value();
+    (void)fleet::replayJobsOracle(setup, range);
+    EXPECT_EQ(evals.value() - before, expected);
 }
 
 TEST_F(SweepFleetDomainTest, MergedTotalsCoverEveryJobOnce)
@@ -349,6 +447,163 @@ class SweepFleetDeathTest : public SweepFleetDomainTest
         findDomain(plan.domain).prepare(plan);
     }
 };
+
+/** @p text with every POSIX-regex metacharacter escaped. */
+std::string
+regexEscape(const std::string &text)
+{
+    std::string out;
+    for (const char c : text) {
+        if (std::string_view("\\^$.|?*+()[]{}").find(c) !=
+            std::string_view::npos)
+            out += '\\';
+        out += c;
+    }
+    return out;
+}
+
+TEST_F(SweepFleetDeathTest, LifetimeShorterThanAJobFailsLikeTheOracle)
+{
+    // Lifetimes of about 1.8 h and 0.9 h: the first job longer than
+    // the shortest one fails, naming the first listed lifetime it
+    // exceeds -- the scenario order the oracle checks in.
+    const double lifetimes_years[] = {4.0, 0.0002, 0.0001};
+    const fleet::FleetSetup setup = setupFromText(fleetPlanText(R"(
+        "lifetime_years": [4, 0.0002, 0.0001],
+        "policies": ["uniform", "greedy", "migrate"],
+        "jobs": {"horizon_hours": 48, "max_slack_hours": 12})"));
+
+    std::string message;
+    for (std::uint64_t index = 0; message.empty() && index < 1100;
+         ++index) {
+        const double hours = fleet::jobAt(setup.jobs, index).duration_hours;
+        for (const double years : lifetimes_years) {
+            if (util::hours(hours) > util::years(years)) {
+                std::ostringstream out;
+                out << "fatal: execution time ("
+                    << util::asSeconds(util::hours(hours))
+                    << " s) exceeds hardware lifetime ("
+                    << util::asSeconds(util::years(years)) << " s)";
+                message = out.str();
+                break;
+            }
+        }
+    }
+    ASSERT_FALSE(message.empty()) << "no job outlives 0.0001 y";
+
+    const util::IndexRange range{0, 1100};
+    EXPECT_EXIT((void)fleet::replayJobsOracle(setup, range),
+                ::testing::ExitedWithCode(1), regexEscape(message));
+    for (const util::SimdLevel level : availableSimdLevels()) {
+        util::setSimdLevel(level);
+        EXPECT_EXIT((void)fleet::replayJobs(setup, range),
+                    ::testing::ExitedWithCode(1), regexEscape(message))
+            << util::simdLevelName(level);
+    }
+}
+
+/** The fleetPlan() result document with chunk 1's scenario 2 entry
+ *  edited by @p corrupt. */
+template <typename Corrupt>
+config::JsonValue
+corruptedResults(Corrupt corrupt)
+{
+    const SweepPlan plan = fleetPlan();
+    config::JsonValue doc =
+        fullSweepResult(plan, findDomain(plan.domain).evaluator(plan));
+    config::JsonArray &results = doc.asObject()["results"].asArray();
+    corrupt(results.at(1).asArray().at(2).asObject());
+    return doc;
+}
+
+/** Folding a corrupted payload must end in a fatal naming the chunk,
+ *  the scenario and the field. */
+template <typename Corrupt>
+void
+expectCorruptPayloadFatal(Corrupt corrupt, const std::string &pattern)
+{
+    const config::JsonValue doc = corruptedResults(corrupt);
+    EXPECT_EXIT((void)fleetResultFromPayloads(
+                    fleetPlan(), doc.at("results").asArray()),
+                ::testing::ExitedWithCode(1),
+                "fatal: fleet chunk 1 scenario 'greedy@tw-solar/4\\.00y': " +
+                    pattern);
+}
+
+TEST_F(SweepFleetDeathTest, NegativeCountInPartialIsFatal)
+{
+    expectCorruptPayloadFatal(
+        [](config::JsonObject &entry) {
+            entry["jobs"] = config::JsonValue(-1.0);
+        },
+        "'jobs' must be a non-negative integer \\(got -1\\)");
+}
+
+TEST_F(SweepFleetDeathTest, FractionalCountInPartialIsFatal)
+{
+    expectCorruptPayloadFatal(
+        [](config::JsonObject &entry) {
+            entry["deferred"] = config::JsonValue(0.5);
+        },
+        "'deferred' must be a non-negative integer \\(JSON number is "
+        "not integral\\)");
+}
+
+TEST_F(SweepFleetDeathTest, HugeCountInPartialIsFatal)
+{
+    expectCorruptPayloadFatal(
+        [](config::JsonObject &entry) {
+            entry["jobs"] = config::JsonValue(1e30);
+        },
+        "'jobs' must be a non-negative integer \\(JSON number 1e\\+30 "
+        "is out of 64-bit integer range\\)");
+}
+
+TEST_F(SweepFleetDeathTest, StringCountInPartialIsFatal)
+{
+    expectCorruptPayloadFatal(
+        [](config::JsonObject &entry) {
+            entry["migrated"] = config::JsonValue(std::string("12"));
+        },
+        "'migrated' must be a non-negative integer \\(JSON value is "
+        "not a number\\)");
+}
+
+TEST_F(SweepFleetDeathTest, MissingCountInPartialIsFatal)
+{
+    expectCorruptPayloadFatal(
+        [](config::JsonObject &entry) { entry.erase("jobs"); },
+        "'jobs' must be a non-negative integer \\(missing JSON key "
+        "'jobs'\\)");
+}
+
+TEST_F(SweepFleetDeathTest, NonFiniteSumInPartialIsFatal)
+{
+    expectCorruptPayloadFatal(
+        [](config::JsonObject &entry) {
+            entry["operational_g"] = config::JsonValue(
+                std::numeric_limits<double>::infinity());
+        },
+        "'operational_g' must be a finite number \\(got inf\\)");
+    expectCorruptPayloadFatal(
+        [](config::JsonObject &entry) {
+            entry["baseline_g"] = config::JsonValue(
+                std::numeric_limits<double>::quiet_NaN());
+        },
+        "'baseline_g' must be a finite number \\(got nan\\)");
+}
+
+TEST_F(SweepFleetDeathTest, NonArrayChunkPayloadIsFatal)
+{
+    const SweepPlan plan = fleetPlan();
+    config::JsonValue doc =
+        fullSweepResult(plan, findDomain(plan.domain).evaluator(plan));
+    doc.asObject()["results"].asArray().at(3) = config::JsonValue(7.0);
+    EXPECT_EXIT((void)fleetResultFromPayloads(
+                    plan, doc.at("results").asArray()),
+                ::testing::ExitedWithCode(1),
+                "fatal: fleet chunk 3 payload is not an array");
+}
 
 TEST_F(SweepFleetDeathTest, MissingRegionsIsFatal)
 {

@@ -1,8 +1,9 @@
 # Drives `act sweep` and `act merge` with broken input files -- a
 # partial truncated as a dead shard leaves it, a plan whose item count
 # is out of integer range, a plan with a mistyped config field, a plan
-# whose samples fail model validation on worker threads -- and checks
-# that each run exits 1 with a `fatal:` diagnostic instead of aborting.
+# whose samples fail model validation on worker threads, a fleet
+# partial with a negative job count -- and checks that each run exits
+# 1 with a `fatal:` diagnostic instead of aborting.
 #
 #   cmake -DACT=<act binary> -DPLAN=<sweep plan> -DWORK_DIR=<dir> \
 #         -P cli_bad_input.cmake
@@ -72,3 +73,29 @@ expect_fatal("worker-thread fatal"
     "gaseous abatement fraction"
     sweep --plan bad_abatement.json)
 set(ENV{ACT_THREADS} 1)
+
+# A fleet partial whose job count was edited to -1 used to be cast to
+# a huge count and merged. It must name the chunk and the scenario.
+file(WRITE "${WORK_DIR}/fleet_plan.json" [=[
+{"domain": "fleet", "items": 2000, "grain": 256, "seed": 42,
+ "config": {"regions": [{"name": "is-flat", "profile": "flat",
+                         "region": "Iceland"}],
+            "jobs": {"horizon_hours": 48}}}
+]=])
+foreach(index 0 1)
+    run_act(sweep --plan fleet_plan.json --shards 2 --shard-index ${index}
+            --out fleet_part${index}.json)
+    if(NOT status STREQUAL "0")
+        message(FATAL_ERROR "fleet shard ${index} failed:\n${stderr}")
+    endif()
+endforeach()
+file(READ "${WORK_DIR}/fleet_part1.json" fleet_partial)
+string(REGEX REPLACE "\"jobs\": *[0-9]+" "\"jobs\": -1" negative_jobs
+       "${fleet_partial}")
+if(negative_jobs STREQUAL fleet_partial)
+    message(FATAL_ERROR "no job count to corrupt in fleet_part1.json")
+endif()
+file(WRITE "${WORK_DIR}/fleet_negative.json" "${negative_jobs}")
+expect_fatal("negative fleet job count"
+    "fleet chunk 4 scenario 'uniform@is-flat/4\\.00y': 'jobs' must be a non-negative integer \\(got -1\\)"
+    merge fleet_part0.json fleet_negative.json)
