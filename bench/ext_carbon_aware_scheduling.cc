@@ -14,6 +14,7 @@
 #include <iostream>
 
 #include "core/scheduling.h"
+#include "data/carbon_intensity_db.h"
 #include "report/experiment.h"
 #include "util/csv.h"
 #include "util/strings.h"

@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "core/scheduling.h"
+#include "data/carbon_intensity_db.h"
 #include "server/datacenter.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -48,10 +49,12 @@ main()
     load.baseline = util::watts(310.0);      // interactive tier
     load.deferrable_energy = util::kilowattHours(3.0);  // nightly batch
     load.deferrable_capacity = util::watts(500.0);
-    const auto profile = data::DiurnalProfile::solarGrid(
+    const auto series = data::IntensitySeries::solarDay(
         data::regionIntensity(data::Region::UnitedStates), 0.3);
-    const auto uniform = core::scheduleUniform(load, profile);
-    const auto aware = core::scheduleCarbonAware(load, profile);
+    const auto uniform =
+        core::schedule(load, series, core::policyByName("uniform"));
+    const auto aware =
+        core::schedule(load, series, core::policyByName("greedy"));
     std::cout << "2. Batch scheduling on a 30%-solar grid:\n"
               << "   uniform schedule:      "
               << util::formatSig(util::asGrams(uniform.total()), 4)
@@ -59,7 +62,7 @@ main()
               << "   carbon-aware schedule: "
               << util::formatSig(util::asGrams(aware.total()), 4)
               << " g CO2/day ("
-              << util::formatSig(core::carbonAwareSaving(load, profile),
+              << util::formatSig(core::carbonAwareSaving(load, series),
                                  3)
               << "x saving on the deferrable tier)\n\n";
 

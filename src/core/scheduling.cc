@@ -264,45 +264,16 @@ scheduleAcrossRegions(const DailyLoad &load,
     return result;
 }
 
-namespace {
-
-ScheduleResult
-toLegacy(const SeriesSchedule &schedule)
-{
-    ScheduleResult result;
-    for (std::size_t h = 0; h < data::DiurnalProfile::kHours; ++h)
-        result.placement[h] = schedule.placement[h];
-    result.baseline_footprint = schedule.baseline_footprint;
-    result.deferrable_footprint = schedule.deferrable_footprint;
-    return result;
-}
-
-} // namespace
-
-ScheduleResult
-scheduleUniform(const DailyLoad &load,
-                const data::DiurnalProfile &profile)
-{
-    return toLegacy(
-        schedule(load, profile.series(), {DeferralPolicy::Uniform, 0}));
-}
-
-ScheduleResult
-scheduleCarbonAware(const DailyLoad &load,
-                    const data::DiurnalProfile &profile)
-{
-    return toLegacy(schedule(load, profile.series(),
-                             {DeferralPolicy::GreedyGreenest, 0}));
-}
-
 double
 carbonAwareSaving(const DailyLoad &load,
-                  const data::DiurnalProfile &profile)
+                  const data::IntensitySeries &series)
 {
     const util::Mass uniform =
-        scheduleUniform(load, profile).deferrable_footprint;
+        schedule(load, series, {DeferralPolicy::Uniform, 0})
+            .deferrable_footprint;
     const util::Mass aware =
-        scheduleCarbonAware(load, profile).deferrable_footprint;
+        schedule(load, series, {DeferralPolicy::GreedyGreenest, 0})
+            .deferrable_footprint;
     if (util::asGrams(aware) <= 0.0)
         return 1.0;
     return util::asGrams(uniform) / util::asGrams(aware);

@@ -12,19 +12,15 @@
  *
  * Policies are pluggable (DeferralPolicy): uniform spread,
  * greedy-greenest, deadline-bounded windows, and cross-region
- * migration via scheduleAcrossRegions(). The legacy 24-hour entry
- * points (scheduleUniform / scheduleCarbonAware / carbonAwareSaving)
- * are thin wrappers over schedule() and remain bit-identical.
+ * migration via scheduleAcrossRegions().
  */
 
 #ifndef ACT_CORE_SCHEDULING_H
 #define ACT_CORE_SCHEDULING_H
 
-#include <array>
 #include <string_view>
 #include <vector>
 
-#include "data/ci_profile.h"
 #include "data/intensity_series.h"
 #include "util/units.h"
 
@@ -126,38 +122,10 @@ MultiRegionSchedule
 scheduleAcrossRegions(const DailyLoad &load,
                       const std::vector<data::IntensitySeries> &regions);
 
-/** Result of evaluating one 24-hour schedule (legacy view). */
-struct ScheduleResult
-{
-    /** Deferrable energy placed in each hour. */
-    std::array<util::Energy, data::DiurnalProfile::kHours> placement{};
-    util::Mass baseline_footprint{};
-    util::Mass deferrable_footprint{};
-
-    util::Mass total() const
-    {
-        return baseline_footprint + deferrable_footprint;
-    }
-};
-
-/**
- * Spread the deferrable energy uniformly across all hours (the naive,
- * carbon-oblivious schedule). Fatal if the daily energy exceeds what
- * the capacity allows.
- */
-ScheduleResult scheduleUniform(const DailyLoad &load,
-                               const data::DiurnalProfile &profile);
-
-/**
- * Greedily place deferrable energy into the greenest hours first,
- * saturating each hour's capacity before moving to the next.
- */
-ScheduleResult scheduleCarbonAware(const DailyLoad &load,
-                                   const data::DiurnalProfile &profile);
-
-/** OPCF saving factor of carbon-aware over uniform scheduling. */
+/** OPCF saving factor of greedy-greenest over uniform scheduling of
+ *  the deferrable tier; 1 when the greedy footprint is zero. */
 double carbonAwareSaving(const DailyLoad &load,
-                         const data::DiurnalProfile &profile);
+                         const data::IntensitySeries &series);
 
 } // namespace act::core
 

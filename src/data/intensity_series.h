@@ -1,7 +1,6 @@
 /**
  * @file
- * Time-series grid carbon intensity: the general substrate under the
- * diurnal profiles of ci_profile.h. ACT's Eq. 2 treats CI_use as a
+ * Time-series grid carbon intensity. ACT's Eq. 2 treats CI_use as a
  * constant; Appendix A.1 notes real grids fluctuate. An
  * IntensitySeries models that fluctuation at arbitrary length and
  * resolution -- one day at hourly steps, a seasonal x diurnal year of

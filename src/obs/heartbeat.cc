@@ -23,6 +23,28 @@ using config::JsonValue;
 const char *const kHeartbeatFormat = "act.heartbeat.v1";
 const char *const kHeartbeatSuffix = ".heartbeat.json";
 
+namespace {
+
+/** A count field read with the range-checked asInteger(); absent
+ *  reads as @p fallback. Throws JsonTypeError when the value is not a
+ *  non-negative integer. */
+std::uint64_t
+countOr(const JsonValue &value, const std::string &key,
+        std::uint64_t fallback)
+{
+    if (!value.contains(key))
+        return fallback;
+    const std::int64_t count = value.at(key).asInteger();
+    if (count < 0) {
+        throw config::JsonTypeError("heartbeat '" + key +
+                                    "' must be non-negative, got " +
+                                    std::to_string(count));
+    }
+    return static_cast<std::uint64_t>(count);
+}
+
+} // namespace
+
 JsonValue
 toJson(const Heartbeat &heartbeat)
 {
@@ -58,18 +80,12 @@ heartbeatFromJson(const JsonValue &value)
                     "', expected '", kHeartbeatFormat, "')");
     Heartbeat heartbeat;
     heartbeat.domain = value.stringOr("domain", "");
-    heartbeat.shard_index = static_cast<std::size_t>(
-        value.numberOr("shard_index", 0.0));
-    heartbeat.shard_count = static_cast<std::size_t>(
-        value.numberOr("shard_count", 1.0));
-    heartbeat.items_done = static_cast<std::uint64_t>(
-        value.numberOr("items_done", 0.0));
-    heartbeat.items_total = static_cast<std::uint64_t>(
-        value.numberOr("items_total", 0.0));
-    heartbeat.chunks_done = static_cast<std::size_t>(
-        value.numberOr("chunks_done", 0.0));
-    heartbeat.chunks_total = static_cast<std::size_t>(
-        value.numberOr("chunks_total", 0.0));
+    heartbeat.shard_index = countOr(value, "shard_index", 0);
+    heartbeat.shard_count = countOr(value, "shard_count", 1);
+    heartbeat.items_done = countOr(value, "items_done", 0);
+    heartbeat.items_total = countOr(value, "items_total", 0);
+    heartbeat.chunks_done = countOr(value, "chunks_done", 0);
+    heartbeat.chunks_total = countOr(value, "chunks_total", 0);
     heartbeat.items_per_sec = value.numberOr("items_per_sec", 0.0);
     heartbeat.rss_mb = value.numberOr("rss_mb", 0.0);
     heartbeat.start_wall_s = value.numberOr("start_wall_s", 0.0);
@@ -236,6 +252,9 @@ loadHeartbeatDirectory(const std::string &directory)
         } catch (const config::JsonParseError &parse_error) {
             util::warn("skipping unparseable heartbeat file '", path,
                        "': ", parse_error.what());
+        } catch (const config::JsonTypeError &type_error) {
+            util::warn("skipping unparseable heartbeat file '", path,
+                       "': ", type_error.what());
         }
     }
     return heartbeats;

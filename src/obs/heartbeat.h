@@ -76,6 +76,10 @@ struct Heartbeat
 };
 
 config::JsonValue toJson(const Heartbeat &heartbeat);
+
+/** Read a heartbeat document. Fatal when its format is not
+ *  act.heartbeat.v1; throws config::JsonTypeError when a field has
+ *  the wrong type or a count is not a non-negative 64-bit integer. */
 Heartbeat heartbeatFromJson(const config::JsonValue &value);
 
 /** Unix wall-clock time in seconds (sub-second resolution). */
@@ -114,8 +118,8 @@ class HeartbeatWriter
 
 /**
  * Load every `*.heartbeat.json` under @p directory (non-recursive),
- * sorted by filename; unparseable files warn and are skipped. Fatal
- * when the directory cannot be read.
+ * sorted by filename; unparseable or mistyped files warn and are
+ * skipped. Fatal when the directory cannot be read.
  */
 std::vector<std::pair<std::string, Heartbeat>>
 loadHeartbeatDirectory(const std::string &directory);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 
 #include "util/logging.h"
 
@@ -14,10 +15,10 @@ using config::JsonValue;
 namespace {
 
 /** The wall-clock position (µs since Unix epoch) of a trace file's
- *  timestamp origin, read from its trace_epoch metadata event; 0 when
- *  the file predates epoch stamping. */
-std::uint64_t
-traceEpochOf(const JsonValue &trace, const std::string &name)
+ *  timestamp origin, read from its trace_epoch metadata event; empty
+ *  when the file predates epoch stamping. */
+std::optional<std::uint64_t>
+traceEpochOf(const JsonValue &trace)
 {
     for (const JsonValue &event : trace.at("traceEvents").asArray()) {
         if (!event.isObject())
@@ -30,10 +31,7 @@ traceEpochOf(const JsonValue &trace, const std::string &name)
             event.at("args").numberOr("wall_epoch_us", 0.0);
         return static_cast<std::uint64_t>(epoch);
     }
-    util::warn("trace '", name,
-               "' has no trace_epoch metadata; aligning its start "
-               "with the earliest trace");
-    return 0;
+    return std::nullopt;
 }
 
 std::string
@@ -41,6 +39,19 @@ basenameOf(const std::string &path)
 {
     const std::size_t slash = path.find_last_of('/');
     return slash == std::string::npos ? path : path.substr(slash + 1);
+}
+
+/** Run @p body for the trace named @p name, turning a mistyped field
+ *  (a JsonTypeError) into a fatal that names the trace. */
+template <typename Body>
+auto
+forTrace(const std::string &name, Body body)
+{
+    try {
+        return body();
+    } catch (const config::JsonTypeError &error) {
+        util::fatal("bad trace '", name, "': ", error.what());
+    }
 }
 
 JsonValue
@@ -68,6 +79,7 @@ mergeTraceDocs(const std::vector<JsonValue> &traces,
                     names.size(), " names");
 
     std::vector<std::uint64_t> epochs;
+    std::vector<std::size_t> unanchored; // traces without trace_epoch
     epochs.reserve(traces.size());
     for (std::size_t i = 0; i < traces.size(); ++i) {
         if (!traces[i].isObject() ||
@@ -77,7 +89,11 @@ mergeTraceDocs(const std::vector<JsonValue> &traces,
                         "' is not a Chrome trace document "
                         "(no traceEvents array)");
         }
-        epochs.push_back(traceEpochOf(traces[i], names[i]));
+        const std::optional<std::uint64_t> epoch =
+            forTrace(names[i], [&] { return traceEpochOf(traces[i]); });
+        if (!epoch)
+            unanchored.push_back(i);
+        epochs.push_back(epoch.value_or(0));
     }
     const std::uint64_t min_epoch =
         epochs.empty()
@@ -102,20 +118,30 @@ mergeTraceDocs(const std::vector<JsonValue> &traces,
         // so the µs delta stays well inside double precision.
         const double delta_us =
             static_cast<double>(epochs[i] - min_epoch);
-        for (const JsonValue &event :
-             traces[i].at("traceEvents").asArray()) {
-            if (!event.isObject())
-                continue;
-            // Per-file epoch anchors are consumed by the alignment;
-            // the merged file carries a single fresh one.
-            if (event.stringOr("name", "") == "trace_epoch")
-                continue;
-            JsonObject remapped = event.asObject();
-            remapped["pid"] = JsonValue(pid);
-            remapped["ts"] = JsonValue(
-                event.numberOr("ts", 0.0) + delta_us);
-            merged.push_back(JsonValue(std::move(remapped)));
-        }
+        forTrace(names[i], [&] {
+            for (const JsonValue &event :
+                 traces[i].at("traceEvents").asArray()) {
+                if (!event.isObject())
+                    continue;
+                // Per-file epoch anchors are consumed by the
+                // alignment; the merged file carries a single fresh
+                // one.
+                if (event.stringOr("name", "") == "trace_epoch")
+                    continue;
+                JsonObject remapped = event.asObject();
+                remapped["pid"] = JsonValue(pid);
+                remapped["ts"] = JsonValue(
+                    event.numberOr("ts", 0.0) + delta_us);
+                merged.push_back(JsonValue(std::move(remapped)));
+            }
+        });
+    }
+    // Warned only once every trace merged, so a bad trace's fatal is
+    // the only diagnostic it produces.
+    for (std::size_t i : unanchored) {
+        util::warn("trace '", names[i],
+                   "' has no trace_epoch metadata; aligning its start "
+                   "with the earliest trace");
     }
 
     JsonObject doc;
@@ -132,7 +158,12 @@ mergeTraceFiles(const std::string &out_path,
     std::vector<std::string> names;
     traces.reserve(trace_paths.size());
     for (const std::string &path : trace_paths) {
-        traces.push_back(config::loadJsonFile(path));
+        try {
+            traces.push_back(config::loadJsonFile(path));
+        } catch (const config::JsonParseError &error) {
+            util::fatal("failed to parse trace '", path, "': ",
+                        error.what());
+        }
         names.push_back(path);
     }
     config::saveJsonFile(out_path, mergeTraceDocs(traces, names));

@@ -45,8 +45,6 @@ simdLevelName(SimdLevel level)
     switch (level) {
     case SimdLevel::Scalar:
         return "scalar";
-    case SimdLevel::Sse2:
-        return "sse2";
     case SimdLevel::Avx2:
         return "avx2";
     }
@@ -59,8 +57,6 @@ simdLevelAvailable(SimdLevel level)
     switch (level) {
     case SimdLevel::Scalar:
         return true;
-    case SimdLevel::Sse2:
-        return simd::sse2Kernels() != nullptr;
     case SimdLevel::Avx2:
         return simd::avx2Kernels() != nullptr && cpuHasAvx2();
     }
@@ -72,8 +68,6 @@ detectedSimdLevel()
 {
     if (simdLevelAvailable(SimdLevel::Avx2))
         return SimdLevel::Avx2;
-    if (simdLevelAvailable(SimdLevel::Sse2))
-        return SimdLevel::Sse2;
     return SimdLevel::Scalar;
 }
 
@@ -83,13 +77,11 @@ simdLevelFromName(const char *name)
     const std::string value(name);
     if (value == "scalar")
         return SimdLevel::Scalar;
-    if (value == "sse2")
-        return SimdLevel::Sse2;
     if (value == "avx2")
         return SimdLevel::Avx2;
     if (value != "auto") {
         warn("ACT_SIMD value '", value,
-             "' is not scalar|sse2|avx2|auto; using auto");
+             "' is not scalar|avx2|auto; using auto");
     }
     return detectedSimdLevel();
 }
@@ -124,10 +116,6 @@ kernels(SimdLevel level)
     switch (level) {
     case SimdLevel::Scalar:
         return scalarKernels();
-    case SimdLevel::Sse2:
-        if (const KernelTable *table = sse2Kernels())
-            return *table;
-        break;
     case SimdLevel::Avx2:
         if (const KernelTable *table = avx2Kernels())
             return *table;

@@ -1,10 +1,10 @@
 /**
  * @file
- * Runtime SIMD dispatch for the batch kernels: a small portable
- * abstraction over the vector widths the hot loops use (4-lane AVX2,
- * a 2-lane SSE2/NEON tier, and a scalar fallback), selected once per
- * process from CPU features with an `ACT_SIMD=scalar|sse2|avx2|auto`
- * environment override (parsed through util/env).
+ * Runtime SIMD dispatch for the batch kernels: two tiers, the 4-lane
+ * AVX2 kernels and the scalar reference, selected once per process
+ * from CPU features with an `ACT_SIMD=scalar|avx2|auto` environment
+ * override (parsed through util/env). Hosts without AVX2 (including
+ * aarch64) run the scalar tier.
  *
  * The dispatch level NEVER changes results. Every vector kernel
  * computes the scalar kernel's arithmetic expression for expression --
@@ -20,18 +20,16 @@
 namespace act::util {
 
 /**
- * Vector-width tiers for the batch kernels. `Sse2` names the 2-lane
- * tier: SSE2 on x86-64 (always present there), NEON on aarch64. The
- * enumerator order is the preference order -- higher is wider.
+ * Vector-width tiers for the batch kernels. The enumerator order is
+ * the preference order -- higher is wider.
  */
 enum class SimdLevel
 {
     Scalar = 0,
-    Sse2 = 1,
-    Avx2 = 2,
+    Avx2 = 1,
 };
 
-/** Display name: "scalar", "sse2", or "avx2". */
+/** Display name: "scalar" or "avx2". */
 const char *simdLevelName(SimdLevel level);
 
 /** True when kernels for @p level are compiled into this binary and
@@ -42,7 +40,7 @@ bool simdLevelAvailable(SimdLevel level);
 SimdLevel detectedSimdLevel();
 
 /**
- * Map an ACT_SIMD-style name to a level: "scalar", "sse2", "avx2", or
+ * Map an ACT_SIMD-style name to a level: "scalar", "avx2", or
  * "auto" (the detected level). Unrecognized names warn once and fall
  * back to the detected level. The result is NOT clamped to what the
  * host supports; pair with setSimdLevel() or simdLevelAvailable().

@@ -5,11 +5,12 @@
  * uniform and triangular inverse-CDF transforms, the Eq. 5 ratio
  * kernel, multi-stream job draws, the grid-power transform, and the
  * fleet window-cost/argmin pair), as per-level tables of function
- * pointers. Problem descriptors are plain PODs so the per-level
- * translation units -- one of which is compiled with -mavx2 -- depend
- * on nothing above util.
+ * pointers: the scalar reference and the 4-lane AVX2 tier. Problem
+ * descriptors are plain PODs so the per-level translation units --
+ * the AVX2 one is compiled with -mavx2 -- depend on nothing above
+ * util.
  *
- * The scalar table is the semantic reference: each vector kernel must
+ * The scalar table is the semantic reference: each AVX2 kernel must
  * reproduce its outputs bit-for-bit on every input (tested in
  * tests/util_simd_test.cc). Callers normally go through
  * activeKernels(); tests index a specific level with kernels().
@@ -77,7 +78,7 @@ struct PowerTransform
  * base = double(full / n) * prefix[n] and rem = full % n are per-job
  * constants (full = whole samples covered); grams2x is the series
  * doubled back-to-back so grams2x[s0 + rem] == grams[(s0 + rem) % n]
- * without a per-lane modulo. The vector kernels split [0, count) into
+ * without a per-lane modulo. The AVX2 kernel splits [0, count) into
  * segments of uniform branch (wrap vs non-wrap) so loads stay
  * contiguous and every lane keeps the scalar association.
  */
@@ -128,7 +129,7 @@ struct KernelTable
      * Emit the next @p n values of Xorshift64Star::nextUnit() for the
      * generator whose raw state is @p state, and return the state the
      * scalar generator would hold after those n next() calls. The
-     * vector levels run lane-interleaved blocks with a scalar tail;
+     * AVX2 tier runs lane-interleaved blocks with a scalar tail;
      * the emitted sequence is the scalar sequence exactly.
      */
     std::uint64_t (*fill_units)(std::uint64_t state, double *dst,
@@ -200,10 +201,6 @@ std::uint64_t xorshiftJump(std::uint64_t state, std::uint64_t steps);
 
 /** The scalar reference kernels (always available). */
 const KernelTable &scalarKernels();
-
-/** The 2-lane tier (SSE2 on x86-64, NEON on aarch64); null when this
- *  architecture has no 2-lane backend. */
-const KernelTable *sse2Kernels();
 
 /** The 4-lane AVX2 tier; null when not compiled in. Only safe to call
  *  through when the CPU reports AVX2 (see simdLevelAvailable()). */

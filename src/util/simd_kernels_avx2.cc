@@ -10,8 +10,20 @@
  * contract (DESIGN.md §11), so every multiply and add stays a
  * separate, correctly rounded instruction.
  *
- * See simd_kernels_sse2.cc for the integer-multiply and exact
- * conversion tricks; they are the same here, just twice as wide.
+ * The lane policy implements the surface documented in
+ * simd_kernels_impl.h. The fiddly parts:
+ *  - 64-bit multiply by the xorshift64* constant without a 64-bit
+ *    vector multiply instruction (pre-AVX-512 x86 has none): three
+ *    32x32->64 partial products, with the high-of-high product
+ *    dropped because it shifts past bit 63.
+ *  - Exact uint64 -> double for the 53-bit value v >> 11: split into
+ *    a 21-bit high and 32-bit low half, convert each exactly via the
+ *    2^52 magic-number trick, recombine as hi * 2^32 + lo (exact:
+ *    hi * 2^32 needs <= 21 significand bits, the sum <= 53). The
+ *    final * 2^-53 is a power-of-two scale, also exact.
+ *  - std::max(0.0, x) and `u < pivot ? a : b` replicated with
+ *    compare + blend so NaN and signed-zero lanes behave exactly like
+ *    the scalar operators.
  */
 
 #include <cmath>

@@ -1,8 +1,8 @@
 /**
  * @file
  * Width-generic implementations of the util/simd_kernels.h kernels,
- * parameterized over a lane-type policy `L` (see the SSE2/AVX2/NEON
- * translation units for the policy surface). NOT a normal header: it
+ * parameterized over a lane-type policy `L` (LanesAvx2 in
+ * simd_kernels_avx2.cc implements the surface). NOT a normal header: it
  * contains no include guard and no #include directives, and is meant
  * to be included INSIDE an anonymous namespace within
  * act::util::simd, in a translation unit that already included
@@ -21,7 +21,7 @@
  * give equal bits.
  *
  * Policy surface `L` must provide:
- *   kLanes                          lane count (2 or 4)
+ *   kLanes                          lane count
  *   VF / VU                         double / uint64 vector types
  *   bcast(double) -> VF
  *   loadu(const double*) -> VF      unaligned load of kLanes doubles

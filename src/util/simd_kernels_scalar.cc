@@ -1,6 +1,6 @@
 /**
  * @file
- * The scalar kernel table: the semantic reference every vector level
+ * The scalar kernel table: the semantic reference the AVX2 tier
  * must match bit-for-bit. These loops are verbatim transcriptions of
  * the code they replaced -- Xorshift64Star::nextUnit() consumption,
  * the compiled Monte Carlo samplers, and the EvalPlan::evaluateBatch

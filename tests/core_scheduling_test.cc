@@ -1,33 +1,35 @@
 /**
  * @file
- * Tests for diurnal carbon-intensity profiles and carbon-aware
+ * Tests for diurnal carbon-intensity series and carbon-aware
  * scheduling.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/scheduling.h"
+#include "data/carbon_intensity_db.h"
 
 namespace act::core {
 namespace {
 
-using data::DiurnalProfile;
+using data::IntensitySeries;
 using util::gramsPerKilowattHour;
 
 TEST(Profiles, FlatProfileIsConstant)
 {
-    const auto profile = DiurnalProfile::flat(gramsPerKilowattHour(300));
-    for (std::size_t h = 0; h < DiurnalProfile::kHours; ++h)
+    const auto profile = IntensitySeries::flat(gramsPerKilowattHour(300));
+    ASSERT_EQ(profile.size(), 24u);
+    for (std::size_t h = 0; h < profile.size(); ++h)
         EXPECT_DOUBLE_EQ(profile.at(h).value(), 300.0);
-    EXPECT_DOUBLE_EQ(profile.dailyAverage().value(), 300.0);
+    EXPECT_DOUBLE_EQ(profile.average().value(), 300.0);
 }
 
 TEST(Profiles, SolarProfileAveragesToBlend)
 {
     const auto base = gramsPerKilowattHour(583.0);
     for (double share : {0.0, 0.1, 0.25, 0.4}) {
-        const auto profile = DiurnalProfile::solarGrid(base, share);
-        EXPECT_NEAR(profile.dailyAverage().value(),
+        const auto profile = IntensitySeries::solarDay(base, share);
+        EXPECT_NEAR(profile.average().value(),
                     data::renewableBlend(base, share).value(), 0.5)
             << share;
     }
@@ -36,16 +38,16 @@ TEST(Profiles, SolarProfileAveragesToBlend)
 TEST(Profiles, WindProfileAveragesToBlend)
 {
     const auto base = gramsPerKilowattHour(400.0);
-    const auto profile = DiurnalProfile::windGrid(base, 0.3);
+    const auto profile = IntensitySeries::windDay(base, 0.3);
     const double expected =
         0.7 * 400.0 +
         0.3 * data::sourceIntensity(data::EnergySource::Wind).value();
-    EXPECT_NEAR(profile.dailyAverage().value(), expected, 0.5);
+    EXPECT_NEAR(profile.average().value(), expected, 0.5);
 }
 
 TEST(Profiles, SolarDipsMidday)
 {
-    const auto profile = DiurnalProfile::solarGrid(
+    const auto profile = IntensitySeries::solarDay(
         gramsPerKilowattHour(583.0), 0.25);
     EXPECT_LT(profile.at(12).value(), profile.at(0).value());
     EXPECT_LT(profile.at(12).value(), profile.at(22).value());
@@ -56,9 +58,9 @@ TEST(Profiles, SolarDipsMidday)
 
 TEST(Profiles, HoursByIntensitySortsGreenestFirst)
 {
-    const auto profile = DiurnalProfile::solarGrid(
+    const auto profile = IntensitySeries::solarDay(
         gramsPerKilowattHour(583.0), 0.25);
-    const auto order = profile.hoursByIntensity();
+    const auto order = profile.samplesByIntensity();
     for (std::size_t i = 1; i < order.size(); ++i) {
         EXPECT_LE(profile.at(order[i - 1]).value(),
                   profile.at(order[i]).value());
@@ -69,10 +71,10 @@ TEST(Profiles, HoursByIntensitySortsGreenestFirst)
 
 TEST(Profiles, OutOfRangeSharesAreFatal)
 {
-    EXPECT_EXIT(DiurnalProfile::solarGrid(gramsPerKilowattHour(583.0),
+    EXPECT_EXIT(IntensitySeries::solarDay(gramsPerKilowattHour(583.0),
                                           0.6),
                 ::testing::ExitedWithCode(1), "");
-    EXPECT_EXIT(DiurnalProfile::windGrid(gramsPerKilowattHour(583.0),
+    EXPECT_EXIT(IntensitySeries::windDay(gramsPerKilowattHour(583.0),
                                          -0.1),
                 ::testing::ExitedWithCode(1), "");
 }
@@ -89,8 +91,10 @@ referenceLoad()
 
 TEST(Scheduling, UniformSpreadsEvenly)
 {
-    const auto profile = DiurnalProfile::flat(gramsPerKilowattHour(300));
-    const auto result = scheduleUniform(referenceLoad(), profile);
+    const auto profile = IntensitySeries::flat(gramsPerKilowattHour(300));
+    const auto result =
+        schedule(referenceLoad(), profile, policyByName("uniform"));
+    ASSERT_EQ(result.placement.size(), 24u);
     for (const auto &energy : result.placement) {
         EXPECT_NEAR(util::asKilowattHours(energy), 2.0 / 24.0, 1e-12);
     }
@@ -101,15 +105,16 @@ TEST(Scheduling, UniformSpreadsEvenly)
 
 TEST(Scheduling, FlatProfileOffersNoSaving)
 {
-    const auto profile = DiurnalProfile::flat(gramsPerKilowattHour(300));
+    const auto profile = IntensitySeries::flat(gramsPerKilowattHour(300));
     EXPECT_NEAR(carbonAwareSaving(referenceLoad(), profile), 1.0, 1e-9);
 }
 
 TEST(Scheduling, CarbonAwarePlacesEnergyInGreenHours)
 {
-    const auto profile = DiurnalProfile::solarGrid(
+    const auto profile = IntensitySeries::solarDay(
         gramsPerKilowattHour(583.0), 0.25);
-    const auto result = scheduleCarbonAware(referenceLoad(), profile);
+    const auto result =
+        schedule(referenceLoad(), profile, policyByName("greedy"));
 
     // All deferrable energy lands somewhere.
     util::Energy placed{};
@@ -123,7 +128,8 @@ TEST(Scheduling, CarbonAwarePlacesEnergyInGreenHours)
     EXPECT_DOUBLE_EQ(util::asKilowattHours(result.placement[0]), 0.0);
 
     // And it beats the uniform schedule.
-    const auto uniform = scheduleUniform(referenceLoad(), profile);
+    const auto uniform =
+        schedule(referenceLoad(), profile, policyByName("uniform"));
     EXPECT_LT(util::asGrams(result.deferrable_footprint),
               util::asGrams(uniform.deferrable_footprint));
     EXPECT_DOUBLE_EQ(util::asGrams(result.baseline_footprint),
@@ -136,7 +142,7 @@ TEST(Scheduling, SavingGrowsWithRenewableShare)
     double prev = 1.0;
     for (double share : {0.1, 0.2, 0.3, 0.4}) {
         const double saving = carbonAwareSaving(
-            referenceLoad(), DiurnalProfile::solarGrid(base, share));
+            referenceLoad(), IntensitySeries::solarDay(base, share));
         EXPECT_GT(saving, prev) << share;
         prev = saving;
     }
@@ -147,8 +153,8 @@ TEST(Scheduling, CapacityConstraintEnforced)
     DailyLoad load = referenceLoad();
     load.deferrable_energy = util::kilowattHours(20.0);
     load.deferrable_capacity = util::watts(500.0);  // max 12 kWh/day
-    const auto profile = DiurnalProfile::flat(gramsPerKilowattHour(300));
-    EXPECT_EXIT(scheduleCarbonAware(load, profile),
+    const auto profile = IntensitySeries::flat(gramsPerKilowattHour(300));
+    EXPECT_EXIT(schedule(load, profile, policyByName("greedy")),
                 ::testing::ExitedWithCode(1), "");
 }
 
@@ -159,14 +165,13 @@ TEST(Scheduling, TightCapacityLimitsTheSaving)
     DailyLoad load = referenceLoad();
     load.deferrable_capacity =
         util::watts(1000.0 * 2.0 / 24.0);  // 2 kWh over 24 h exactly
-    const auto profile = DiurnalProfile::solarGrid(
+    const auto profile = IntensitySeries::solarDay(
         gramsPerKilowattHour(583.0), 0.25);
     EXPECT_NEAR(carbonAwareSaving(load, profile), 1.0, 1e-9);
 }
 
 // ---------------------------------------------------------------------
-// Policy API: the legacy 24-hour entry points are wrappers over
-// schedule(), and the new policies behave sanely.
+// Policy API: names round-trip and the policies behave sanely.
 // ---------------------------------------------------------------------
 
 TEST(Policies, NamesRoundTrip)
@@ -180,31 +185,6 @@ TEST(Policies, NamesRoundTrip)
     EXPECT_EQ(policyByName("migrate").kind,
               DeferralPolicy::GreenestRegion);
     EXPECT_EQ(policyName(DeferralPolicy::GreedyGreenest), "greedy");
-}
-
-TEST(Policies, ScheduleMatchesLegacyWrappersBitwise)
-{
-    const auto profile = DiurnalProfile::solarGrid(
-        gramsPerKilowattHour(583.0), 0.25);
-    const auto legacy_uniform = scheduleUniform(referenceLoad(), profile);
-    const auto legacy_aware =
-        scheduleCarbonAware(referenceLoad(), profile);
-    const auto uniform = schedule(referenceLoad(), profile.series(),
-                                  policyByName("uniform"));
-    const auto aware = schedule(referenceLoad(), profile.series(),
-                                policyByName("greedy"));
-
-    ASSERT_EQ(uniform.placement.size(), DiurnalProfile::kHours);
-    for (std::size_t h = 0; h < DiurnalProfile::kHours; ++h) {
-        EXPECT_EQ(util::asKilowattHours(uniform.placement[h]),
-                  util::asKilowattHours(legacy_uniform.placement[h]));
-        EXPECT_EQ(util::asKilowattHours(aware.placement[h]),
-                  util::asKilowattHours(legacy_aware.placement[h]));
-    }
-    EXPECT_EQ(util::asGrams(uniform.total()),
-              util::asGrams(legacy_uniform.total()));
-    EXPECT_EQ(util::asGrams(aware.total()),
-              util::asGrams(legacy_aware.total()));
 }
 
 TEST(Policies, DeadlineWindowInterpolatesUniformAndGreedy)
@@ -288,8 +268,8 @@ TEST_F(SchedulingDeathTest, NegativeEnergyIsFatal)
 {
     DailyLoad load = referenceLoad();
     load.deferrable_energy = util::kilowattHours(-1.0);
-    const auto profile = DiurnalProfile::flat(gramsPerKilowattHour(300));
-    EXPECT_EXIT(scheduleUniform(load, profile),
+    const auto profile = IntensitySeries::flat(gramsPerKilowattHour(300));
+    EXPECT_EXIT(schedule(load, profile, policyByName("uniform")),
                 ::testing::ExitedWithCode(1), "non-negative");
 }
 
@@ -298,8 +278,8 @@ TEST_F(SchedulingDeathTest, NanEnergyIsFatal)
     DailyLoad load = referenceLoad();
     load.deferrable_energy =
         util::kilowattHours(std::numeric_limits<double>::quiet_NaN());
-    const auto profile = DiurnalProfile::flat(gramsPerKilowattHour(300));
-    EXPECT_EXIT(scheduleUniform(load, profile),
+    const auto profile = IntensitySeries::flat(gramsPerKilowattHour(300));
+    EXPECT_EXIT(schedule(load, profile, policyByName("uniform")),
                 ::testing::ExitedWithCode(1), "must be finite");
 }
 
@@ -308,8 +288,8 @@ TEST_F(SchedulingDeathTest, NanBaselineIsFatal)
     DailyLoad load = referenceLoad();
     load.baseline =
         util::watts(std::numeric_limits<double>::quiet_NaN());
-    const auto profile = DiurnalProfile::flat(gramsPerKilowattHour(300));
-    EXPECT_EXIT(scheduleCarbonAware(load, profile),
+    const auto profile = IntensitySeries::flat(gramsPerKilowattHour(300));
+    EXPECT_EXIT(schedule(load, profile, policyByName("greedy")),
                 ::testing::ExitedWithCode(1), "must be finite");
 }
 
@@ -317,8 +297,8 @@ TEST_F(SchedulingDeathTest, ZeroCapacityWithEnergyIsFatal)
 {
     DailyLoad load = referenceLoad();
     load.deferrable_capacity = util::watts(0.0);
-    const auto profile = DiurnalProfile::flat(gramsPerKilowattHour(300));
-    EXPECT_EXIT(scheduleUniform(load, profile),
+    const auto profile = IntensitySeries::flat(gramsPerKilowattHour(300));
+    EXPECT_EXIT(schedule(load, profile, policyByName("uniform")),
                 ::testing::ExitedWithCode(1), "capacity is zero");
 }
 

@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the IntensitySeries time-series substrate: JSON
- * round-trips through the in-repo config parser, DiurnalProfile-view
- * equivalence (the 24-hour profiles must be bitwise views over the
- * series builders), seasonal composition, and malformed-input fatals.
+ * round-trips through the in-repo config parser, seasonal
+ * composition, and malformed-input fatals.
  */
 
 #include <cmath>
@@ -12,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "data/ci_profile.h"
+#include "data/carbon_intensity_db.h"
 #include "data/intensity_series.h"
 
 namespace act::data {
@@ -38,57 +37,6 @@ TEST(IntensitySeries, AtWrapsCyclically)
     EXPECT_DOUBLE_EQ(series.gramsAt(0), 1.0);
     EXPECT_DOUBLE_EQ(series.gramsAt(3), 1.0);
     EXPECT_DOUBLE_EQ(series.gramsAt(7), 2.0);
-}
-
-// ---------------------------------------------------------------------
-// DiurnalProfile-view equivalence: the legacy 24-hour profiles are
-// thin views over the series builders, bitwise.
-// ---------------------------------------------------------------------
-
-void
-expectProfileMatchesSeries(const DiurnalProfile &profile,
-                           const IntensitySeries &series)
-{
-    ASSERT_EQ(series.size(), DiurnalProfile::kHours);
-    for (std::size_t h = 0; h < DiurnalProfile::kHours; ++h) {
-        // Bitwise: the refactor moved the math, it must not have
-        // changed a single ulp.
-        EXPECT_EQ(profile.at(h).value(), series.gramsAt(h)) << h;
-    }
-    EXPECT_EQ(profile.dailyAverage().value(), series.average().value());
-    const auto hours = profile.hoursByIntensity();
-    const auto samples = series.samplesByIntensity();
-    for (std::size_t i = 0; i < hours.size(); ++i)
-        EXPECT_EQ(hours[i], samples[i]) << i;
-}
-
-TEST(IntensitySeries, FlatProfileIsABitwiseView)
-{
-    expectProfileMatchesSeries(
-        DiurnalProfile::flat(gramsPerKilowattHour(583.0)),
-        IntensitySeries::flat(gramsPerKilowattHour(583.0)));
-}
-
-TEST(IntensitySeries, SolarProfileIsABitwiseView)
-{
-    expectProfileMatchesSeries(
-        DiurnalProfile::solarGrid(gramsPerKilowattHour(583.0), 0.25),
-        IntensitySeries::solarDay(gramsPerKilowattHour(583.0), 0.25));
-}
-
-TEST(IntensitySeries, WindProfileIsABitwiseView)
-{
-    expectProfileMatchesSeries(
-        DiurnalProfile::windGrid(gramsPerKilowattHour(400.0), 0.3),
-        IntensitySeries::windDay(gramsPerKilowattHour(400.0), 0.3));
-}
-
-TEST(IntensitySeries, ProfileExposesItsSeries)
-{
-    const auto profile =
-        DiurnalProfile::solarGrid(gramsPerKilowattHour(583.0), 0.25);
-    EXPECT_EQ(profile.series().size(), DiurnalProfile::kHours);
-    EXPECT_EQ(profile.series().gramsAt(12), profile.at(12).value());
 }
 
 // ---------------------------------------------------------------------

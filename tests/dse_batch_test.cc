@@ -125,7 +125,6 @@ TEST_F(DseBatchTest, EveryDispatchLevelMatchesScalarOracle)
         monteCarlo(parameters, closure, 10'000, 42);
 
     for (const auto level : {util::SimdLevel::Scalar,
-                             util::SimdLevel::Sse2,
                              util::SimdLevel::Avx2}) {
         if (!util::simdLevelAvailable(level))
             continue;

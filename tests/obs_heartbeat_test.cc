@@ -91,6 +91,24 @@ TEST_F(HeartbeatTest, RejectsWrongFormat)
         ::testing::ExitedWithCode(1), "not a heartbeat document");
 }
 
+TEST_F(HeartbeatTest, RejectsBadCounts)
+{
+    // Each count goes through the range-checked asInteger(): a string,
+    // a value past 2^63, a negative, and a fraction all throw instead
+    // of being cast to size_t.
+    for (const char *bad :
+         {R"("shard_index": "zero")", R"("shard_count": 1e300)",
+          R"("items_done": -5)", R"("chunks_total": 2.5)"}) {
+        const std::string text =
+            std::string(R"({"format": "act.heartbeat.v1", )") + bad +
+            "}";
+        EXPECT_THROW(
+            obs::heartbeatFromJson(config::JsonValue::parse(text)),
+            config::JsonTypeError)
+            << bad;
+    }
+}
+
 TEST_F(HeartbeatTest, PathDerivation)
 {
     EXPECT_EQ(obs::heartbeatPathFor("out/part0.json"),
@@ -138,9 +156,12 @@ TEST_F(HeartbeatTest, DirectoryScanSortsAndSkipsGarbage)
     obs::HeartbeatWriter(path("a.heartbeat.json"), 0.0)
         .beat(heartbeat, true);
 
-    // Non-heartbeat and unparseable files must be ignored.
+    // Non-heartbeat, unparseable and mistyped files must be ignored.
     std::ofstream(path("result.json")) << "{\"format\": \"other\"}\n";
     std::ofstream(path("junk.heartbeat.json")) << "not json{";
+    std::ofstream(path("counts.heartbeat.json"))
+        << R"({"format": "act.heartbeat.v1", "shard_index": "zero", )"
+        << R"("shard_count": 1e300, "items_done": -5})";
 
     const auto heartbeats = obs::loadHeartbeatDirectory(directory_);
     ASSERT_EQ(heartbeats.size(), 2u);

@@ -115,6 +115,12 @@ TEST(TraceMergeDeathTest, RejectsNonTraceInput)
         obs::mergeTraceDocs({config::JsonValue::parse("{}")},
                             {"bad.json"}),
         ::testing::ExitedWithCode(1), "not a Chrome trace");
+    // A mistyped event field is fatal too, naming the trace.
+    const config::JsonValue typed = config::JsonValue::parse(
+        R"({"traceEvents": [{"ts": "x", "ph": 5}]})");
+    EXPECT_EXIT(obs::mergeTraceDocs({typed}, {"typed.json"}),
+                ::testing::ExitedWithCode(1),
+                "bad trace 'typed.json': JSON value is not a number");
 }
 
 } // namespace

@@ -29,15 +29,13 @@ std::vector<SimdLevel>
 availableLevels()
 {
     std::vector<SimdLevel> levels = {SimdLevel::Scalar};
-    if (simdLevelAvailable(SimdLevel::Sse2))
-        levels.push_back(SimdLevel::Sse2);
     if (simdLevelAvailable(SimdLevel::Avx2))
         levels.push_back(SimdLevel::Avx2);
     return levels;
 }
 
 /** Lengths that exercise empty, sub-vector, tail, and segment-split
- *  paths for both 2- and 4-lane tiers. */
+ *  paths of the 4-lane tier. */
 const std::size_t kLengths[] = {0,  1,   2,   3,   4,    5,    7,
                                 8,  15,  16,  17,  63,   64,   65,
                                 96, 127, 128, 129, 255,  256,  257,
@@ -46,10 +44,8 @@ const std::size_t kLengths[] = {0,  1,   2,   3,   4,    5,    7,
 TEST(SimdLevelTest, NamesRoundTrip)
 {
     EXPECT_EQ(simdLevelFromName("scalar"), SimdLevel::Scalar);
-    EXPECT_EQ(simdLevelFromName("sse2"), SimdLevel::Sse2);
     EXPECT_EQ(simdLevelFromName("avx2"), SimdLevel::Avx2);
     EXPECT_EQ(std::string(simdLevelName(SimdLevel::Scalar)), "scalar");
-    EXPECT_EQ(std::string(simdLevelName(SimdLevel::Sse2)), "sse2");
     EXPECT_EQ(std::string(simdLevelName(SimdLevel::Avx2)), "avx2");
 }
 
@@ -57,6 +53,7 @@ TEST(SimdLevelTest, AutoAndGarbageResolveToDetected)
 {
     EXPECT_EQ(simdLevelFromName("auto"), detectedSimdLevel());
     EXPECT_EQ(simdLevelFromName("turbo9000"), detectedSimdLevel());
+    EXPECT_EQ(simdLevelFromName("sse2"), detectedSimdLevel());
 }
 
 TEST(SimdLevelTest, ScalarAlwaysAvailable)

@@ -1,9 +1,11 @@
-# Drives `act sweep` and `act merge` with broken input files -- a
-# partial truncated as a dead shard leaves it, a plan whose item count
-# is out of integer range, a plan with a mistyped config field, a plan
-# whose samples fail model validation on worker threads, a fleet
-# partial with a negative job count -- and checks that each run exits
-# 1 with a `fatal:` diagnostic instead of aborting.
+# Drives `act sweep`, `act merge`, `act trace-merge` and `act status`
+# with broken input files -- a partial truncated as a dead shard leaves
+# it, a plan whose item count is out of integer range, a plan with a
+# mistyped config field, a plan whose samples fail model validation on
+# worker threads, a fleet partial with a negative job count, a
+# truncated and a mistyped trace -- and checks that each run exits 1
+# with a `fatal:` diagnostic instead of aborting. A heartbeat with bad
+# counts must instead be skipped by `act status` with a warning.
 #
 #   cmake -DACT=<act binary> -DPLAN=<sweep plan> -DWORK_DIR=<dir> \
 #         -P cli_bad_input.cmake
@@ -99,3 +101,30 @@ file(WRITE "${WORK_DIR}/fleet_negative.json" "${negative_jobs}")
 expect_fatal("negative fleet job count"
     "fleet chunk 4 scenario 'uniform@is-flat/4\\.00y': 'jobs' must be a non-negative integer \\(got -1\\)"
     merge fleet_part0.json fleet_negative.json)
+
+# A truncated trace and a trace with a mistyped event field must make
+# `act trace-merge` exit 1 naming the file, not abort on an uncaught
+# JSON exception.
+file(WRITE "${WORK_DIR}/trunc_trace.json" "[\n")
+expect_fatal("truncated trace"
+    "failed to parse trace 'trunc_trace\\.json': unexpected end of input at line 2, column 1"
+    trace-merge merged_trace.json trunc_trace.json)
+file(WRITE "${WORK_DIR}/typed_trace.json"
+     "{\"traceEvents\":[{\"ts\":\"x\",\"ph\":5}]}\n")
+expect_fatal("mistyped trace event"
+    "bad trace 'typed_trace\\.json': JSON value is not a number"
+    trace-merge merged_trace.json typed_trace.json)
+
+# A heartbeat whose counts are mistyped, out of range, or negative is
+# skipped with a warning; `act status` still exits 0.
+file(MAKE_DIRECTORY "${WORK_DIR}/heartbeats")
+file(WRITE "${WORK_DIR}/heartbeats/bad.heartbeat.json"
+     "{\"format\":\"act.heartbeat.v1\",\"shard_index\":\"zero\","
+     "\"shard_count\":1e300,\"items_done\":-5}\n")
+run_act(status heartbeats)
+if(NOT status STREQUAL "0" OR NOT stderr MATCHES
+   "^warn: skipping unparseable heartbeat file 'heartbeats/bad\\.heartbeat\\.json'")
+    message(FATAL_ERROR "bad heartbeat: expected exit 0 and a 'warn: "
+                        "skipping' line, got exit ${status}:\n${stderr}")
+endif()
+message(STATUS "bad heartbeat: ${stderr}")
