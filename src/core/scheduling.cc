@@ -198,70 +198,10 @@ schedule(const DailyLoad &load, const data::IntensitySeries &series,
                              policy.deadline_samples);
         break;
     case DeferralPolicy::GreenestRegion:
-        util::fatal("the cross-region policy schedules via "
-                    "scheduleAcrossRegions(), not schedule()");
+        util::fatal("the cross-region policy needs several regions; "
+                    "fleet replay schedules it per job, not schedule()");
     }
     return finalize(load, series, result);
-}
-
-MultiRegionSchedule
-scheduleAcrossRegions(const DailyLoad &load,
-                      const std::vector<data::IntensitySeries> &regions)
-{
-    if (regions.empty())
-        util::fatal("cross-region scheduling needs at least one region");
-    checkLoad(load);
-    const std::size_t n = regions.front().size();
-    const double step_hours = regions.front().stepHours();
-    for (const data::IntensitySeries &series : regions) {
-        if (series.size() != n || series.stepHours() != step_hours) {
-            util::fatal("regional intensity series must share length "
-                        "and step; got ", series.size(), " x ",
-                        series.stepHours(), " h vs ", n, " x ",
-                        step_hours, " h");
-        }
-    }
-
-    MultiRegionSchedule result;
-    result.placement.assign(regions.size(),
-                            std::vector<util::Energy>(n, util::Energy{}));
-
-    // Greenest slot across all regions first; ties break by
-    // (region, sample) so the order is implementation-independent.
-    std::vector<std::size_t> slots(regions.size() * n);
-    std::iota(slots.begin(), slots.end(), 0u);
-    const auto grams = [&regions, n](std::size_t slot) {
-        return regions[slot / n].gramsAt(slot % n);
-    };
-    std::sort(slots.begin(), slots.end(),
-              [&grams](std::size_t a, std::size_t b) {
-                  if (grams(a) != grams(b))
-                      return grams(a) < grams(b);
-                  return a < b;
-              });
-
-    util::Energy remaining = tiledEnergy(load, regions.front());
-    const util::Energy slot_capacity =
-        load.deferrable_capacity * regions.front().step();
-    for (std::size_t slot : slots) {
-        if (util::asKilowattHours(remaining) <= 0.0)
-            break;
-        const util::Energy placed = std::min(remaining, slot_capacity);
-        result.placement[slot / n][slot % n] = placed;
-        remaining -= placed;
-    }
-
-    const data::IntensitySeries &home = regions.front();
-    const util::Energy per_sample = load.baseline * home.step();
-    for (std::size_t s = 0; s < n; ++s)
-        result.baseline_footprint += home.at(s) * per_sample;
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-        for (std::size_t s = 0; s < n; ++s) {
-            result.deferrable_footprint +=
-                regions[r].at(s) * result.placement[r][s];
-        }
-    }
-    return result;
 }
 
 double

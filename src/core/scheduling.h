@@ -11,8 +11,9 @@
  * Section 6 provisioning decisions depend on.
  *
  * Policies are pluggable (DeferralPolicy): uniform spread,
- * greedy-greenest, deadline-bounded windows, and cross-region
- * migration via scheduleAcrossRegions().
+ * greedy-greenest and deadline-bounded windows over one series.
+ * Cross-region migration is scheduled per job by fleet replay
+ * (fleet/replay.h).
  */
 
 #ifndef ACT_CORE_SCHEDULING_H
@@ -51,8 +52,8 @@ enum class DeferralPolicy
      *  window's end. window=1 degenerates to Uniform, window=size()
      *  to GreedyGreenest. */
     DeadlineBounded,
-    /** Greedy over every (region, sample) slot; only meaningful via
-     *  scheduleAcrossRegions(). */
+    /** Greedy over every (region, sample) slot; only meaningful to
+     *  fleet replay's per-job migration (fleet/replay.h). */
     GreenestRegion,
 };
 
@@ -91,36 +92,11 @@ struct SeriesSchedule
  * Schedule the load against @p series under @p policy. Fatal on
  * malformed loads (negative / non-finite values, zero capacity with
  * nonzero energy, energy exceeding daily capacity) and on
- * DeferralPolicy::GreenestRegion (use scheduleAcrossRegions).
+ * DeferralPolicy::GreenestRegion, which needs several regions.
  */
 SeriesSchedule schedule(const DailyLoad &load,
                         const data::IntensitySeries &series,
                         const PolicySpec &policy);
-
-/** Result of cross-region scheduling: placement[region][sample]. The
- *  baseline load stays in the home region (regions[0]); deferrable
- *  energy may migrate to whichever region-sample slot is greenest. */
-struct MultiRegionSchedule
-{
-    std::vector<std::vector<util::Energy>> placement;
-    util::Mass baseline_footprint{};
-    util::Mass deferrable_footprint{};
-
-    util::Mass total() const
-    {
-        return baseline_footprint + deferrable_footprint;
-    }
-};
-
-/**
- * The GreenestRegion policy: greedily place deferrable energy over
- * every (region, sample) slot, greenest first, each slot capped at
- * capacity x step. All series must share length and step; fatal
- * otherwise.
- */
-MultiRegionSchedule
-scheduleAcrossRegions(const DailyLoad &load,
-                      const std::vector<data::IntensitySeries> &regions);
 
 /** OPCF saving factor of greedy-greenest over uniform scheduling of
  *  the deferrable tier; 1 when the greedy footprint is zero. */

@@ -271,10 +271,4 @@ toJson(const IntensitySeries &series)
     return config::JsonValue(std::move(object));
 }
 
-IntensitySeries
-loadIntensitySeriesFile(const std::string &path)
-{
-    return intensitySeriesFromJson(config::loadJsonFile(path));
-}
-
 } // namespace act::data

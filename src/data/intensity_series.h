@@ -145,9 +145,6 @@ IntensitySeries intensitySeriesFromJson(const config::JsonValue &value);
 /** Serialize in the explicit-samples form (bit-exact round-trip). */
 config::JsonValue toJson(const IntensitySeries &series);
 
-/** Load a series from a JSON file; fatal on I/O or schema errors. */
-IntensitySeries loadIntensitySeriesFile(const std::string &path);
-
 } // namespace act::data
 
 #endif // ACT_DATA_INTENSITY_SERIES_H

@@ -278,7 +278,7 @@ resolveRanks(std::vector<std::uint64_t> &keys, OrderStatQuery *queries,
 }
 
 /** The shared monteCarlo()/monteCarloBatch() sweep boilerplate: same
- *  domain, grain, and seed derivation for every execution path, so
+ *  domain, grain, and seed derivation for both execution paths, so
  *  chunk layout -- and therefore every statistic -- matches across
  *  them by construction. */
 template <typename ChunkFn>
@@ -485,15 +485,6 @@ monteCarlo(const std::vector<UncertainParameter> &parameters,
         });
 }
 
-BatchModel
-batchModel(core::EvalPlan plan)
-{
-    return [plan](std::size_t n, const double *const *inputs,
-                  double *outputs) {
-        plan.evaluateBatch(n, inputs, outputs);
-    };
-}
-
 void
 MonteCarloScratch::prepare(std::size_t parameters, std::size_t samples)
 {
@@ -502,47 +493,6 @@ MonteCarloScratch::prepare(std::size_t parameters, std::size_t samples)
     columns_.resize(parameters);
     for (std::size_t i = 0; i < parameters; ++i)
         columns_[i] = values_.data() + i * samples;
-}
-
-MonteCarloPartial
-monteCarloBatchChunk(const std::vector<UncertainParameter> &parameters,
-                     const BatchModel &model, util::IndexRange range,
-                     util::Xorshift64Star &rng,
-                     MonteCarloScratch &scratch)
-{
-    const std::size_t count = range.size();
-    const std::size_t width = parameters.size();
-    scratch.prepare(width, count);
-    double *units = scratch.unitScratch(count * width);
-    const SamplerSet samplers(parameters);
-    const util::simd::KernelTable &kernels =
-        util::simd::activeKernels();
-
-    // Sample-major stream consumption, exactly like monteCarloChunk():
-    // unit k of the fill feeds sample k / width, parameter k % width,
-    // so sample s draws all its parameters before sample s+1 touches
-    // the stream and the two paths consume identical RNG sequences.
-    // Parameter i's units then sit at units[i + s * width], which the
-    // transforms read at stride `width` while writing dense columns.
-    util::XorshiftLanes lanes(rng);
-    lanes.fillUnits(units, count * width);
-    rng = lanes.scalar();
-    for (std::size_t i = 0; i < width; ++i) {
-        samplers[i].apply(kernels, units + i, width, count,
-                          scratch.column(i));
-    }
-
-    // The kernel writes straight into the partial's output vector --
-    // no bounce through scratch.
-    MonteCarloPartial partial;
-    partial.outputs.resize(count);
-    model(count, scratch.columns(), partial.outputs.data());
-
-    for (const double output : partial.outputs) {
-        partial.sum += output;
-        partial.sum_squares += output * output;
-    }
-    return partial;
 }
 
 MonteCarloPartial
@@ -563,13 +513,16 @@ monteCarloPlanChunk(const std::vector<UncertainParameter> &parameters,
     const util::simd::KernelTable &kernels =
         util::simd::activeKernels();
 
-    // Same sample-major stream consumption as monteCarloBatchChunk();
-    // splitting the chunk into sub-blocks only changes *when* each
-    // stream position is materialized, never which position feeds
-    // which (sample, parameter) -- so outputs are bit-identical to
-    // the unfused paths. evaluateBatch() runs its validation pass per
-    // sub-block, which preserves first-failure semantics: validation
-    // order is sample order, and a fatal() never returns.
+    // Sample-major stream consumption, exactly like monteCarloChunk():
+    // unit k of a sub-block's fill feeds sample k / width, parameter
+    // k % width, which the transforms read at stride `width` while
+    // writing dense columns. Splitting the chunk into sub-blocks only
+    // changes *when* each stream position is materialized, never which
+    // position feeds which (sample, parameter) -- so outputs are
+    // bit-identical to the scalar path. evaluateBatch() runs its
+    // validation pass per sub-block, which preserves first-failure
+    // semantics: validation order is sample order, and a fatal()
+    // never returns.
     MonteCarloPartial partial;
     partial.outputs.resize(count);
     util::XorshiftLanes lanes(rng);
@@ -594,28 +547,6 @@ monteCarloPlanChunk(const std::vector<UncertainParameter> &parameters,
 
 MonteCarloResult
 monteCarloBatch(const std::vector<UncertainParameter> &parameters,
-                const BatchModel &model, std::size_t samples,
-                std::uint64_t seed)
-{
-    TRACE_SPAN("dse.montecarlo", "monteCarloBatch");
-    g_runs.add();
-    g_samples.add(samples);
-    validateMonteCarloInputs(parameters, samples);
-
-    // Identical plan to monteCarlo(): same domain, same grain, same
-    // seed derivation -- only the per-chunk evaluation changes.
-    return runMonteCarloSweep(
-        samples, seed,
-        [&](std::size_t, util::IndexRange range,
-            util::Xorshift64Star &rng) {
-            thread_local MonteCarloScratch scratch;
-            return monteCarloBatchChunk(parameters, model, range, rng,
-                                        scratch);
-        });
-}
-
-MonteCarloResult
-monteCarloBatch(const std::vector<UncertainParameter> &parameters,
                 const core::EvalPlan &plan, std::size_t samples,
                 std::uint64_t seed)
 {
@@ -629,9 +560,6 @@ monteCarloBatch(const std::vector<UncertainParameter> &parameters,
     g_samples.add(samples);
     validateMonteCarloInputs(parameters, samples);
 
-    // Compiled plans take the fused chunk kernel: sampling and
-    // evaluation interleave per sub-block instead of materializing
-    // whole-chunk columns first.
     return runMonteCarloSweep(
         samples, seed,
         [&](std::size_t, util::IndexRange range,

@@ -40,6 +40,22 @@ packagingStyleByName(std::string_view name)
                 "' (known: ", known, ")");
 }
 
+ChipletSpec
+splitLogicDie(util::Area logic_area, int num_dies, double node_nm,
+              const core::DefectParams &defects,
+              double interface_overhead)
+{
+    const double n = static_cast<double>(num_dies);
+    const double scale = 1.0 + interface_overhead * (n - 1.0) / n;
+    ChipletSpec die;
+    die.name = "die";
+    die.area = logic_area * (scale / n);
+    die.node_nm = node_nm;
+    die.defects = defects;
+    die.count = num_dies;
+    return die;
+}
+
 PackageSpec
 PackageSpec::forStyle(PackagingStyle style)
 {
@@ -187,12 +203,8 @@ evaluatePackage(const PackageSpec &spec, const core::FabParams &fab)
 
     if (spec.style != PackagingStyle::Monolithic &&
         spec.substrate_area_factor > 0.0) {
-        const util::Area footprint =
-            util::asSquareCentimeters(spec.footprint_override) > 0.0
-                ? spec.footprint_override
-                : result.silicon_area;
         util::Area substrate_area =
-            footprint * spec.substrate_area_factor;
+            result.silicon_area * spec.substrate_area_factor;
         if (spec.style == PackagingStyle::SiliconInterposer) {
             // Silicon interposers are dies too: charge their own
             // yielded area under the substrate defect model.

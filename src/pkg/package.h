@@ -91,6 +91,18 @@ struct ChipletSpec
     int count = 1;
 };
 
+/**
+ * The die group of a logic die of @p logic_area at @p node_nm cut
+ * into @p num_dies equal dies. Each die carries the die-to-die
+ * interface ("beachfront") tax as (1 + interface_overhead * (N - 1)
+ * / N) of its share, so N = 1 has none. validatePackageSpec() rejects
+ * a non-positive count or area.
+ */
+ChipletSpec splitLogicDie(util::Area logic_area, int num_dies,
+                          double node_nm,
+                          const core::DefectParams &defects,
+                          double interface_overhead);
+
 /** A multi-die package: dies plus the integration parameters. */
 struct PackageSpec
 {
@@ -109,13 +121,6 @@ struct PackageSpec
      *  charged at unit yield). */
     core::DefectParams substrate_defects{
         0.05, 3.0, core::YieldModel::NegativeBinomial};
-    /**
-     * Footprint area the substrate is sized from; zero means "sum of
-     * die areas". An explicit footprint models placement keep-outs
-     * and die-to-die spacing.
-     */
-    util::Area footprint_override{};
-
     /** Per-bond assembly yield in (0, 1]. */
     double bond_yield = 1.0;
     /** Fractional die-area overhead for TSVs (3D stacks only). */

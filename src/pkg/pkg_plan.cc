@@ -56,12 +56,8 @@ PackagePlan::compile(const PackageSpec &spec,
 
     if (spec.style != PackagingStyle::Monolithic &&
         spec.substrate_area_factor > 0.0) {
-        const util::Area footprint =
-            util::asSquareCentimeters(spec.footprint_override) > 0.0
-                ? spec.footprint_override
-                : silicon_area;
         util::Area substrate_area =
-            footprint * spec.substrate_area_factor;
+            silicon_area * spec.substrate_area_factor;
         if (spec.style == PackagingStyle::SiliconInterposer) {
             substrate_area = core::effectiveAreaPerGoodDie(
                 substrate_area, spec.substrate_defects);

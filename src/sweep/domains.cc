@@ -1,5 +1,6 @@
 #include "sweep/domains.h"
 
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -453,10 +454,23 @@ parseChipletConfig(const SweepPlan &plan)
         util::fatal(
             "chiplet config needs a positive 'logic_area_mm2'");
     parsed.node_nm = plan.config.numberOr("node_nm", 7.0);
-    parsed.max_chiplets = static_cast<int>(
-        plan.config.numberOr("max_chiplets", 8.0));
-    if (parsed.max_chiplets < 1)
-        util::fatal("chiplet config 'max_chiplets' must be >= 1");
+    if (plan.config.contains("max_chiplets")) {
+        // The grid is materialised, so the bound also caps its size.
+        constexpr std::int64_t kMaxChiplets = 1024;
+        const JsonValue &value = plan.config.at("max_chiplets");
+        std::int64_t count = 0;
+        try {
+            count = value.asInteger();
+        } catch (const config::JsonTypeError &) {
+            // Not an integer: reported below with the value.
+        }
+        if (count < 1 || count > kMaxChiplets) {
+            util::fatal("chiplet config 'max_chiplets' must be an "
+                        "integer in [1, ", kMaxChiplets, "], got ",
+                        value.dump());
+        }
+        parsed.max_chiplets = static_cast<int>(count);
+    }
     parsed.interface_overhead =
         plan.config.numberOr("interface_overhead", 0.10);
     if (parsed.interface_overhead < 0.0)
@@ -506,21 +520,13 @@ parseChipletConfig(const SweepPlan &plan)
 /** The pkg spec for one grid point: the logic area cut into n dies
  *  plus the per-cut interface tax, under the style's defaults. */
 pkg::PackageSpec
-chipletSweepSpec(const ChipletSweepConfig &config,
-                 pkg::PackagingStyle style, int num_dies)
+chipletGridSpec(const ChipletSweepConfig &config,
+                pkg::PackagingStyle style, int num_dies)
 {
     pkg::PackageSpec spec = pkg::PackageSpec::forStyle(style);
-    const double n = static_cast<double>(num_dies);
-    const double scale =
-        1.0 + config.interface_overhead * (n - 1.0) / n;
-    pkg::ChipletSpec die;
-    die.name = "die";
-    die.area = util::squareMillimeters(config.logic_area_mm2) *
-               (scale / n);
-    die.node_nm = config.node_nm;
-    die.defects = config.defects;
-    die.count = num_dies;
-    spec.chiplets.push_back(die);
+    spec.chiplets.push_back(pkg::splitLogicDie(
+        util::squareMillimeters(config.logic_area_mm2), num_dies,
+        config.node_nm, config.defects, config.interface_overhead));
     return spec;
 }
 
@@ -555,7 +561,7 @@ chipletEvaluator(const SweepPlan &plan)
     specs->reserve(config->points.size());
     plans->reserve(config->points.size());
     for (const auto &[style, count] : config->points) {
-        specs->push_back(chipletSweepSpec(*config, style, count));
+        specs->push_back(chipletGridSpec(*config, style, count));
         plans->push_back(pkg::PackagePlan::compile(
             specs->back(), config->fab, bindings));
     }
@@ -636,9 +642,9 @@ summarizeChiplet(const SweepPlan &, const JsonArray &results)
 // ---------------------------------------------------------------------
 
 constexpr std::size_t kFleetDefaultJobs = 100000;
-/** Pinned (not thread-adaptive): the per-chunk accumulator sums make
- *  the chunk layout observable in the last ulp, so the grain must be
- *  a pure function of the plan. */
+/** Pinned (not the items-relative automatic grain): the per-chunk
+ *  accumulator sums make the chunk layout observable in the last ulp,
+ *  so the default fleet layout is fixed by the plan. */
 constexpr std::size_t kFleetDefaultGrain = 8192;
 
 void

@@ -8,7 +8,7 @@
  *    Eq. 5 carbon-per-area model over uncertain fab parameters
  *    (ci_fab_g_per_kwh / yield / abatement), at a fixed node. Chunks
  *    run the compiled batch kernel (core/eval_plan.h +
- *    dse::monteCarloBatchChunk); the sharded result is bit-identical
+ *    dse::monteCarloPlanChunk); the sharded result is bit-identical
  *    to an in-process dse::monteCarlo() call over the scalar closure
  *    with the same inputs.
  *  - "mobile": the Fig. 8 mobile-SoC design space; one item per SoC

@@ -1,6 +1,5 @@
 #include "sweep/engine.h"
 
-#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <utility>
@@ -58,17 +57,6 @@ runPlanChunks(
                     [&](std::size_t local, util::IndexRange range) {
                         body(chunk_offset + local, range);
                     });
-}
-
-std::size_t
-mapGrain(std::size_t items)
-{
-    // A few chunks per worker keeps dynamic load balancing while
-    // bounding pool ticket traffic; tiny sweeps degrade gracefully to
-    // one item per chunk.
-    constexpr std::size_t kChunksPerWorker = 4;
-    return std::max<std::size_t>(
-        1, items / (kChunksPerWorker * util::threadCount()));
 }
 
 } // namespace detail
@@ -168,13 +156,6 @@ runShardedSweep(const SweepPlan &plan, const ShardSpec &shard,
     if (heartbeat != nullptr)
         heartbeat->publish(/*force=*/true, /*done=*/true);
     return result;
-}
-
-ShardResult
-runShardedSweep(const SweepPlan &plan, const ShardSpec &shard,
-                const JsonChunkEvaluator &evaluator)
-{
-    return runShardedSweep(plan, shard, evaluator, ShardRunOptions{});
 }
 
 JsonValue

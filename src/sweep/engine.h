@@ -50,14 +50,6 @@ void runPlanChunks(
     std::size_t chunk_offset,
     const std::function<void(std::size_t, util::IndexRange)> &body);
 
-/**
- * Grain for per-item map sweeps when the plan leaves it automatic:
- * aims at a few chunks per worker for dynamic load balancing without
- * per-item pool ticket traffic. Thread-count aware -- legal only
- * because a map sweep's output is independent of the chunk layout.
- */
-std::size_t mapGrain(std::size_t items);
-
 } // namespace detail
 
 /**
@@ -107,22 +99,16 @@ runSweep(const SweepPlan &plan, Evaluator &&evaluator, Reducer &&reduce,
 
 /**
  * Per-item map sweep: result[i] = @p evaluator(i) for i in
- * [0, plan.items), each item filling its own pre-sized slot. Because
- * the output is independent of the chunk layout, an automatic grain
- * may adapt to the thread count (detail::mapGrain) -- call sites no
- * longer pick per-call granularity constants.
+ * [0, plan.items), each item filling its own pre-sized slot, over the
+ * same planChunks() layout as every other sweep.
  */
 template <typename T, typename Evaluator>
 std::vector<T>
 runSweepMap(const SweepPlan &plan, Evaluator &&evaluator)
 {
     std::vector<T> out(plan.items);
-    const std::size_t grain =
-        plan.grain != 0 ? plan.grain : detail::mapGrain(plan.items);
-    const std::vector<util::IndexRange> chunks =
-        util::staticChunks(0, plan.items, grain);
     detail::runPlanChunks(
-        plan, chunks, 0,
+        plan, planChunks(plan), 0,
         [&](std::size_t, util::IndexRange range) {
             for (std::size_t i = range.begin; i < range.end; ++i)
                 out[i] = evaluator(i);
@@ -174,11 +160,7 @@ struct ShardRunOptions
 ShardResult runShardedSweep(const SweepPlan &plan,
                             const ShardSpec &shard,
                             const JsonChunkEvaluator &evaluator,
-                            const ShardRunOptions &options);
-
-ShardResult runShardedSweep(const SweepPlan &plan,
-                            const ShardSpec &shard,
-                            const JsonChunkEvaluator &evaluator);
+                            const ShardRunOptions &options = {});
 
 /** Partial-result file document ("act.sweep.partial.v1"). */
 config::JsonValue toJson(const ShardResult &result);

@@ -44,12 +44,9 @@ struct SweepPlan
     /** Index-space size; 0 lets the domain fill in its natural size. */
     std::size_t items = 0;
     /**
-     * Chunk granularity. 0 selects an automatic grain: thread-count
-     * *independent* (a function of `items` only) wherever the chunk
-     * layout can affect the result -- seeded chunk evaluation and any
-     * serialized/sharded execution -- and thread-count *aware* for
-     * pure per-item maps, where each item fills its own slot and the
-     * layout is unobservable in the output.
+     * Chunk granularity. 0 selects the automatic grain of
+     * util::staticChunks(), a function of `items` only -- never of
+     * the thread count -- for every sweep kind.
      */
     std::size_t grain = 0;
     /** Base seed; chunk c draws from util::deriveSeed(seed, c). */

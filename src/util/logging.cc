@@ -1,10 +1,30 @@
 #include "util/logging.h"
 
+#include <mutex>
+
 namespace act::util::detail {
+
+namespace {
+
+/**
+ * Taken by fatal() and panic() and never released, so exactly one
+ * failing thread prints and ends the process; a second one blocks
+ * here until the exit completes. Leaked so it outlives static
+ * destruction during std::exit().
+ */
+void
+lockForTermination()
+{
+    static std::mutex *const mutex = new std::mutex;
+    mutex->lock();
+}
+
+} // namespace
 
 void
 fatalImpl(const std::string &message)
 {
+    lockForTermination();
     std::cerr << "fatal: " << message << std::endl;
     std::exit(1);
 }
@@ -12,6 +32,7 @@ fatalImpl(const std::string &message)
 void
 panicImpl(const std::string &message)
 {
+    lockForTermination();
     std::cerr << "panic: " << message << std::endl;
     std::abort();
 }
@@ -20,12 +41,6 @@ void
 warnImpl(const std::string &message)
 {
     std::cerr << "warn: " << message << std::endl;
-}
-
-void
-informImpl(const std::string &message)
-{
-    std::cout << "info: " << message << std::endl;
 }
 
 } // namespace act::util::detail

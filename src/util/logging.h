@@ -6,7 +6,10 @@
  *             out-of-range parameter); exits with status 1.
  * panic()  -- the condition is a bug in ACT itself; aborts.
  * warn()   -- something is questionable but execution can continue.
- * inform() -- plain status output.
+ *
+ * fatal() and panic() are safe to call from several threads at once:
+ * the first caller prints its one line and ends the process, and any
+ * other failing thread blocks until the process is gone.
  */
 
 #ifndef ACT_UTIL_LOGGING_H
@@ -24,7 +27,6 @@ namespace detail {
 [[noreturn]] void fatalImpl(const std::string &message);
 [[noreturn]] void panicImpl(const std::string &message);
 void warnImpl(const std::string &message);
-void informImpl(const std::string &message);
 
 template <typename... Args>
 std::string
@@ -59,14 +61,6 @@ void
 warn(Args &&...args)
 {
     detail::warnImpl(detail::concatenate(std::forward<Args>(args)...));
-}
-
-/** Emit an informational status message. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::informImpl(detail::concatenate(std::forward<Args>(args)...));
 }
 
 } // namespace act::util

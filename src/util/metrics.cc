@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 
-#include "util/csv.h"
 #include "util/env.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -355,31 +354,6 @@ MetricsRegistry::renderTable() const
                       formatSig(histogram.max, 4)});
     }
     return table.render();
-}
-
-std::string
-MetricsRegistry::renderCsv() const
-{
-    const MetricsSnapshot data = snapshot();
-    CsvWriter csv({"metric", "type", "count", "sum", "mean", "p50",
-                   "p95", "min", "max"});
-    for (const auto &[name, value] : data.counters)
-        csv.addRow({name, "counter", std::to_string(value), "", "", "",
-                    "", "", ""});
-    for (const auto &[name, value] : data.gauges)
-        csv.addRow({name, "gauge", "", "", formatSig(value, 6), "", "",
-                    "", ""});
-    for (const auto &histogram : data.histograms) {
-        csv.addRow({histogram.name, "histogram",
-                    std::to_string(histogram.count),
-                    formatSig(histogram.sum, 6),
-                    formatSig(histogram.mean(), 6),
-                    formatSig(histogram.p50, 6),
-                    formatSig(histogram.p95, 6),
-                    formatSig(histogram.min, 6),
-                    formatSig(histogram.max, 6)});
-    }
-    return csv.toString();
 }
 
 void

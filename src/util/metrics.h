@@ -236,9 +236,6 @@ class MetricsRegistry
     /** ASCII table (util/table) of every metric, sorted by name. */
     std::string renderTable() const;
 
-    /** CSV (util/csv) of every metric, sorted by name. */
-    std::string renderCsv() const;
-
     /** Reset every counter and histogram (gauges keep their value). */
     void reset();
 

@@ -8,9 +8,9 @@
  *  - Work is split into *static* chunks whose boundaries depend only on
  *    the iteration range and grain, never on the thread count. Threads
  *    pull chunks dynamically, but which chunk produced which result is
- *    fixed, so `parallelMapReduce` can reduce partial results in chunk
- *    order and return bit-identical output for any thread count
- *    (including 1, the serial fallback).
+ *    fixed, so callers of `runChunks` (the sweep engine, sweep/engine.h)
+ *    reduce per-chunk results in chunk order and return bit-identical
+ *    output for any thread count (including 1, the serial fallback).
  *  - The thread pool is lazily started on first parallel call and is
  *    shared process-wide. Nested parallel calls from inside a running
  *    parallel section (on a pool worker or on the submitting thread)
@@ -19,7 +19,7 @@
  *    (`setThreadCount`) > `ACT_THREADS` environment variable >
  *    `std::thread::hardware_concurrency()`.
  *
- * Bodies passed to these functions run concurrently and must be
+ * Bodies passed to `runChunks` run concurrently and must be
  * thread-safe (pure functions over disjoint output slots are the
  * intended usage).
  */
@@ -29,7 +29,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <utility>
 #include <vector>
 
 namespace act::util {
@@ -75,41 +74,6 @@ std::vector<IndexRange> staticChunks(std::size_t begin, std::size_t end,
  */
 void runChunks(const std::vector<IndexRange> &chunks,
                const std::function<void(std::size_t, IndexRange)> &body);
-
-/**
- * Parallel for over [begin, end): @p body(i) for every index, grouped
- * into static chunks of @p grain (0 = automatic). No ordering between
- * iterations; @p body must be thread-safe.
- */
-void parallelFor(std::size_t begin, std::size_t end, std::size_t grain,
-                 const std::function<void(std::size_t)> &body);
-
-/**
- * Deterministic map/reduce over static chunks: @p map(range) produces
- * one partial result per chunk (chunks run concurrently), then
- * @p reduce folds the partials *in chunk order* on the calling thread:
- *
- *   acc = reduce(reduce(reduce(init, m0), m1), m2) ...
- *
- * Because chunk boundaries and reduction order are thread-count
- * independent, the result is bit-identical for every thread count.
- */
-template <typename T, typename Map, typename Reduce>
-T
-parallelMapReduce(std::size_t begin, std::size_t end, std::size_t grain,
-                  Map &&map, Reduce &&reduce, T init = T{})
-{
-    const std::vector<IndexRange> chunks =
-        staticChunks(begin, end, grain);
-    std::vector<T> partial(chunks.size());
-    runChunks(chunks, [&](std::size_t chunk, IndexRange range) {
-        partial[chunk] = map(range);
-    });
-    T accumulator = std::move(init);
-    for (T &part : partial)
-        accumulator = reduce(std::move(accumulator), std::move(part));
-    return accumulator;
-}
 
 } // namespace act::util
 

@@ -216,26 +216,6 @@ TEST(Policies, DeadlineWindowInterpolatesUniformAndGreedy)
     EXPECT_NEAR(util::asKilowattHours(placed), 2.0, 1e-9);
 }
 
-TEST(Policies, CrossRegionPrefersTheGreenerGrid)
-{
-    const std::vector<data::IntensitySeries> regions = {
-        data::IntensitySeries::flat(gramsPerKilowattHour(583.0)),
-        data::IntensitySeries::flat(gramsPerKilowattHour(28.0)),
-    };
-    const auto result = scheduleAcrossRegions(referenceLoad(), regions);
-    // All deferrable energy migrates to the clean region...
-    util::Energy home{}, away{};
-    for (const auto &energy : result.placement[0])
-        home += energy;
-    for (const auto &energy : result.placement[1])
-        away += energy;
-    EXPECT_DOUBLE_EQ(util::asKilowattHours(home), 0.0);
-    EXPECT_NEAR(util::asKilowattHours(away), 2.0, 1e-9);
-    // ...while the baseline stays home.
-    EXPECT_NEAR(util::asGrams(result.baseline_footprint),
-                2.4 * 583.0, 1e-6);
-}
-
 TEST(Policies, SeriesScheduleScalesWithSpan)
 {
     // A two-day series owes two days of deferrable energy.
@@ -321,23 +301,13 @@ TEST_F(SchedulingDeathTest, ZeroDeadlineWindowIsFatal)
                 ::testing::ExitedWithCode(1), "deadline window");
 }
 
-TEST_F(SchedulingDeathTest, GreenestRegionNeedsTheMultiRegionApi)
+TEST_F(SchedulingDeathTest, GreenestRegionNeedsSeveralRegions)
 {
     const auto series = data::IntensitySeries::flat(
         gramsPerKilowattHour(300.0));
     EXPECT_EXIT(schedule(referenceLoad(), series,
                          {DeferralPolicy::GreenestRegion, 0}),
-                ::testing::ExitedWithCode(1), "scheduleAcrossRegions");
-}
-
-TEST_F(SchedulingDeathTest, MismatchedRegionSeriesAreFatal)
-{
-    const std::vector<data::IntensitySeries> regions = {
-        data::IntensitySeries::flat(gramsPerKilowattHour(583.0), 24),
-        data::IntensitySeries::flat(gramsPerKilowattHour(28.0), 48),
-    };
-    EXPECT_EXIT(scheduleAcrossRegions(referenceLoad(), regions),
-                ::testing::ExitedWithCode(1), "share length");
+                ::testing::ExitedWithCode(1), "needs several regions");
 }
 
 } // namespace

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include "pkg/chiplet.h"
+#include <algorithm>
+#include <vector>
+
 #include "core/embodied.h"
 #include "core/yield.h"
+#include "pkg/package.h"
 
 namespace act::core {
 namespace {
@@ -129,47 +132,69 @@ INSTANTIATE_TEST_SUITE_P(AllModels, YieldMonotonic,
                                            YieldModel::Murphy,
                                            YieldModel::NegativeBinomial));
 
+/**
+ * The homogeneous chiplet study: @p mm2 of 7 nm logic cut into N = 1..8
+ * equal dies with a 10% beachfront tax -- monolithic at N = 1, else an
+ * organic substrate at 0.10 of the footprint with unit bond yield.
+ */
+std::vector<pkg::PackageResult>
+partitionSweep(double mm2,
+             double defect_density = DefectParams{}.defect_density_per_cm2)
+{
+    DefectParams defects;
+    defects.defect_density_per_cm2 = defect_density;
+    std::vector<pkg::PackageResult> sweep;
+    for (int n = 1; n <= 8; ++n) {
+        pkg::PackageSpec spec;
+        spec.style = n == 1 ? pkg::PackagingStyle::Monolithic
+                            : pkg::PackagingStyle::OrganicSubstrate;
+        spec.chiplets.push_back(pkg::splitLogicDie(
+            squareMillimeters(mm2), n, 7.0, defects, 0.10));
+        spec.substrate_area_factor = 0.10;
+        spec.bond_yield = 1.0;
+        sweep.push_back(pkg::evaluatePackage(spec, FabParams{}));
+    }
+    return sweep;
+}
+
+/** Die count of the carbon-minimal partitioning (first on ties). */
+int
+optimalDieCount(const std::vector<pkg::PackageResult> &sweep)
+{
+    return std::min_element(sweep.begin(), sweep.end(),
+                            [](const auto &a, const auto &b) {
+                                return a.total < b.total;
+                            })
+        ->die_count;
+}
+
 TEST(Chiplets, SmallDiesStayMonolithic)
 {
-    const core::FabParams fab;
-    pkg::ChipletParams params;
-    params.defects.defect_density_per_cm2 = 0.15;
-    const auto sweep =
-        pkg::chipletSweep(squareMillimeters(100.0), 7.0, fab, params);
-    EXPECT_EQ(sweep[pkg::optimalChipletCount(sweep)].num_chiplets, 1);
+    EXPECT_EQ(optimalDieCount(partitionSweep(100.0, 0.15)), 1);
 }
 
 TEST(Chiplets, LargeDiesPreferPartitioning)
 {
-    const core::FabParams fab;
-    pkg::ChipletParams params;
-    params.defects.defect_density_per_cm2 = 0.15;
-    const auto sweep =
-        pkg::chipletSweep(squareMillimeters(800.0), 7.0, fab, params);
-    EXPECT_GT(sweep[pkg::optimalChipletCount(sweep)].num_chiplets, 2);
+    const auto sweep = partitionSweep(800.0, 0.15);
+    const int best = optimalDieCount(sweep);
+    EXPECT_GT(best, 2);
     // Monolithic 800 mm2 wastes a lot of yielded silicon.
-    EXPECT_LT(util::asGrams(sweep[pkg::optimalChipletCount(sweep)].total()),
-              0.6 * util::asGrams(sweep[0].total()));
+    EXPECT_LT(util::asGrams(sweep[best - 1].total),
+              0.6 * util::asGrams(sweep[0].total));
 }
 
 TEST(Chiplets, YieldImprovesWithPartitioning)
 {
-    const core::FabParams fab;
-    const pkg::ChipletParams params;
-    const auto sweep =
-        pkg::chipletSweep(squareMillimeters(600.0), 7.0, fab, params);
+    const auto sweep = partitionSweep(600.0);
     for (std::size_t i = 1; i < sweep.size(); ++i)
-        EXPECT_GT(sweep[i].chiplet_yield, sweep[i - 1].chiplet_yield);
+        EXPECT_GT(sweep[i].min_die_yield, sweep[i - 1].min_die_yield);
 }
 
 TEST(Chiplets, MonolithicHasNoInterposerOrInterfaceOverhead)
 {
-    const core::FabParams fab;
-    const pkg::ChipletParams params;
-    const auto point = pkg::evaluateChiplets(squareMillimeters(300.0), 1,
-                                        7.0, fab, params);
-    EXPECT_DOUBLE_EQ(util::asGrams(point.interposer_embodied), 0.0);
-    EXPECT_NEAR(util::asSquareMillimeters(point.chiplet_area), 300.0,
+    const auto point = partitionSweep(300.0)[0];
+    EXPECT_DOUBLE_EQ(util::asGrams(point.substrate_embodied), 0.0);
+    EXPECT_NEAR(util::asSquareMillimeters(point.silicon_area), 300.0,
                 1e-9);
     EXPECT_DOUBLE_EQ(util::asGrams(point.assembly_embodied),
                      util::asGrams(kPackagingFootprint));
@@ -177,13 +202,10 @@ TEST(Chiplets, MonolithicHasNoInterposerOrInterfaceOverhead)
 
 TEST(Chiplets, CostModelComponentsAddUp)
 {
-    const core::FabParams fab;
-    const pkg::ChipletParams params;
-    const auto point = pkg::evaluateChiplets(squareMillimeters(600.0), 4,
-                                        7.0, fab, params);
-    EXPECT_NEAR(util::asGrams(point.total()),
+    const auto point = partitionSweep(600.0)[3];
+    EXPECT_NEAR(util::asGrams(point.total),
                 util::asGrams(point.silicon_embodied) +
-                    util::asGrams(point.interposer_embodied) +
+                    util::asGrams(point.substrate_embodied) +
                     util::asGrams(point.assembly_embodied),
                 1e-9);
     // Four chiplets: one package + 3 * 50% assembly increments.
@@ -195,26 +217,21 @@ TEST(Chiplets, PerfectYieldMakesMonolithicOptimal)
 {
     // With essentially no defects there is nothing for chiplets to
     // recover, so overheads make partitioning strictly worse.
-    const core::FabParams fab;
-    pkg::ChipletParams params;
-    params.defects.defect_density_per_cm2 = 1e-6;
-    const auto sweep =
-        pkg::chipletSweep(squareMillimeters(800.0), 7.0, fab, params);
-    EXPECT_EQ(sweep[pkg::optimalChipletCount(sweep)].num_chiplets, 1);
+    EXPECT_EQ(optimalDieCount(partitionSweep(800.0, 1e-6)), 1);
 }
 
 TEST(Chiplets, InvalidArgumentsAreFatal)
 {
-    const core::FabParams fab;
-    const pkg::ChipletParams params;
-    EXPECT_EXIT(pkg::evaluateChiplets(squareMillimeters(100.0), 0, 7.0, fab,
-                                 params),
-                ::testing::ExitedWithCode(1), "");
-    EXPECT_EXIT(pkg::evaluateChiplets(squareMillimeters(0.0), 2, 7.0, fab,
-                                 params),
-                ::testing::ExitedWithCode(1), "");
-    EXPECT_EXIT(pkg::optimalChipletCount({}), ::testing::ExitedWithCode(1),
-                "");
+    pkg::PackageSpec spec;
+    spec.chiplets.push_back(pkg::splitLogicDie(
+        squareMillimeters(100.0), 0, 7.0, DefectParams{}, 0.10));
+    EXPECT_EXIT(pkg::validatePackageSpec(spec),
+                ::testing::ExitedWithCode(1), "count must be >= 1");
+    spec.style = pkg::PackagingStyle::OrganicSubstrate;
+    spec.chiplets = {pkg::splitLogicDie(squareMillimeters(0.0), 2, 7.0,
+                                        DefectParams{}, 0.10)};
+    EXPECT_EXIT(pkg::validatePackageSpec(spec),
+                ::testing::ExitedWithCode(1), "area must be positive");
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the IntensitySeries time-series substrate: JSON
- * round-trips through the in-repo config parser, seasonal
- * composition, and malformed-input fatals.
+ * round-trips through the in-repo config parser, the shipped example
+ * series, seasonal composition, and malformed-input fatals.
  */
 
 #include <cmath>
@@ -100,6 +100,17 @@ TEST(IntensitySeries, GeneratedJsonMatchesBuilders)
     EXPECT_EQ(from_json.name(), "tw");
     for (std::size_t s = 0; s < built.size(); ++s)
         EXPECT_EQ(from_json.gramsAt(s), built.gramsAt(s)) << s;
+}
+
+TEST(IntensitySeries, ShippedSolarYearParses)
+{
+    const IntensitySeries series =
+        intensitySeriesFromJson(config::loadJsonFile(
+            ACT_EXAMPLES_DIR
+            "/configs/intensity_series_tw_solar_year.json"));
+    EXPECT_EQ(series.name(), "tw-solar-year");
+    EXPECT_EQ(series.size(), 365u * 24u);
+    EXPECT_DOUBLE_EQ(series.stepHours(), 1.0);
 }
 
 TEST(IntensitySeries, FlatGeneratedFormUsesBaseIntensity)

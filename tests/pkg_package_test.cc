@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the packaging layer: the PackageSpec oracle, the compiled
- * PackagePlan (bit-identical to the oracle, scalar and batch), spec
- * validation, and the legacy homogeneous-chiplet wrapper.
+ * PackagePlan (bit-identical to the oracle, scalar and batch), and
+ * spec validation.
  */
 
 #include <cmath>
@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "core/embodied.h"
-#include "pkg/chiplet.h"
 #include "pkg/package.h"
 #include "pkg/pkg_plan.h"
 
@@ -333,59 +332,6 @@ TEST_F(PackageDeathTest, PlanRejectsNonFabBindings)
     EXPECT_EXIT(PackagePlan::compile(spec_, core::FabParams{},
                                      epa_binding),
                 ::testing::ExitedWithCode(1), "");
-}
-
-// ---------------------------------------------------------------------
-// Legacy homogeneous wrapper
-// ---------------------------------------------------------------------
-
-TEST(ChipletWrapper, MapsOntoPackagingOracle)
-{
-    const core::FabParams fab;
-    const ChipletParams params;
-    for (const int n : {1, 3, 8}) {
-        const PackageSpec spec = chipletPackageSpec(
-            squareMillimeters(600.0), n, 7.0, params);
-        EXPECT_EQ(spec.style, n == 1
-                                  ? PackagingStyle::Monolithic
-                                  : PackagingStyle::OrganicSubstrate);
-        EXPECT_EQ(spec.dieCount(), n);
-        EXPECT_EQ(spec.bond_yield, 1.0);
-        const PackageResult result = evaluatePackage(spec, fab);
-        const ChipletPoint point = evaluateChiplets(
-            squareMillimeters(600.0), n, 7.0, fab, params);
-        // Unit bond yield: the wrapper's three-component total is the
-        // package total, bit for bit.
-        EXPECT_EQ(util::asGrams(point.total()),
-                  util::asGrams(result.total));
-        EXPECT_EQ(point.chiplet_yield, result.min_die_yield);
-    }
-}
-
-TEST(ChipletWrapper, InvalidParamsAreFatal)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    const core::FabParams fab;
-    ChipletParams params;
-    params.interface_overhead = -0.1;
-    EXPECT_EXIT(evaluateChiplets(squareMillimeters(100.0), 2, 7.0,
-                                 fab, params),
-                ::testing::ExitedWithCode(1), "interface overhead");
-    params = ChipletParams{};
-    params.interposer_area_factor = -1.0;
-    EXPECT_EXIT(evaluateChiplets(squareMillimeters(100.0), 2, 7.0,
-                                 fab, params),
-                ::testing::ExitedWithCode(1), "interposer area");
-    params = ChipletParams{};
-    params.interposer_node_nm = 0.0;
-    EXPECT_EXIT(evaluateChiplets(squareMillimeters(100.0), 2, 7.0,
-                                 fab, params),
-                ::testing::ExitedWithCode(1), "interposer node");
-    params = ChipletParams{};
-    params.assembly_overhead_fraction = -0.25;
-    EXPECT_EXIT(evaluateChiplets(squareMillimeters(100.0), 2, 7.0,
-                                 fab, params),
-                ::testing::ExitedWithCode(1), "assembly overhead");
 }
 
 } // namespace

@@ -152,7 +152,7 @@ TEST_F(SweepFleetDomainTest, PrepareKeepsTheGrainPinned)
 {
     // The per-chunk accumulator sums make the chunk layout observable
     // in the last ulp, so prepare must honour a pinned grain and fill
-    // an absolute (not thread-adaptive) default.
+    // an absolute (not items-relative) default.
     EXPECT_EQ(fleetPlan().grain, 256u);
 
     SweepPlan defaulted = sweepPlanFromJson(config::JsonValue::parse(

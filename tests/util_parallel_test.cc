@@ -67,35 +67,42 @@ TEST_F(ParallelTest, AutomaticGrainIsThreadCountIndependent)
     }
 }
 
-TEST_F(ParallelTest, ParallelForVisitsEveryIndexExactlyOnce)
+TEST_F(ParallelTest, RunChunksVisitsEveryIndexExactlyOnce)
 {
     for (const std::size_t threads : contractThreadCounts()) {
         setThreadCount(threads);
         std::vector<std::atomic<int>> visits(1000);
-        parallelFor(0, visits.size(), 16, [&](std::size_t i) {
-            visits[i].fetch_add(1);
-        });
+        runChunks(staticChunks(0, visits.size(), 16),
+                  [&](std::size_t, IndexRange range) {
+                      for (std::size_t i = range.begin; i < range.end;
+                           ++i)
+                          visits[i].fetch_add(1);
+                  });
         for (const auto &count : visits)
             EXPECT_EQ(count.load(), 1);
     }
 }
 
-TEST_F(ParallelTest, MapReduceIsBitIdenticalAcrossThreadCounts)
+TEST_F(ParallelTest, ChunkOrderedReductionIsBitIdenticalAcrossThreadCounts)
 {
     // A floating-point sum whose value depends on evaluation order:
     // only a fixed chunk layout plus ordered reduction makes this
     // reproducible across thread counts.
     const auto sweep = [](std::size_t) {
-        return parallelMapReduce<double>(
-            0, 100'000, 512,
-            [](IndexRange range) {
-                double sum = 0.0;
-                for (std::size_t i = range.begin; i < range.end; ++i)
-                    sum += std::sin(static_cast<double>(i)) * 1e-3 +
-                           1.0 / static_cast<double>(i + 1);
-                return sum;
-            },
-            [](double acc, double part) { return acc + part; });
+        const std::vector<IndexRange> chunks =
+            staticChunks(0, 100'000, 512);
+        std::vector<double> partial(chunks.size());
+        runChunks(chunks, [&](std::size_t chunk, IndexRange range) {
+            double sum = 0.0;
+            for (std::size_t i = range.begin; i < range.end; ++i)
+                sum += std::sin(static_cast<double>(i)) * 1e-3 +
+                       1.0 / static_cast<double>(i + 1);
+            partial[chunk] = sum;
+        });
+        double total = 0.0;
+        for (const double part : partial)
+            total += part;
+        return total;
     };
 
     setThreadCount(1);
@@ -114,11 +121,11 @@ TEST_F(ParallelTest, NestedParallelSectionsFallBackToSerial)
 {
     setThreadCount(4);
     std::atomic<int> total{0};
-    parallelFor(0, 8, 1, [&](std::size_t) {
+    runChunks(staticChunks(0, 8, 1), [&](std::size_t, IndexRange) {
         // Inner section runs serially on whichever thread runs the
         // outer task (a worker or the submitter); must not hang.
-        parallelFor(0, 10, 1,
-                    [&](std::size_t) { total.fetch_add(1); });
+        runChunks(staticChunks(0, 10, 1),
+                  [&](std::size_t, IndexRange) { total.fetch_add(1); });
     });
     EXPECT_EQ(total.load(), 80);
 }

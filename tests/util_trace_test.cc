@@ -176,9 +176,14 @@ TEST(TraceTest, SpansProduceValidParseableJson)
     // Spans emitted from pool worker threads must carry their own tids
     // and stay well-formed.
     util::setThreadCount(4);
-    util::parallelFor(0, 32, 2, [](std::size_t i) {
-        TRACE_SPAN("test.worker", "work#" + std::to_string(i));
-    });
+    util::runChunks(util::staticChunks(0, 32, 2),
+                    [](std::size_t, util::IndexRange range) {
+                        for (std::size_t i = range.begin; i < range.end;
+                             ++i) {
+                            TRACE_SPAN("test.worker",
+                                       "work#" + std::to_string(i));
+                        }
+                    });
     util::setThreadCount(0);
 
     util::setTraceFile(""); // flush + disable
@@ -192,7 +197,7 @@ TEST(TraceTest, SpansProduceValidParseableJson)
     EXPECT_TRUE(summary.categories.count("test.inner"));
     EXPECT_TRUE(summary.categories.count("test.worker"));
     EXPECT_TRUE(summary.categories.count("test.marker"));
-    // util/parallel contributes its own spans around the parallelFor.
+    // util/parallel contributes its own spans around the runChunks.
     EXPECT_TRUE(summary.categories.count("util.parallel"));
 
     // Every trace file carries its wall-clock epoch so `act

@@ -2,10 +2,11 @@
 # with broken input files -- a partial truncated as a dead shard leaves
 # it, a plan whose item count is out of integer range, a plan with a
 # mistyped config field, a plan whose samples fail model validation on
-# worker threads, a fleet partial with a negative job count, a
-# truncated and a mistyped trace -- and checks that each run exits 1
-# with a `fatal:` diagnostic instead of aborting. A heartbeat with bad
-# counts must instead be skipped by `act status` with a warning.
+# worker threads, a chiplet plan with a huge or fractional max_chiplets,
+# a fleet partial with a negative job count, a truncated and a mistyped
+# trace -- and checks that each run exits 1 with a `fatal:` diagnostic
+# instead of aborting. A heartbeat with bad counts must instead be
+# skipped by `act status` with a warning.
 #
 #   cmake -DACT=<act binary> -DPLAN=<sweep plan> -DWORK_DIR=<dir> \
 #         -P cli_bad_input.cmake
@@ -75,6 +76,17 @@ expect_fatal("worker-thread fatal"
     "gaseous abatement fraction"
     sweep --plan bad_abatement.json)
 set(ENV{ACT_THREADS} 1)
+
+# A chiplet max_chiplets of 1e9 used to abort with std::bad_alloc and
+# 2.5 was truncated to 2; both must be rejected naming the field.
+foreach(count 1e9 2.5)
+    file(WRITE "${WORK_DIR}/chiplet_${count}.json"
+         "{\"domain\": \"chiplet\", \"config\": "
+         "{\"logic_area_mm2\": 800, \"max_chiplets\": ${count}}}\n")
+    expect_fatal("max_chiplets ${count}"
+        "chiplet config 'max_chiplets' must be an integer in \\[1, 1024\\]"
+        sweep --plan chiplet_${count}.json)
+endforeach()
 
 # A fleet partial whose job count was edited to -1 used to be cast to
 # a huge count and merged. It must name the chunk and the scenario.
