@@ -182,95 +182,6 @@ forceLevelOrSkip(benchmark::State &state, util::SimdLevel level)
     return true;
 }
 
-/** Multi-lane RNG fill (100k units) at a forced dispatch level. */
-void
-BM_XorshiftLanes(benchmark::State &state, util::SimdLevel level)
-{
-    if (!forceLevelOrSkip(state, level))
-        return;
-    constexpr std::size_t kUnits = 100'000;
-    std::vector<double> units(kUnits);
-    util::XorshiftLanes lanes{util::Xorshift64Star(42)};
-    for (auto _ : state) {
-        lanes.fillUnits(units.data(), kUnits);
-        benchmark::DoNotOptimize(units.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(kUnits));
-    util::setSimdLevel(util::detectedSimdLevel());
-}
-BENCHMARK_CAPTURE(BM_XorshiftLanes, scalar, util::SimdLevel::Scalar);
-BENCHMARK_CAPTURE(BM_XorshiftLanes, avx2, util::SimdLevel::Avx2);
-
-/** EvalPlan::evaluateBatch over 100k samples (validation included)
- *  at a forced dispatch level. */
-void
-BM_EvalBatchSimd(benchmark::State &state, util::SimdLevel level)
-{
-    if (!forceLevelOrSkip(state, level))
-        return;
-    constexpr std::size_t kSamples = 100'000;
-    const core::FabParams fab;
-    const std::vector<core::EvalInput> bindings = {
-        core::EvalInput::CiFab, core::EvalInput::Yield,
-        core::EvalInput::Abatement};
-    const core::EvalPlan plan =
-        core::EvalPlan::forNode(fab, 7.0, bindings);
-
-    std::vector<double> ci(kSamples), yield(kSamples),
-        abatement(kSamples), outputs(kSamples);
-    util::Xorshift64Star rng(7);
-    for (std::size_t s = 0; s < kSamples; ++s) {
-        ci[s] = rng.nextUniform(365.0, 700.0);
-        yield[s] = rng.nextUniform(0.8, 0.95);
-        abatement[s] = rng.nextUniform(0.90, 1.0);
-    }
-    const double *inputs[3] = {ci.data(), yield.data(),
-                               abatement.data()};
-    for (auto _ : state) {
-        plan.evaluateBatch(kSamples, inputs, outputs.data());
-        benchmark::DoNotOptimize(outputs.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(kSamples));
-    util::setSimdLevel(util::detectedSimdLevel());
-}
-BENCHMARK_CAPTURE(BM_EvalBatchSimd, scalar, util::SimdLevel::Scalar);
-BENCHMARK_CAPTURE(BM_EvalBatchSimd, avx2, util::SimdLevel::Avx2);
-
-/** BM_MonteCarloBatch's sweep pinned to a dispatch level: the
- *  scalar/avx2 spread is the SIMD speedup on this host, with
- *  results bit-identical across the two by contract. */
-void
-BM_MonteCarloBatchSimd(benchmark::State &state, util::SimdLevel level)
-{
-    if (!forceLevelOrSkip(state, level))
-        return;
-    util::setThreadCount(1);
-    const core::FabParams fab;
-    const std::vector<core::EvalInput> bindings = {
-        core::EvalInput::CiFab, core::EvalInput::Yield,
-        core::EvalInput::Abatement};
-    const core::EvalPlan plan =
-        core::EvalPlan::forNode(fab, 7.0, bindings);
-    const auto &parameters = cpaMcParameters();
-    for (auto _ : state) {
-        const auto result =
-            dse::monteCarloBatch(parameters, plan, 100'000);
-        benchmark::DoNotOptimize(result.p95);
-    }
-    state.SetItemsProcessed(state.iterations() * 100'000);
-    util::setThreadCount(0);
-    util::setSimdLevel(util::detectedSimdLevel());
-}
-BENCHMARK_CAPTURE(BM_MonteCarloBatchSimd, scalar,
-                  util::SimdLevel::Scalar)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_MonteCarloBatchSimd, avx2, util::SimdLevel::Avx2)
-    ->Unit(benchmark::kMillisecond);
-
 /** Compiled package evaluation over a 100k fab-CI scenario column:
  *  a heterogeneous 2.5D package (two 5 nm compute dies, one mature
  *  I/O die, two cache dies, silicon interposer) through

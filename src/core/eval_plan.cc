@@ -7,7 +7,6 @@
 #include "data/memory_db.h"
 #include "util/interp.h"
 #include "util/logging.h"
-#include "util/simd_kernels.h"
 
 namespace act::core {
 
@@ -242,49 +241,45 @@ EvalPlan::evaluateBatch(std::size_t n, const double *const *inputs,
 
     // Validation pass, in sample order with evaluateOne()'s per-sample
     // check order (abatement before yield), hoisted so the compute
-    // loop carries no fatal-path branches. Unbound terms are checked
+    // loops carry no fatal-path branches. Unbound terms are checked
     // once.
     const bool check_ab = recompute_gpa && check_abatement_;
     if (check_ab && abatement.stride == 0)
         checkAbatementRange(*abatement.p);
     if (yield.stride == 0)
         checkYield(*yield.p);
-    if ((check_ab && abatement.stride != 0) || yield.stride != 0) {
-        // Column scans run wide through the all_within kernel; only
-        // when one reports a violation does the scalar loop re-run,
-        // so the fatal diagnostic names the same first failure
-        // (sample order, abatement before yield) as always.
-        const auto &kt = util::simd::activeKernels();
-        bool ok = true;
-        if (check_ab && abatement.stride != 0)
-            ok = kt.all_within(abatement.p, n, 0.90, 1.0, false);
-        if (ok && yield.stride != 0)
-            ok = kt.all_within(yield.p, n, 0.0, 1.0, true);
-        if (!ok) {
-            for (std::size_t s = 0; s < n; ++s) {
-                if (check_ab && abatement.stride != 0)
-                    checkAbatementRange(abatement.p[s]);
-                if (yield.stride != 0)
-                    checkYield(yield.p[s]);
-            }
+    const bool scan_ab = check_ab && abatement.stride != 0;
+    if (scan_ab || yield.stride != 0) {
+        for (std::size_t s = 0; s < n; ++s) {
+            if (scan_ab)
+                checkAbatementRange(abatement.p[s]);
+            if (yield.stride != 0)
+                checkYield(yield.p[s]);
         }
     }
 
-    // Compute pass: the Eq. 5 ratio kernel at the active SIMD
-    // dispatch level (util/simd.h). Every level reproduces the scalar
-    // kernel's expression shapes exactly -- same rounding, same bits
-    // -- so the dispatch level never changes results (DESIGN.md §11).
-    util::simd::RatioTerms terms;
-    terms.ci = {ci.p, ci.stride != 0};
-    terms.epa = {epa.p, epa.stride != 0};
-    terms.gpa = {gpa.p, gpa.stride != 0};
-    terms.mpa = {mpa.p, mpa.stride != 0};
-    terms.yield = {yield.p, yield.stride != 0};
-    terms.abatement = {abatement.p, abatement.stride != 0};
-    terms.gpa95 = gpa95_;
-    terms.gpa99 = gpa99_;
-    terms.recompute_gpa = recompute_gpa;
-    util::simd::activeKernels().eval_ratio(terms, n, outputs);
+    // Compute pass: Eq. 5 with evaluateOne()'s expression shapes, so
+    // same rounding, same bits.
+    if (recompute_gpa) {
+        // util::lerp spelled out; its (gpa99 - gpa95) is a loop
+        // constant either way.
+        const double gpa_span = gpa99_ - gpa95_;
+        for (std::size_t s = 0; s < n; ++s) {
+            const double t =
+                (abatement.p[s * abatement.stride] - 0.95) /
+                (0.99 - 0.95);
+            const double gpa_s = std::max(0.0, gpa95_ + gpa_span * t);
+            outputs[s] = (ci.p[s * ci.stride] * epa.p[s * epa.stride] +
+                          gpa_s + mpa.p[s * mpa.stride]) /
+                         yield.p[s * yield.stride];
+        }
+        return;
+    }
+    for (std::size_t s = 0; s < n; ++s) {
+        outputs[s] = (ci.p[s * ci.stride] * epa.p[s * epa.stride] +
+                      gpa.p[s * gpa.stride] + mpa.p[s * mpa.stride]) /
+                     yield.p[s * yield.stride];
+    }
 }
 
 util::CarbonPerArea

@@ -9,7 +9,6 @@
 #include "sweep/engine.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/simd_kernels.h"
 #include "util/trace.h"
 
 namespace act::dse {
@@ -45,50 +44,43 @@ sampleParameter(const UncertainParameter &parameter,
 }
 
 /**
- * Per-parameter sampling constants hoisted out of the chunk loop and
- * lowered to the util/simd transform descriptors. The precomputed
- * differences keep the scalar path's exact expression shapes:
- * `u * ba * ca` associates as `(u * ba) * ca`, matching
- * `u * (b - a) * (c - a)` above, so every transformed value is
- * bit-identical to sampleParameter() on the same unit draw -- at
- * every SIMD dispatch level (the kernels are tested bitwise against
- * the scalar reference).
+ * Per-parameter sampling constants hoisted out of the chunk loop. The
+ * precomputed differences keep sampleParameter()'s exact expression
+ * shapes: `u * ba * ca` associates as `(u * ba) * ca`, matching
+ * `u * (b - a) * (c - a)` above, so every sampled value is
+ * bit-identical to sampleParameter() on the same unit draw.
  */
 struct ColumnSampler
 {
     Distribution distribution = Distribution::Uniform;
-    util::simd::UniformTransform uniform;
-    util::simd::TriangularTransform triangular;
+    double a = 0.0;
+    double b = 0.0;
+    double ba = 0.0;    ///< b - a
+    double ca = 0.0;    ///< c - a (triangular only)
+    double bc = 0.0;    ///< b - c (triangular only)
+    double pivot = 0.0; ///< (c - a) / (b - a) (triangular only)
 
     ColumnSampler() = default;
     explicit ColumnSampler(const UncertainParameter &parameter)
-        : distribution(parameter.distribution)
+        : distribution(parameter.distribution), a(parameter.low),
+          b(parameter.high), ba(parameter.high - parameter.low)
     {
-        if (distribution == Distribution::Uniform) {
-            uniform.a = parameter.low;
-            uniform.ba = parameter.high - parameter.low;
-            return;
+        if (distribution == Distribution::Triangular) {
+            ca = parameter.baseline - parameter.low;
+            bc = parameter.high - parameter.baseline;
+            pivot = ca / ba;
         }
-        triangular.a = parameter.low;
-        triangular.b = parameter.high;
-        triangular.ba = parameter.high - parameter.low;
-        triangular.ca = parameter.baseline - parameter.low;
-        triangular.bc = parameter.high - parameter.baseline;
-        triangular.pivot = (parameter.baseline - parameter.low) /
-                           (parameter.high - parameter.low);
     }
 
-    /** Transform n unit draws (at @p stride doubles per sample) into
-     *  the parameter's distribution. */
-    void
-    apply(const util::simd::KernelTable &kernels, const double *units,
-          std::size_t stride, std::size_t n, double *out) const
+    /** The parameter's value at unit draw @p u. */
+    double
+    operator()(double u) const
     {
         if (distribution == Distribution::Uniform)
-            kernels.transform_uniform(units, stride, n, uniform, out);
-        else
-            kernels.transform_triangular(units, stride, n, triangular,
-                                         out);
+            return a + ba * u;
+        if (u < pivot)
+            return a + std::sqrt(u * ba * ca);
+        return b - std::sqrt((1.0 - u) * ba * bc);
     }
 };
 
@@ -122,9 +114,9 @@ class SamplerSet
 };
 
 /**
- * Samples per fused sub-block: small enough that the unit buffer, the
- * SoA columns, and the output slice of a typical-width sweep all stay
- * L1-resident between the fill, transform, and evaluate passes.
+ * Samples per fused sub-block: small enough that the SoA columns and
+ * the output slice of a typical-width sweep stay L1-resident between
+ * the sampling and evaluate passes.
  */
 constexpr std::size_t kFusedBlockSamples = 512;
 
@@ -503,40 +495,32 @@ monteCarloPlanChunk(const std::vector<UncertainParameter> &parameters,
 {
     const std::size_t count = range.size();
     const std::size_t width = parameters.size();
-    // Block-sized scratch: each sub-block's units, columns, and
-    // output slice stay cache-hot across the three fused passes.
+    // Block-sized scratch: each sub-block's columns and output slice
+    // stay cache-hot between sampling and evaluation.
     const std::size_t block =
         std::min<std::size_t>(count, kFusedBlockSamples);
     scratch.prepare(width, block);
-    double *units = scratch.unitScratch(block * width);
     const SamplerSet samplers(parameters);
-    const util::simd::KernelTable &kernels =
-        util::simd::activeKernels();
 
     // Sample-major stream consumption, exactly like monteCarloChunk():
-    // unit k of a sub-block's fill feeds sample k / width, parameter
-    // k % width, which the transforms read at stride `width` while
-    // writing dense columns. Splitting the chunk into sub-blocks only
-    // changes *when* each stream position is materialized, never which
-    // position feeds which (sample, parameter) -- so outputs are
-    // bit-identical to the scalar path. evaluateBatch() runs its
-    // validation pass per sub-block, which preserves first-failure
-    // semantics: validation order is sample order, and a fatal()
-    // never returns.
+    // all of sample s's parameters before sample s+1's. Splitting the
+    // chunk into sub-blocks only changes *when* each sample is
+    // evaluated, never which draw feeds which (sample, parameter) --
+    // so outputs are bit-identical to the closure path.
+    // evaluateBatch() runs its validation pass per sub-block, which
+    // preserves first-failure semantics: validation order is sample
+    // order, and a fatal() never returns.
     MonteCarloPartial partial;
     partial.outputs.resize(count);
-    util::XorshiftLanes lanes(rng);
     for (std::size_t offset = 0; offset < count; offset += block) {
         const std::size_t n = std::min(block, count - offset);
-        lanes.fillUnits(units, n * width);
-        for (std::size_t i = 0; i < width; ++i) {
-            samplers[i].apply(kernels, units + i, width, n,
-                              scratch.column(i));
+        for (std::size_t s = 0; s < n; ++s) {
+            for (std::size_t i = 0; i < width; ++i)
+                scratch.column(i)[s] = samplers[i](rng.nextUnit());
         }
         plan.evaluateBatch(n, scratch.columns(),
                            partial.outputs.data() + offset);
     }
-    rng = lanes.scalar();
 
     for (const double output : partial.outputs) {
         partial.sum += output;

@@ -140,33 +140,21 @@ class MonteCarloScratch
         return columns_.data();
     }
 
-    /** A reusable buffer of at least @p n doubles for the raw RNG
-     *  unit stream (grown monotonically, like the columns). */
-    double *
-    unitScratch(std::size_t n)
-    {
-        if (units_.size() < n)
-            units_.resize(n);
-        return units_.data();
-    }
-
   private:
     std::size_t samples_ = 0;
     std::vector<double> values_;
-    std::vector<double> units_;
     std::vector<const double *> columns_;
 };
 
 /**
  * Batched counterpart of monteCarloChunk() for compiled plans: samples
- * sub-blocks of the chunk directly into SoA columns (multi-lane RNG
- * fill + vectorized inverse-CDF transforms) and evaluates each
+ * sub-blocks of the chunk directly into SoA columns (inverse-CDF
+ * transforms with constants hoisted per parameter) and evaluates each
  * sub-block with EvalPlan::evaluateBatch while the columns are still
- * in L1. The RNG stream is consumed in the scalar path's sample-major
- * order (all of sample s's parameters before sample s+1's), so
- * sampled values and outputs are bit-identical to monteCarloChunk()
- * at every SIMD dispatch level. The sweep domains route through this;
- * it is the hottest loop in the tree.
+ * in L1. The RNG stream is consumed in the closure path's
+ * sample-major order (all of sample s's parameters before sample
+ * s+1's), so sampled values and outputs are bit-identical to
+ * monteCarloChunk(). The sweep domains route through this.
  */
 MonteCarloPartial
 monteCarloPlanChunk(const std::vector<UncertainParameter> &parameters,

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "util/logging.h"
 #include "util/random.h"
-#include "util/simd_kernels.h"
 
 namespace act::fleet {
 
@@ -74,70 +72,49 @@ jobBlockAt(const JobStreamParams &params, std::uint64_t first,
     block.utilization.resize(count);
     block.slack_hours.resize(count);
     block.deferrable.resize(count);
-    block.states.resize(count);
-    block.units.resize(kJobDraws * count);
     if (count == 0)
         return;
 
-    // Each job's generator state: deriveSeed through the same `| 1`
-    // remap as the Xorshift64Star constructor jobAt() uses.
-    for (std::size_t i = 0; i < count; ++i) {
-        block.states[i] =
-            util::deriveSeed(params.seed, first + i) | 1;
-    }
-    const util::simd::KernelTable &kt = util::simd::activeKernels();
-    kt.job_units(block.states.data(), count, kJobDraws,
-                 block.units.data());
-    const double *u_normal1 = block.units.data() + count;
-    const double *u_normal2 = block.units.data() + 2 * count;
-    const double *u_defer = block.units.data() + 4 * count;
-
-    // Draw 0: arrival = nextUniform(0, horizon) = 0 + (h - 0) * u.
-    const util::simd::UniformTransform arrival_tr{
-        0.0, params.horizon_hours - 0.0};
-    kt.transform_uniform(block.units.data(), 1, count, arrival_tr,
-                         block.arrival_hours.data());
-
-    // Draws 1-2: the log-normal duration. nextLogNormal()'s guard
-    // hoisted out of the loop (its operands are loop constants), then
-    // jobAt()'s exact Box-Muller tree per job: the spare is never
-    // consumed because each job gets a fresh generator.
+    // nextLogNormal()'s guard and log(sigma) hoisted out of the loops
+    // (their operands are loop constants). The draw loop consumes each
+    // job's stream in jobAt()'s order and parks the Box-Muller pair in
+    // duration_hours / normal_u2; the libm loop then applies jobAt()'s
+    // exact expression tree. Keeping the libm calls out of the draw
+    // loop lets consecutive jobs' xorshift chains overlap. The spare
+    // normal is never consumed because each job gets a fresh generator.
     if (params.median_duration_hours <= 0.0 ||
         params.duration_sigma_factor <= 1.0)
         util::fatal(
             "nextLogNormal() needs median > 0 and sigma factor > 1");
     const double log_sigma = std::log(params.duration_sigma_factor);
+    block.normal_u2.resize(count);
     for (std::size_t i = 0; i < count; ++i) {
-        double u1 = u_normal1[i];
+        util::Xorshift64Star rng(util::deriveSeed(params.seed, first + i));
+        block.arrival_hours[i] =
+            rng.nextUniform(0.0, params.horizon_hours);
+        block.duration_hours[i] = rng.nextUnit();
+        block.normal_u2[i] = rng.nextUnit();
+        block.utilization[i] = rng.nextUnit();
+        const bool deferrable =
+            rng.nextUnit() < params.deferrable_fraction;
+        // The slack draw is always consumed, then zeroed for pinned
+        // jobs, like jobAt().
+        const double slack = rng.nextUniform(0.0, params.max_slack_hours);
+        block.deferrable[i] = deferrable ? 1 : 0;
+        block.slack_hours[i] = deferrable ? slack : 0.0;
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+        double u1 = block.duration_hours[i];
         if (u1 < 1e-300)
             u1 = 1e-300;
-        const double u2 = u_normal2[i];
         const double radius = std::sqrt(-2.0 * std::log(u1));
-        const double angle = 2.0 * 3.14159265358979323846 * u2;
+        const double angle =
+            2.0 * 3.14159265358979323846 * block.normal_u2[i];
         const double normal = radius * std::cos(angle);
         block.duration_hours[i] =
             std::min(params.max_duration_hours,
                      params.median_duration_hours *
                          std::exp(log_sigma * normal));
-    }
-
-    // Draw 3: utilization is the raw unit value.
-    std::memcpy(block.utilization.data(),
-                block.units.data() + 3 * count,
-                count * sizeof(double));
-
-    // Draws 4-5: the slack draw is always consumed (jobAt() draws it
-    // before testing deferrable), then zeroed for pinned jobs.
-    const util::simd::UniformTransform slack_tr{
-        0.0, params.max_slack_hours - 0.0};
-    kt.transform_uniform(block.units.data() + 5 * count, 1, count,
-                         slack_tr, block.slack_hours.data());
-    for (std::size_t i = 0; i < count; ++i) {
-        const bool deferrable =
-            u_defer[i] < params.deferrable_fraction;
-        block.deferrable[i] = deferrable ? 1 : 0;
-        if (!deferrable)
-            block.slack_hours[i] = 0.0;
     }
 }
 

@@ -60,17 +60,11 @@ void checkJobStream(const JobStreamParams &params);
 /** Generate job @p index of the stream (pure in (params, index)). */
 Job jobAt(const JobStreamParams &params, std::uint64_t index);
 
-/** Draws jobAt() consumes per job, in stream order: arrival,
- *  Box-Muller u1/u2, utilization, deferrable, slack. */
-inline constexpr std::size_t kJobDraws = 6;
-
 /**
  * SoA columns of a block of consecutive jobs, plus the RNG scratch
  * the generator reuses across calls. Column i of a block starting at
  * stream index `first` holds exactly jobAt(params, first + i)'s
- * fields -- jobAt() stays the scalar oracle; jobBlockAt() consumes
- * each job's deriveSeed stream in the identical draw order, just
- * lanes-wide across jobs.
+ * fields -- jobAt() stays the oracle.
  */
 struct JobBlock
 {
@@ -81,18 +75,17 @@ struct JobBlock
     /** 0 when the job is not deferrable, like Job::slack_hours. */
     std::vector<double> slack_hours;
     std::vector<std::uint8_t> deferrable;
-    /** RNG scratch: per-job raw states and the kJobDraws x count
-     *  draw-major unit matrix. */
-    std::vector<std::uint64_t> states;
-    std::vector<double> units;
+    /** RNG scratch: each job's second Box-Muller unit draw. */
+    std::vector<double> normal_u2;
 };
 
 /**
  * Generate jobs [first, first + count) of the stream into @p block,
- * bit-identical to `count` jobAt() calls. The uniform draws run
- * through the active SIMD kernels (one lane per job); the log-normal
- * duration stays a scalar libm loop with jobAt()'s exact Box-Muller
- * expression shapes.
+ * bit-identical to `count` jobAt() calls: each job's deriveSeed
+ * stream is consumed in jobAt()'s draw order with its exact
+ * expression shapes, in two scalar loops (the draws, then the libm
+ * log-normal), with log(sigma) computed once per block instead of
+ * once per job.
  */
 void jobBlockAt(const JobStreamParams &params, std::uint64_t first,
                 std::size_t count, JobBlock &block);

@@ -435,8 +435,6 @@ replayJobs(const FleetSetup &setup, util::IndexRange range)
     const double idle_w = util::asWatts(setup.platform.idle_power);
     const double span_w = util::asWatts(setup.platform.peak_power -
                                         setup.platform.idle_power);
-    const util::simd::PowerTransform power_tr{idle_w, span_w,
-                                              setup.pue};
 
     // Reused per-thread scratch: the SoA job block and the per-region
     // cost rows (row r = window costs of region r for this job).
@@ -463,20 +461,15 @@ replayJobs(const FleetSetup &setup, util::IndexRange range)
         grid_kw.resize(count);
         arrivals.resize(count);
 
-        // powerAtUtilization()'s range check, batched; on failure
-        // re-run the scalar calls in stream order so the fatal
-        // diagnostic names the first offending job, like the oracle.
-        if (!kt.all_within(block.utilization.data(), count, 0.0, 1.0,
-                           false)) {
-            for (std::size_t i = 0; i < count; ++i) {
-                (void)server::powerAtUtilization(
-                    setup.platform, block.utilization[i]);
-            }
-        }
-        // Grid draw of each job (IT power x PUE), in kW.
-        kt.power_grid_kw(block.utilization.data(), count, power_tr,
-                         grid_kw.data());
         for (std::size_t i = 0; i < count; ++i) {
+            // powerAtUtilization()'s range check in stream order, so
+            // its fatal names the first offending job like the
+            // oracle; then the grid draw of the job (IT power x PUE)
+            // in kW, with the watts tree idle + (peak - idle) * u.
+            const double u = block.utilization[i];
+            if (!(u >= 0.0 && u <= 1.0))
+                (void)server::powerAtUtilization(setup.platform, u);
+            grid_kw[i] = (idle_w + span_w * u) / 1000.0 * setup.pue;
             arrivals[i] = static_cast<std::size_t>(
                 block.arrival_hours[i] / step);
         }

@@ -58,25 +58,61 @@ requireObject(const JsonValue &doc, const char *key)
         return empty;
     const JsonValue &value = doc.at(key);
     if (!value.isObject())
-        util::fatal("metrics document field '", key,
-                    "' must be an object");
+        throw config::JsonTypeError(
+            std::string("metrics document field '") + key +
+            "' must be an object");
     return value.asObject();
+}
+
+/** @p value's @p key, or a JsonTypeError naming the field. */
+const JsonValue &
+requireField(const JsonValue &value, const char *key,
+             const std::string &owner)
+{
+    if (!value.isObject())
+        throw config::JsonTypeError("metrics " + owner +
+                                    " must be an object");
+    if (!value.contains(key))
+        throw config::JsonTypeError("metrics " + owner +
+                                    " is missing field '" + key + "'");
+    return value.at(key);
 }
 
 std::vector<double>
 numberArray(const JsonValue &value, const std::string &context)
 {
     if (!value.isArray())
-        util::fatal("metrics document ", context, " must be an array");
+        throw config::JsonTypeError("metrics " + context +
+                                    " must be an array");
     std::vector<double> out;
     out.reserve(value.asArray().size());
     for (const JsonValue &entry : value.asArray()) {
         if (!entry.isNumber())
-            util::fatal("metrics document ", context,
-                        " must contain only numbers");
+            throw config::JsonTypeError("metrics " + context +
+                                        " must contain only numbers");
         out.push_back(entry.asNumber());
     }
     return out;
+}
+
+/** A count: a non-negative integer in 64-bit range, checked like a
+ *  fleet partial's job counts (a bare cast would wrap -1 and truncate
+ *  2.5). Throws JsonTypeError naming @p context otherwise. */
+void
+checkCount(const JsonValue &value, const std::string &context)
+{
+    std::int64_t count = -1;
+    std::string detail;
+    try {
+        count = value.asInteger();
+        detail = "got " + std::to_string(count);
+    } catch (const config::JsonTypeError &error) {
+        detail = error.what();
+    }
+    if (count < 0)
+        throw config::JsonTypeError("metrics " + context +
+                                    " must be a non-negative integer (" +
+                                    detail + ")");
 }
 
 /** Working form of one histogram while merging. */
@@ -177,48 +213,61 @@ metricsToJson(const util::MetricsSnapshot &snapshot)
 }
 
 const JsonValue &
-validateMetricsDoc(const JsonValue &doc)
+validateMetricsDoc(const JsonValue &doc, const std::string &origin)
 {
-    if (!doc.isObject())
-        util::fatal("metrics document must be a JSON object");
-    const std::string format = doc.stringOr("format", "");
-    if (format != kMetricsFormat)
-        util::fatal("not a metrics document (format '", format,
-                    "', expected '", kMetricsFormat, "')");
-    for (const auto &[name, value] : requireObject(doc, "counters")) {
-        if (!value.isNumber() || value.asNumber() < 0.0)
-            util::fatal("metrics counter '", name,
-                        "' must be a non-negative number");
-    }
-    for (const auto &[name, value] : requireObject(doc, "gauges")) {
-        if (!value.isObject())
-            util::fatal("metrics gauge '", name,
-                        "' must be an object");
-        numberArray(value.at("values"), "gauge '" + name + "' values");
-    }
-    for (const auto &[name, value] : requireObject(doc, "histograms")) {
-        if (!value.isObject())
-            util::fatal("metrics histogram '", name,
-                        "' must be an object");
-        const std::vector<double> bounds =
-            numberArray(value.at("bounds"),
-                        "histogram '" + name + "' bounds");
-        if (!std::is_sorted(bounds.begin(), bounds.end()))
-            util::fatal("metrics histogram '", name,
-                        "' bounds must be ascending");
-        const std::vector<double> counts =
-            numberArray(value.at("counts"),
-                        "histogram '" + name + "' counts");
-        if (counts.size() != bounds.size() + 1)
-            util::fatal("metrics histogram '", name, "' needs ",
-                        bounds.size() + 1, " bucket counts (bounds + "
-                        "overflow), got ", counts.size());
-        for (const char *field : {"count", "sum", "min", "max"}) {
-            if (!value.contains(field) || !value.at(field).isNumber())
-                util::fatal("metrics histogram '", name,
-                            "' is missing numeric field '", field,
-                            "'");
+    try {
+        if (!doc.isObject())
+            throw config::JsonTypeError(
+                "metrics document must be a JSON object");
+        const std::string format = doc.stringOr("format", "");
+        if (format != kMetricsFormat)
+            throw config::JsonTypeError(
+                "not a metrics document (format '" + format +
+                "', expected '" + kMetricsFormat + "')");
+        for (const auto &[name, value] : requireObject(doc, "counters"))
+            checkCount(value, "counter '" + name + "'");
+        for (const auto &[name, value] : requireObject(doc, "gauges")) {
+            const std::string gauge = "gauge '" + name + "'";
+            numberArray(requireField(value, "values", gauge),
+                        gauge + " values");
         }
+        for (const auto &[name, value] :
+             requireObject(doc, "histograms")) {
+            const std::string histogram = "histogram '" + name + "'";
+            const std::vector<double> bounds =
+                numberArray(requireField(value, "bounds", histogram),
+                            histogram + " bounds");
+            if (!std::is_sorted(bounds.begin(), bounds.end()))
+                throw config::JsonTypeError("metrics " + histogram +
+                                            " bounds must be ascending");
+            const JsonValue &counts =
+                requireField(value, "counts", histogram);
+            const std::size_t count_size =
+                numberArray(counts, histogram + " counts").size();
+            if (count_size != bounds.size() + 1)
+                throw config::JsonTypeError(
+                    "metrics " + histogram + " needs " +
+                    std::to_string(bounds.size() + 1) +
+                    " bucket counts (bounds + overflow), got " +
+                    std::to_string(count_size));
+            for (std::size_t i = 0; i < count_size; ++i) {
+                checkCount(counts.asArray()[i],
+                           histogram + " bucket count " +
+                               std::to_string(i));
+            }
+            checkCount(requireField(value, "count", histogram),
+                       histogram + " count");
+            for (const char *key : {"sum", "min", "max"}) {
+                if (!requireField(value, key, histogram).isNumber())
+                    throw config::JsonTypeError(
+                        "metrics " + histogram + " field '" + key +
+                        "' must be a number");
+            }
+        }
+    } catch (const config::JsonTypeError &error) {
+        if (origin.empty())
+            util::fatal(error.what());
+        util::fatal("bad metrics in ", origin, ": ", error.what());
     }
     return doc;
 }

@@ -48,11 +48,17 @@ extern const char *const kMetricsFormat;
 config::JsonValue metricsToJson(const util::MetricsSnapshot &snapshot);
 
 /**
- * Validate the schema of @p doc (format tag, counters/gauges/histogram
- * shapes, counts arrays sized bounds + 1). Fatal on violation; returns
- * the document so call sites can validate-and-use in one expression.
+ * Validate the schema of @p doc: the format tag, every required field
+ * (gauge `values`; histogram `bounds`, `counts`, `count`, `sum`,
+ * `min`, `max`), counts arrays sized bounds + 1, and counters,
+ * histogram `count` and bucket counts as non-negative integers in
+ * 64-bit range. Fatal on violation, naming the field and -- when
+ * @p origin is given (e.g. "sweep partial 'p.json'") -- where the
+ * document came from. Returns the document so call sites can
+ * validate-and-use in one expression.
  */
-const config::JsonValue &validateMetricsDoc(const config::JsonValue &doc);
+const config::JsonValue &validateMetricsDoc(const config::JsonValue &doc,
+                                            const std::string &origin = {});
 
 /**
  * Merge act.metrics.v1 documents into one: counters sum, histogram

@@ -181,9 +181,8 @@ cpaMonteCarloEvaluator(const SweepPlan &plan)
     // Parsed and compiled once; shared read-only by every concurrent
     // chunk. Chunks run the fused plan kernel (sample + evaluate per
     // cache-resident sub-block) over a reused thread-local SoA
-    // scratch -- same RNG consumption order as the scalar path at
-    // every SIMD dispatch level, so partials (and merged results)
-    // keep their bits.
+    // scratch -- same RNG consumption order as the closure path, so
+    // partials (and merged results) keep their bits.
     auto config = std::make_shared<const CpaMonteCarloConfig>(
         parseCpaMonteCarloConfig(plan));
     const core::EvalPlan compiled = cpaPlan(*config);

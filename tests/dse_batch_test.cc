@@ -21,7 +21,6 @@
 #include "sweep/engine.h"
 #include "sweep/plan.h"
 #include "util/parallel.h"
-#include "util/simd.h"
 #include "util/units.h"
 
 namespace act::dse {
@@ -34,7 +33,6 @@ class DseBatchTest : public ::testing::Test
     TearDown() override
     {
         util::setThreadCount(0);
-        util::setSimdLevel(util::detectedSimdLevel());
     }
 };
 
@@ -93,48 +91,6 @@ TEST_F(DseBatchTest, NodePlanMatchesScalarClosureAcrossThreadCounts)
         // The scalar path itself must also be thread-count invariant.
         expectSameResult(monteCarlo(parameters, closure, 10'000, 42),
                          reference);
-    }
-}
-
-TEST_F(DseBatchTest, EveryDispatchLevelMatchesScalarOracle)
-{
-    // The batch == scalar matrix under each forced SIMD level: the
-    // dispatch level must never change a statistic, at any thread
-    // count (DESIGN.md §11). The scalar oracle runs at the scalar
-    // level so it cannot share vector kernels with the path under
-    // test.
-    const std::vector<UncertainParameter> parameters =
-        nodeParameters();
-    const auto closure = [](const std::vector<double> &values) {
-        core::FabParams fab;
-        fab.ci_fab = util::gramsPerKilowattHour(values[0]);
-        fab.yield = values[1];
-        fab.abatement = values[2];
-        return core::carbonPerArea(fab, 7.0).value();
-    };
-    const core::FabParams fab;
-    const std::vector<core::EvalInput> bindings = {
-        core::EvalInput::CiFab, core::EvalInput::Yield,
-        core::EvalInput::Abatement};
-    const core::EvalPlan plan =
-        core::EvalPlan::forNode(fab, 7.0, bindings);
-
-    util::setThreadCount(1);
-    util::setSimdLevel(util::SimdLevel::Scalar);
-    const MonteCarloResult reference =
-        monteCarlo(parameters, closure, 10'000, 42);
-
-    for (const auto level : {util::SimdLevel::Scalar,
-                             util::SimdLevel::Avx2}) {
-        if (!util::simdLevelAvailable(level))
-            continue;
-        util::setSimdLevel(level);
-        for (const std::size_t threads : {1u, 2u, 7u}) {
-            util::setThreadCount(threads);
-            expectSameResult(
-                monteCarloBatch(parameters, plan, 10'000, 42),
-                reference);
-        }
     }
 }
 

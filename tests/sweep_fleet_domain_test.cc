@@ -7,6 +7,7 @@
  * job seeds its own RNG stream from its index.
  */
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -191,6 +192,58 @@ TEST_F(SweepFleetDomainTest,
             EXPECT_EQ(mergeShards(partials).dump(), reference)
                 << shard_count << " shards, " << threads
                 << " threads";
+        }
+    }
+}
+
+/** The exact bits of @p value, so signed zeros and NaN payloads
+ *  compare too. */
+std::uint64_t
+bitsOf(double value)
+{
+    return std::bit_cast<std::uint64_t>(value);
+}
+
+TEST_F(SweepFleetDomainTest, JobBlockMatchesJobAtBitwise)
+{
+    // Block lengths around the 4-lane width and the replayer's
+    // 512-job block, from the stream start and from a non-zero first
+    // index, with no, some and every job deferrable.
+    for (const double fraction : {0.0, 0.6, 1.0}) {
+        fleet::JobStreamParams params;
+        params.seed = 2024;
+        params.horizon_hours = 8760.0;
+        params.deferrable_fraction = fraction;
+        fleet::JobBlock block;
+        for (const std::size_t count :
+             {1u, 3u, 4u, 5u, 511u, 512u, 513u}) {
+            for (const std::uint64_t first :
+                 {std::uint64_t{0}, std::uint64_t{987'654'321}}) {
+                fleet::jobBlockAt(params, first, count, block);
+                ASSERT_EQ(block.count, count);
+                for (std::size_t i = 0; i < count; ++i) {
+                    const fleet::Job job =
+                        fleet::jobAt(params, first + i);
+                    const std::string label =
+                        "fraction " + std::to_string(fraction) +
+                        " count " + std::to_string(count) + " job " +
+                        std::to_string(first + i);
+                    EXPECT_EQ(bitsOf(block.arrival_hours[i]),
+                              bitsOf(job.arrival_hours))
+                        << label;
+                    EXPECT_EQ(bitsOf(block.duration_hours[i]),
+                              bitsOf(job.duration_hours))
+                        << label;
+                    EXPECT_EQ(bitsOf(block.utilization[i]),
+                              bitsOf(job.utilization))
+                        << label;
+                    EXPECT_EQ(bitsOf(block.slack_hours[i]),
+                              bitsOf(job.slack_hours))
+                        << label;
+                    EXPECT_EQ(block.deferrable[i] != 0, job.deferrable)
+                        << label;
+                }
+            }
         }
     }
 }

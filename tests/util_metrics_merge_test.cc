@@ -194,6 +194,79 @@ TEST(MetricsDocDeathTest, RejectsWrongFormatAndBadShapes)
                 ::testing::ExitedWithCode(1), "bucket counts");
 }
 
+TEST(MetricsDocDeathTest, MissingRequiredFieldsAreFatal)
+{
+    // A fatal naming the field, not an uncaught JsonTypeError.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(
+                    R"({"format": "act.metrics.v1",
+                        "gauges": {"g": {"min": 1}}})")),
+                ::testing::ExitedWithCode(1),
+                "gauge 'g' is missing field 'values'");
+    EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(
+                    R"({"format": "act.metrics.v1", "histograms":
+                        {"h": {"counts": [0], "count": 0, "sum": 0,
+                               "min": 0, "max": 0}}})")),
+                ::testing::ExitedWithCode(1),
+                "histogram 'h' is missing field 'bounds'");
+    EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(
+                    R"({"format": "act.metrics.v1", "histograms":
+                        {"h": {"bounds": [], "counts": [0],
+                               "sum": 0, "min": 0, "max": 0}}})")),
+                ::testing::ExitedWithCode(1),
+                "histogram 'h' is missing field 'count'");
+}
+
+TEST(MetricsDocDeathTest, CountsMustBeNonNegativeIntegers)
+{
+    // Counts are summed by the merge, so a negative, fractional or
+    // out-of-range one must be rejected, not merged.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const auto histogram = [](const std::string &counts,
+                              const std::string &count) {
+        return parseDoc(R"({"format": "act.metrics.v1", "histograms":
+                            {"h": {"bounds": [1], "counts": )" +
+                        counts + R"(, "count": )" + count +
+                        R"(, "sum": 0, "min": 0, "max": 0}}})");
+    };
+    EXPECT_EXIT(obs::validateMetricsDoc(histogram("[1, -3]", "1")),
+                ::testing::ExitedWithCode(1),
+                "histogram 'h' bucket count 1 must be a non-negative "
+                "integer \\(got -3\\)");
+    EXPECT_EXIT(obs::validateMetricsDoc(histogram("[0, 0]", "-1")),
+                ::testing::ExitedWithCode(1),
+                "histogram 'h' count must be a non-negative integer "
+                "\\(got -1\\)");
+    EXPECT_EXIT(obs::validateMetricsDoc(histogram("[0.5, 0]", "0")),
+                ::testing::ExitedWithCode(1),
+                "histogram 'h' bucket count 0 must be a non-negative "
+                "integer");
+    EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(
+                    R"({"format": "act.metrics.v1",
+                        "counters": {"x": 2.5}})")),
+                ::testing::ExitedWithCode(1),
+                "counter 'x' must be a non-negative integer \\(JSON "
+                "number is not integral\\)");
+    EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(
+                    R"({"format": "act.metrics.v1",
+                        "counters": {"x": 1e30}})")),
+                ::testing::ExitedWithCode(1),
+                "counter 'x' must be a non-negative integer \\(JSON "
+                "number 1e\\+30 is out of 64-bit integer range\\)");
+}
+
+TEST(MetricsDocDeathTest, FatalNamesTheOrigin)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(obs::validateMetricsDoc(
+                    parseDoc(R"({"format": "act.metrics.v1",
+                                 "counters": {"x": -1}})"),
+                    "sweep partial 'part1.json'"),
+                ::testing::ExitedWithCode(1),
+                "fatal: bad metrics in sweep partial 'part1\\.json': "
+                "metrics counter 'x' must be a non-negative integer");
+}
+
 TEST(MetricsDocTest, PrometheusRenderingIsWellFormed)
 {
     const config::JsonValue merged = obs::mergeMetricsDocs(

@@ -20,6 +20,16 @@ TEST(Random, DeterministicForFixedSeed)
     EXPECT_NE(a.next(), c.next());
 }
 
+TEST(Random, ZeroSeedIsRemapped)
+{
+    // Zero is the xorshift fixed point; the constructor must remap it
+    // to 1 rather than emit zeros forever.
+    Xorshift64Star from_zero(0);
+    Xorshift64Star from_one(1);
+    for (int i = 0; i < 32; ++i)
+        EXPECT_EQ(from_zero.next(), from_one.next());
+}
+
 TEST(Random, UnitValuesStayInRange)
 {
     Xorshift64Star rng(1);

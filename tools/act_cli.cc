@@ -557,10 +557,12 @@ cmdMerge(const Args &args)
     // Aggregate whatever telemetry the partials carried (absent
     // sections are fine -- shards may mix metrics on and off).
     std::vector<config::JsonValue> metric_docs;
-    for (const sweep::ShardResult &partial : partials) {
-        if (!partial.metrics.isNull())
-            metric_docs.push_back(
-                obs::validateMetricsDoc(partial.metrics));
+    for (std::size_t i = 0; i < partials.size(); ++i) {
+        if (partials[i].metrics.isNull())
+            continue;
+        metric_docs.push_back(obs::validateMetricsDoc(
+            partials[i].metrics,
+            "sweep partial '" + args.positional()[i] + "'"));
     }
     const std::string metrics_out = args.stringOr("metrics-out", "");
     const std::string metrics_prom = args.stringOr("metrics-prom", "");

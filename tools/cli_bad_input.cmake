@@ -3,10 +3,11 @@
 # it, a plan whose item count is out of integer range, a plan with a
 # mistyped config field, a plan whose samples fail model validation on
 # worker threads, a chiplet plan with a huge or fractional max_chiplets,
-# a fleet partial with a negative job count, a truncated and a mistyped
-# trace -- and checks that each run exits 1 with a `fatal:` diagnostic
-# instead of aborting. A heartbeat with bad counts must instead be
-# skipped by `act status` with a warning.
+# partials whose metrics section lacks a gauge's values or has a
+# negative bucket count, a fleet partial with a negative job count, a
+# truncated and a mistyped trace -- and checks that each run exits 1
+# with one `fatal:` diagnostic instead of aborting. A heartbeat with bad
+# counts must instead be skipped by `act status` with a warning.
 #
 #   cmake -DACT=<act binary> -DPLAN=<sweep plan> -DWORK_DIR=<dir> \
 #         -P cli_bad_input.cmake
@@ -24,11 +25,15 @@ function(run_act)
     set(stderr "${stderr}" PARENT_SCOPE)
 endfunction()
 
-# Expect exit status 1 and a fatal diagnostic matching `pattern`.
+# Expect exit status 1 and exactly one fatal diagnostic, matching
+# `pattern`.
 function(expect_fatal what pattern)
     run_act(${ARGN})
-    if(NOT status STREQUAL "1" OR NOT stderr MATCHES "^fatal: ${pattern}")
-        message(FATAL_ERROR "${what}: expected exit 1 and 'fatal: "
+    string(REGEX MATCHALL "fatal:" fatal_lines "${stderr}")
+    list(LENGTH fatal_lines fatal_count)
+    if(NOT status STREQUAL "1" OR NOT fatal_count EQUAL 1
+       OR NOT stderr MATCHES "^fatal: ${pattern}")
+        message(FATAL_ERROR "${what}: expected exit 1 and one 'fatal: "
                             "${pattern}', got exit ${status}:\n${stderr}")
     endif()
     message(STATUS "${what}: ${stderr}")
@@ -87,6 +92,37 @@ foreach(count 1e9 2.5)
         "chiplet config 'max_chiplets' must be an integer in \\[1, 1024\\]"
         sweep --plan chiplet_${count}.json)
 endforeach()
+
+# A partial's metrics section with a gauge stripped of its values used
+# to abort `act merge` on an uncaught JSON exception, and a negative
+# bucket count was summed into the merged metrics. Both must name the
+# partial and the field.
+set(ENV{ACT_METRICS} 1)
+foreach(index 0 1)
+    run_act(sweep --plan "${PLAN}" --shards 2 --shard-index ${index}
+            --out metrics_part${index}.json)
+    if(NOT status STREQUAL "0")
+        message(FATAL_ERROR "metrics shard ${index} failed:\n${stderr}")
+    endif()
+endforeach()
+unset(ENV{ACT_METRICS})
+file(READ "${WORK_DIR}/metrics_part1.json" metrics_partial)
+string(REPLACE "\"values\":" "\"no_values\":" no_values
+       "${metrics_partial}")
+string(REGEX REPLACE "(\"counts\": *\\[[ \n]*)0" "\\1-3" negative_bucket
+       "${metrics_partial}")
+if(no_values STREQUAL metrics_partial OR
+   negative_bucket STREQUAL metrics_partial)
+    message(FATAL_ERROR "no gauge or histogram in metrics_part1.json")
+endif()
+file(WRITE "${WORK_DIR}/metrics_no_values.json" "${no_values}")
+expect_fatal("gauge without values"
+    "bad metrics in sweep partial 'metrics_no_values\\.json': metrics gauge '[^']+' is missing field 'values'"
+    merge metrics_part0.json metrics_no_values.json)
+file(WRITE "${WORK_DIR}/metrics_negative.json" "${negative_bucket}")
+expect_fatal("negative bucket count"
+    "bad metrics in sweep partial 'metrics_negative\\.json': metrics histogram '[^']+' bucket count 0 must be a non-negative integer \\(got -3\\)"
+    merge metrics_part0.json metrics_negative.json)
 
 # A fleet partial whose job count was edited to -1 used to be cast to
 # a huge count and merged. It must name the chunk and the scenario.
