@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "core/embodied.h"
-#include "core/eval_plan.h"
 #include "dse/montecarlo.h"
 #include "dse/sensitivity.h"
 #include "report/experiment.h"
@@ -30,13 +29,11 @@ main(int argc, char **argv)
     util::CsvWriter csv({"node", "parameter", "low", "high"});
 
     // All five Eq. 5 terms are themselves the uncertain inputs here,
-    // so both studies compile one raw-term plan and evaluate every
-    // spoke/sample through its batch kernel (values identical to the
-    // former inline (ci*epa + gpa + mpa)/yield closure).
-    const std::vector<core::EvalInput> bindings = {
-        core::EvalInput::CiFab, core::EvalInput::Epa,
-        core::EvalInput::Gpa, core::EvalInput::Mpa,
-        core::EvalInput::Yield};
+    // so both studies evaluate the raw formula over the sampled terms
+    // (CI_fab, EPA, GPA, MPA, yield).
+    const auto cpa = [](const std::vector<double> &v) {
+        return (v[0] * v[1] + v[2] + v[3]) / v[4];
+    };
 
     for (double nm : {7.0, 28.0}) {
         experiment.section("CPA at " + util::formatFixed(nm, 0) +
@@ -57,12 +54,7 @@ main(int argc, char **argv)
             // Yield from a struggling ramp to mature.
             {"yield", 0.875, 0.6, 0.95},
         };
-        const core::EvalPlan plan = core::EvalPlan::forRawCpa(
-            {parameters[0].baseline, parameters[1].baseline,
-             parameters[2].baseline, parameters[3].baseline,
-             parameters[4].baseline},
-            bindings);
-        const auto entries = dse::tornado(parameters, plan);
+        const auto entries = dse::tornado(parameters, cpa);
 
         std::vector<util::BarEntry> bars;
         util::Table table({"Parameter", "CPA @ low", "CPA @ high",
@@ -104,12 +96,7 @@ main(int argc, char **argv)
             {"MPA", dse::Distribution::Uniform, 500.0, 400.0, 600.0},
             {"yield", dse::Distribution::Triangular, 0.875, 0.6, 0.95},
         };
-        const core::EvalPlan plan = core::EvalPlan::forRawCpa(
-            {uncertain[0].baseline, uncertain[1].baseline,
-             uncertain[2].baseline, uncertain[3].baseline,
-             uncertain[4].baseline},
-            bindings);
-        const auto mc = dse::monteCarloBatch(uncertain, plan);
+        const auto mc = dse::monteCarlo(uncertain, cpa);
         util::Table stats({"Statistic", "CPA (g CO2/cm2)"});
         stats.addRow("mean", {mc.mean});
         stats.addRow("stddev", {mc.stddev});

@@ -26,7 +26,6 @@
 #include "dse/scoreboard.h"
 #include "fleet/replay.h"
 #include "mobile/platform.h"
-#include "pkg/pkg_plan.h"
 #include "ssd/ftl_sim.h"
 #include "util/parallel.h"
 #include "util/random.h"
@@ -181,49 +180,6 @@ forceLevelOrSkip(benchmark::State &state, util::SimdLevel level)
     util::setSimdLevel(level);
     return true;
 }
-
-/** Compiled package evaluation over a 100k fab-CI scenario column:
- *  a heterogeneous 2.5D package (two 5 nm compute dies, one mature
- *  I/O die, two cache dies, silicon interposer) through
- *  pkg::PackagePlan::evaluateBatch. Bounds the cost of sweeping
- *  packaging choices inside DSE loops. */
-void
-BM_PackageEvalBatch(benchmark::State &state)
-{
-    constexpr std::size_t kSamples = 100'000;
-    pkg::PackageSpec spec =
-        pkg::PackageSpec::forStyle(pkg::PackagingStyle::SiliconInterposer);
-    const core::DefectParams leading{
-        0.12, 3.0, core::YieldModel::NegativeBinomial};
-    const core::DefectParams mature{
-        0.08, 2.0, core::YieldModel::NegativeBinomial};
-    spec.chiplets.push_back(
-        {"compute", util::squareMillimeters(150.0), 5.0, leading, 2});
-    spec.chiplets.push_back(
-        {"io", util::squareMillimeters(90.0), 28.0, mature, 1});
-    spec.chiplets.push_back(
-        {"cache", util::squareMillimeters(60.0), 14.0, leading, 2});
-    const std::vector<core::EvalInput> bindings = {
-        core::EvalInput::CiFab};
-    const pkg::PackagePlan plan =
-        pkg::PackagePlan::compile(spec, core::FabParams{}, bindings);
-
-    std::vector<double> ci(kSamples), outputs(kSamples),
-        scratch(kSamples);
-    util::Xorshift64Star rng(7);
-    for (std::size_t s = 0; s < kSamples; ++s)
-        ci[s] = rng.nextUniform(30.0, 700.0);
-    const double *inputs[1] = {ci.data()};
-    for (auto _ : state) {
-        plan.evaluateBatch(kSamples, inputs, outputs.data(),
-                           scratch.data());
-        benchmark::DoNotOptimize(outputs.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(kSamples));
-}
-BENCHMARK(BM_PackageEvalBatch);
 
 /** Fig. 12-class NPU design-space walk across nodes, 1/4/8 threads. */
 void

@@ -1,6 +1,6 @@
 #include "accel/design_space.h"
 
-#include "core/eval_plan.h"
+#include "core/embodied.h"
 #include "sweep/engine.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -32,11 +32,10 @@ sweepDesignSpace(const NpuModel &model, const Network &network,
     // Each MAC configuration evaluates independently; the sweep
     // engine fills pre-sized slots so sweep order stays the paper's
     // order. Every configuration shares (fab, node), so Eq. 5 is
-    // compiled once for the whole sweep and embodied carbon is a
+    // evaluated once for the whole sweep and embodied carbon is a
     // single multiply per entry -- the same CPA * area product
     // model.embodied() computes.
-    const util::CarbonPerArea cpa =
-        core::EvalPlan::forNode(fab, node_nm).cpa();
+    const util::CarbonPerArea cpa = core::carbonPerArea(fab, node_nm);
     const std::vector<int> macs_sweep = macSweep();
     return sweep::runSweepMap<SweepEntry>(
         sweep::SweepPlan::map("accel.design_space", macs_sweep.size()),

@@ -345,11 +345,18 @@ appendEscaped(std::string &out, const std::string &text)
  * everything else
  * as "%.17g" (which round-trips every bit). std::to_chars with a
  * precision is specified to produce exactly printf's bytes in the "C"
- * locale, without printf's format parsing and locale lookups.
+ * locale, without printf's format parsing and locale lookups. JSON has
+ * no spelling for infinities or NaN, so those throw JsonTypeError
+ * rather than write a document no reader parses.
  */
 void
 appendNumber(std::string &out, double value)
 {
+    if (!std::isfinite(value)) {
+        throw JsonTypeError(
+            std::string("JSON cannot represent the non-finite number ") +
+            (std::isnan(value) ? "nan" : value > 0.0 ? "inf" : "-inf"));
+    }
     char buffer[32];
     const std::to_chars_result result =
         value == std::floor(value) && std::fabs(value) < 1e15
@@ -568,10 +575,16 @@ loadJsonFile(const std::string &path)
 void
 saveJsonFile(const std::string &path, const JsonValue &value, int indent)
 {
+    std::string text;
+    try {
+        text = value.dump(indent);
+    } catch (const JsonTypeError &error) {
+        util::fatal("cannot write JSON file '", path, "': ", error.what());
+    }
     std::ofstream out(path);
     if (!out)
         util::fatal("cannot write JSON file '", path, "'");
-    out << value.dump(indent) << '\n';
+    out << text << '\n';
 }
 
 } // namespace act::config

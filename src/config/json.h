@@ -100,7 +100,10 @@ class JsonValue
     std::string stringOr(const std::string &key,
                          const std::string &fallback) const;
 
-    /** Serialize; indent > 0 pretty-prints with that many spaces. */
+    /**
+     * Serialize; indent > 0 pretty-prints with that many spaces.
+     * Throws JsonTypeError on an infinite or NaN number.
+     */
     std::string dump(int indent = 0) const;
 
     /** Parse a complete document; trailing garbage is an error. */
@@ -117,7 +120,8 @@ class JsonValue
 /** Load and parse a JSON file; fatal on I/O failure. */
 JsonValue loadJsonFile(const std::string &path);
 
-/** Serialize @p value to @p path; fatal on I/O failure. */
+/** Serialize @p value to @p path; fatal on I/O failure or on a
+ *  value dump() rejects (naming the path). */
 void saveJsonFile(const std::string &path, const JsonValue &value,
                   int indent = 2);
 

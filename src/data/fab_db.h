@@ -76,7 +76,7 @@ class FabDatabase
     /**
      * The two characterized abatement columns (95%, 99%) resolved at a
      * node, in g CO2/cm2 -- the per-node constants gpa() interpolates
-     * between. Exposed so a compiled evaluation plan
+     * between. Exposed so the compiled Monte Carlo plan
      * (core/eval_plan.h) can resolve the node once and replay the
      * abatement interpolation per sample with bit-identical results.
      */

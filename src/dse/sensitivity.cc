@@ -63,48 +63,4 @@ tornado(const std::vector<ParameterRange> &parameters,
     return entries;
 }
 
-std::vector<TornadoEntry>
-tornado(const std::vector<ParameterRange> &parameters,
-        const core::EvalPlan &plan)
-{
-    TRACE_SPAN("dse.tornado", "tornado_plan");
-    if (parameters.empty())
-        util::fatal("tornado() needs at least one parameter");
-    if (plan.inputCount() != parameters.size()) {
-        util::fatal("compiled plan binds ", plan.inputCount(),
-                    " inputs but the tornado has ", parameters.size(),
-                    " parameters");
-    }
-    g_tornado_evals.add(2 * parameters.size());
-
-    // All 2N spokes as one SoA batch: column i is parameter i's
-    // baseline replicated, perturbed only at its own two spokes
-    // (2i = low, 2i + 1 = high). One kernel call evaluates the lot.
-    const std::size_t width = parameters.size();
-    const std::size_t spokes = 2 * width;
-    std::vector<double> storage(width * spokes);
-    std::vector<const double *> columns(width);
-    for (std::size_t i = 0; i < width; ++i) {
-        double *column = storage.data() + i * spokes;
-        std::fill(column, column + spokes, parameters[i].baseline);
-        column[2 * i] = parameters[i].low;
-        column[2 * i + 1] = parameters[i].high;
-        columns[i] = column;
-    }
-    std::vector<double> outputs(spokes);
-    plan.evaluateBatch(spokes, columns.data(), outputs.data());
-
-    std::vector<TornadoEntry> entries(width);
-    for (std::size_t i = 0; i < width; ++i) {
-        entries[i].name = parameters[i].name;
-        entries[i].output_low = outputs[2 * i];
-        entries[i].output_high = outputs[2 * i + 1];
-    }
-    std::stable_sort(entries.begin(), entries.end(),
-                     [](const TornadoEntry &a, const TornadoEntry &b) {
-                         return a.swing() > b.swing();
-                     });
-    return entries;
-}
-
 } // namespace act::dse

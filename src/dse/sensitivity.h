@@ -15,8 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "core/eval_plan.h"
-
 namespace act::dse {
 
 /** One parameter's perturbation range. */
@@ -49,18 +47,6 @@ struct TornadoEntry
 std::vector<TornadoEntry>
 tornado(const std::vector<ParameterRange> &parameters,
         const std::function<double(const std::vector<double> &)> &model);
-
-/**
- * Compiled-plan overload: one plan (binding i <-> parameters[i]) is
- * resolved once and reused across all 2N spokes, which evaluate in a
- * single evaluateBatch() call instead of 2N closure invocations.
- * Where the plan computes what the closure computed, the entries are
- * bit-identical to the closure overload (kept as the test oracle).
- * Fatal when the plan's input count differs from the parameter count.
- */
-std::vector<TornadoEntry>
-tornado(const std::vector<ParameterRange> &parameters,
-        const core::EvalPlan &plan);
 
 } // namespace act::dse
 

@@ -1,8 +1,5 @@
 #include "mobile/platform.h"
 
-#include <utility>
-
-#include "core/eval_plan.h"
 #include "sweep/engine.h"
 #include "util/trace.h"
 
@@ -48,73 +45,17 @@ designPoint(const data::SocRecord &soc, const core::FabParams &fab)
     return point;
 }
 
-core::DesignPoint
-CompiledPlatform::designPoint() const
-{
-    // Mirrors designPoint(*soc, fab) term by term -- same composition
-    // order, same unit operators -- over the pre-resolved constants,
-    // so the result is bit-identical to the scalar path.
-    PlatformEmbodied embodied;
-    embodied.soc = cpa * soc->die_area;
-    embodied.dram = dram_cps * soc->dram_capacity;
-    embodied.packaging = core::packagingEmbodied(2);
-
-    core::DesignPoint point;
-    point.name = soc->name;
-    point.embodied = embodied.total();
-    const Duration delay =
-        seconds(kReferenceScoreSeconds / aggregate_score);
-    point.energy = soc->tdp * delay;
-    point.delay = delay;
-    point.area = soc->die_area;
-    return point;
-}
-
-std::vector<CompiledPlatform>
-compileMobilePlatforms(const core::FabParams &fab)
-{
-    const auto records = data::SocDatabase::instance().records();
-    std::vector<CompiledPlatform> compiled;
-    compiled.reserve(records.size());
-    // Several SoCs share a process node; memoize node -> CPA so each
-    // node compiles one plan. The database holds a handful of nodes,
-    // so a linear scan beats a map. Reusing the identical CPA value
-    // is bit-neutral by definition.
-    std::vector<std::pair<double, util::CarbonPerArea>> node_cpa;
-    const auto cpaForNode = [&](double node_nm) {
-        for (const auto &[nm, cpa] : node_cpa) {
-            if (nm == node_nm)
-                return cpa;
-        }
-        const util::CarbonPerArea cpa =
-            core::EvalPlan::forNode(fab, node_nm).cpa();
-        node_cpa.emplace_back(node_nm, cpa);
-        return cpa;
-    };
-    for (const auto &record : records) {
-        CompiledPlatform platform;
-        platform.soc = &record;
-        platform.cpa = cpaForNode(record.node_nm);
-        platform.dram_cps = core::EvalPlan::resolveTechnologyCps(
-            record.dram_technology);
-        platform.aggregate_score = record.aggregateScore();
-        compiled.push_back(platform);
-    }
-    return compiled;
-}
-
 std::vector<core::DesignPoint>
 mobileDesignSpace(const core::FabParams &fab)
 {
     TRACE_SPAN("mobile.design_space", "mobileDesignSpace");
     // Each SoC evaluates independently; the sweep engine fills
     // pre-sized slots so the result keeps database order for any
-    // thread count. The per-SoC constants (node CPA, DRAM CPS,
-    // aggregate score) are resolved once up front.
-    const auto compiled = compileMobilePlatforms(fab);
+    // thread count.
+    const auto records = data::SocDatabase::instance().records();
     return sweep::runSweepMap<core::DesignPoint>(
-        sweep::SweepPlan::map("mobile", compiled.size()),
-        [&](std::size_t i) { return compiled[i].designPoint(); });
+        sweep::SweepPlan::map("mobile", records.size()),
+        [&](std::size_t i) { return designPoint(records[i], fab); });
 }
 
 } // namespace act::mobile

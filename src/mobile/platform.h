@@ -48,30 +48,6 @@ util::Energy referenceEnergy(const data::SocRecord &soc);
 core::DesignPoint designPoint(const data::SocRecord &soc,
                               const core::FabParams &fab);
 
-/**
- * One SoC's sweep-invariant constants, resolved once per sweep through
- * core::EvalPlan instead of per design point: the CPA at the SoC's
- * node under the sweep's fab conditions, its DRAM technology's CPS
- * (a string lookup in the scalar path), and the geomean aggregate
- * score. designPoint() recomputes the scalar composition exactly, so
- * the compiled design point is bit-identical to
- * designPoint(*soc, fab).
- */
-struct CompiledPlatform
-{
-    const data::SocRecord *soc = nullptr;
-    util::CarbonPerArea cpa{};
-    util::CarbonPerCapacity dram_cps{};
-    double aggregate_score = 0.0;
-
-    core::DesignPoint designPoint() const;
-};
-
-/** Resolve every SoC in the database against @p fab once, in database
- *  order. */
-std::vector<CompiledPlatform>
-compileMobilePlatforms(const core::FabParams &fab);
-
 /** Design points for every SoC in the database, in database order. */
 std::vector<core::DesignPoint>
 mobileDesignSpace(const core::FabParams &fab);

@@ -27,8 +27,8 @@
  *            + CPA(substrate node) * A_sub / Y_sub
  *            + assembly) / Y_pkg
  *
- * evaluatePackage() is the scalar oracle; pkg/pkg_plan.h compiles the
- * same arithmetic into core::EvalPlan rows for the batched DSE path.
+ * evaluatePackage() is the one implementation; the chiplet sweep
+ * domain calls it for every grid point and fab-CI scenario.
  */
 
 #ifndef ACT_PKG_PACKAGE_H
@@ -180,9 +180,8 @@ struct PackageResult
 };
 
 /**
- * Scalar packaging oracle: evaluate @p spec under fab conditions
- * @p fab (the scalar fab yield is superseded by the per-die defect
- * models). Bit-identical to pkg::PackagePlan by construction.
+ * Evaluate @p spec under fab conditions @p fab (the scalar fab yield
+ * is superseded by the per-die defect models).
  */
 PackageResult evaluatePackage(const PackageSpec &spec,
                               const core::FabParams &fab);

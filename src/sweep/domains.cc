@@ -1,5 +1,6 @@
 #include "sweep/domains.h"
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -13,7 +14,6 @@
 #include "fleet/replay.h"
 #include "mobile/platform.h"
 #include "pkg/package.h"
-#include "pkg/pkg_plan.h"
 #include "util/logging.h"
 #include "util/strings.h"
 #include "util/units.h"
@@ -163,6 +163,49 @@ cpaPlan(const CpaMonteCarloConfig &config)
                                    bindings);
 }
 
+/** A fab carbon intensity the model accepts: finite and >= 0. */
+bool
+validCiFab(double g_per_kwh)
+{
+    return std::isfinite(g_per_kwh) && g_per_kwh >= 0.0;
+}
+
+/**
+ * Fatal when @p parameter's [low, high] range leaves the domain of the
+ * FabParams field it samples. Every sample lies in the range, so a
+ * valid range means no sample can fail the kernel's per-sample checks
+ * on a worker thread.
+ */
+void
+checkFieldDomain(const dse::UncertainParameter &parameter,
+                 FabField field)
+{
+    const double low = parameter.low;
+    const double high = parameter.high;
+    switch (field) {
+      case FabField::CiFab:
+        if (!(validCiFab(low) && validCiFab(high))) {
+            util::fatal("cpa_montecarlo parameter '", parameter.name,
+                        "' range [", low, ", ", high,
+                        "] must be finite and >= 0");
+        }
+        break;
+      case FabField::Yield:
+        if (!(low > 0.0 && high <= 1.0)) {
+            util::fatal("fab yield range [", low, ", ", high,
+                        "] outside (0, 1]");
+        }
+        break;
+      case FabField::Abatement:
+        if (!(low >= 0.90 && high <= 1.0)) {
+            util::fatal("gaseous abatement fraction range [", low, ", ",
+                        high,
+                        "] outside the characterized range [0.90, 1.0]");
+        }
+        break;
+    }
+}
+
 void
 prepareCpaMonteCarlo(SweepPlan &plan)
 {
@@ -172,6 +215,8 @@ prepareCpaMonteCarlo(SweepPlan &plan)
         plan.grain = dse::kMonteCarloChunk;
     const CpaMonteCarloConfig config = parseCpaMonteCarloConfig(plan);
     dse::validateMonteCarloInputs(config.parameters, plan.items);
+    for (std::size_t i = 0; i < config.parameters.size(); ++i)
+        checkFieldDomain(config.parameters[i], config.fields[i]);
     resolveFingerprint(plan);
 }
 
@@ -252,20 +297,15 @@ designPointToJson(const core::DesignPoint &point)
 JsonChunkEvaluator
 mobileEvaluator(const SweepPlan &plan)
 {
-    // Per-SoC constants (node CPA, DRAM CPS, aggregate score) resolve
-    // once here; chunks share them read-only. The compiled design
-    // points are bit-identical to mobile::designPoint().
     const core::FabParams fab = mobileFab(plan);
-    auto compiled =
-        std::make_shared<const std::vector<mobile::CompiledPlatform>>(
-            mobile::compileMobilePlatforms(fab));
-    return [compiled](std::size_t, util::IndexRange range,
-                      util::Xorshift64Star &) {
+    return [fab](std::size_t, util::IndexRange range,
+                 util::Xorshift64Star &) {
+        const auto records = data::SocDatabase::instance().records();
         JsonArray points;
         points.reserve(range.size());
         for (std::size_t i = range.begin; i < range.end; ++i) {
-            points.push_back(
-                designPointToJson((*compiled)[i].designPoint()));
+            points.push_back(designPointToJson(
+                mobile::designPoint(records[i], fab)));
         }
         return JsonValue(std::move(points));
     };
@@ -350,14 +390,12 @@ accelEvaluator(const SweepPlan &plan)
 {
     auto config =
         std::make_shared<const AccelConfig>(parseAccelConfig(plan));
-    // Eq. 5 depends only on (fab, node): compile one plan per node up
+    // Eq. 5 depends only on (fab, node): evaluate it once per node up
     // front so chunk evaluation is pure arithmetic.
     auto cpas = std::make_shared<std::vector<util::CarbonPerArea>>();
     cpas->reserve(config->nodes.size());
-    for (const double node : config->nodes) {
-        cpas->push_back(
-            core::EvalPlan::forNode(config->fab, node).cpa());
-    }
+    for (const double node : config->nodes)
+        cpas->push_back(core::carbonPerArea(config->fab, node));
     auto model = std::make_shared<const accel::NpuModel>();
     return [config, cpas, model](std::size_t, util::IndexRange range,
                                  util::Xorshift64Star &) {
@@ -434,8 +472,8 @@ struct ChipletSweepConfig
     core::DefectParams defects;
     core::FabParams fab;
     std::vector<pkg::PackagingStyle> styles;
-    /** Optional fab-CI scenario column, bound as EvalInput::CiFab so
-     *  chunks run the batched package kernel. */
+    /** Optional fab-CI scenario column: each grid point is also
+     *  evaluated with fab.ci_fab at every value here. */
     std::vector<double> ci_fab_g_per_kwh;
     /** Flattened (style, die count) grid, in item order. */
     std::vector<std::pair<pkg::PackagingStyle, int>> points;
@@ -496,7 +534,12 @@ parseChipletConfig(const SweepPlan &plan)
     if (plan.config.contains("ci_fab_g_per_kwh")) {
         for (const JsonValue &value :
              plan.config.at("ci_fab_g_per_kwh").asArray()) {
-            parsed.ci_fab_g_per_kwh.push_back(value.asNumber());
+            const double ci = value.asNumber();
+            if (!validCiFab(ci)) {
+                util::fatal("chiplet config 'ci_fab_g_per_kwh' entries "
+                            "must be finite and >= 0, got ", ci);
+            }
+            parsed.ci_fab_g_per_kwh.push_back(ci);
         }
     }
     // Monolithic only admits one die; multi-die styles walk the cut
@@ -545,33 +588,23 @@ prepareChiplet(SweepPlan &plan)
 JsonChunkEvaluator
 chipletEvaluator(const SweepPlan &plan)
 {
-    // The grid is small, so specs and compiled plans resolve once
-    // here; chunks share them read-only. The scalar fields come from
-    // the evaluatePackage() oracle and the scenario column from the
-    // compiled batch kernel -- bit-identical by the pkg_plan contract,
-    // so shards merge byte-identically to a single-process run.
+    // The grid is small, so specs resolve once here; chunks share them
+    // read-only.
     auto config = std::make_shared<const ChipletSweepConfig>(
         parseChipletConfig(plan));
-    std::vector<core::EvalInput> bindings;
-    if (!config->ci_fab_g_per_kwh.empty())
-        bindings.push_back(core::EvalInput::CiFab);
     auto specs = std::make_shared<std::vector<pkg::PackageSpec>>();
-    auto plans = std::make_shared<std::vector<pkg::PackagePlan>>();
     specs->reserve(config->points.size());
-    plans->reserve(config->points.size());
-    for (const auto &[style, count] : config->points) {
+    for (const auto &[style, count] : config->points)
         specs->push_back(chipletGridSpec(*config, style, count));
-        plans->push_back(pkg::PackagePlan::compile(
-            specs->back(), config->fab, bindings));
-    }
-    return [config, specs, plans](std::size_t, util::IndexRange range,
-                                  util::Xorshift64Star &) {
+    return [config, specs](std::size_t, util::IndexRange range,
+                           util::Xorshift64Star &) {
         JsonArray points;
         points.reserve(range.size());
         for (std::size_t k = range.begin; k < range.end; ++k) {
             const auto &[style, count] = config->points[k];
+            const pkg::PackageSpec &spec = (*specs)[k];
             const pkg::PackageResult result =
-                pkg::evaluatePackage((*specs)[k], config->fab);
+                pkg::evaluatePackage(spec, config->fab);
             JsonObject point;
             point["style"] = JsonValue(
                 std::string(pkg::packagingStyleName(style)));
@@ -588,18 +621,14 @@ chipletEvaluator(const SweepPlan &plan)
             point["min_die_yield"] = JsonValue(result.min_die_yield);
             point["package_yield"] = JsonValue(result.package_yield);
             if (!config->ci_fab_g_per_kwh.empty()) {
-                const std::size_t n =
-                    config->ci_fab_g_per_kwh.size();
-                std::vector<double> outputs(n);
-                std::vector<double> scratch(n);
-                const double *columns[1] = {
-                    config->ci_fab_g_per_kwh.data()};
-                (*plans)[k].evaluateBatch(n, columns, outputs.data(),
-                                          scratch.data());
+                core::FabParams fab = config->fab;
                 JsonArray totals;
-                totals.reserve(n);
-                for (const double grams : outputs)
-                    totals.push_back(JsonValue(grams));
+                totals.reserve(config->ci_fab_g_per_kwh.size());
+                for (const double ci : config->ci_fab_g_per_kwh) {
+                    fab.ci_fab = util::gramsPerKilowattHour(ci);
+                    totals.push_back(JsonValue(util::asGrams(
+                        pkg::evaluatePackage(spec, fab).total)));
+                }
                 point["ci_fab_totals_g"] =
                     JsonValue(std::move(totals));
             }
@@ -718,7 +747,7 @@ constexpr Domain kDomains[] = {
     {"accel", "the Fig. 12 NPU design-space walk, node x MAC count",
      prepareAccel, accelEvaluator, summarizeAccel},
     {"chiplet",
-     "packaging style x die count over compiled pkg::PackagePlan",
+     "packaging style x die count over pkg::evaluatePackage",
      prepareChiplet, chipletEvaluator, summarizeChiplet},
     {"fleet",
      "trace-driven job replay over regional intensity series",

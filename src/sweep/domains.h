@@ -12,14 +12,14 @@
  *    to an in-process dse::monteCarlo() call over the scalar closure
  *    with the same inputs.
  *  - "mobile": the Fig. 8 mobile-SoC design space; one item per SoC
- *    record, payloads carry the evaluated design points (per-SoC
- *    constants resolved once via mobile::compileMobilePlatforms).
+ *    record, payloads carry mobile::designPoint() for each.
  *  - "accel": the Fig. 12 NPU design-space walk, node x MAC-count;
- *    one item per (node, MAC) pair, Eq. 5 compiled once per node.
+ *    one item per (node, MAC) pair, core::carbonPerArea() evaluated
+ *    once per node.
  *  - "chiplet": the packaging design space over the pkg layer; one
  *    item per (packaging style, die count) grid point, each evaluated
- *    through a compiled pkg::PackagePlan. An optional fab-CI scenario
- *    column runs the batched package kernel per item.
+ *    through pkg::evaluatePackage(). An optional fab-CI scenario
+ *    column re-evaluates each item once per scenario value.
  *  - "fleet": trace-driven fleet replay; one item per job of a
  *    deterministic seeded stream, evaluated against every scenario of
  *    a policy x region x churn grid over regional IntensitySeries.

@@ -290,8 +290,6 @@ printfNumber(double value)
 TEST(JsonDump, NumbersMatchPrintfCorpus)
 {
     constexpr double kMax = std::numeric_limits<double>::max();
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
     const std::vector<double> corpus = {
         0.0, -0.0, 1.0, -1.0, 0.5, 0.1, -0.125, 0.30000000000000004,
         1e-4, 1e-5, 123456.789, 3.141592653589793, 2.718281828459045,
@@ -299,10 +297,33 @@ TEST(JsonDump, NumbersMatchPrintfCorpus)
         std::nextafter(1e15, 2e15), 1e15 + 0.5, 1e16, 1e17, 1e21, 1e22,
         0x1p53, 0x1p53 + 2.0, 9.9999999999999999e16, 123456789012345678.0,
         kMax, -kMax, std::numeric_limits<double>::min(),
-        std::numeric_limits<double>::denorm_min(), 1e-310, -1e-310,
-        kInf, -kInf, kNan, -kNan};
+        std::numeric_limits<double>::denorm_min(), 1e-310, -1e-310};
     for (double value : corpus)
         EXPECT_EQ(JsonValue(value).dump(), printfNumber(value)) << value;
+}
+
+TEST(JsonDump, NonFiniteNumbersThrow)
+{
+    // JSON has no spelling for infinities or NaN; writing "inf" would
+    // produce a document no reader (this one included) parses.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+    for (const double value : {kInf, -kInf, kNan, -kNan}) {
+        EXPECT_THROW(JsonValue(value).dump(), JsonTypeError) << value;
+        JsonObject object;
+        object["nested"] = JsonValue(JsonArray{JsonValue(1.0),
+                                               JsonValue(value)});
+        EXPECT_THROW(JsonValue(std::move(object)).dump(2),
+                     JsonTypeError)
+            << value;
+    }
+    try {
+        JsonValue(kInf).dump();
+        ADD_FAILURE() << "dump() accepted inf";
+    } catch (const JsonTypeError &error) {
+        EXPECT_STREQ(error.what(),
+                     "JSON cannot represent the non-finite number inf");
+    }
 }
 
 TEST(JsonDump, NumbersMatchPrintfOnRandomDoubles)
@@ -339,6 +360,19 @@ TEST(JsonFile, SaveAndLoad)
     saveJsonFile(path, JsonValue(std::move(object)));
     const JsonValue loaded = loadJsonFile(path);
     EXPECT_DOUBLE_EQ(loaded.at("value").asNumber(), 0.875);
+}
+
+TEST(JsonFile, NonFiniteValueIsFatalNamingThePath)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string path =
+        ::testing::TempDir() + "/act_json_test_inf.json";
+    JsonObject object;
+    object["total_g"] = JsonValue(std::numeric_limits<double>::infinity());
+    const JsonValue value(std::move(object));
+    EXPECT_EXIT(saveJsonFile(path, value), ::testing::ExitedWithCode(1),
+                "cannot write JSON file '.*act_json_test_inf\\.json': "
+                "JSON cannot represent the non-finite number inf");
 }
 
 TEST(JsonFile, MissingFileIsFatal)

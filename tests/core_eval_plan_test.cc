@@ -1,10 +1,9 @@
 /**
  * @file
- * Tests for compiled evaluation plans (core/eval_plan.h): the compiled
- * path must be *bit-identical* to the string-keyed, database-resolving
- * oracle -- core::carbonPerArea[Named](), data::storageOrDie(),
- * data::regionIntensity() -- for every node label, memory technology,
- * and region in the databases, and for bound per-sample inputs.
+ * Tests for the compiled Eq. 5 plan (core/eval_plan.h) behind the
+ * cpa_montecarlo kernel: EvalPlan::evaluateBatch() must be
+ * *bit-identical* to core::carbonPerArea() over a correspondingly
+ * mutated FabParams, for every fab variant, node and bound input.
  */
 
 #include <cstddef>
@@ -15,9 +14,7 @@
 #include "core/embodied.h"
 #include "core/eval_plan.h"
 #include "core/fab_params.h"
-#include "data/carbon_intensity_db.h"
 #include "data/fab_db.h"
-#include "data/memory_db.h"
 #include "util/units.h"
 
 namespace act::core {
@@ -41,11 +38,24 @@ fabVariants()
     return fabs;
 }
 
-TEST(EvalPlan, CurvePlanMatchesCarbonPerAreaBitwise)
+/** One sample through the batch kernel. */
+double
+evaluateOne(const EvalPlan &plan, const std::vector<double> &values)
 {
-    // Every compiled baseline must equal the oracle exactly (EXPECT_EQ
-    // on doubles is bit comparison for non-NaN values), across fab
-    // variants, the abatement band, and on- and off-anchor nodes.
+    std::vector<const double *> columns;
+    for (const double &value : values)
+        columns.push_back(&value);
+    double output = 0.0;
+    plan.evaluateBatch(1, columns.data(), &output);
+    return output;
+}
+
+TEST(EvalPlan, UnboundPlanMatchesCarbonPerAreaBitwise)
+{
+    // With no bound inputs the plan evaluates its compiled baseline;
+    // it must equal the oracle exactly (EXPECT_EQ on doubles is bit
+    // comparison for non-NaN values), across fab variants, the
+    // abatement band, and on- and off-anchor nodes.
     const double nodes[] = {3.0, 4.2, 5.0,  6.5,  7.0,  8.0,
                             10.0, 12.0, 14.0, 16.0, 20.0, 28.0};
     for (FabParams fab : fabVariants()) {
@@ -53,142 +63,83 @@ TEST(EvalPlan, CurvePlanMatchesCarbonPerAreaBitwise)
             fab.abatement = abatement;
             for (const double nm : nodes) {
                 const EvalPlan plan = EvalPlan::forNode(fab, nm);
-                EXPECT_EQ(plan.cpa().value(),
+                EXPECT_EQ(evaluateOne(plan, {}),
                           carbonPerArea(fab, nm).value())
                     << nm << " nm, abatement " << abatement;
-                EXPECT_EQ(plan.evaluate(nullptr),
-                          carbonPerArea(fab, nm).value())
-                    << nm << " nm (evaluate with no bound inputs)";
             }
         }
     }
 }
 
-TEST(EvalPlan, NamedPlanMatchesCarbonPerAreaNamedForEveryRow)
-{
-    for (const FabParams &fab : fabVariants()) {
-        for (const auto &record :
-             data::FabDatabase::instance().records()) {
-            const EvalPlan plan = EvalPlan::forNodeNamed(fab,
-                                                         record.name);
-            EXPECT_EQ(plan.cpa().value(),
-                      carbonPerAreaNamed(fab, record.name).value())
-                << record.name;
-        }
-    }
-}
-
-TEST(EvalPlan, TechnologyCpsMatchesStorageOrDieForEveryRow)
-{
-    for (const data::StorageClass storage_class :
-         {data::StorageClass::Dram, data::StorageClass::Ssd,
-          data::StorageClass::Hdd}) {
-        for (const auto &record : data::storageTable(storage_class)) {
-            EXPECT_EQ(
-                EvalPlan::resolveTechnologyCps(record.name).value(),
-                data::storageOrDie(record.name).cps.value())
-                << record.name;
-        }
-    }
-}
-
-TEST(EvalPlan, RegionIntensityMatchesDatabaseForEveryRegion)
-{
-    for (const auto &record : data::regionTable()) {
-        EXPECT_EQ(EvalPlan::resolveRegionIntensity(record.name).value(),
-                  data::regionIntensity(record.region).value())
-            << record.name;
-    }
-}
-
-TEST(EvalPlan, BoundEvaluateMatchesMutatedFabParams)
+TEST(EvalPlan, BoundInputsMatchMutatedFabParams)
 {
     // Binding (ci_fab, yield, abatement) per sample must reproduce the
     // oracle run with a FabParams carrying those values -- the exact
     // substitution the cpa_montecarlo sweep domain performs.
-    const FabParams base;
     const std::vector<EvalInput> bindings = {
         EvalInput::CiFab, EvalInput::Yield, EvalInput::Abatement};
-    for (const double nm : {3.0, 7.0, 14.0, 28.0}) {
-        const EvalPlan plan = EvalPlan::forNode(base, nm, bindings);
-        ASSERT_EQ(plan.inputCount(), 3u);
-        for (const double ci : {30.0, 365.0, 700.0}) {
-            for (const double yield : {0.6, 0.875, 1.0}) {
-                for (const double abatement : {0.90, 0.951, 1.0}) {
-                    FabParams mutated = base;
-                    mutated.ci_fab =
-                        util::gramsPerKilowattHour(ci);
-                    mutated.yield = yield;
-                    mutated.abatement = abatement;
-                    const double values[] = {ci, yield, abatement};
-                    EXPECT_EQ(plan.evaluate(values),
-                              carbonPerArea(mutated, nm).value())
-                        << nm << " nm, ci " << ci << ", yield "
-                        << yield << ", abatement " << abatement;
+    for (const FabParams &base : fabVariants()) {
+        for (const double nm : {3.0, 7.0, 14.0, 28.0}) {
+            const EvalPlan plan = EvalPlan::forNode(base, nm, bindings);
+            ASSERT_EQ(plan.inputCount(), 3u);
+            for (const double ci : {30.0, 365.0, 700.0}) {
+                for (const double yield : {0.6, 0.875, 1.0}) {
+                    for (const double abatement : {0.90, 0.951, 1.0}) {
+                        FabParams mutated = base;
+                        mutated.ci_fab =
+                            util::gramsPerKilowattHour(ci);
+                        mutated.yield = yield;
+                        mutated.abatement = abatement;
+                        EXPECT_EQ(
+                            evaluateOne(plan, {ci, yield, abatement}),
+                            carbonPerArea(mutated, nm).value())
+                            << nm << " nm, ci " << ci << ", yield "
+                            << yield << ", abatement " << abatement;
+                    }
                 }
             }
         }
     }
 }
 
-TEST(EvalPlan, NamedPlanBoundAbatementMatchesNamedOracle)
+TEST(EvalPlan, EvaluateBatchMatchesOraclePerSample)
 {
-    // Named-row plans replay carbonPerAreaNamed()'s unchecked column
-    // interpolation, including extrapolation below the 95% column.
+    // A ragged column of distinct samples, bound in a different order
+    // than the enum's, with one FabParams field left unbound.
     const FabParams base;
-    const std::vector<EvalInput> bindings = {EvalInput::Abatement};
-    for (const auto &record :
-         data::FabDatabase::instance().records()) {
-        const EvalPlan plan =
-            EvalPlan::forNodeNamed(base, record.name, bindings);
-        for (const double abatement : {0.85, 0.90, 0.97, 1.0}) {
-            FabParams mutated = base;
-            mutated.abatement = abatement;
-            const double values[] = {abatement};
-            EXPECT_EQ(plan.evaluate(values),
-                      carbonPerAreaNamed(mutated,
-                                         record.name).value())
-                << record.name << " at abatement " << abatement;
-        }
-    }
-}
-
-TEST(EvalPlan, RawPlanComputesEq5)
-{
-    const std::vector<EvalInput> bindings = {
-        EvalInput::CiFab, EvalInput::Epa, EvalInput::Gpa,
-        EvalInput::Mpa, EvalInput::Yield};
-    const EvalPlan plan = EvalPlan::forRawCpa(
-        {447.5, 1.52, 275.0, 500.0, 0.875}, bindings);
-    EXPECT_EQ(plan.cpa().value(),
-              (447.5 * 1.52 + 275.0 + 500.0) / 0.875);
-    const double values[] = {500.0, 1.3, 250.0, 450.0, 0.9};
-    EXPECT_EQ(plan.evaluate(values),
-              (500.0 * 1.3 + 250.0 + 450.0) / 0.9);
-}
-
-TEST(EvalPlan, EvaluateBatchMatchesEvaluatePerSample)
-{
-    const FabParams base;
-    const std::vector<EvalInput> bindings = {
-        EvalInput::CiFab, EvalInput::Yield, EvalInput::Abatement};
+    const std::vector<EvalInput> bindings = {EvalInput::Abatement,
+                                             EvalInput::CiFab};
     const EvalPlan plan = EvalPlan::forNode(base, 7.0, bindings);
 
     constexpr std::size_t kSamples = 257; // deliberately off-power-of-2
-    std::vector<double> ci(kSamples), yield(kSamples),
-        abatement(kSamples), batched(kSamples);
+    std::vector<double> ci(kSamples), abatement(kSamples),
+        batched(kSamples);
     for (std::size_t s = 0; s < kSamples; ++s) {
         ci[s] = 30.0 + 2.3 * static_cast<double>(s);
-        yield[s] = 0.6 + 0.001 * static_cast<double>(s);
         abatement[s] = 0.90 + 0.0003 * static_cast<double>(s);
     }
-    const double *columns[] = {ci.data(), yield.data(),
-                               abatement.data()};
+    const double *columns[] = {abatement.data(), ci.data()};
     plan.evaluateBatch(kSamples, columns, batched.data());
     for (std::size_t s = 0; s < kSamples; ++s) {
-        const double values[] = {ci[s], yield[s], abatement[s]};
-        EXPECT_EQ(batched[s], plan.evaluate(values)) << "sample " << s;
+        FabParams mutated = base;
+        mutated.ci_fab = util::gramsPerKilowattHour(ci[s]);
+        mutated.abatement = abatement[s];
+        EXPECT_EQ(batched[s], carbonPerArea(mutated, 7.0).value())
+            << "sample " << s;
     }
+}
+
+TEST(EvalPlan, InputNamesAndBindingsRoundTrip)
+{
+    EXPECT_EQ(evalInputName(EvalInput::CiFab), "ci_fab");
+    EXPECT_EQ(evalInputName(EvalInput::Yield), "yield");
+    EXPECT_EQ(evalInputName(EvalInput::Abatement), "abatement");
+    const std::vector<EvalInput> bindings = {EvalInput::Yield,
+                                             EvalInput::CiFab};
+    const EvalPlan plan = EvalPlan::forNode(FabParams{}, 7.0, bindings);
+    ASSERT_EQ(plan.bindings().size(), 2u);
+    EXPECT_EQ(plan.bindings()[0], EvalInput::Yield);
+    EXPECT_EQ(plan.bindings()[1], EvalInput::CiFab);
 }
 
 TEST(EvalPlan, InvalidInputsAreFatal)
@@ -196,40 +147,26 @@ TEST(EvalPlan, InvalidInputsAreFatal)
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const FabParams fab;
 
-    // Unknown names.
-    EXPECT_EXIT(EvalPlan::forNodeNamed(fab, "6nm"),
-                ::testing::ExitedWithCode(1), "");
-    EXPECT_EXIT(EvalPlan::resolveTechnologyCps("unknown tech"),
-                ::testing::ExitedWithCode(1), "");
-    EXPECT_EXIT(EvalPlan::resolveRegionIntensity("Atlantis"),
-                ::testing::ExitedWithCode(1), "");
-
-    // Bad per-sample values, mirroring the uncompiled checks.
+    // Bad per-sample values, mirroring carbonPerArea()'s checks.
     const std::vector<EvalInput> yield_only = {EvalInput::Yield};
     const EvalPlan plan = EvalPlan::forNode(fab, 7.0, yield_only);
-    const double zero_yield[] = {0.0};
-    EXPECT_EXIT(plan.evaluate(zero_yield),
-                ::testing::ExitedWithCode(1), "");
+    EXPECT_EXIT(evaluateOne(plan, {0.0}), ::testing::ExitedWithCode(1),
+                "fab yield");
     const std::vector<EvalInput> abatement_only = {
         EvalInput::Abatement};
     const EvalPlan checked =
         EvalPlan::forNode(fab, 7.0, abatement_only);
-    const double low_abatement[] = {0.5};
-    EXPECT_EXIT(checked.evaluate(low_abatement),
-                ::testing::ExitedWithCode(1), "");
+    EXPECT_EXIT(evaluateOne(checked, {0.5}),
+                ::testing::ExitedWithCode(1),
+                "gaseous abatement fraction 0.5");
 
-    // Bindings the plan cannot honor.
+    // Out-of-range nodes and duplicate bindings.
+    EXPECT_EXIT(EvalPlan::forNode(fab, 2.0),
+                ::testing::ExitedWithCode(1), "");
     const std::vector<EvalInput> duplicate = {EvalInput::Yield,
                                               EvalInput::Yield};
     EXPECT_EXIT(EvalPlan::forNode(fab, 7.0, duplicate),
-                ::testing::ExitedWithCode(1), "");
-    const std::vector<EvalInput> epa_on_curve = {EvalInput::Epa};
-    EXPECT_EXIT(EvalPlan::forNode(fab, 7.0, epa_on_curve),
-                ::testing::ExitedWithCode(1), "");
-    const std::vector<EvalInput> abatement_on_raw = {
-        EvalInput::Abatement};
-    EXPECT_EXIT(EvalPlan::forRawCpa({}, abatement_on_raw),
-                ::testing::ExitedWithCode(1), "");
+                ::testing::ExitedWithCode(1), "twice");
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the batched Monte Carlo / tornado paths: the compiled
- * batch kernel must be *bit-identical* to the scalar closure path --
- * every statistic, at every thread count and shard count. The scalar
- * path stays in the tree precisely to serve as this oracle.
+ * Tests for the batched Monte Carlo path: the compiled batch kernel
+ * must be *bit-identical* to the scalar closure path -- every
+ * statistic, at every thread count and shard count. The scalar path
+ * stays in the tree precisely to serve as this oracle.
  */
 
 #include <cstddef>
@@ -16,7 +16,6 @@
 #include "core/eval_plan.h"
 #include "core/fab_params.h"
 #include "dse/montecarlo.h"
-#include "dse/sensitivity.h"
 #include "sweep/domains.h"
 #include "sweep/engine.h"
 #include "sweep/plan.h"
@@ -94,32 +93,6 @@ TEST_F(DseBatchTest, NodePlanMatchesScalarClosureAcrossThreadCounts)
     }
 }
 
-TEST_F(DseBatchTest, RawPlanMatchesScalarFormula)
-{
-    // The generic five-term Eq. 5 uncertainty study (all terms
-    // sampled, nothing database-resolved).
-    const std::vector<UncertainParameter> parameters = {
-        {"ci_fab", Distribution::Triangular, 447.5, 41.0, 583.0},
-        {"epa", Distribution::Triangular, 1.52, 1.52 * 0.8,
-         1.52 * 1.2},
-        {"gpa", Distribution::Uniform, 275.0, 200.0, 350.0},
-        {"mpa", Distribution::Uniform, 500.0, 400.0, 600.0},
-        {"yield", Distribution::Triangular, 0.875, 0.6, 0.95},
-    };
-    const auto closure = [](const std::vector<double> &v) {
-        return (v[0] * v[1] + v[2] + v[3]) / v[4];
-    };
-    const std::vector<core::EvalInput> bindings = {
-        core::EvalInput::CiFab, core::EvalInput::Epa,
-        core::EvalInput::Gpa, core::EvalInput::Mpa,
-        core::EvalInput::Yield};
-    const core::EvalPlan plan = core::EvalPlan::forRawCpa(
-        {447.5, 1.52, 275.0, 500.0, 0.875}, bindings);
-
-    expectSameResult(monteCarloBatch(parameters, plan, 10'000, 7),
-                     monteCarlo(parameters, closure, 10'000, 7));
-}
-
 TEST_F(DseBatchTest, ShardedDomainMatchesScalarOracle)
 {
     // The cpa_montecarlo domain runs the compiled batch kernel; a
@@ -169,38 +142,6 @@ TEST_F(DseBatchTest, ShardedDomainMatchesScalarOracle)
     }
 }
 
-TEST_F(DseBatchTest, TornadoPlanOverloadMatchesClosure)
-{
-    const std::vector<ParameterRange> ranges = {
-        {"ci_fab", 365.0, 30.0, 700.0},
-        {"yield", 0.875, 0.8, 0.95},
-        {"abatement", 0.95, 0.9, 1.0},
-    };
-    const auto closure = [](const std::vector<double> &values) {
-        core::FabParams fab;
-        fab.ci_fab = util::gramsPerKilowattHour(values[0]);
-        fab.yield = values[1];
-        fab.abatement = values[2];
-        return core::carbonPerArea(fab, 14.0).value();
-    };
-    const core::FabParams fab;
-    const std::vector<core::EvalInput> bindings = {
-        core::EvalInput::CiFab, core::EvalInput::Yield,
-        core::EvalInput::Abatement};
-    const core::EvalPlan plan =
-        core::EvalPlan::forNode(fab, 14.0, bindings);
-
-    const auto expected = tornado(ranges, closure);
-    const auto batched = tornado(ranges, plan);
-    ASSERT_EQ(batched.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(batched[i].name, expected[i].name) << i;
-        EXPECT_EQ(batched[i].output_low, expected[i].output_low) << i;
-        EXPECT_EQ(batched[i].output_high, expected[i].output_high)
-            << i;
-    }
-}
-
 TEST_F(DseBatchTest, MismatchedPlanInputCountIsFatal)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -215,12 +156,6 @@ TEST_F(DseBatchTest, MismatchedPlanInputCountIsFatal)
     };
     EXPECT_EXIT(monteCarloBatch(two, plan, 1'000, 1),
                 ::testing::ExitedWithCode(1), "");
-    const std::vector<ParameterRange> ranges = {
-        {"ci_fab", 365.0, 30.0, 700.0},
-        {"yield", 0.875, 0.8, 0.95},
-    };
-    EXPECT_EXIT(tornado(ranges, plan), ::testing::ExitedWithCode(1),
-                "");
 }
 
 } // namespace

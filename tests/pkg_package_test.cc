@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the packaging layer: the PackageSpec oracle, the compiled
- * PackagePlan (bit-identical to the oracle, scalar and batch), and
- * spec validation.
+ * Tests for the packaging layer: pkg::evaluatePackage() over
+ * PackageSpecs, and spec validation.
  */
 
 #include <cmath>
@@ -12,7 +11,6 @@
 
 #include "core/embodied.h"
 #include "pkg/package.h"
-#include "pkg/pkg_plan.h"
 
 namespace act::pkg {
 namespace {
@@ -70,22 +68,24 @@ TEST(PackageOracle, ComponentsAddUpUnderPackageYield)
 {
     const core::FabParams fab;
     for (const PackagingStyle style : kPackagingStyles) {
-        const PackageSpec spec =
-            heteroSpec(style, core::YieldModel::NegativeBinomial);
-        const PackageResult result = evaluatePackage(spec, fab);
-        EXPECT_EQ(result.die_count, spec.dieCount());
-        EXPECT_EQ(result.package_yield,
-                  std::pow(spec.bond_yield,
-                           bondCount(style, spec.dieCount())));
-        EXPECT_EQ(util::asGrams(result.total),
-                  (util::asGrams(result.silicon_embodied) +
-                   util::asGrams(result.substrate_embodied) +
-                   util::asGrams(result.assembly_embodied)) /
-                      result.package_yield);
-        EXPECT_GT(util::asSquareCentimeters(result.effective_silicon),
-                  util::asSquareCentimeters(result.silicon_area));
-        EXPECT_GT(result.min_die_yield, 0.0);
-        EXPECT_LT(result.min_die_yield, 1.0);
+        for (const core::YieldModel model : kYieldModels) {
+            const PackageSpec spec = heteroSpec(style, model);
+            const PackageResult result = evaluatePackage(spec, fab);
+            EXPECT_EQ(result.die_count, spec.dieCount());
+            EXPECT_EQ(result.package_yield,
+                      std::pow(spec.bond_yield,
+                               bondCount(style, spec.dieCount())));
+            EXPECT_EQ(util::asGrams(result.total),
+                      (util::asGrams(result.silicon_embodied) +
+                       util::asGrams(result.substrate_embodied) +
+                       util::asGrams(result.assembly_embodied)) /
+                          result.package_yield);
+            EXPECT_GT(
+                util::asSquareCentimeters(result.effective_silicon),
+                util::asSquareCentimeters(result.silicon_area));
+            EXPECT_GT(result.min_die_yield, 0.0);
+            EXPECT_LT(result.min_die_yield, 1.0);
+        }
     }
 }
 
@@ -114,111 +114,6 @@ TEST(PackageOracle, InterfaceEnergyScalesWithBits)
     EXPECT_EQ(result.d2d_energy_pj_per_bit, 1.0);
     EXPECT_DOUBLE_EQ(util::asJoules(result.interfaceEnergy(1e12)),
                      1.0);
-}
-
-// ---------------------------------------------------------------------
-// Compiled plan vs oracle, bitwise
-// ---------------------------------------------------------------------
-
-TEST(PackagePlanTest, MatchesOracleBitwiseEveryStyleAndYieldModel)
-{
-    const core::FabParams fab;
-    for (const PackagingStyle style : kPackagingStyles) {
-        for (const core::YieldModel model : kYieldModels) {
-            const PackageSpec spec = heteroSpec(style, model);
-            const PackagePlan plan =
-                PackagePlan::compile(spec, fab);
-            const PackageResult oracle = evaluatePackage(spec, fab);
-            EXPECT_EQ(plan.evaluate(), util::asGrams(oracle.total))
-                << packagingStyleName(style) << " / "
-                << core::yieldModelName(model);
-            EXPECT_EQ(plan.packageYield(), oracle.package_yield);
-        }
-    }
-}
-
-TEST(PackagePlanTest, RowPerGroupPlusSubstrate)
-{
-    const core::FabParams fab;
-    const auto rows = [&fab](PackagingStyle style) {
-        return PackagePlan::compile(
-                   heteroSpec(style,
-                              core::YieldModel::NegativeBinomial),
-                   fab)
-            .rowCount();
-    };
-    EXPECT_EQ(rows(PackagingStyle::Monolithic), 1u);
-    EXPECT_EQ(rows(PackagingStyle::OrganicSubstrate), 4u);
-    EXPECT_EQ(rows(PackagingStyle::SiliconInterposer), 4u);
-    // 3D stacks have no substrate row.
-    EXPECT_EQ(rows(PackagingStyle::Stacked3D), 3u);
-}
-
-TEST(PackagePlanTest, BoundInputsMatchMutatedOracleBitwise)
-{
-    const std::vector<core::EvalInput> bindings = {
-        core::EvalInput::CiFab, core::EvalInput::Abatement};
-    for (const PackagingStyle style : kPackagingStyles) {
-        const PackageSpec spec =
-            heteroSpec(style, core::YieldModel::Murphy);
-        const PackagePlan plan =
-            PackagePlan::compile(spec, core::FabParams{}, bindings);
-        for (const double ci : {30.0, 365.0, 700.0}) {
-            for (const double abatement : {0.90, 0.97, 1.0}) {
-                core::FabParams fab;
-                fab.ci_fab = util::gramsPerKilowattHour(ci);
-                fab.abatement = abatement;
-                const double values[] = {ci, abatement};
-                EXPECT_EQ(plan.evaluate(values),
-                          util::asGrams(
-                              evaluatePackage(spec, fab).total))
-                    << packagingStyleName(style) << " ci " << ci
-                    << " abatement " << abatement;
-            }
-        }
-    }
-}
-
-TEST(PackagePlanTest, BatchMatchesScalarBitwise)
-{
-    // A ragged, non-multiple-of-SIMD-width sample count over the full
-    // fab-CI range; the SoA kernel must reproduce the scalar loop
-    // bit-for-bit (the same contract core::EvalPlan keeps).
-    constexpr std::size_t kSamples = 257;
-    std::vector<double> ci(kSamples);
-    for (std::size_t i = 0; i < kSamples; ++i) {
-        ci[i] = 30.0 + (700.0 - 30.0) * static_cast<double>(i) /
-                           static_cast<double>(kSamples - 1);
-    }
-    const std::vector<core::EvalInput> bindings = {
-        core::EvalInput::CiFab};
-    const double *columns[] = {ci.data()};
-    for (const PackagingStyle style : kPackagingStyles) {
-        for (const core::YieldModel model : kYieldModels) {
-            const PackagePlan plan = PackagePlan::compile(
-                heteroSpec(style, model), core::FabParams{},
-                bindings);
-            std::vector<double> batch(kSamples);
-            std::vector<double> scratch(kSamples);
-            plan.evaluateBatch(kSamples, columns, batch.data(),
-                               scratch.data());
-            for (std::size_t i = 0; i < kSamples; ++i) {
-                EXPECT_EQ(batch[i], plan.evaluate(&ci[i]))
-                    << packagingStyleName(style) << " / "
-                    << core::yieldModelName(model) << " sample " << i;
-            }
-        }
-    }
-}
-
-TEST(PackagePlanTest, BaselineMatchesUnboundEvaluate)
-{
-    const PackagePlan plan = PackagePlan::compile(
-        heteroSpec(PackagingStyle::SiliconInterposer,
-                   core::YieldModel::Poisson),
-        core::FabParams{});
-    EXPECT_EQ(util::asGrams(plan.baseline()), plan.evaluate());
-    EXPECT_EQ(plan.inputCount(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -318,20 +213,6 @@ TEST_F(PackageDeathTest, UnknownStyleNameIsFatal)
 {
     EXPECT_EXIT(packagingStyleByName("bogus"),
                 ::testing::ExitedWithCode(1), "unknown packaging");
-}
-
-TEST_F(PackageDeathTest, PlanRejectsNonFabBindings)
-{
-    const std::vector<core::EvalInput> yield_binding = {
-        core::EvalInput::Yield};
-    EXPECT_EXIT(PackagePlan::compile(spec_, core::FabParams{},
-                                     yield_binding),
-                ::testing::ExitedWithCode(1), "defect models");
-    const std::vector<core::EvalInput> epa_binding = {
-        core::EvalInput::Epa};
-    EXPECT_EXIT(PackagePlan::compile(spec_, core::FabParams{},
-                                     epa_binding),
-                ::testing::ExitedWithCode(1), "");
 }
 
 } // namespace

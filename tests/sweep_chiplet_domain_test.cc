@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the "chiplet" sweep domain: the packaging-style x
- * die-count grid evaluated through compiled pkg::PackagePlans, and
- * the engine contract -- shards merge byte-identically to the
+ * die-count grid evaluated through pkg::evaluatePackage(), and the
+ * engine contract -- shards merge byte-identically to the
  * single-process run at any shard and thread count.
  */
 
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "pkg/package.h"
 #include "sweep/domains.h"
 #include "sweep/engine.h"
 #include "sweep/plan.h"
@@ -101,17 +102,43 @@ TEST_F(SweepChipletDomainTest, PointsCarryTheScenarioColumn)
     const config::JsonValue doc =
         fullSweepResult(plan, domain.evaluator(plan));
 
+    // Each point's totals must be pkg::evaluatePackage() bit-for-bit:
+    // the plan's grid spec under the default fab, then once per
+    // scenario with only fab.ci_fab changed.
+    core::DefectParams defects;
+    defects.defect_density_per_cm2 = 0.15;
+    const double scenarios[] = {30.0, 300.0, 700.0};
     std::size_t points = 0;
     for (const config::JsonValue &chunk :
          doc.at("results").asArray()) {
         for (const config::JsonValue &point : chunk.asArray()) {
             ++points;
-            EXPECT_GT(point.at("total_g").asNumber(), 0.0);
-            EXPECT_GT(point.at("package_yield").asNumber(), 0.0);
-            EXPECT_LE(point.at("package_yield").asNumber(), 1.0);
+            pkg::PackageSpec spec = pkg::PackageSpec::forStyle(
+                pkg::packagingStyleByName(
+                    point.at("style").asString()));
+            spec.chiplets.push_back(pkg::splitLogicDie(
+                util::squareMillimeters(800.0),
+                static_cast<int>(point.at("num_dies").asNumber()),
+                7.0, defects, 0.10));
+            const pkg::PackageResult result =
+                pkg::evaluatePackage(spec, core::FabParams{});
+            EXPECT_EQ(point.at("total_g").asNumber(),
+                      util::asGrams(result.total));
+            EXPECT_EQ(point.at("package_yield").asNumber(),
+                      result.package_yield);
             const config::JsonArray &totals =
                 point.at("ci_fab_totals_g").asArray();
             ASSERT_EQ(totals.size(), 3u);
+            for (std::size_t i = 0; i < totals.size(); ++i) {
+                core::FabParams fab;
+                fab.ci_fab = util::gramsPerKilowattHour(scenarios[i]);
+                EXPECT_EQ(totals[i].asNumber(),
+                          util::asGrams(
+                              pkg::evaluatePackage(spec, fab).total))
+                    << point.at("style").asString() << " x "
+                    << point.at("num_dies").asNumber() << ", scenario "
+                    << i;
+            }
             // Embodied carbon is strictly increasing in fab CI.
             EXPECT_LT(totals[0].asNumber(), totals[1].asNumber());
             EXPECT_LT(totals[1].asNumber(), totals[2].asNumber());
@@ -184,6 +211,16 @@ TEST_F(SweepChipletDeathTest, EmptyGridIsFatal)
                     "logic_area_mm2": 800, "max_chiplets": 1,
                     "styles": ["organic"]}})"),
                 ::testing::ExitedWithCode(1), "no grid points");
+}
+
+TEST_F(SweepChipletDeathTest, NegativeScenarioCiIsFatal)
+{
+    EXPECT_EXIT(prepareText(R"({"domain": "chiplet", "config": {
+                    "logic_area_mm2": 800,
+                    "ci_fab_g_per_kwh": [30, -1]}})"),
+                ::testing::ExitedWithCode(1),
+                "'ci_fab_g_per_kwh' entries must be finite and >= 0, "
+                "got -1");
 }
 
 TEST_F(SweepChipletDeathTest, UnknownDomainHintsAtListDomains)

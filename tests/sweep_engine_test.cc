@@ -8,15 +8,19 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "accel/design_space.h"
 #include "core/embodied.h"
 #include "core/fab_params.h"
 #include "core/model_config.h"
+#include "data/soc_db.h"
 #include "dse/montecarlo.h"
+#include "mobile/platform.h"
 #include "sweep/domains.h"
 #include "sweep/engine.h"
 #include "sweep/plan.h"
@@ -115,11 +119,21 @@ TEST_F(SweepEngineTest, InvalidShardSpecIsFatal)
 // Shard-vs-single bit-identity
 // ---------------------------------------------------------------------
 
+/** A prepared plan from JSON text. */
+SweepPlan
+preparedPlan(const std::string &text)
+{
+    SweepPlan plan =
+        sweepPlanFromJson(config::JsonValue::parse(text));
+    findDomain(plan.domain).prepare(plan);
+    return plan;
+}
+
 /** A 10k-sample CPA Monte Carlo plan (5 chunks of 2048). */
 SweepPlan
 monteCarloPlan()
 {
-    const std::string text = R"({
+    return preparedPlan(R"({
         "domain": "cpa_montecarlo",
         "items": 10000,
         "seed": 42,
@@ -134,40 +148,145 @@ monteCarloPlan()
                  "low": 0.9, "high": 1.0}
             ]
         }
-    })";
-    SweepPlan plan =
-        sweepPlanFromJson(config::JsonValue::parse(text));
-    findDomain(plan.domain).prepare(plan);
-    return plan;
+    })");
+}
+
+/** The Fig. 8 SoC sweep under a non-default fab. */
+SweepPlan
+mobilePlan()
+{
+    return preparedPlan(R"({
+        "domain": "mobile",
+        "seed": 42,
+        "config": {
+            "fab": {"ci_fab_g_per_kwh": 123, "abatement": 0.99,
+                    "yield": 0.8, "lookup": "nearest"}
+        }
+    })");
+}
+
+/** The examples/configs/sweep_accel.json node x MAC walk. */
+SweepPlan
+accelPlan()
+{
+    return preparedPlan(R"({
+        "domain": "accel",
+        "seed": 42,
+        "config": {"nodes": [28, 20, 16, 10, 7, 5, 3]}
+    })");
 }
 
 TEST_F(SweepEngineTest, ShardedMergeIsByteIdenticalToSingleProcess)
 {
-    const SweepPlan plan = monteCarloPlan();
-    const Domain &domain = findDomain(plan.domain);
+    for (const SweepPlan &plan :
+         {monteCarloPlan(), mobilePlan(), accelPlan()}) {
+        const Domain &domain = findDomain(plan.domain);
 
-    util::setThreadCount(1);
-    const std::string reference =
-        fullSweepResult(plan, domain.evaluator(plan)).dump();
+        util::setThreadCount(1);
+        const std::string reference =
+            fullSweepResult(plan, domain.evaluator(plan)).dump();
 
-    for (const std::size_t threads : {1u, 7u}) {
-        util::setThreadCount(threads);
-        EXPECT_EQ(fullSweepResult(plan, domain.evaluator(plan)).dump(),
-                  reference)
-            << "single-process, " << threads << " threads";
-        for (const std::size_t shard_count : {1u, 2u, 5u}) {
-            std::vector<ShardResult> partials;
-            for (std::size_t i = 0; i < shard_count; ++i) {
-                // Round-trip every partial through its file format,
-                // exactly as the multi-process path would.
-                const ShardResult partial = runShardedSweep(
-                    plan, {shard_count, i}, domain.evaluator(plan));
-                partials.push_back(
-                    shardResultFromJson(toJson(partial)));
-            }
-            EXPECT_EQ(mergeShards(partials).dump(), reference)
-                << shard_count << " shards, " << threads
+        for (const std::size_t threads : {1u, 7u}) {
+            util::setThreadCount(threads);
+            EXPECT_EQ(
+                fullSweepResult(plan, domain.evaluator(plan)).dump(),
+                reference)
+                << plan.domain << ", single-process, " << threads
                 << " threads";
+            for (const std::size_t shard_count : {1u, 2u, 5u}) {
+                std::vector<ShardResult> partials;
+                for (std::size_t i = 0; i < shard_count; ++i) {
+                    // Round-trip every partial through its file
+                    // format, exactly as the multi-process path would.
+                    const ShardResult partial = runShardedSweep(
+                        plan, {shard_count, i}, domain.evaluator(plan));
+                    partials.push_back(
+                        shardResultFromJson(toJson(partial)));
+                }
+                EXPECT_EQ(mergeShards(partials).dump(), reference)
+                    << plan.domain << ", " << shard_count
+                    << " shards, " << threads << " threads";
+            }
+        }
+    }
+}
+
+/** Every payload point of a single-process run, in item order. */
+std::vector<config::JsonValue>
+payloadPoints(const SweepPlan &plan)
+{
+    const config::JsonValue doc =
+        fullSweepResult(plan, findDomain(plan.domain).evaluator(plan));
+    std::vector<config::JsonValue> points;
+    for (const config::JsonValue &chunk : doc.at("results").asArray()) {
+        for (const config::JsonValue &point : chunk.asArray())
+            points.push_back(point);
+    }
+    return points;
+}
+
+TEST_F(SweepEngineTest, MobilePointsMatchDesignPointBitwise)
+{
+    const SweepPlan plan = mobilePlan();
+    core::FabParams fab;
+    fab.ci_fab = util::gramsPerKilowattHour(123.0);
+    fab.abatement = 0.99;
+    fab.yield = 0.8;
+    fab.lookup = data::NodeLookup::NearestAnchor;
+
+    const auto records = data::SocDatabase::instance().records();
+    const std::vector<config::JsonValue> points = payloadPoints(plan);
+    ASSERT_EQ(points.size(), records.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const core::DesignPoint expected =
+            mobile::designPoint(records[i], fab);
+        const config::JsonValue &point = points[i];
+        EXPECT_EQ(point.at("name").asString(), expected.name);
+        EXPECT_EQ(point.at("embodied_kg").asNumber(),
+                  util::asKilograms(expected.embodied))
+            << expected.name;
+        EXPECT_EQ(point.at("energy_j").asNumber(),
+                  util::asJoules(expected.energy));
+        EXPECT_EQ(point.at("delay_s").asNumber(),
+                  util::asSeconds(expected.delay));
+        EXPECT_EQ(point.at("area_mm2").asNumber(),
+                  util::asSquareMillimeters(expected.area));
+    }
+}
+
+TEST_F(SweepEngineTest, AccelPointsMatchSweepDesignSpaceBitwise)
+{
+    const SweepPlan plan = accelPlan();
+    const accel::NpuModel model;
+    const std::vector<config::JsonValue> points = payloadPoints(plan);
+    const std::size_t macs = accel::macSweep().size();
+    const double nodes[] = {28, 20, 16, 10, 7, 5, 3};
+    ASSERT_EQ(points.size(), std::size(nodes) * macs);
+    for (std::size_t n = 0; n < std::size(nodes); ++n) {
+        const std::vector<accel::SweepEntry> entries =
+            accel::sweepDesignSpace(model, nodes[n], core::FabParams{});
+        ASSERT_EQ(entries.size(), macs);
+        for (std::size_t m = 0; m < macs; ++m) {
+            const accel::NpuEvaluation &evaluation =
+                entries[m].evaluation;
+            const config::JsonValue &point = points[n * macs + m];
+            EXPECT_EQ(point.at("node_nm").asNumber(), nodes[n]);
+            EXPECT_EQ(point.at("macs").asNumber(),
+                      static_cast<double>(evaluation.config.mac_count));
+            EXPECT_EQ(point.at("embodied_g").asNumber(),
+                      util::asGrams(entries[m].embodied))
+                << nodes[n] << " nm, " << evaluation.config.mac_count
+                << " MACs";
+            EXPECT_EQ(point.at("energy_per_frame_j").asNumber(),
+                      util::asJoules(evaluation.energy_per_frame));
+            EXPECT_EQ(point.at("latency_s").asNumber(),
+                      util::asSeconds(evaluation.latency));
+            EXPECT_EQ(point.at("fps").asNumber(),
+                      evaluation.frames_per_second);
+            EXPECT_EQ(point.at("area_mm2").asNumber(),
+                      util::asSquareMillimeters(evaluation.area));
+            EXPECT_EQ(point.at("utilization").asNumber(),
+                      evaluation.utilization);
         }
     }
 }
@@ -250,6 +369,61 @@ TEST_F(SweepEngineTest, MergedResultMatchesInProcessMonteCarlo)
     EXPECT_EQ(sharded.p95, direct.p95);
     EXPECT_EQ(sharded.min, direct.min);
     EXPECT_EQ(sharded.max, direct.max);
+}
+
+// ---------------------------------------------------------------------
+// cpa_montecarlo range validation
+// ---------------------------------------------------------------------
+
+/** Prepare a one-parameter cpa_montecarlo plan over [low, high]. */
+void
+prepareRange(const std::string &name, const std::string &low,
+             const std::string &high)
+{
+    preparedPlan(R"({"domain": "cpa_montecarlo", "items": 1000,
+        "config": {"node_nm": 7, "parameters": [{"name": ")" +
+                 name + R"(", "low": )" + low + R"(, "high": )" + high +
+                 "}]}}");
+}
+
+TEST_F(SweepEngineTest, MonteCarloRangesInsideTheirDomainsPrepare)
+{
+    prepareRange("ci_fab_g_per_kwh", "0", "1000");
+    prepareRange("yield", "0.5", "1");
+    prepareRange("abatement", "0.9", "1");
+}
+
+TEST_F(SweepEngineTest, NegativeCiFabRangeIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(prepareRange("ci_fab_g_per_kwh", "-500", "-100"),
+                ::testing::ExitedWithCode(1),
+                "parameter 'ci_fab_g_per_kwh' range \\[-500, -100\\] "
+                "must be finite and >= 0");
+    EXPECT_EXIT(prepareRange("ci_fab_g_per_kwh", "-1", "100"),
+                ::testing::ExitedWithCode(1), "must be finite and >= 0");
+}
+
+TEST_F(SweepEngineTest, YieldRangeOutsideUnitIntervalIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(prepareRange("yield", "0", "0.5"),
+                ::testing::ExitedWithCode(1),
+                "fab yield range \\[0, 0.5\\] outside \\(0, 1\\]");
+    EXPECT_EXIT(prepareRange("yield", "0.5", "1.2"),
+                ::testing::ExitedWithCode(1), "fab yield range");
+}
+
+TEST_F(SweepEngineTest, AbatementRangeOutsideBandIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(prepareRange("abatement", "0.5", "0.99"),
+                ::testing::ExitedWithCode(1),
+                "gaseous abatement fraction range \\[0.5, 0.99\\] "
+                "outside the characterized range");
+    EXPECT_EXIT(prepareRange("abatement", "0.95", "1.00002"),
+                ::testing::ExitedWithCode(1),
+                "gaseous abatement fraction range");
 }
 
 // ---------------------------------------------------------------------

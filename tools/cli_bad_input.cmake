@@ -1,13 +1,14 @@
 # Drives `act sweep`, `act merge`, `act trace-merge` and `act status`
 # with broken input files -- a partial truncated as a dead shard leaves
 # it, a plan whose item count is out of integer range, a plan with a
-# mistyped config field, a plan whose samples fail model validation on
-# worker threads, a chiplet plan with a huge or fractional max_chiplets,
-# partials whose metrics section lacks a gauge's values or has a
-# negative bucket count, a fleet partial with a negative job count, a
-# truncated and a mistyped trace -- and checks that each run exits 1
-# with one `fatal:` diagnostic instead of aborting. A heartbeat with bad
-# counts must instead be skipped by `act status` with a warning.
+# mistyped config field, a plan whose abatement range leaves the model's
+# domain, a chiplet plan with a huge or fractional max_chiplets, a
+# chiplet plan whose result overflows to infinity, partials whose
+# metrics section lacks a gauge's values or has a negative bucket
+# count, a fleet partial with a negative job count, a truncated and a
+# mistyped trace -- and checks that each run exits 1 with one `fatal:`
+# diagnostic instead of aborting. A heartbeat with bad counts must
+# instead be skipped by `act status` with a warning.
 #
 #   cmake -DACT=<act binary> -DPLAN=<sweep plan> -DWORK_DIR=<dir> \
 #         -P cli_bad_input.cmake
@@ -67,9 +68,10 @@ expect_fatal("mistyped config field"
     "bad sweep plan 'mistyped.json': JSON value is not a number"
     sweep --plan mistyped.json)
 
-# A fatal() raised inside a worker thread must still exit 1, not abort
-# while tearing the thread pool down. Only the message prefix is
-# checked: which sample it names depends on the thread count.
+# An abatement range reaching past 1.0 is rejected when the plan is
+# prepared, before any sample is drawn, with the same message at any
+# thread count. (Fatals raised on worker threads are covered by the
+# act_cli_concurrent_fatal test.)
 string(REGEX REPLACE "(\"abatement\",[^}]*\"high\": *)1\\.0"
        "\\11.00002" bad_abatement "${plan}")
 if(bad_abatement STREQUAL plan)
@@ -77,7 +79,7 @@ if(bad_abatement STREQUAL plan)
 endif()
 file(WRITE "${WORK_DIR}/bad_abatement.json" "${bad_abatement}")
 set(ENV{ACT_THREADS} 4)
-expect_fatal("worker-thread fatal"
+expect_fatal("abatement range"
     "gaseous abatement fraction"
     sweep --plan bad_abatement.json)
 set(ENV{ACT_THREADS} 1)
@@ -92,6 +94,17 @@ foreach(count 1e9 2.5)
         "chiplet config 'max_chiplets' must be an integer in \\[1, 1024\\]"
         sweep --plan chiplet_${count}.json)
 endforeach()
+
+# A logic area of 1e300 mm2 overflows every package total to infinity,
+# which JSON cannot carry. Writing the result used to succeed with
+# `"total_g": inf`, a file `act merge` then failed to parse; it must
+# fail naming the output file.
+file(WRITE "${WORK_DIR}/chiplet_inf.json"
+     "{\"domain\": \"chiplet\", \"config\": "
+     "{\"logic_area_mm2\": 1e300, \"max_chiplets\": 2}}\n")
+expect_fatal("non-finite result"
+    "cannot write JSON file 'chiplet_inf_out\\.json': JSON cannot represent the non-finite number"
+    sweep --plan chiplet_inf.json --out chiplet_inf_out.json)
 
 # A partial's metrics section with a gauge stripped of its values used
 # to abort `act merge` on an uncaught JSON exception, and a negative
