@@ -172,6 +172,45 @@ gaugeToJson(const std::vector<double> &values)
     return JsonValue(std::move(object));
 }
 
+/**
+ * Quantile @p q of a validated document histogram, by linear
+ * interpolation inside the bucket that holds the requested rank; the
+ * observed min/max stand in for the open ends of the first and
+ * overflow buckets. 0 when empty.
+ */
+double
+histogramQuantile(const JsonValue &histogram, double q)
+{
+    const std::vector<double> bounds =
+        numberArray(histogram.at("bounds"), "histogram bounds");
+    const std::vector<double> counts =
+        numberArray(histogram.at("counts"), "histogram counts");
+    const double min = histogram.at("min").asNumber();
+    const double max = histogram.at("max").asNumber();
+    double total = 0.0;
+    for (const double count : counts)
+        total += count;
+    if (total == 0.0)
+        return 0.0;
+    const double rank = q * total;
+    double cumulative = 0.0;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+        if (counts[i] == 0.0)
+            continue;
+        const double before = cumulative;
+        cumulative += counts[i];
+        if (cumulative < rank)
+            continue;
+        const double lo = i == 0 ? min : bounds[i - 1];
+        const double hi = i < bounds.size() ? bounds[i] : max;
+        const double fraction =
+            std::clamp((rank - before) / counts[i], 0.0, 1.0);
+        return std::clamp(lo + (hi - lo) * fraction, std::min(min, hi),
+                          max);
+    }
+    return max;
+}
+
 } // namespace
 
 JsonValue
@@ -189,14 +228,9 @@ metricsToJson(const util::MetricsSnapshot &snapshot)
     for (const util::HistogramSnapshot &histogram :
          snapshot.histograms) {
         HistogramAccumulator accumulator;
-        for (const auto &[bound, count] : histogram.buckets) {
-            // The last bucket's bound is +infinity, which JSON cannot
-            // carry; the overflow bucket is implied by counts having
-            // one more entry than bounds.
-            if (std::isfinite(bound))
-                accumulator.bounds.push_back(bound);
+        accumulator.bounds = histogram.bounds;
+        for (const std::uint64_t count : histogram.counts)
             accumulator.counts.push_back(static_cast<double>(count));
-        }
         accumulator.count = static_cast<double>(histogram.count);
         accumulator.sum = histogram.sum;
         accumulator.min = histogram.min;
@@ -410,29 +444,30 @@ std::string
 renderMetricsDocTable(const JsonValue &doc)
 {
     validateMetricsDoc(doc);
-    util::Table table(
-        {"Metric", "Type", "Count", "Mean", "Min", "Max"});
+    const auto sig = [](double value) { return util::formatSig(value, 4); };
+    util::Table table({"Metric", "Type", "Count", "Mean", "P50", "P95",
+                       "Min", "Max"});
     for (const auto &[name, value] : requireObject(doc, "counters")) {
-        table.addRow({name, "counter",
-                      formatNumber(value.asNumber()), "", "", ""});
+        table.addRow({name, "counter", formatNumber(value.asNumber()),
+                      "", "", "", "", ""});
     }
     for (const auto &[name, value] : requireObject(doc, "gauges")) {
         const std::vector<double> values =
             numberArray(value.at("values"), "gauge values");
-        table.addRow(
-            {name, "gauge", std::to_string(values.size()),
-             util::formatSig(value.numberOr("mean", 0.0), 4),
-             util::formatSig(value.numberOr("min", 0.0), 4),
-             util::formatSig(value.numberOr("max", 0.0), 4)});
+        table.addRow({name, "gauge", std::to_string(values.size()),
+                      sig(value.numberOr("mean", 0.0)), "", "",
+                      sig(value.numberOr("min", 0.0)),
+                      sig(value.numberOr("max", 0.0))});
     }
     for (const auto &[name, value] : requireObject(doc, "histograms")) {
         const double count = value.at("count").asNumber();
         const double mean =
             count > 0.0 ? value.at("sum").asNumber() / count : 0.0;
-        table.addRow({name, "histogram", formatNumber(count),
-                      util::formatSig(mean, 4),
-                      util::formatSig(value.at("min").asNumber(), 4),
-                      util::formatSig(value.at("max").asNumber(), 4)});
+        table.addRow({name, "histogram", formatNumber(count), sig(mean),
+                      sig(histogramQuantile(value, 0.50)),
+                      sig(histogramQuantile(value, 0.95)),
+                      sig(value.at("min").asNumber()),
+                      sig(value.at("max").asNumber())});
     }
     return table.render();
 }

@@ -4,8 +4,10 @@
  * document. A document captures one process's `util::MetricsRegistry`
  * snapshot in a form that survives process boundaries -- counters,
  * gauges, and histograms with explicit bucket bounds plus their
- * always-live sum/count/min/max -- so a sharded sweep's telemetry can
- * be aggregated exactly like its results are (see sweep/engine.h).
+ * sum/count/min/max -- so a sharded sweep's telemetry can be
+ * aggregated exactly like its results are (see sweep/engine.h). It is
+ * the only form in which metrics leave the registry: every metrics
+ * table and the Prometheus output are rendered from it.
  *
  * Document shape (all maps are name-keyed objects, so serialization
  * is deterministic via the config JSON writer's ordered maps):
@@ -79,7 +81,13 @@ mergeMetricsDocs(const std::vector<config::JsonValue> &docs);
  */
 std::string renderPrometheus(const config::JsonValue &doc);
 
-/** ASCII table (util/table) of a document, for `act merge` output. */
+/**
+ * ASCII table (util/table) of a document: one row per metric with
+ * Type, Count, Mean, P50, P95, Min and Max columns. Histogram
+ * quantiles are interpolated inside the bucket holding the rank. This
+ * is the table bench `--metrics`, `act --metrics` and `act merge`
+ * print.
+ */
 std::string renderMetricsDocTable(const config::JsonValue &doc);
 
 } // namespace act::obs

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <iostream>
 
+#include "obs/metrics_doc.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/strings.h"
@@ -51,7 +52,8 @@ Experiment::~Experiment()
     span_.finish();
     if (util::metricsEnabled()) {
         std::cout << "\n--- metrics (" << id_ << ") ---\n"
-                  << util::MetricsRegistry::instance().renderTable();
+                  << obs::renderMetricsDocTable(obs::metricsToJson(
+                         util::MetricsRegistry::instance().snapshot()));
     }
     util::flushTrace();
 }

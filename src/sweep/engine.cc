@@ -185,13 +185,10 @@ shardResultFromJson(const JsonValue &value)
                     "', expected '", kPartialFormat, "')");
     ShardResult result;
     result.plan = sweepPlanFromJson(value.at("plan"));
-    result.shard.shard_count = static_cast<std::size_t>(
-        value.at("shard_count").asInteger());
-    result.shard.shard_index = static_cast<std::size_t>(
-        value.at("shard_index").asInteger());
+    result.shard.shard_count = sizeField(value, "shard_count");
+    result.shard.shard_index = sizeField(value, "shard_index");
     validateShard(result.shard);
-    result.chunk_begin = static_cast<std::size_t>(
-        value.at("chunk_begin").asInteger());
+    result.chunk_begin = sizeField(value, "chunk_begin");
     result.chunks = value.at("chunks").asArray();
     if (value.contains("metrics"))
         result.metrics = value.at("metrics");

@@ -66,20 +66,19 @@ seedFromJson(const JsonValue &value)
     return static_cast<std::uint64_t>(seed);
 }
 
+} // namespace
+
 std::size_t
-sizeField(const JsonValue &value, const std::string &key,
-          std::size_t fallback)
+sizeField(const JsonValue &value, const std::string &key)
 {
-    if (!value.contains(key))
-        return fallback;
     const std::int64_t parsed = value.at(key).asInteger();
     if (parsed < 0)
-        util::fatal("sweep plan '", key, "' must be non-negative, got ",
-                    parsed);
+        throw config::JsonTypeError("'" + key +
+                                    "' must be a non-negative integer "
+                                    "(got " +
+                                    std::to_string(parsed) + ")");
     return static_cast<std::size_t>(parsed);
 }
-
-} // namespace
 
 JsonValue
 toJson(const SweepPlan &plan)
@@ -103,8 +102,10 @@ sweepPlanFromJson(const JsonValue &value)
     plan.domain = value.at("domain").asString();
     if (plan.domain.empty())
         util::fatal("sweep plan 'domain' must not be empty");
-    plan.items = sizeField(value, "items", 0);
-    plan.grain = sizeField(value, "grain", 0);
+    if (value.contains("items"))
+        plan.items = sizeField(value, "items");
+    if (value.contains("grain"))
+        plan.grain = sizeField(value, "grain");
     if (value.contains("seed"))
         plan.seed = seedFromJson(value.at("seed"));
     plan.fingerprint = value.stringOr("fingerprint", "");

@@ -79,6 +79,15 @@ config::JsonValue toJson(const SweepPlan &plan);
 SweepPlan sweepPlanFromJson(const config::JsonValue &value);
 
 /**
+ * @p value's count field @p key (plan sizes, shard fields): a JSON
+ * integer >= 0. Throws config::JsonTypeError when the key is missing
+ * or not an integer, and "'<key>' must be a non-negative integer
+ * (got N)" when it is negative, where a bare cast would wrap it.
+ */
+std::size_t sizeField(const config::JsonValue &value,
+                      const std::string &key);
+
+/**
  * A deterministic slice of a plan's chunks: shard i of N owns the
  * contiguous chunk range [floor(C*i/N), floor(C*(i+1)/N)).
  */

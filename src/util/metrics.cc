@@ -1,17 +1,12 @@
 #include "util/metrics.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 
 #include "util/env.h"
 #include "util/logging.h"
-#include "util/strings.h"
-#include "util/table.h"
 
 namespace act::util {
 
@@ -30,6 +25,22 @@ struct MetricsEnvInit
     }
 } g_metrics_env_init;
 
+/** The default duration bucket ladder, in microseconds: a 1/2/5
+ *  decade ladder from 1 us to 10 s, suiting everything from a single
+ *  chunk to a whole sweep. */
+std::vector<double>
+latencyBucketsUs()
+{
+    std::vector<double> bounds;
+    for (double decade = 1.0; decade <= 1e6; decade *= 10.0) {
+        bounds.push_back(decade);
+        bounds.push_back(2.0 * decade);
+        bounds.push_back(5.0 * decade);
+    }
+    bounds.push_back(1e7); // 10 s
+    return bounds;
+}
+
 } // namespace
 
 bool
@@ -44,80 +55,6 @@ setMetricsEnabled(bool enabled)
     g_metrics_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-namespace {
-
-/** Every thread's counter slab, kept alive past thread exit so late
- *  `value()` calls still see the contribution. Leaked on purpose. */
-struct SlabRegistry
-{
-    std::mutex mutex;
-    std::vector<std::shared_ptr<detail::CounterSlab>> slabs;
-};
-
-SlabRegistry &
-slabRegistry()
-{
-    static SlabRegistry *registry = new SlabRegistry;
-    return *registry;
-}
-
-std::size_t
-allocateCounterId()
-{
-    static std::atomic<std::size_t> next{0};
-    return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-} // namespace
-
-namespace detail {
-
-CounterSlab *
-registerCounterSlab()
-{
-    auto slab = std::make_shared<CounterSlab>();
-    for (auto &value : slab->values)
-        value.store(0, std::memory_order_relaxed);
-    SlabRegistry &registry = slabRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    registry.slabs.push_back(slab);
-    return slab.get();
-}
-
-} // namespace detail
-
-Counter::Counter() : id_(allocateCounterId())
-{
-    if (id_ >= detail::kCounterSlabSlots)
-        warn("metrics counter slab exhausted (", id_,
-             " counters); falling back to a shared slot");
-}
-
-std::uint64_t
-Counter::value() const
-{
-    std::uint64_t total = spill_.load(std::memory_order_relaxed);
-    if (id_ < detail::kCounterSlabSlots) {
-        SlabRegistry &registry = slabRegistry();
-        std::lock_guard<std::mutex> lock(registry.mutex);
-        for (const auto &slab : registry.slabs)
-            total += slab->values[id_].load(std::memory_order_relaxed);
-    }
-    return total;
-}
-
-void
-Counter::reset()
-{
-    spill_.store(0, std::memory_order_relaxed);
-    if (id_ < detail::kCounterSlabSlots) {
-        SlabRegistry &registry = slabRegistry();
-        std::lock_guard<std::mutex> lock(registry.mutex);
-        for (const auto &slab : registry.slabs)
-            slab->values[id_].store(0, std::memory_order_relaxed);
-    }
-}
-
 Histogram::Histogram(std::vector<double> bucket_bounds)
     : bounds_(std::move(bucket_bounds)),
       buckets_(bounds_.size() + 1)
@@ -129,16 +66,14 @@ Histogram::Histogram(std::vector<double> bucket_bounds)
 void
 Histogram::observe(double value)
 {
-    // count/sum/min/max are always live, like counters: means and
-    // ranges survive into snapshots and metrics documents even when
-    // bucket collection (and the clock reads feeding most histograms)
-    // is off. Only the bucket scan is gated.
-    if (metricsEnabled()) {
-        const auto bucket =
-            std::lower_bound(bounds_.begin(), bounds_.end(), value);
-        buckets_[static_cast<std::size_t>(bucket - bounds_.begin())]
-            .fetch_add(1, std::memory_order_relaxed);
-    }
+    // Nothing reads a histogram with metrics off, so nothing is
+    // recorded: count always equals the sum of the bucket counts.
+    if (!metricsEnabled())
+        return;
+    const auto bucket =
+        std::lower_bound(bounds_.begin(), bounds_.end(), value);
+    buckets_[static_cast<std::size_t>(bucket - bounds_.begin())]
+        .fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t previous =
         count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
@@ -193,48 +128,6 @@ Histogram::bucketCounts() const
     for (const auto &bucket : buckets_)
         counts.push_back(bucket.load(std::memory_order_relaxed));
     return counts;
-}
-
-double
-Histogram::quantile(double q) const
-{
-    const std::vector<std::uint64_t> counts = bucketCounts();
-    std::uint64_t total = 0;
-    for (std::uint64_t c : counts)
-        total += c;
-    if (total == 0)
-        return 0.0;
-    const double rank = q * static_cast<double>(total);
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        if (counts[i] == 0)
-            continue;
-        const double before = static_cast<double>(cumulative);
-        cumulative += counts[i];
-        if (static_cast<double>(cumulative) < rank)
-            continue;
-        // Interpolate inside this bucket; the observed min/max clamp
-        // the open-ended first and overflow buckets.
-        const double lo = i == 0 ? min() : bounds_[i - 1];
-        const double hi = i < bounds_.size() ? bounds_[i] : max();
-        const double fraction =
-            (rank - before) / static_cast<double>(counts[i]);
-        const double clamped = std::clamp(fraction, 0.0, 1.0);
-        return std::clamp(lo + (hi - lo) * clamped,
-                          std::min(min(), hi), max());
-    }
-    return max();
-}
-
-void
-Histogram::reset()
-{
-    for (auto &bucket : buckets_)
-        bucket.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0.0, std::memory_order_relaxed);
-    min_.store(0.0, std::memory_order_relaxed);
-    max_.store(0.0, std::memory_order_relaxed);
 }
 
 /** Name-keyed maps; node-based so references stay valid forever. */
@@ -321,62 +214,11 @@ MetricsRegistry::snapshot() const
         h.sum = histogram->sum();
         h.min = histogram->min();
         h.max = histogram->max();
-        h.p50 = histogram->quantile(0.50);
-        h.p95 = histogram->quantile(0.95);
-        const auto counts = histogram->bucketCounts();
-        const auto &bounds = histogram->bounds();
-        for (std::size_t i = 0; i < counts.size(); ++i) {
-            const double bound =
-                i < bounds.size()
-                    ? bounds[i]
-                    : std::numeric_limits<double>::infinity();
-            h.buckets.emplace_back(bound, counts[i]);
-        }
+        h.bounds = histogram->bounds();
+        h.counts = histogram->bucketCounts();
         snapshot.histograms.push_back(std::move(h));
     }
     return snapshot;
-}
-
-std::string
-MetricsRegistry::renderTable() const
-{
-    const MetricsSnapshot data = snapshot();
-    Table table({"Metric", "Count", "Mean", "P50", "P95", "Max"});
-    for (const auto &[name, value] : data.counters)
-        table.addRow({name, std::to_string(value), "", "", "", ""});
-    for (const auto &[name, value] : data.gauges)
-        table.addRow({name, "", formatSig(value, 4), "", "", ""});
-    for (const auto &histogram : data.histograms) {
-        table.addRow({histogram.name, std::to_string(histogram.count),
-                      formatSig(histogram.mean(), 4),
-                      formatSig(histogram.p50, 4),
-                      formatSig(histogram.p95, 4),
-                      formatSig(histogram.max, 4)});
-    }
-    return table.render();
-}
-
-void
-MetricsRegistry::reset()
-{
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    for (const auto &[name, counter] : impl_->counters)
-        counter->reset();
-    for (const auto &[name, histogram] : impl_->histograms)
-        histogram->reset();
-}
-
-std::vector<double>
-latencyBucketsUs()
-{
-    std::vector<double> bounds;
-    for (double decade = 1.0; decade <= 1e6; decade *= 10.0) {
-        bounds.push_back(decade);
-        bounds.push_back(2.0 * decade);
-        bounds.push_back(5.0 * decade);
-    }
-    bounds.push_back(1e7); // 10 s
-    return bounds;
 }
 
 } // namespace act::util

@@ -1,23 +1,22 @@
 /**
  * @file
  * Process-wide metrics registry: named counters, gauges, and
- * fixed-bucket histograms that any layer can update from any thread,
- * plus snapshot/rendering so bench binaries and the CLI can print an
- * end-of-run table (via util/table) or CSV (via util/csv).
+ * fixed-bucket histograms that any layer can update from any thread.
+ * Metrics leave the registry in one form: `snapshot()`, which
+ * obs/metrics_doc.h serializes as an `act.metrics.v1` document. Every
+ * metrics table (bench `--metrics`, `act --metrics`, `act merge`) and
+ * the Prometheus output are rendered from that document.
  *
  * Overhead contract:
  *  - Counters and gauges are always live: an update is one relaxed
- *    atomic load + store (counters write a single-writer per-thread
- *    slab slot, so there is no locked RMW and no line shared between
- *    writers). Model-level statistics (e.g. the Eq. 5 evaluation count)
- *    therefore work even when metrics emission is off.
- *  - Histogram summary statistics (count/sum/min/max) are always live
- *    too, so snapshot means survive with metrics emission off. Bucket
- *    collection -- and any *measurement* feeding an observe (clock
- *    reads, per-chunk bookkeeping) -- is gated behind
- *    `metricsEnabled()`, a single relaxed atomic flag. With
- *    `ACT_METRICS` unset the cost of an instrumented code path is one
- *    relaxed load and a branch.
+ *    atomic. Counters are bumped per call or per block of work, never
+ *    per sample, so model-level statistics (e.g. the Eq. 5 evaluation
+ *    count) cost nothing measurable and work with metrics off.
+ *  - Histograms record nothing while `metricsEnabled()` (a single
+ *    relaxed atomic flag) is false, and callers gate any measurement
+ *    feeding an observe (clock reads, per-chunk bookkeeping) on the
+ *    same flag. A snapshot's histogram `count` therefore always equals
+ *    the sum of its bucket counts.
  *  - Registration (`counter()`, `gauge()`, `histogram()`) takes a lock
  *    and is intended for cold paths; call sites cache the returned
  *    reference, which stays valid for the life of the process (the
@@ -46,69 +45,28 @@ bool metricsEnabled();
 /** Turn metrics collection on or off at runtime. */
 void setMetricsEnabled(bool enabled);
 
-namespace detail {
-
-/** Counter ids at or above this spill to a shared atomic slot. */
-constexpr std::size_t kCounterSlabSlots = 256;
-
-/**
- * Per-thread counter storage: one single-writer slot per counter id,
- * so the hot-path update is a relaxed load + store (no locked RMW).
- * `value()` sums the slot across every slab ever registered; slabs
- * outlive their thread (shared_ptr keepalive in the slab registry).
- */
-struct CounterSlab
-{
-    std::atomic<std::uint64_t> values[kCounterSlabSlots];
-};
-
-/** Register (once) and return the calling thread's slab. */
-CounterSlab *registerCounterSlab();
-
-inline CounterSlab *
-tlsCounterSlab()
-{
-    // Trivially-initialized thread_local: no init guard on the fast
-    // path beyond the null check.
-    thread_local CounterSlab *slab = nullptr;
-    if (slab == nullptr)
-        slab = registerCounterSlab();
-    return slab;
-}
-
-} // namespace detail
-
 /** A monotonically increasing count; always live, never gated. */
 class Counter
 {
   public:
-    Counter();
+    Counter() = default;
     Counter(const Counter &) = delete;
     Counter &operator=(const Counter &) = delete;
 
     void
     add(std::uint64_t n = 1)
     {
-        if (id_ < detail::kCounterSlabSlots) {
-            std::atomic<std::uint64_t> &slot =
-                detail::tlsCounterSlab()->values[id_];
-            slot.store(slot.load(std::memory_order_relaxed) + n,
-                       std::memory_order_relaxed);
-        } else {
-            spill_.fetch_add(n, std::memory_order_relaxed);
-        }
+        value_.fetch_add(n, std::memory_order_relaxed);
     }
 
-    std::uint64_t value() const;
-
-    /** Zero the counter. Approximate when adds race the reset. */
-    void reset();
+    std::uint64_t
+    value() const
+    {
+        return value_.load(std::memory_order_relaxed);
+    }
 
   private:
-    /** Slot index in every thread's slab, assigned at construction. */
-    std::size_t id_;
-    /** Shared fallback once the per-thread slabs are exhausted. */
-    std::atomic<std::uint64_t> spill_{0};
+    std::atomic<std::uint64_t> value_{0};
 };
 
 /** A last-value-wins instantaneous measurement; always live. */
@@ -138,8 +96,7 @@ class Gauge
 /**
  * A fixed-bucket histogram. Bucket upper bounds are set at registration
  * (ascending; one implicit overflow bucket is appended). `observe()`
- * always records count/sum/min/max (like a counter); the bucket scan
- * is skipped while `metricsEnabled()` is false.
+ * records nothing while `metricsEnabled()` is false.
  */
 class Histogram
 {
@@ -157,19 +114,8 @@ class Histogram
 
     const std::vector<double> &bounds() const { return bounds_; }
 
-    /** Cumulative bucket counts at snapshot time (bounds + overflow). */
+    /** Per-bucket counts at snapshot time (bounds + overflow). */
     std::vector<std::uint64_t> bucketCounts() const;
-
-    /**
-     * Quantile estimate by linear interpolation inside the bucket that
-     * holds the requested rank (the observed min/max clamp the first
-     * and overflow buckets). 0 when empty.
-     */
-    double quantile(double q) const;
-
-    /** Zero every bucket and statistic. Approximate under racing
-     *  observes, like Counter::reset(). */
-    void reset();
 
   private:
     std::vector<double> bounds_;
@@ -180,7 +126,7 @@ class Histogram
     std::atomic<double> max_{0.0};
 };
 
-/** One rendered histogram in a MetricsSnapshot. */
+/** One histogram in a MetricsSnapshot, in the act.metrics.v1 shape. */
 struct HistogramSnapshot
 {
     std::string name;
@@ -188,16 +134,10 @@ struct HistogramSnapshot
     double sum = 0.0;
     double min = 0.0;
     double max = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    /** (upper bound, count) pairs; the last bound is +infinity. */
-    std::vector<std::pair<double, std::uint64_t>> buckets;
-
-    double
-    mean() const
-    {
-        return count == 0 ? 0.0 : sum / static_cast<double>(count);
-    }
+    /** Finite bucket upper bounds, ascending. */
+    std::vector<double> bounds;
+    /** Per-bucket counts: bounds.size() + 1, the last one overflow. */
+    std::vector<std::uint64_t> counts;
 };
 
 /** A point-in-time copy of every registered metric. */
@@ -206,20 +146,14 @@ struct MetricsSnapshot
     std::vector<std::pair<std::string, std::uint64_t>> counters;
     std::vector<std::pair<std::string, double>> gauges;
     std::vector<HistogramSnapshot> histograms;
-
-    bool
-    empty() const
-    {
-        return counters.empty() && gauges.empty() &&
-               histograms.empty();
-    }
 };
 
 /**
  * The process-wide registry. Metric objects are created on first
  * request for a name and live for the rest of the process; requesting
  * an existing name returns the same object (a histogram's bounds are
- * fixed by the first registration).
+ * fixed by the first registration; an empty ladder selects the default
+ * 1/2/5 microsecond ladder from 1 us to 10 s).
  */
 class MetricsRegistry
 {
@@ -231,13 +165,8 @@ class MetricsRegistry
     Histogram &histogram(std::string_view name,
                          std::vector<double> bucket_bounds = {});
 
+    /** Every metric, each kind sorted by name. */
     MetricsSnapshot snapshot() const;
-
-    /** ASCII table (util/table) of every metric, sorted by name. */
-    std::string renderTable() const;
-
-    /** Reset every counter and histogram (gauges keep their value). */
-    void reset();
 
   private:
     MetricsRegistry();
@@ -246,13 +175,6 @@ class MetricsRegistry
     struct Impl;
     Impl *impl_;
 };
-
-/**
- * The default duration bucket ladder, in microseconds: a 1/2/5 decade
- * ladder from 1 us to 10 s, suiting everything from a single chunk to
- * a whole sweep.
- */
-std::vector<double> latencyBucketsUs();
 
 } // namespace act::util
 

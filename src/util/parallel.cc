@@ -62,8 +62,7 @@ autoThreadCount()
 
 /** Pool observability instruments, registered once. Counters are
  *  always live; the histograms/gauge only fill while metrics are on
- *  (timed sections are additionally gated at the call sites so the
- *  clock reads disappear when both metrics and tracing are off). */
+ *  (runChunks times chunks only when metrics or tracing are on). */
 struct PoolInstruments
 {
     Counter &jobs =
@@ -217,6 +216,10 @@ class ThreadPool
             work_ready_.wait(
                 lock, [&] { return generation_ != seen_generation; });
             seen_generation = generation_;
+            // The submitter clears job_ once every task completed; a
+            // worker that wakes after that has nothing left to drain.
+            if (job_ == nullptr)
+                continue;
             const std::function<void(std::size_t)> *task = job_;
             const std::size_t tasks = task_count_;
             lock.unlock();
@@ -281,33 +284,40 @@ staticChunks(std::size_t begin, std::size_t end, std::size_t grain)
     return chunks;
 }
 
-namespace {
-
-/**
- * runChunks with per-chunk timing: queue wait (job submission to chunk
- * start), chunk duration, end-of-job imbalance, and worker
- * utilization, plus one trace span per chunk and per job. Only entered
- * when metrics or tracing are enabled, so the clock reads and the
- * durations vector cost nothing in a plain run.
- */
 void
-runChunksInstrumented(
-    const std::vector<IndexRange> &chunks, bool serial,
-    const std::function<void(std::size_t, IndexRange)> &body)
+runChunks(const std::vector<IndexRange> &chunks,
+          const std::function<void(std::size_t, IndexRange)> &body)
 {
+    if (chunks.empty())
+        return;
     PoolInstruments &instruments = poolInstruments();
+    instruments.jobs.add();
+    instruments.chunks.add(chunks.size());
+    const bool serial = chunks.size() == 1 || threadCount() <= 1 ||
+                        tls_in_parallel_section;
+    if (serial)
+        instruments.serial_jobs.add();
+    // Per-chunk timing -- queue wait (submission to chunk start), chunk
+    // duration, end-of-job imbalance and worker utilization, plus one
+    // trace span per chunk -- only while metrics or tracing are on, so
+    // a plain run reads no clock.
+    const bool timed = metricsEnabled() || traceEnabled();
     TraceSpan job_span("util.parallel",
                       serial ? "runChunks.serial" : "runChunks");
-    const std::uint64_t submit_ns = detail::traceNowNs();
-    std::vector<std::uint64_t> durations(chunks.size(), 0);
-    const auto timed_body = [&](std::size_t chunk, IndexRange range) {
+    const std::uint64_t submit_ns = timed ? detail::traceNowNs() : 0;
+    std::vector<std::uint64_t> durations(timed ? chunks.size() : 0, 0);
+    const auto run_chunk = [&](std::size_t chunk) {
+        if (!timed) {
+            body(chunk, chunks[chunk]);
+            return;
+        }
         const std::uint64_t start_ns = detail::traceNowNs();
         instruments.queue_wait_us.observe(
             static_cast<double>(start_ns - submit_ns) / 1000.0);
         {
             TraceSpan chunk_span("util.parallel",
                                  "chunk#" + std::to_string(chunk));
-            body(chunk, range);
+            body(chunk, chunks[chunk]);
         }
         const std::uint64_t duration = detail::traceNowNs() - start_ns;
         durations[chunk] = duration;
@@ -316,13 +326,13 @@ runChunksInstrumented(
     };
     if (serial) {
         for (std::size_t chunk = 0; chunk < chunks.size(); ++chunk)
-            timed_body(chunk, chunks[chunk]);
+            run_chunk(chunk);
     } else {
-        ThreadPool::instance().run(
-            chunks.size(), [&](std::size_t chunk) {
-                timed_body(chunk, chunks[chunk]);
-            });
+        ThreadPool::instance().run(chunks.size(), run_chunk);
     }
+    if (!timed)
+        return;
+
     const std::uint64_t wall_ns = detail::traceNowNs() - submit_ns;
     std::uint64_t busy_ns = 0;
     std::uint64_t slowest = 0;
@@ -345,35 +355,6 @@ runChunksInstrumented(
             (static_cast<double>(wall_ns) *
              static_cast<double>(workers)));
     }
-}
-
-} // namespace
-
-void
-runChunks(const std::vector<IndexRange> &chunks,
-          const std::function<void(std::size_t, IndexRange)> &body)
-{
-    if (chunks.empty())
-        return;
-    PoolInstruments &instruments = poolInstruments();
-    instruments.jobs.add();
-    instruments.chunks.add(chunks.size());
-    const bool serial = chunks.size() == 1 || threadCount() <= 1 ||
-                        tls_in_parallel_section;
-    if (serial)
-        instruments.serial_jobs.add();
-    if (metricsEnabled() || traceEnabled()) {
-        runChunksInstrumented(chunks, serial, body);
-        return;
-    }
-    if (serial) {
-        for (std::size_t chunk = 0; chunk < chunks.size(); ++chunk)
-            body(chunk, chunks[chunk]);
-        return;
-    }
-    ThreadPool::instance().run(chunks.size(), [&](std::size_t chunk) {
-        body(chunk, chunks[chunk]);
-    });
 }
 
 } // namespace act::util

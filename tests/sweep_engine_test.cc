@@ -327,6 +327,35 @@ TEST_F(SweepEngineTest, MetricsAndHeartbeatsNeverChangeTheResult)
     std::remove(options.heartbeat_path.c_str());
 }
 
+TEST_F(SweepEngineTest, NegativeShardFieldsThrowNamingTheField)
+{
+    const SweepPlan plan = monteCarloPlan();
+    const Domain &domain = findDomain(plan.domain);
+    const config::JsonValue partial =
+        toJson(runShardedSweep(plan, {2, 1}, domain.evaluator(plan)));
+    struct Edit
+    {
+        const char *key;
+        int value;
+    };
+    for (const Edit edit : {Edit{"shard_count", -1},
+                            Edit{"shard_index", -1},
+                            Edit{"chunk_begin", -5}}) {
+        config::JsonValue edited = partial;
+        edited.asObject()[edit.key] = config::JsonValue(edit.value);
+        try {
+            shardResultFromJson(edited);
+            ADD_FAILURE() << edit.key << " " << edit.value
+                          << " was accepted";
+        } catch (const config::JsonTypeError &error) {
+            EXPECT_EQ(std::string(error.what()),
+                      "'" + std::string(edit.key) +
+                          "' must be a non-negative integer (got " +
+                          std::to_string(edit.value) + ")");
+        }
+    }
+}
+
 TEST_F(SweepEngineTest, MergedResultMatchesInProcessMonteCarlo)
 {
     const SweepPlan plan = monteCarloPlan();

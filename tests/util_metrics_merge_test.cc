@@ -83,10 +83,21 @@ TEST(MetricsDocTest, SnapshotSerializesAndValidates)
     histogram.observe(5.0);
     histogram.observe(50.0);
     util::setMetricsEnabled(false);
+    // With metrics off a histogram records nothing at all.
+    histogram.observe(7.0);
 
     const config::JsonValue doc =
         obs::metricsToJson(registry.snapshot());
     obs::validateMetricsDoc(doc);
+    // Every histogram's count equals the sum of its bucket counts, as
+    // Prometheus requires of `_count` and the `+Inf` bucket.
+    for (const auto &[name, entry] : doc.at("histograms").asObject()) {
+        double buckets = 0.0;
+        for (const config::JsonValue &count :
+             entry.at("counts").asArray())
+            buckets += count.asNumber();
+        EXPECT_EQ(entry.at("count").asNumber(), buckets) << name;
+    }
     EXPECT_EQ(doc.stringOr("format", ""), obs::kMetricsFormat);
     EXPECT_EQ(doc.at("counters").at("merge_test.count").asNumber(),
               7.0);
@@ -287,6 +298,31 @@ TEST(MetricsDocTest, PrometheusRenderingIsWellFormed)
     EXPECT_NE(prom.find("act_chunk_us_count 6\n"), std::string::npos);
 }
 
+/** The trimmed cells of every `| a | b |` line of a rendered table. */
+std::vector<std::vector<std::string>>
+tableRows(const std::string &table)
+{
+    std::vector<std::vector<std::string>> rows;
+    std::istringstream lines(table);
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.empty() || line[0] != '|')
+            continue;
+        std::vector<std::string> cells;
+        std::istringstream fields(line.substr(1));
+        std::string cell;
+        while (std::getline(fields, cell, '|')) {
+            const std::size_t first = cell.find_first_not_of(' ');
+            const std::size_t last = cell.find_last_not_of(' ');
+            cells.push_back(first == std::string::npos
+                                ? std::string()
+                                : cell.substr(first, last - first + 1));
+        }
+        rows.push_back(std::move(cells));
+    }
+    return rows;
+}
+
 TEST(MetricsDocTest, TableRenderingShowsMeans)
 {
     const std::string table =
@@ -295,6 +331,27 @@ TEST(MetricsDocTest, TableRenderingShowsMeans)
     EXPECT_NE(table.find("histogram"), std::string::npos);
     // mean = (5*3 + 50*1) / 4 = 16.25
     EXPECT_NE(table.find("16.25"), std::string::npos);
+
+    // Quantiles interpolate inside the bucket holding the rank; the
+    // observed min/max close the first and overflow buckets.
+    const std::vector<std::vector<std::string>> rows =
+        tableRows(obs::renderMetricsDocTable(parseDoc(
+            R"({"format": "act.metrics.v1", "histograms": {"h": {
+                "bounds": [1, 10, 100], "counts": [2, 1, 1, 1],
+                "count": 5, "sum": 598.5, "min": 0.5, "max": 500}}})")));
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0],
+              (std::vector<std::string>{"Metric", "Type", "Count", "Mean",
+                                        "P50", "P95", "Min", "Max"}));
+    ASSERT_EQ(rows[1].size(), 8u);
+    EXPECT_EQ(rows[1][0], "h");
+    EXPECT_EQ(rows[1][2], "5");
+    const double p50 = std::stod(rows[1][4]);
+    EXPECT_GE(p50, 0.5);
+    EXPECT_LE(p50, 10.0);
+    const double p95 = std::stod(rows[1][5]);
+    EXPECT_GE(p95, 90.0);
+    EXPECT_LE(p95, 500.0);
 }
 
 /**

@@ -2,12 +2,15 @@
  * @file
  * Metrics-registry tests: counter and histogram correctness under
  * concurrent updates from the util/parallel thread pool, disabled-mode
- * no-op behavior for gated instruments, and snapshot/rendering.
+ * no-op behavior for histograms, and snapshots. The metrics table is
+ * rendered from the act.metrics.v1 document (util_metrics_merge_test).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "util/metrics.h"
 #include "util/parallel.h"
@@ -31,17 +34,14 @@ class ScopedMetricsEnabled
     bool previous_;
 };
 
-TEST(MetricsCounterTest, AddValueReset)
+TEST(MetricsCounterTest, AddValue)
 {
     util::Counter &counter =
         util::MetricsRegistry::instance().counter("test.counter.basic");
-    counter.reset();
     EXPECT_EQ(counter.value(), 0u);
     counter.add();
     counter.add(41);
     EXPECT_EQ(counter.value(), 42u);
-    counter.reset();
-    EXPECT_EQ(counter.value(), 0u);
 }
 
 TEST(MetricsCounterTest, SameNameSameObject)
@@ -51,9 +51,9 @@ TEST(MetricsCounterTest, SameNameSameObject)
     util::Counter &second =
         util::MetricsRegistry::instance().counter("test.counter.same");
     EXPECT_EQ(&first, &second);
-    first.reset();
+    const std::uint64_t before = second.value();
     first.add(7);
-    EXPECT_EQ(second.value(), 7u);
+    EXPECT_EQ(second.value(), before + 7);
 }
 
 TEST(MetricsCounterTest, NotGatedByEnableFlag)
@@ -61,9 +61,9 @@ TEST(MetricsCounterTest, NotGatedByEnableFlag)
     ScopedMetricsEnabled disabled(false);
     util::Counter &counter = util::MetricsRegistry::instance().counter(
         "test.counter.ungated");
-    counter.reset();
+    const std::uint64_t before = counter.value();
     counter.add(3);
-    EXPECT_EQ(counter.value(), 3u);
+    EXPECT_EQ(counter.value(), before + 3);
 }
 
 TEST(MetricsCounterTest, ConcurrentAddsFromPool)
@@ -71,8 +71,8 @@ TEST(MetricsCounterTest, ConcurrentAddsFromPool)
     constexpr std::size_t kIterations = 100'000;
     util::Counter &counter = util::MetricsRegistry::instance().counter(
         "test.counter.concurrent");
-    counter.reset();
     for (std::size_t threads : {2u, 7u}) {
+        const std::uint64_t before = counter.value();
         util::setThreadCount(threads);
         util::runChunks(util::staticChunks(0, kIterations, 0),
                         [&](std::size_t, util::IndexRange range) {
@@ -81,8 +81,7 @@ TEST(MetricsCounterTest, ConcurrentAddsFromPool)
                                 counter.add();
                         });
         util::setThreadCount(0);
-        EXPECT_EQ(counter.value(), kIterations);
-        counter.reset();
+        EXPECT_EQ(counter.value() - before, kIterations);
     }
 }
 
@@ -96,22 +95,18 @@ TEST(MetricsGaugeTest, SetAndRead)
     EXPECT_DOUBLE_EQ(gauge.value(), -3.0);
 }
 
-TEST(MetricsHistogramTest, DisabledModeKeepsStatsButSkipsBuckets)
+TEST(MetricsHistogramTest, DisabledModeRecordsNothing)
 {
     ScopedMetricsEnabled disabled(false);
     util::Histogram &histogram =
         util::MetricsRegistry::instance().histogram(
             "test.histogram.disabled", {1.0, 10.0, 100.0});
-    histogram.reset();
     histogram.observe(5.0);
     histogram.observe(50.0);
-    // Summary statistics are always live (like counters) so snapshot
-    // means work with metrics emission off...
-    EXPECT_EQ(histogram.count(), 2u);
-    EXPECT_DOUBLE_EQ(histogram.sum(), 55.0);
-    EXPECT_DOUBLE_EQ(histogram.min(), 5.0);
-    EXPECT_DOUBLE_EQ(histogram.max(), 50.0);
-    // ...but the bucket scan stays gated.
+    EXPECT_EQ(histogram.count(), 0u);
+    EXPECT_DOUBLE_EQ(histogram.sum(), 0.0);
+    EXPECT_DOUBLE_EQ(histogram.min(), 0.0);
+    EXPECT_DOUBLE_EQ(histogram.max(), 0.0);
     for (const std::uint64_t count : histogram.bucketCounts())
         EXPECT_EQ(count, 0u);
 }
@@ -122,7 +117,6 @@ TEST(MetricsHistogramTest, BucketPlacementAndStats)
     util::Histogram &histogram =
         util::MetricsRegistry::instance().histogram(
             "test.histogram.buckets", {1.0, 10.0, 100.0});
-    histogram.reset();
     histogram.observe(0.5);   // <= 1
     histogram.observe(1.0);   // <= 1 (bound is inclusive)
     histogram.observe(7.0);   // <= 10
@@ -138,12 +132,6 @@ TEST(MetricsHistogramTest, BucketPlacementAndStats)
     EXPECT_EQ(counts[1], 1u);
     EXPECT_EQ(counts[2], 1u);
     EXPECT_EQ(counts[3], 1u);
-    const double p50 = histogram.quantile(0.50);
-    EXPECT_GE(p50, 0.5);
-    EXPECT_LE(p50, 10.0);
-    const double p95 = histogram.quantile(0.95);
-    EXPECT_GE(p95, 90.0);
-    EXPECT_LE(p95, 500.0);
 }
 
 TEST(MetricsHistogramTest, ConcurrentObservesFromPool)
@@ -153,7 +141,6 @@ TEST(MetricsHistogramTest, ConcurrentObservesFromPool)
     util::Histogram &histogram =
         util::MetricsRegistry::instance().histogram(
             "test.histogram.concurrent", {0.5, 1.5});
-    histogram.reset();
     util::setThreadCount(4);
     // Every observation is exactly 1.0, so the count, the sum (exact
     // in double for small integers), and the middle bucket must all
@@ -179,17 +166,13 @@ TEST(MetricsRegistryTest, SnapshotAndRendering)
 {
     ScopedMetricsEnabled enabled(true);
     util::MetricsRegistry &registry = util::MetricsRegistry::instance();
-    util::Counter &counter = registry.counter("test.render.counter");
-    counter.reset();
-    counter.add(5);
+    registry.counter("test.render.counter").add(5);
     registry.gauge("test.render.gauge").set(2.25);
     util::Histogram &histogram =
         registry.histogram("test.render.histogram", {10.0, 20.0});
-    histogram.reset();
     histogram.observe(15.0);
 
     const util::MetricsSnapshot snapshot = registry.snapshot();
-    EXPECT_FALSE(snapshot.empty());
     bool counter_found = false;
     for (const auto &[name, value] : snapshot.counters) {
         if (name == "test.render.counter") {
@@ -203,14 +186,13 @@ TEST(MetricsRegistryTest, SnapshotAndRendering)
         if (entry.name == "test.render.histogram") {
             histogram_found = true;
             EXPECT_EQ(entry.count, 1u);
-            EXPECT_DOUBLE_EQ(entry.mean(), 15.0);
+            EXPECT_DOUBLE_EQ(entry.sum, 15.0);
+            EXPECT_EQ(entry.bounds, (std::vector<double>{10.0, 20.0}));
+            EXPECT_EQ(entry.counts,
+                      (std::vector<std::uint64_t>{0, 1, 0}));
         }
     }
     EXPECT_TRUE(histogram_found);
-
-    const std::string table = registry.renderTable();
-    EXPECT_NE(table.find("test.render.counter"), std::string::npos);
-    EXPECT_NE(table.find("test.render.histogram"), std::string::npos);
 }
 
 TEST(MetricsRegistryTest, PoolInstrumentsPopulateWhenEnabled)

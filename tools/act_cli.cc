@@ -720,20 +720,21 @@ main(int argc, char **argv)
     const Args args(argc, argv, 2);
     const int status = runCommand(command, args);
 
-    if (!prom_path.empty()) {
-        std::ofstream prom(prom_path, std::ios::trunc);
-        if (!prom) {
-            act::util::warn("cannot write Prometheus snapshot to '",
-                            prom_path, "'");
-        } else {
-            prom << act::obs::renderPrometheus(act::obs::metricsToJson(
-                act::util::MetricsRegistry::instance().snapshot()));
-        }
-    }
+    // --prom implies --metrics, so both outputs render one snapshot.
     if (act::util::metricsEnabled()) {
+        const act::config::JsonValue metrics = act::obs::metricsToJson(
+            act::util::MetricsRegistry::instance().snapshot());
+        if (!prom_path.empty()) {
+            std::ofstream prom(prom_path, std::ios::trunc);
+            if (!prom) {
+                act::util::warn("cannot write Prometheus snapshot to '",
+                                prom_path, "'");
+            } else {
+                prom << act::obs::renderPrometheus(metrics);
+            }
+        }
         std::cout << "\n--- metrics ---\n"
-                  << act::util::MetricsRegistry::instance()
-                         .renderTable();
+                  << act::obs::renderMetricsDocTable(metrics);
     }
     act::util::flushTrace();
     return status;

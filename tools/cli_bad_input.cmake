@@ -1,6 +1,7 @@
 # Drives `act sweep`, `act merge`, `act trace-merge` and `act status`
 # with broken input files -- a partial truncated as a dead shard leaves
-# it, a plan whose item count is out of integer range, a plan with a
+# it, a partial with a negative chunk_begin, a plan whose item count is
+# out of integer range, a plan with a
 # mistyped config field, a plan whose abatement range leaves the model's
 # domain, a chiplet plan with a huge or fractional max_chiplets, a
 # chiplet plan whose result overflows to infinity, partials whose
@@ -53,6 +54,19 @@ file(WRITE "${WORK_DIR}/trunc.json" "${partial}")
 expect_fatal("truncated partial"
     "failed to parse sweep partial 'trunc.json': .* at line [0-9]+, column [0-9]+"
     merge part0.json trunc.json)
+
+# A negative shard field must be rejected naming the partial and the
+# field, not cast to a 2^64-scale index.
+file(READ "${WORK_DIR}/part1.json" partial)
+string(REGEX REPLACE "\"chunk_begin\": *[0-9]+" "\"chunk_begin\": -5"
+       negative_begin "${partial}")
+if(negative_begin STREQUAL partial)
+    message(FATAL_ERROR "no chunk_begin to corrupt in part1.json")
+endif()
+file(WRITE "${WORK_DIR}/negative_begin.json" "${negative_begin}")
+expect_fatal("negative chunk_begin"
+    "bad sweep partial 'negative_begin\\.json': 'chunk_begin' must be a non-negative integer \\(got -5\\)"
+    merge part0.json negative_begin.json)
 
 file(READ "${PLAN}" plan)
 string(REGEX REPLACE "\"items\": *[0-9]+" "\"items\": 1e30" huge "${plan}")
