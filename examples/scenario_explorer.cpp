@@ -1,14 +1,16 @@
 /**
  * @file
- * Config-driven scenario exploration: load a JSON scenario (fab and
- * use-phase conditions), evaluate a device's embodied footprint under
- * it, and run the yield / abatement / fab-CI sensitivity sweeps called
- * out in DESIGN.md.
+ * Config-driven scenario exploration: load the fab conditions from a
+ * JSON "fab" section (the one sweep plans carry), evaluate a device's
+ * embodied footprint under them, and run the yield / abatement /
+ * fab-CI sensitivity sweeps called out in DESIGN.md.
  *
  * Usage:
- *   ./scenario_explorer [scenario.json] [device name]
- * With no arguments it writes and uses a default scenario for the
- * iPhone 11.
+ *   ./scenario_explorer [fab.json] [device name]
+ * where fab.json looks like
+ *   {"ci_fab_g_per_kwh": 447.5, "abatement": 0.97, "yield": 0.875,
+ *    "lookup": "interpolate"}
+ * With no arguments it uses the paper defaults for the iPhone 11.
  */
 
 #include <iostream>
@@ -25,13 +27,12 @@ main(int argc, char **argv)
 
     core::Scenario scenario;
     if (argc > 1) {
-        scenario = core::loadScenario(argv[1]);
-        std::cout << "loaded scenario from " << argv[1] << "\n";
+        scenario.fab = config::loadJsonAs(argv[1], "fab config",
+                                          core::fabParamsFromJson);
+        std::cout << "loaded fab config from " << argv[1] << "\n";
     } else {
-        const std::string path = "act_scenario.json";
-        core::saveScenario(path, scenario);
-        std::cout << "wrote default scenario to " << path
-                  << " (edit and re-run with it as an argument)\n";
+        std::cout << "using the default fab config (pass a fab.json "
+                     "to change it)\n";
     }
     const std::string device_name = argc > 2 ? argv[2] : "iPhone 11";
     const auto device =

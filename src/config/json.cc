@@ -367,6 +367,81 @@ appendNumber(std::string &out, double value)
     out.append(buffer, result.ptr);
 }
 
+/** @p value's shortest round-tripping spelling ("1e+30", "0.5",
+ *  "inf"), for messages. */
+std::string
+shortest(double value)
+{
+    char buffer[32];
+    return std::string(buffer,
+                       std::to_chars(buffer, buffer + sizeof(buffer), value)
+                           .ptr);
+}
+
+/** @p value as a "(got ...)" message shows it. */
+std::string
+describe(const JsonValue &value)
+{
+    if (value.isNumber())
+        return shortest(value.asNumber());
+    if (value.isArray())
+        return "an array of " + std::to_string(value.asArray().size());
+    if (value.isObject())
+        return "an object";
+    return value.dump();
+}
+
+/** "a number >= 1", "a number in (0, 1]", ... for @p range. */
+std::string
+numberDomain(const Interval &range)
+{
+    const bool low = std::isfinite(range.lo);
+    const bool high = std::isfinite(range.hi);
+    if (low && high) {
+        return std::string("a number in ") + (range.lo_open ? "(" : "[") +
+               shortest(range.lo) + ", " + shortest(range.hi) +
+               (range.hi_open ? ")" : "]");
+    }
+    if (low)
+        return std::string("a number ") + (range.lo_open ? "> " : ">= ") +
+               shortest(range.lo);
+    if (high)
+        return std::string("a number ") + (range.hi_open ? "< " : "<= ") +
+               shortest(range.hi);
+    return "a number";
+}
+
+/** "a non-negative integer", "an integer >= 1" or
+ *  "an integer in [1, 1024]" for @p range. */
+std::string
+countDomain(const CountRange &range)
+{
+    if (range.hi == kMaxCount) {
+        return range.lo == 0 ? "a non-negative integer"
+                             : "an integer >= " + std::to_string(range.lo);
+    }
+    return "an integer in [" + std::to_string(range.lo) + ", " +
+           std::to_string(range.hi) + "]";
+}
+
+/** Store @p value in @p out when it is an integer in @p range. */
+bool
+countFits(const JsonValue &value, const CountRange &range,
+          std::uint64_t &out)
+{
+    if (!value.isNumber())
+        return false;
+    // Every hi <= 2^63 - 1 rounds to at most 2^63, so the cast of a
+    // value that passes the double compares is defined; the integer
+    // compares then reject what rounding let through.
+    const double x = value.asNumber();
+    if (!(x == std::floor(x) && x >= static_cast<double>(range.lo) &&
+          x <= static_cast<double>(range.hi)))
+        return false;
+    out = static_cast<std::uint64_t>(x);
+    return out >= range.lo && out <= range.hi;
+}
+
 /** Start a new line at @p depth when pretty-printing. */
 void
 appendBreak(std::string &out, int indent, int depth)
@@ -405,11 +480,7 @@ JsonValue::asInteger() const
         throw JsonTypeError("JSON number is not integral");
     // Only [-2^63, 2^63) converts; the cast is undefined outside it.
     if (!(value >= -0x1p63 && value < 0x1p63)) {
-        char buffer[32];
-        const char *end =
-            std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
-        throw JsonTypeError("JSON number " +
-                            std::string(buffer, end - buffer) +
+        throw JsonTypeError("JSON number " + shortest(value) +
                             " is out of 64-bit integer range");
     }
     return static_cast<std::int64_t>(value);
@@ -467,20 +538,8 @@ JsonValue::at(const std::string &key) const
     const JsonObject &object = asObject();
     const auto it = object.find(key);
     if (it == object.end())
-        throw JsonTypeError("missing JSON key '" + key + "'");
+        throw JsonTypeError("missing '" + key + "'");
     return it->second;
-}
-
-double
-JsonValue::numberOr(const std::string &key, double fallback) const
-{
-    return contains(key) ? at(key).asNumber() : fallback;
-}
-
-bool
-JsonValue::boolOr(const std::string &key, bool fallback) const
-{
-    return contains(key) ? at(key).asBool() : fallback;
 }
 
 std::string
@@ -551,6 +610,100 @@ JsonValue::parse(std::string_view text)
     Parser parser(text);
     return parser.parseDocument();
 }
+
+std::uint64_t
+count(const JsonValue &object, const std::string &key, CountRange range)
+{
+    const JsonValue &value = object.at(key);
+    std::uint64_t parsed = 0;
+    if (!countFits(value, range, parsed))
+        badField(key, countDomain(range), value);
+    return parsed;
+}
+
+std::uint64_t
+count(const JsonValue &object, const std::string &key,
+      std::uint64_t fallback, CountRange range)
+{
+    return object.contains(key) ? count(object, key, range) : fallback;
+}
+
+double
+number(const JsonValue &object, const std::string &key, Interval range)
+{
+    const JsonValue &value = object.at(key);
+    if (!value.isNumber() || !range.contains(value.asNumber()))
+        badField(key, numberDomain(range), value);
+    return value.asNumber();
+}
+
+double
+number(const JsonValue &object, const std::string &key, double fallback,
+       Interval range)
+{
+    return object.contains(key) ? number(object, key, range) : fallback;
+}
+
+std::vector<double>
+numbers(const JsonValue &object, const std::string &key, Interval range)
+{
+    const JsonValue &value = object.at(key);
+    if (!value.isArray())
+        badField(key, "an array of numbers", value);
+    const JsonArray &entries = value.asArray();
+    std::vector<double> out;
+    out.reserve(entries.size());
+    for (const JsonValue &entry : entries) {
+        if (!entry.isNumber() || !range.contains(entry.asNumber())) {
+            badField(key + "[" + std::to_string(out.size()) + "]",
+                     numberDomain(range), entry);
+        }
+        out.push_back(entry.asNumber());
+    }
+    return out;
+}
+
+std::vector<std::uint64_t>
+counts(const JsonValue &object, const std::string &key, CountRange range)
+{
+    const JsonValue &value = object.at(key);
+    if (!value.isArray())
+        badField(key, "an array of integers", value);
+    const JsonArray &entries = value.asArray();
+    std::vector<std::uint64_t> out(entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (!countFits(entries[i], range, out[i])) {
+            badField(key + "[" + std::to_string(i) + "]",
+                     countDomain(range), entries[i]);
+        }
+    }
+    return out;
+}
+
+void
+badField(const std::string &key, std::string_view domain,
+         const JsonValue &value)
+{
+    throw JsonTypeError("'" + key + "' must be " + std::string(domain) +
+                        " (got " + describe(value) + ")");
+}
+
+namespace detail {
+
+void
+badChoice(const std::string &key, const std::vector<std::string_view> &names,
+          const JsonValue &value)
+{
+    std::string domain = "one of ";
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        if (i > 0)
+            domain += ", ";
+        domain += "'" + std::string(names[i]) + "'";
+    }
+    badField(key, domain, value);
+}
+
+} // namespace detail
 
 JsonValue
 loadJsonFile(const std::string &path)

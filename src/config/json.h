@@ -1,6 +1,8 @@
 /**
  * @file
- * A self-contained JSON value type, parser, and serializer.
+ * A self-contained JSON value type, parser, and serializer, plus the
+ * typed field readers every document loader goes through and the one
+ * path that turns a bad document into a fatal.
  *
  * The released ACT tool drives its model from configuration files; this
  * reproduction does the same without external dependencies. The parser
@@ -12,13 +14,17 @@
 #define ACT_CONFIG_JSON_H
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
+
+#include "util/logging.h"
 
 namespace act::config {
 
@@ -91,12 +97,11 @@ class JsonValue
     /** True when this is an object containing @p key. */
     bool contains(const std::string &key) const;
 
-    /** Checked object member access; throws when absent. */
+    /** Checked object member access; throws "missing '<key>'" when
+     *  absent. */
     const JsonValue &at(const std::string &key) const;
 
     /** Object member access with a fallback default. */
-    double numberOr(const std::string &key, double fallback) const;
-    bool boolOr(const std::string &key, bool fallback) const;
     std::string stringOr(const std::string &key,
                          const std::string &fallback) const;
 
@@ -117,8 +122,191 @@ class JsonValue
     void dumpTo(std::string &out, int indent, int depth) const;
 };
 
+// ---------------------------------------------------------------------
+// Typed field readers. Every loader reads its fields through these, so
+// a bad field fails one way: a JsonTypeError
+// "'<key>' must be <domain> (got <value>)", or "missing '<key>'" for an
+// absent required key. Array entries are named "<key>[i]". Each reader
+// has a required form and a defaulted form, which returns the fallback
+// when @p object lacks the key. The message is built only on failure.
+// ---------------------------------------------------------------------
+
+/** The largest count a reader accepts by default: 2^63 - 1. */
+inline constexpr std::uint64_t kMaxCount =
+    (std::uint64_t{1} << 63) - 1;
+
+/** The inclusive range [lo, hi] of a count() read. Both ends are
+ *  spelled out, so a braced "{1}" never reads as a range. */
+struct CountRange
+{
+    std::uint64_t lo = 0;
+    std::uint64_t hi = kMaxCount;
+
+    constexpr CountRange() = default;
+    constexpr CountRange(std::uint64_t lo_in, std::uint64_t hi_in)
+        : lo(lo_in), hi(hi_in)
+    {}
+};
+
+/** The interval of a number() read; each end is open or closed. The
+ *  default admits every finite number. */
+struct Interval
+{
+    double lo = -std::numeric_limits<double>::infinity();
+    double hi = std::numeric_limits<double>::infinity();
+    bool lo_open = true;
+    bool hi_open = true;
+
+    constexpr Interval() = default;
+    constexpr Interval(double lo_in, double hi_in, bool lo_open_in,
+                       bool hi_open_in)
+        : lo(lo_in), hi(hi_in), lo_open(lo_open_in), hi_open(hi_open_in)
+    {}
+
+    bool
+    contains(double x) const
+    {
+        return (lo_open ? x > lo : x >= lo) && (hi_open ? x < hi : x <= hi);
+    }
+};
+
+/** [lo, inf) */
+constexpr Interval
+atLeast(double lo)
+{
+    return {lo, std::numeric_limits<double>::infinity(), false, true};
+}
+
+/** (lo, inf) */
+constexpr Interval
+above(double lo)
+{
+    return {lo, std::numeric_limits<double>::infinity(), true, true};
+}
+
+/** [lo, hi] */
+constexpr Interval
+closed(double lo, double hi)
+{
+    return {lo, hi, false, false};
+}
+
+/** @p object's @p key: a JSON integer in @p range. */
+std::uint64_t count(const JsonValue &object, const std::string &key,
+                    CountRange range = {});
+std::uint64_t count(const JsonValue &object, const std::string &key,
+                    std::uint64_t fallback, CountRange range = {});
+
+/** @p object's @p key: a JSON number in @p range. */
+double number(const JsonValue &object, const std::string &key,
+              Interval range = {});
+double number(const JsonValue &object, const std::string &key,
+              double fallback, Interval range = {});
+
+/** @p object's @p key: an array of numbers, each in @p range. */
+std::vector<double> numbers(const JsonValue &object, const std::string &key,
+                            Interval range = {});
+
+/** @p object's @p key: an array of integers, each in @p range. */
+std::vector<std::uint64_t> counts(const JsonValue &object,
+                                  const std::string &key,
+                                  CountRange range = {});
+
+/** Throw "'<key>' must be <domain> (got <value>)". For the checks a
+ *  reader cannot express, such as a bound set by another field. */
+[[noreturn]] void badField(const std::string &key, std::string_view domain,
+                           const JsonValue &value);
+
+namespace detail {
+
+[[noreturn]] void badChoice(const std::string &key,
+                            const std::vector<std::string_view> &names,
+                            const JsonValue &value);
+
+} // namespace detail
+
+/** A name -> value table for choice(). */
+template <typename T>
+using Choice = std::pair<std::string_view, T>;
+
+/** @p object's @p key: a string naming an entry of @p table, returned
+ *  as that entry's value. */
+template <typename T, std::size_t N>
+T
+choice(const JsonValue &object, const std::string &key,
+       const Choice<T> (&table)[N])
+{
+    const JsonValue &value = object.at(key);
+    if (value.isString()) {
+        for (const auto &[name, entry] : table) {
+            if (name == value.asString())
+                return entry;
+        }
+    }
+    std::vector<std::string_view> names;
+    for (const auto &[name, entry] : table)
+        names.push_back(name);
+    detail::badChoice(key, names, value);
+}
+
+template <typename T, std::size_t N>
+T
+choice(const JsonValue &object, const std::string &key, T fallback,
+       const Choice<T> (&table)[N])
+{
+    return object.contains(key) ? choice(object, key, table) : fallback;
+}
+
+/**
+ * Run @p read; a JsonTypeError it throws is rethrown with
+ * "<parts...>: " in front, so a failure inside a nested section names
+ * where it sits ("regions[1]: 'days' must be ..."). Wrap once per
+ * section or chunk, not once per element.
+ */
+template <typename Read, typename... Parts>
+decltype(auto)
+inContext(Read &&read, const Parts &...parts)
+{
+    try {
+        return std::forward<Read>(read)();
+    } catch (const JsonTypeError &error) {
+        throw JsonTypeError(
+            util::detail::concatenate(parts..., ": ", error.what()));
+    }
+}
+
+/**
+ * The one place a bad document becomes a fatal: run @p read, and turn
+ * a JsonParseError into "fatal: failed to parse <what>: ..." and a
+ * JsonTypeError into "fatal: bad <what>: ...". @p what names the
+ * document, e.g. "metrics in sweep partial 'p.json'".
+ */
+template <typename Read>
+decltype(auto)
+readJsonAs(const std::string &what, Read &&read)
+{
+    try {
+        return std::forward<Read>(read)();
+    } catch (const JsonParseError &error) {
+        util::fatal("failed to parse ", what, ": ", error.what());
+    } catch (const JsonTypeError &error) {
+        util::fatal("bad ", what, ": ", error.what());
+    }
+}
+
 /** Load and parse a JSON file; fatal on I/O failure. */
 JsonValue loadJsonFile(const std::string &path);
+
+/** Load @p path and convert it with @p convert under readJsonAs(),
+ *  naming the document "<kind> '<path>'". */
+template <typename Convert>
+auto
+loadJsonAs(const std::string &path, std::string_view kind,
+           Convert &&convert)
+{
+    return readJsonAs(std::string(kind) + " '" + path + "'",
+                      [&] { return convert(loadJsonFile(path)); });
+}
 
 /** Serialize @p value to @p path; fatal on I/O failure or on a
  *  value dump() rejects (naming the path). */

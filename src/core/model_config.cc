@@ -5,113 +5,30 @@
 #include <cstdio>
 
 #include "data/fab_db.h"
-#include "util/logging.h"
 
 namespace act::core {
 
-using config::JsonObject;
 using config::JsonValue;
 
-JsonValue
-toJson(const FabParams &params)
-{
-    JsonObject object;
-    object["ci_fab_g_per_kwh"] = JsonValue(params.ci_fab.value());
-    object["abatement"] = JsonValue(params.abatement);
-    object["yield"] = JsonValue(params.yield);
-    object["lookup"] =
-        JsonValue(params.lookup == data::NodeLookup::Interpolate
-                      ? "interpolate"
-                      : "nearest");
-    return JsonValue(std::move(object));
-}
+namespace {
 
-JsonValue
-toJson(const OperationalParams &params)
-{
-    JsonObject object;
-    object["ci_use_g_per_kwh"] = JsonValue(params.ci_use.value());
-    object["utilization_effectiveness"] =
-        JsonValue(params.utilization_effectiveness);
-    return JsonValue(std::move(object));
-}
+constexpr config::Choice<data::NodeLookup> kLookups[] = {
+    {"interpolate", data::NodeLookup::Interpolate},
+    {"nearest", data::NodeLookup::NearestAnchor},
+};
 
-JsonValue
-toJson(const Scenario &scenario)
-{
-    JsonObject object;
-    object["fab"] = toJson(scenario.fab);
-    object["operational"] = toJson(scenario.operational);
-    object["lifetime_years"] =
-        JsonValue(util::asYears(scenario.lifetime));
-    return JsonValue(std::move(object));
-}
+} // namespace
 
 FabParams
 fabParamsFromJson(const JsonValue &value)
 {
     FabParams params;
-    params.ci_fab = util::gramsPerKilowattHour(
-        value.numberOr("ci_fab_g_per_kwh", params.ci_fab.value()));
-    params.abatement = value.numberOr("abatement", params.abatement);
-    params.yield = value.numberOr("yield", params.yield);
-    const std::string lookup = value.stringOr("lookup", "interpolate");
-    if (lookup == "interpolate") {
-        params.lookup = data::NodeLookup::Interpolate;
-    } else if (lookup == "nearest") {
-        params.lookup = data::NodeLookup::NearestAnchor;
-    } else {
-        util::fatal("unknown node lookup policy '", lookup,
-                    "' (expected 'interpolate' or 'nearest')");
-    }
+    params.ci_fab = util::gramsPerKilowattHour(config::number(
+        value, "ci_fab_g_per_kwh", params.ci_fab.value()));
+    params.abatement = config::number(value, "abatement", params.abatement);
+    params.yield = config::number(value, "yield", params.yield);
+    params.lookup = config::choice(value, "lookup", params.lookup, kLookups);
     return params;
-}
-
-OperationalParams
-operationalParamsFromJson(const JsonValue &value)
-{
-    OperationalParams params;
-    params.ci_use = util::gramsPerKilowattHour(
-        value.numberOr("ci_use_g_per_kwh", params.ci_use.value()));
-    params.utilization_effectiveness = value.numberOr(
-        "utilization_effectiveness", params.utilization_effectiveness);
-    return params;
-}
-
-Scenario
-scenarioFromJson(const JsonValue &value)
-{
-    Scenario scenario;
-    if (value.contains("fab"))
-        scenario.fab = fabParamsFromJson(value.at("fab"));
-    if (value.contains("operational")) {
-        scenario.operational =
-            operationalParamsFromJson(value.at("operational"));
-    }
-    scenario.lifetime = util::years(
-        value.numberOr("lifetime_years", util::asYears(scenario.lifetime)));
-    if (util::asYears(scenario.lifetime) <= 0.0)
-        util::fatal("scenario lifetime must be positive");
-    return scenario;
-}
-
-Scenario
-loadScenario(const std::string &path)
-{
-    try {
-        return scenarioFromJson(config::loadJsonFile(path));
-    } catch (const config::JsonParseError &error) {
-        util::fatal("failed to parse scenario '", path, "': ",
-                    error.what());
-    } catch (const config::JsonTypeError &error) {
-        util::fatal("bad scenario '", path, "': ", error.what());
-    }
-}
-
-void
-saveScenario(const std::string &path, const Scenario &scenario)
-{
-    config::saveJsonFile(path, toJson(scenario));
 }
 
 namespace {

@@ -1,18 +1,8 @@
 /**
  * @file
- * JSON (de)serialization for the ACT model parameters, mirroring the
- * config-file-driven workflow of the released tool. A scenario file
- * looks like:
- *
- *   {
- *     // fab side (Eq. 5)
- *     "fab": {"ci_fab_g_per_kwh": 447.5, "abatement": 0.97,
- *             "yield": 0.875, "lookup": "interpolate"},
- *     // use side (Eq. 2)
- *     "operational": {"ci_use_g_per_kwh": 300.0,
- *                      "utilization_effectiveness": 1.0},
- *     "lifetime_years": 3.0
- *   }
+ * The ACT model parameters as configuration: the default scenario, the
+ * reader for a sweep plan's "fab" section, and the fingerprint that
+ * ties serialized artifacts to the compiled-in model data.
  */
 
 #ifndef ACT_CORE_MODEL_CONFIG_H
@@ -35,20 +25,13 @@ struct Scenario
     util::Duration lifetime = util::years(3.0);
 };
 
-config::JsonValue toJson(const FabParams &params);
-config::JsonValue toJson(const OperationalParams &params);
-config::JsonValue toJson(const Scenario &scenario);
-
-/** Parse; missing keys keep their defaults, bad values are fatal. */
+/**
+ * Read a "fab" section: "ci_fab_g_per_kwh", "abatement", "yield" and
+ * "lookup" ("interpolate" or "nearest"); missing keys keep their
+ * defaults. Throws config::JsonTypeError naming a bad field. Eq. 5
+ * checks the yield and abatement when it runs.
+ */
 FabParams fabParamsFromJson(const config::JsonValue &value);
-OperationalParams operationalParamsFromJson(const config::JsonValue &value);
-Scenario scenarioFromJson(const config::JsonValue &value);
-
-/** Load a scenario config file (fatal on I/O or parse errors). */
-Scenario loadScenario(const std::string &path);
-
-/** Save a scenario config file. */
-void saveScenario(const std::string &path, const Scenario &scenario);
 
 /**
  * A 16-hex-digit fingerprint of the compiled-in model data the CPA

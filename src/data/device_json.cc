@@ -1,6 +1,6 @@
 #include "data/device_json.h"
 
-#include <array>
+#include <climits>
 #include <utility>
 
 #include "data/fab_db.h"
@@ -15,62 +15,32 @@ using config::JsonValue;
 
 namespace {
 
-constexpr std::array<std::pair<IcKind, const char *>, 4> kKindNames = {{
-    {IcKind::Logic, "logic"},
-    {IcKind::Dram, "dram"},
-    {IcKind::Nand, "nand"},
-    {IcKind::Hdd, "hdd"},
-}};
+constexpr config::Choice<IcKind> kKindNames[] = {
+    {"logic", IcKind::Logic},
+    {"dram", IcKind::Dram},
+    {"nand", IcKind::Nand},
+    {"hdd", IcKind::Hdd},
+};
 
-constexpr std::array<std::pair<IcCategory, const char *>, 6>
-    kCategoryNames = {{
-        {IcCategory::MainSoc, "main_soc"},
-        {IcCategory::CameraIc, "camera"},
-        {IcCategory::Dram, "dram"},
-        {IcCategory::Flash, "flash"},
-        {IcCategory::Hdd, "hdd"},
-        {IcCategory::OtherIc, "other"},
-    }};
+constexpr config::Choice<IcCategory> kCategoryNames[] = {
+    {"main_soc", IcCategory::MainSoc},
+    {"camera", IcCategory::CameraIc},
+    {"dram", IcCategory::Dram},
+    {"flash", IcCategory::Flash},
+    {"hdd", IcCategory::Hdd},
+    {"other", IcCategory::OtherIc},
+};
 
-IcKind
-kindFromString(const std::string &name)
+/** @p value's name in @p table. */
+template <typename T, std::size_t N>
+std::string
+nameOf(const config::Choice<T> (&table)[N], T value)
 {
-    for (const auto &[kind, label] : kKindNames) {
-        if (name == label)
-            return kind;
+    for (const auto &[name, candidate] : table) {
+        if (candidate == value)
+            return std::string(name);
     }
-    util::fatal("unknown IC kind '", name,
-                "' (expected logic/dram/nand/hdd)");
-}
-
-const char *
-kindToString(IcKind kind)
-{
-    for (const auto &[candidate, label] : kKindNames) {
-        if (candidate == kind)
-            return label;
-    }
-    util::panic("unknown IcKind enumerator");
-}
-
-IcCategory
-categoryFromString(const std::string &name)
-{
-    for (const auto &[category, label] : kCategoryNames) {
-        if (name == label)
-            return category;
-    }
-    util::fatal("unknown IC category '", name, "'");
-}
-
-const char *
-categoryToString(IcCategory category)
-{
-    for (const auto &[candidate, label] : kCategoryNames) {
-        if (candidate == category)
-            return label;
-    }
-    util::panic("unknown IcCategory enumerator");
+    util::panic("enumerator missing from its name table");
 }
 
 IcComponent
@@ -78,52 +48,35 @@ icFromJson(const JsonValue &value)
 {
     IcComponent ic;
     ic.name = value.at("name").asString();
-    ic.kind = kindFromString(value.at("kind").asString());
-    ic.category =
-        categoryFromString(value.stringOr("category", "other"));
-    ic.package_count =
-        static_cast<int>(value.numberOr("packages", 1.0));
-    if (ic.package_count < 1)
-        util::fatal("IC '", ic.name, "' has a non-positive package "
-                    "count");
+    ic.kind = config::choice(value, "kind", kKindNames);
+    ic.category = config::choice(value, "category", IcCategory::OtherIc,
+                                 kCategoryNames);
+    ic.package_count = static_cast<int>(
+        config::count(value, "packages", 1, {1, INT_MAX}));
 
     if (ic.kind == IcKind::Logic) {
-        if (!value.contains("area_mm2") || !value.contains("node_nm"))
-            util::fatal("logic IC '", ic.name,
-                        "' needs area_mm2 and node_nm");
-        ic.area = util::squareMillimeters(value.at("area_mm2").asNumber());
-        ic.node_nm = value.at("node_nm").asNumber();
+        ic.area = util::squareMillimeters(
+            config::number(value, "area_mm2", config::above(0.0)));
         ic.fab_node_name = value.stringOr("fab_node", "");
-        if (util::asSquareMillimeters(ic.area) <= 0.0)
-            util::fatal("logic IC '", ic.name, "' has non-positive "
-                        "area");
-        if (ic.fab_node_name.empty() &&
-            (ic.node_nm < FabDatabase::kMinNode ||
-             ic.node_nm > FabDatabase::kMaxNode)) {
-            util::fatal("logic IC '", ic.name, "' node ", ic.node_nm,
-                        " nm outside the modeled [3, 28] nm range");
-        }
+        // A named fab node carries its own node; otherwise the node
+        // must lie in the modeled range.
+        ic.node_nm = config::number(
+            value, "node_nm",
+            ic.fab_node_name.empty()
+                ? config::closed(FabDatabase::kMinNode, FabDatabase::kMaxNode)
+                : config::Interval{});
         if (!ic.fab_node_name.empty() &&
             !FabDatabase::instance().findByName(ic.fab_node_name)) {
-            util::fatal("logic IC '", ic.name, "' names unknown fab "
-                        "node '", ic.fab_node_name, "'");
+            config::badField("fab_node", "a known fab node",
+                             value.at("fab_node"));
         }
     } else {
-        if (!value.contains("capacity_gb") ||
-            !value.contains("technology")) {
-            util::fatal("storage IC '", ic.name,
-                        "' needs capacity_gb and technology");
-        }
-        ic.capacity =
-            util::gigabytes(value.at("capacity_gb").asNumber());
+        ic.capacity = util::gigabytes(
+            config::number(value, "capacity_gb", config::above(0.0)));
         ic.technology = value.at("technology").asString();
-        if (util::asGigabytes(ic.capacity) <= 0.0)
-            util::fatal("storage IC '", ic.name,
-                        "' has non-positive capacity");
         if (!findStorage(ic.technology)) {
-            util::fatal("storage IC '", ic.name,
-                        "' names unknown technology '", ic.technology,
-                        "'");
+            config::badField("technology", "a known storage technology",
+                             value.at("technology"));
         }
     }
     return ic;
@@ -134,8 +87,8 @@ toJson(const IcComponent &ic)
 {
     JsonObject object;
     object["name"] = JsonValue(ic.name);
-    object["kind"] = JsonValue(kindToString(ic.kind));
-    object["category"] = JsonValue(categoryToString(ic.category));
+    object["kind"] = JsonValue(nameOf(kKindNames, ic.kind));
+    object["category"] = JsonValue(nameOf(kCategoryNames, ic.category));
     object["packages"] = JsonValue(ic.package_count);
     if (ic.kind == IcKind::Logic) {
         object["area_mm2"] =
@@ -155,13 +108,13 @@ LcaProfile
 lcaFromJson(const JsonValue &value)
 {
     LcaProfile lca;
-    lca.total = util::kilograms(value.numberOr("total_kg", 0.0));
-    lca.production_share = value.numberOr("production_share", 0.0);
-    lca.use_share = value.numberOr("use_share", 0.0);
-    lca.transport_share = value.numberOr("transport_share", 0.0);
-    lca.eol_share = value.numberOr("eol_share", 0.0);
+    lca.total = util::kilograms(config::number(value, "total_kg", 0.0));
+    lca.production_share = config::number(value, "production_share", 0.0);
+    lca.use_share = config::number(value, "use_share", 0.0);
+    lca.transport_share = config::number(value, "transport_share", 0.0);
+    lca.eol_share = config::number(value, "eol_share", 0.0);
     lca.ic_share_of_production =
-        value.numberOr("ic_share_of_production", 0.44);
+        config::number(value, "ic_share_of_production", 0.44);
     return lca;
 }
 
@@ -172,14 +125,19 @@ deviceFromJson(const JsonValue &value)
 {
     DeviceRecord device;
     device.name = value.at("name").asString();
-    device.release_year =
-        static_cast<int>(value.numberOr("release_year", 0.0));
+    device.release_year = static_cast<int>(
+        config::count(value, "release_year", 0, {0, INT_MAX}));
     if (value.contains("ics")) {
-        for (const auto &ic : value.at("ics").asArray())
-            device.ics.push_back(icFromJson(ic));
+        const config::JsonArray &ics = value.at("ics").asArray();
+        for (std::size_t i = 0; i < ics.size(); ++i) {
+            device.ics.push_back(config::inContext(
+                [&] { return icFromJson(ics[i]); }, "ics[", i, "]"));
+        }
     }
-    if (value.contains("lca"))
-        device.lca = lcaFromJson(value.at("lca"));
+    if (value.contains("lca")) {
+        device.lca = config::inContext(
+            [&] { return lcaFromJson(value.at("lca")); }, "lca");
+    }
     return device;
 }
 
@@ -209,14 +167,7 @@ toJson(const DeviceRecord &device)
 DeviceRecord
 loadDeviceFile(const std::string &path)
 {
-    try {
-        return deviceFromJson(config::loadJsonFile(path));
-    } catch (const config::JsonParseError &error) {
-        util::fatal("failed to parse device file '", path, "': ",
-                    error.what());
-    } catch (const config::JsonTypeError &error) {
-        util::fatal("bad device file '", path, "': ", error.what());
-    }
+    return config::loadJsonAs(path, "device file", deviceFromJson);
 }
 
 void

@@ -31,15 +31,17 @@
 
 namespace act::data {
 
-/** Parse a device from JSON; fatal on malformed or inconsistent
- *  definitions (unknown kinds/categories, missing fields, unknown
- *  storage technologies, out-of-range nodes). */
+/** Parse a device from JSON. Throws config::JsonTypeError naming the
+ *  field (and its "ics[i]" entry) on malformed or inconsistent
+ *  definitions: unknown kinds/categories, missing fields, unknown
+ *  storage technologies or fab nodes, out-of-range nodes or counts. */
 DeviceRecord deviceFromJson(const config::JsonValue &value);
 
 /** Serialize a device to JSON (round-trips through deviceFromJson). */
 config::JsonValue toJson(const DeviceRecord &device);
 
-/** Load a device file; fatal on I/O or parse errors. */
+/** Load a device file; fatal, naming the file, on I/O, parse or field
+ *  errors. */
 DeviceRecord loadDeviceFile(const std::string &path);
 
 /** Save a device file. */

@@ -192,61 +192,78 @@ IntensitySeries::samplesByIntensity() const
     return order;
 }
 
+namespace {
+
+enum class Profile
+{
+    Flat,
+    Solar,
+    Wind,
+};
+
+constexpr config::Choice<Profile> kProfiles[] = {
+    {"flat", Profile::Flat},
+    {"solar", Profile::Solar},
+    {"wind", Profile::Wind},
+};
+
+/** The longest generated series: 100 years of days. */
+constexpr std::uint64_t kMaxDays = 36525;
+
+} // namespace
+
 IntensitySeries
 intensitySeriesFromJson(const config::JsonValue &value)
 {
     if (!value.isObject())
-        util::fatal("an intensity series must be a JSON object");
+        throw config::JsonTypeError(
+            "an intensity series must be a JSON object");
     const std::string name = value.stringOr("name", "");
 
     if (value.contains("samples_g_per_kwh")) {
-        std::vector<double> grams;
-        for (const config::JsonValue &sample :
-             value.at("samples_g_per_kwh").asArray()) {
-            grams.push_back(sample.asNumber());
-        }
         return IntensitySeries::fromSamples(
-            std::move(grams), value.numberOr("step_hours", 1.0), name);
+            config::numbers(value, "samples_g_per_kwh"),
+            config::number(value, "step_hours", 1.0), name);
     }
 
     if (!value.contains("profile")) {
-        util::fatal("an intensity series needs either "
-                    "'samples_g_per_kwh' or a generated 'profile'");
+        throw config::JsonTypeError(
+            "an intensity series needs either 'samples_g_per_kwh' or a "
+            "generated 'profile'");
     }
     util::CarbonIntensity base;
     if (value.contains("region")) {
         base = regionIntensity(regionByName(value.at("region").asString()));
     } else if (value.contains("base_g_per_kwh")) {
         base = util::gramsPerKilowattHour(
-            value.at("base_g_per_kwh").asNumber());
+            config::number(value, "base_g_per_kwh"));
     } else {
-        util::fatal("a generated intensity series needs a base grid: "
-                    "'region' or 'base_g_per_kwh'");
+        throw config::JsonTypeError(
+            "a generated intensity series needs a base grid: 'region' or "
+            "'base_g_per_kwh'");
     }
 
-    const std::string profile = value.at("profile").asString();
-    IntensitySeries day = [&] {
-        if (profile == "flat")
-            return IntensitySeries::flat(base);
-        const double share = value.numberOr("share", 0.25);
-        if (profile == "solar")
-            return IntensitySeries::solarDay(base, share);
-        if (profile == "wind")
-            return IntensitySeries::windDay(base, share);
-        util::fatal("unknown intensity profile '", profile,
-                    "' (expected 'flat', 'solar', or 'wind')");
-    }();
+    IntensitySeries day = IntensitySeries::flat(base);
+    switch (config::choice(value, "profile", kProfiles)) {
+      case Profile::Flat:
+        break;
+      case Profile::Solar:
+        day = IntensitySeries::solarDay(
+            base, config::number(value, "share", 0.25));
+        break;
+      case Profile::Wind:
+        day = IntensitySeries::windDay(
+            base, config::number(value, "share", 0.25));
+        break;
+    }
 
-    const double days = value.numberOr("days", 1.0);
-    if (days < 1.0 || days != std::floor(days))
-        util::fatal("intensity series 'days' must be a positive "
-                    "integer, got ", days);
+    const std::uint64_t days =
+        config::count(value, "days", 1, {1, kMaxDays});
     IntensitySeries series =
-        days > 1.0 || value.contains("seasonal_amplitude")
+        days > 1 || value.contains("seasonal_amplitude")
             ? IntensitySeries::seasonal(
-                  day, static_cast<std::size_t>(days),
-                  value.numberOr("seasonal_amplitude", 0.0),
-                  value.numberOr("seasonal_peak_day", 0.0))
+                  day, days, config::number(value, "seasonal_amplitude", 0.0),
+                  config::number(value, "seasonal_peak_day", 0.0))
             : std::move(day);
     if (!name.empty()) {
         return IntensitySeries::fromSamples(

@@ -137,8 +137,10 @@ class IntensitySeries
  * generated form takes "profile" of "flat", "solar", or "wind", a base
  * grid as "region" (Table 6 name) or "base_g_per_kwh", a renewable
  * "share" for solar/wind, and optional "days" / "seasonal_amplitude" /
- * "seasonal_peak_day" to tile the day into a seasonal series. Fatal on
- * malformed input.
+ * "seasonal_peak_day" (days a count in [1, 36525]) to tile the day
+ * into a seasonal series. Throws config::JsonTypeError naming the field
+ * on malformed input; the checks fromSamples(), solarDay(), windDay()
+ * and seasonal() make for every caller stay fatal.
  */
 IntensitySeries intensitySeriesFromJson(const config::JsonValue &value);
 

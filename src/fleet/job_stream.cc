@@ -8,41 +8,6 @@
 
 namespace act::fleet {
 
-void
-checkJobStream(const JobStreamParams &params)
-{
-    if (!(params.horizon_hours > 0.0) ||
-        !std::isfinite(params.horizon_hours)) {
-        util::fatal("job stream 'horizon_hours' must be positive, got ",
-                    params.horizon_hours);
-    }
-    if (!(params.median_duration_hours > 0.0) ||
-        !std::isfinite(params.median_duration_hours)) {
-        util::fatal("job stream 'median_duration_hours' must be "
-                    "positive, got ", params.median_duration_hours);
-    }
-    if (!(params.duration_sigma_factor >= 1.0) ||
-        !std::isfinite(params.duration_sigma_factor)) {
-        util::fatal("job stream 'duration_sigma_factor' must be >= 1, "
-                    "got ", params.duration_sigma_factor);
-    }
-    if (!(params.max_duration_hours >= params.median_duration_hours) ||
-        !std::isfinite(params.max_duration_hours)) {
-        util::fatal("job stream 'max_duration_hours' must be >= the "
-                    "median duration, got ", params.max_duration_hours);
-    }
-    if (!(params.deferrable_fraction >= 0.0 &&
-          params.deferrable_fraction <= 1.0)) {
-        util::fatal("job stream 'deferrable_fraction' must be in "
-                    "[0, 1], got ", params.deferrable_fraction);
-    }
-    if (!(params.max_slack_hours >= 0.0) ||
-        !std::isfinite(params.max_slack_hours)) {
-        util::fatal("job stream 'max_slack_hours' must be "
-                    "non-negative, got ", params.max_slack_hours);
-    }
-}
-
 Job
 jobAt(const JobStreamParams &params, std::uint64_t index)
 {
@@ -122,21 +87,26 @@ JobStreamParams
 jobStreamFromJson(const config::JsonValue &value)
 {
     if (!value.isObject())
-        util::fatal("a job stream must be a JSON object");
+        throw config::JsonTypeError("a job stream must be a JSON object");
     JobStreamParams params;
-    params.horizon_hours =
-        value.numberOr("horizon_hours", params.horizon_hours);
-    params.median_duration_hours = value.numberOr(
-        "median_duration_hours", params.median_duration_hours);
-    params.duration_sigma_factor = value.numberOr(
-        "duration_sigma_factor", params.duration_sigma_factor);
-    params.max_duration_hours = value.numberOr(
-        "max_duration_hours", params.max_duration_hours);
-    params.deferrable_fraction = value.numberOr(
-        "deferrable_fraction", params.deferrable_fraction);
-    params.max_slack_hours =
-        value.numberOr("max_slack_hours", params.max_slack_hours);
-    checkJobStream(params);
+    params.horizon_hours = config::number(value, "horizon_hours",
+                                          params.horizon_hours,
+                                          config::above(0.0));
+    params.median_duration_hours =
+        config::number(value, "median_duration_hours",
+                       params.median_duration_hours, config::above(0.0));
+    params.duration_sigma_factor =
+        config::number(value, "duration_sigma_factor",
+                       params.duration_sigma_factor, config::atLeast(1.0));
+    params.max_duration_hours = config::number(
+        value, "max_duration_hours", params.max_duration_hours,
+        config::atLeast(params.median_duration_hours));
+    params.deferrable_fraction =
+        config::number(value, "deferrable_fraction",
+                       params.deferrable_fraction, config::closed(0.0, 1.0));
+    params.max_slack_hours = config::number(
+        value, "max_slack_hours", params.max_slack_hours,
+        config::atLeast(0.0));
     return params;
 }
 

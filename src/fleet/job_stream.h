@@ -54,9 +54,6 @@ struct Job
     bool deferrable = false;
 };
 
-/** Fatal on non-finite / out-of-range stream parameters. */
-void checkJobStream(const JobStreamParams &params);
-
 /** Generate job @p index of the stream (pure in (params, index)). */
 Job jobAt(const JobStreamParams &params, std::uint64_t index);
 
@@ -91,7 +88,8 @@ void jobBlockAt(const JobStreamParams &params, std::uint64_t first,
                 std::size_t count, JobBlock &block);
 
 /** Parse the JSON form; the seed comes from the caller (a SweepPlan),
- *  not the document. Fatal on malformed input. */
+ *  not the document. Throws config::JsonTypeError naming a missing,
+ *  mistyped or out-of-range field. */
 JobStreamParams jobStreamFromJson(const config::JsonValue &value);
 
 config::JsonValue toJson(const JobStreamParams &params);

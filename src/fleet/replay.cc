@@ -204,50 +204,6 @@ struct GroupSums
     double operational_g = 0.0;
 };
 
-/** A payload count: a JSON integer >= 0. Throws JsonTypeError naming
- *  @p key otherwise (a bare cast would wrap -1 and truncate 0.5). */
-std::uint64_t
-countAt(const config::JsonValue &value, const char *key)
-{
-    std::int64_t count = 0;
-    try {
-        count = value.at(key).asInteger();
-    } catch (const config::JsonTypeError &error) {
-        throw config::JsonTypeError(std::string("'") + key +
-                                    "' must be a non-negative integer (" +
-                                    error.what() + ")");
-    }
-    if (count < 0) {
-        throw config::JsonTypeError(std::string("'") + key +
-                                    "' must be a non-negative integer "
-                                    "(got " +
-                                    std::to_string(count) + ")");
-    }
-    return static_cast<std::uint64_t>(count);
-}
-
-/** A payload sum: a finite JSON number. Throws JsonTypeError naming
- *  @p key otherwise. */
-double
-finiteAt(const config::JsonValue &value, const char *key)
-{
-    double number = 0.0;
-    try {
-        number = value.at(key).asNumber();
-    } catch (const config::JsonTypeError &error) {
-        throw config::JsonTypeError(std::string("'") + key +
-                                    "' must be a finite number (" +
-                                    error.what() + ")");
-    }
-    if (!std::isfinite(number)) {
-        std::ostringstream message;
-        message << "'" << key << "' must be a finite number (got "
-                << number << ")";
-        throw config::JsonTypeError(message.str());
-    }
-    return number;
-}
-
 } // namespace
 
 RegionSeries::RegionSeries(std::string name_in,
@@ -272,40 +228,42 @@ FleetSetup
 fleetSetupFromJson(const config::JsonValue &config, std::uint64_t seed)
 {
     if (!config.isObject())
-        util::fatal("a fleet plan needs a 'config' object");
+        throw config::JsonTypeError("a fleet plan needs a 'config' object");
     FleetSetup setup;
     setup.platform = server::dellR740Platform(core::FabParams{});
-    setup.pue = config.numberOr("pue", 1.2);
-    if (!(setup.pue >= 1.0) || !std::isfinite(setup.pue))
-        util::fatal("fleet config 'pue' must be >= 1, got ", setup.pue);
+    setup.pue = config::number(config, "pue", 1.2, config::atLeast(1.0));
 
-    setup.jobs = config.contains("jobs")
-                     ? jobStreamFromJson(config.at("jobs"))
-                     : JobStreamParams{};
+    if (config.contains("jobs")) {
+        setup.jobs = config::inContext(
+            [&] { return jobStreamFromJson(config.at("jobs")); }, "jobs");
+    }
     setup.jobs.seed = seed;
 
-    if (!config.contains("regions"))
-        util::fatal("fleet config needs a 'regions' array");
-    for (const config::JsonValue &entry :
-         config.at("regions").asArray()) {
-        data::IntensitySeries series =
-            data::intensitySeriesFromJson(entry);
-        std::string name = entry.stringOr("name", series.name());
-        setup.regions.emplace_back(std::move(name), std::move(series));
+    const config::JsonArray &regions = config.at("regions").asArray();
+    if (regions.empty()) {
+        config::badField("regions", "a non-empty array",
+                         config.at("regions"));
     }
-    if (setup.regions.empty())
-        util::fatal("fleet config has an empty 'regions' array");
-    const std::size_t samples = setup.regions.front().series.size();
-    const double step = setup.regions.front().series.stepHours();
-    for (const RegionSeries &region : setup.regions) {
-        if (region.series.size() != samples ||
-            region.series.stepHours() != step) {
-            util::fatal("fleet regions must share series length and "
-                        "step; region '", region.name, "' has ",
-                        region.series.size(), " x ",
-                        region.series.stepHours(), " h vs ", samples,
-                        " x ", step, " h");
-        }
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+        config::inContext(
+            [&] {
+                data::IntensitySeries series =
+                    data::intensitySeriesFromJson(regions[r]);
+                const data::IntensitySeries &first =
+                    r > 0 ? setup.regions[0].series : series;
+                if (series.size() != first.size() ||
+                    series.stepHours() != first.stepHours()) {
+                    throw config::JsonTypeError(util::detail::concatenate(
+                        "series of ", series.size(), " x ",
+                        series.stepHours(), " h must match regions[0]'s ",
+                        first.size(), " x ", first.stepHours(), " h"));
+                }
+                std::string name =
+                    regions[r].stringOr("name", series.name());
+                setup.regions.emplace_back(std::move(name),
+                                           std::move(series));
+            },
+            "regions[", r, "]");
     }
 
     std::vector<core::PolicySpec> policies;
@@ -316,45 +274,27 @@ fleetSetupFromJson(const config::JsonValue &config, std::uint64_t seed)
             policies.push_back(core::policyByName(entry.asString()));
             policy_names.push_back(entry.asString());
         }
+        if (policies.empty()) {
+            config::badField("policies", "a non-empty array",
+                             config.at("policies"));
+        }
     } else {
         for (const char *name : {"uniform", "greedy"}) {
             policies.push_back(core::policyByName(name));
             policy_names.emplace_back(name);
         }
     }
-    if (policies.empty())
-        util::fatal("fleet config has an empty 'policies' array");
-    const double deadline_raw =
-        config.numberOr("deadline_samples", 6.0);
-    // A bare size_t cast would wrap negatives to huge windows and
-    // silently truncate fractions; both are config mistakes.
-    if (!(deadline_raw > 0.0) || !std::isfinite(deadline_raw) ||
-        deadline_raw != std::floor(deadline_raw)) {
-        util::fatal("fleet config 'deadline_samples' must be a "
-                    "positive integer, got ", deadline_raw);
-    }
-    const auto deadline_samples =
-        static_cast<std::size_t>(deadline_raw);
+    const std::uint64_t deadline_samples = config::count(
+        config, "deadline_samples", 6, {1, config::kMaxCount});
     for (core::PolicySpec &policy : policies) {
         if (policy.kind == core::DeferralPolicy::DeadlineBounded)
             policy.deadline_samples = deadline_samples;
     }
 
-    std::vector<double> lifetimes;
-    if (config.contains("lifetime_years")) {
-        for (const config::JsonValue &entry :
-             config.at("lifetime_years").asArray()) {
-            lifetimes.push_back(entry.asNumber());
-        }
-    } else {
-        lifetimes.push_back(4.0);
-    }
-    for (const double years : lifetimes) {
-        if (!(years > 0.0) || !std::isfinite(years)) {
-            util::fatal("fleet config 'lifetime_years' entries must be "
-                        "positive, got ", years);
-        }
-    }
+    const std::vector<double> lifetimes =
+        config.contains("lifetime_years")
+            ? config::numbers(config, "lifetime_years", config::above(0.0))
+            : std::vector<double>{4.0};
 
     for (std::size_t p = 0; p < policies.size(); ++p) {
         for (std::size_t r = 0; r < setup.regions.size(); ++r) {
@@ -714,14 +654,14 @@ FleetAccumulator
 fleetAccumulatorFromJson(const config::JsonValue &value)
 {
     FleetAccumulator accumulator;
-    accumulator.jobs = countAt(value, "jobs");
-    accumulator.deferred = countAt(value, "deferred");
-    accumulator.migrated = countAt(value, "migrated");
-    accumulator.operational_g = finiteAt(value, "operational_g");
-    accumulator.embodied_g = finiteAt(value, "embodied_g");
-    accumulator.energy_kwh = finiteAt(value, "energy_kwh");
-    accumulator.busy_hours = finiteAt(value, "busy_hours");
-    accumulator.baseline_g = finiteAt(value, "baseline_g");
+    accumulator.jobs = config::count(value, "jobs");
+    accumulator.deferred = config::count(value, "deferred");
+    accumulator.migrated = config::count(value, "migrated");
+    accumulator.operational_g = config::number(value, "operational_g");
+    accumulator.embodied_g = config::number(value, "embodied_g");
+    accumulator.energy_kwh = config::number(value, "energy_kwh");
+    accumulator.busy_hours = config::number(value, "busy_hours");
+    accumulator.baseline_g = config::number(value, "baseline_g");
     return accumulator;
 }
 

@@ -84,7 +84,8 @@ struct FleetSetup
 
 /**
  * Parse a fleet setup from a sweep plan's config object; @p seed
- * (the plan seed) becomes the job stream's base seed. Fatal on
+ * (the plan seed) becomes the job stream's base seed. Throws
+ * config::JsonTypeError, naming the field and its section, on
  * malformed input, empty regions, or regions whose series disagree on
  * length or step.
  */

@@ -23,28 +23,6 @@ using config::JsonValue;
 const char *const kHeartbeatFormat = "act.heartbeat.v1";
 const char *const kHeartbeatSuffix = ".heartbeat.json";
 
-namespace {
-
-/** A count field read with the range-checked asInteger(); absent
- *  reads as @p fallback. Throws JsonTypeError when the value is not a
- *  non-negative integer. */
-std::uint64_t
-countOr(const JsonValue &value, const std::string &key,
-        std::uint64_t fallback)
-{
-    if (!value.contains(key))
-        return fallback;
-    const std::int64_t count = value.at(key).asInteger();
-    if (count < 0) {
-        throw config::JsonTypeError("heartbeat '" + key +
-                                    "' must be non-negative, got " +
-                                    std::to_string(count));
-    }
-    return static_cast<std::uint64_t>(count);
-}
-
-} // namespace
-
 JsonValue
 toJson(const Heartbeat &heartbeat)
 {
@@ -74,23 +52,21 @@ toJson(const Heartbeat &heartbeat)
 Heartbeat
 heartbeatFromJson(const JsonValue &value)
 {
-    const std::string format = value.stringOr("format", "");
-    if (format != kHeartbeatFormat)
-        util::fatal("not a heartbeat document (format '", format,
-                    "', expected '", kHeartbeatFormat, "')");
+    const config::Choice<bool> formats[] = {{kHeartbeatFormat, true}};
+    config::choice(value, "format", formats);
     Heartbeat heartbeat;
     heartbeat.domain = value.stringOr("domain", "");
-    heartbeat.shard_index = countOr(value, "shard_index", 0);
-    heartbeat.shard_count = countOr(value, "shard_count", 1);
-    heartbeat.items_done = countOr(value, "items_done", 0);
-    heartbeat.items_total = countOr(value, "items_total", 0);
-    heartbeat.chunks_done = countOr(value, "chunks_done", 0);
-    heartbeat.chunks_total = countOr(value, "chunks_total", 0);
-    heartbeat.items_per_sec = value.numberOr("items_per_sec", 0.0);
-    heartbeat.rss_mb = value.numberOr("rss_mb", 0.0);
-    heartbeat.start_wall_s = value.numberOr("start_wall_s", 0.0);
-    heartbeat.update_wall_s = value.numberOr("update_wall_s", 0.0);
-    heartbeat.done = value.boolOr("done", false);
+    heartbeat.shard_index = config::count(value, "shard_index", 0);
+    heartbeat.shard_count = config::count(value, "shard_count", 1);
+    heartbeat.items_done = config::count(value, "items_done", 0);
+    heartbeat.items_total = config::count(value, "items_total", 0);
+    heartbeat.chunks_done = config::count(value, "chunks_done", 0);
+    heartbeat.chunks_total = config::count(value, "chunks_total", 0);
+    heartbeat.items_per_sec = config::number(value, "items_per_sec", 0.0);
+    heartbeat.rss_mb = config::number(value, "rss_mb", 0.0);
+    heartbeat.start_wall_s = config::number(value, "start_wall_s", 0.0);
+    heartbeat.update_wall_s = config::number(value, "update_wall_s", 0.0);
+    heartbeat.done = value.contains("done") && value.at("done").asBool();
     return heartbeat;
 }
 
@@ -241,14 +217,8 @@ loadHeartbeatDirectory(const std::string &directory)
         std::ostringstream buffer;
         buffer << in.rdbuf();
         try {
-            const JsonValue doc =
-                JsonValue::parse(buffer.str());
-            if (doc.stringOr("format", "") != kHeartbeatFormat) {
-                util::warn("skipping '", path,
-                           "': not an act.heartbeat.v1 document");
-                continue;
-            }
-            heartbeats.emplace_back(path, heartbeatFromJson(doc));
+            heartbeats.emplace_back(
+                path, heartbeatFromJson(JsonValue::parse(buffer.str())));
         } catch (const config::JsonParseError &parse_error) {
             util::warn("skipping unparseable heartbeat file '", path,
                        "': ", parse_error.what());

@@ -77,9 +77,9 @@ struct Heartbeat
 
 config::JsonValue toJson(const Heartbeat &heartbeat);
 
-/** Read a heartbeat document. Fatal when its format is not
- *  act.heartbeat.v1; throws config::JsonTypeError when a field has
- *  the wrong type or a count is not a non-negative 64-bit integer. */
+/** Read a heartbeat document. Throws config::JsonTypeError naming the
+ *  field when the format is not act.heartbeat.v1, a field has the
+ *  wrong type or a count is not a non-negative 64-bit integer. */
 Heartbeat heartbeatFromJson(const config::JsonValue &value);
 
 /** Unix wall-clock time in seconds (sub-second resolution). */

@@ -50,6 +50,7 @@ promName(const std::string &name)
     return out;
 }
 
+/** @p doc's @p key section: an object, empty when absent. */
 const JsonObject &
 requireObject(const JsonValue &doc, const char *key)
 {
@@ -58,61 +59,51 @@ requireObject(const JsonValue &doc, const char *key)
         return empty;
     const JsonValue &value = doc.at(key);
     if (!value.isObject())
-        throw config::JsonTypeError(
-            std::string("metrics document field '") + key +
-            "' must be an object");
+        config::badField(key, "an object", value);
     return value.asObject();
 }
 
-/** @p value's @p key, or a JsonTypeError naming the field. */
-const JsonValue &
-requireField(const JsonValue &value, const char *key,
-             const std::string &owner)
-{
-    if (!value.isObject())
-        throw config::JsonTypeError("metrics " + owner +
-                                    " must be an object");
-    if (!value.contains(key))
-        throw config::JsonTypeError("metrics " + owner +
-                                    " is missing field '" + key + "'");
-    return value.at(key);
-}
-
-std::vector<double>
-numberArray(const JsonValue &value, const std::string &context)
-{
-    if (!value.isArray())
-        throw config::JsonTypeError("metrics " + context +
-                                    " must be an array");
-    std::vector<double> out;
-    out.reserve(value.asArray().size());
-    for (const JsonValue &entry : value.asArray()) {
-        if (!entry.isNumber())
-            throw config::JsonTypeError("metrics " + context +
-                                        " must contain only numbers");
-        out.push_back(entry.asNumber());
-    }
-    return out;
-}
-
-/** A count: a non-negative integer in 64-bit range, checked like a
- *  fleet partial's job counts (a bare cast would wrap -1 and truncate
- *  2.5). Throws JsonTypeError naming @p context otherwise. */
+/** Throws config::JsonTypeError naming the first field of @p doc that
+ *  breaks the act.metrics.v1 shape. */
 void
-checkCount(const JsonValue &value, const std::string &context)
+checkMetricsDoc(const JsonValue &doc)
 {
-    std::int64_t count = -1;
-    std::string detail;
-    try {
-        count = value.asInteger();
-        detail = "got " + std::to_string(count);
-    } catch (const config::JsonTypeError &error) {
-        detail = error.what();
+    const config::Choice<bool> formats[] = {{kMetricsFormat, true}};
+    config::choice(doc, "format", formats);
+    const JsonObject &counters = requireObject(doc, "counters");
+    config::inContext(
+        [&] {
+            for (const auto &counter : counters)
+                config::count(doc.at("counters"), counter.first);
+        },
+        "counters");
+    for (const auto &[name, value] : requireObject(doc, "gauges")) {
+        config::inContext([&] { config::numbers(value, "values"); },
+                          "gauge '", name, "'");
     }
-    if (count < 0)
-        throw config::JsonTypeError("metrics " + context +
-                                    " must be a non-negative integer (" +
-                                    detail + ")");
+    for (const auto &[name, value] : requireObject(doc, "histograms")) {
+        config::inContext(
+            [&] {
+                const std::vector<double> bounds =
+                    config::numbers(value, "bounds");
+                if (!std::is_sorted(bounds.begin(), bounds.end()))
+                    config::badField("bounds", "ascending",
+                                     value.at("bounds"));
+                if (config::counts(value, "counts").size() !=
+                    bounds.size() + 1) {
+                    config::badField(
+                        "counts",
+                        "an array of " +
+                            std::to_string(bounds.size() + 1) +
+                            " bucket counts (bounds + overflow)",
+                        value.at("counts"));
+                }
+                config::count(value, "count");
+                for (const char *key : {"sum", "min", "max"})
+                    config::number(value, key);
+            },
+            "histogram '", name, "'");
+    }
 }
 
 /** Working form of one histogram while merging. */
@@ -182,9 +173,8 @@ double
 histogramQuantile(const JsonValue &histogram, double q)
 {
     const std::vector<double> bounds =
-        numberArray(histogram.at("bounds"), "histogram bounds");
-    const std::vector<double> counts =
-        numberArray(histogram.at("counts"), "histogram counts");
+        config::numbers(histogram, "bounds");
+    const std::vector<double> counts = config::numbers(histogram, "counts");
     const double min = histogram.at("min").asNumber();
     const double max = histogram.at("max").asNumber();
     double total = 0.0;
@@ -249,60 +239,9 @@ metricsToJson(const util::MetricsSnapshot &snapshot)
 const JsonValue &
 validateMetricsDoc(const JsonValue &doc, const std::string &origin)
 {
-    try {
-        if (!doc.isObject())
-            throw config::JsonTypeError(
-                "metrics document must be a JSON object");
-        const std::string format = doc.stringOr("format", "");
-        if (format != kMetricsFormat)
-            throw config::JsonTypeError(
-                "not a metrics document (format '" + format +
-                "', expected '" + kMetricsFormat + "')");
-        for (const auto &[name, value] : requireObject(doc, "counters"))
-            checkCount(value, "counter '" + name + "'");
-        for (const auto &[name, value] : requireObject(doc, "gauges")) {
-            const std::string gauge = "gauge '" + name + "'";
-            numberArray(requireField(value, "values", gauge),
-                        gauge + " values");
-        }
-        for (const auto &[name, value] :
-             requireObject(doc, "histograms")) {
-            const std::string histogram = "histogram '" + name + "'";
-            const std::vector<double> bounds =
-                numberArray(requireField(value, "bounds", histogram),
-                            histogram + " bounds");
-            if (!std::is_sorted(bounds.begin(), bounds.end()))
-                throw config::JsonTypeError("metrics " + histogram +
-                                            " bounds must be ascending");
-            const JsonValue &counts =
-                requireField(value, "counts", histogram);
-            const std::size_t count_size =
-                numberArray(counts, histogram + " counts").size();
-            if (count_size != bounds.size() + 1)
-                throw config::JsonTypeError(
-                    "metrics " + histogram + " needs " +
-                    std::to_string(bounds.size() + 1) +
-                    " bucket counts (bounds + overflow), got " +
-                    std::to_string(count_size));
-            for (std::size_t i = 0; i < count_size; ++i) {
-                checkCount(counts.asArray()[i],
-                           histogram + " bucket count " +
-                               std::to_string(i));
-            }
-            checkCount(requireField(value, "count", histogram),
-                       histogram + " count");
-            for (const char *key : {"sum", "min", "max"}) {
-                if (!requireField(value, key, histogram).isNumber())
-                    throw config::JsonTypeError(
-                        "metrics " + histogram + " field '" + key +
-                        "' must be a number");
-            }
-        }
-    } catch (const config::JsonTypeError &error) {
-        if (origin.empty())
-            util::fatal(error.what());
-        util::fatal("bad metrics in ", origin, ": ", error.what());
-    }
+    config::readJsonAs(origin.empty() ? std::string("metrics document")
+                                      : "metrics in " + origin,
+                       [&] { checkMetricsDoc(doc); });
     return doc;
 }
 
@@ -319,19 +258,16 @@ mergeMetricsDocs(const std::vector<JsonValue> &docs)
             counters[name] += value.asNumber();
         for (const auto &[name, value] : requireObject(doc, "gauges")) {
             const std::vector<double> values =
-                numberArray(value.at("values"),
-                            "gauge '" + name + "' values");
+                config::numbers(value, "values");
             auto &merged = gauges[name];
             merged.insert(merged.end(), values.begin(), values.end());
         }
         for (const auto &[name, value] :
              requireObject(doc, "histograms")) {
             const std::vector<double> bounds =
-                numberArray(value.at("bounds"),
-                            "histogram '" + name + "' bounds");
+                config::numbers(value, "bounds");
             const std::vector<double> counts =
-                numberArray(value.at("counts"),
-                            "histogram '" + name + "' counts");
+                config::numbers(value, "counts");
             const double count = value.at("count").asNumber();
             auto found = histograms.find(name);
             if (found == histograms.end()) {
@@ -403,7 +339,7 @@ renderPrometheus(const JsonValue &doc)
 
     for (const auto &[name, value] : requireObject(doc, "gauges")) {
         const std::vector<double> values =
-            numberArray(value.at("values"), "gauge values");
+            config::numbers(value, "values");
         const std::string metric = promName(name);
         out += "# TYPE " + metric + " gauge\n";
         if (values.size() == 1) {
@@ -418,9 +354,9 @@ renderPrometheus(const JsonValue &doc)
 
     for (const auto &[name, value] : requireObject(doc, "histograms")) {
         const std::vector<double> bounds =
-            numberArray(value.at("bounds"), "histogram bounds");
+            config::numbers(value, "bounds");
         const std::vector<double> counts =
-            numberArray(value.at("counts"), "histogram counts");
+            config::numbers(value, "counts");
         const std::string metric = promName(name);
         out += "# TYPE " + metric + " histogram\n";
         double cumulative = 0.0;
@@ -453,11 +389,11 @@ renderMetricsDocTable(const JsonValue &doc)
     }
     for (const auto &[name, value] : requireObject(doc, "gauges")) {
         const std::vector<double> values =
-            numberArray(value.at("values"), "gauge values");
+            config::numbers(value, "values");
         table.addRow({name, "gauge", std::to_string(values.size()),
-                      sig(value.numberOr("mean", 0.0)), "", "",
-                      sig(value.numberOr("min", 0.0)),
-                      sig(value.numberOr("max", 0.0))});
+                      sig(config::number(value, "mean", 0.0)), "", "",
+                      sig(config::number(value, "min", 0.0)),
+                      sig(config::number(value, "max", 0.0))});
     }
     for (const auto &[name, value] : requireObject(doc, "histograms")) {
         const double count = value.at("count").asNumber();

@@ -54,9 +54,10 @@ config::JsonValue metricsToJson(const util::MetricsSnapshot &snapshot);
  * (gauge `values`; histogram `bounds`, `counts`, `count`, `sum`,
  * `min`, `max`), counts arrays sized bounds + 1, and counters,
  * histogram `count` and bucket counts as non-negative integers in
- * 64-bit range. Fatal on violation, naming the field and -- when
- * @p origin is given (e.g. "sweep partial 'p.json'") -- where the
- * document came from. Returns the document so call sites can
+ * 64-bit range. On violation, fatal through config::readJsonAs()
+ * as "bad metrics in <origin>: <section>: '<field>' must be ...", or
+ * "bad metrics document: ..." without an @p origin (e.g. "sweep
+ * partial 'p.json'"). Returns the document so call sites can
  * validate-and-use in one expression.
  */
 const config::JsonValue &validateMetricsDoc(const config::JsonValue &doc,

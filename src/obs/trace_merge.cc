@@ -14,24 +14,30 @@ using config::JsonValue;
 
 namespace {
 
-/** The wall-clock position (µs since Unix epoch) of a trace file's
- *  timestamp origin, read from its trace_epoch metadata event; empty
- *  when the file predates epoch stamping. */
+/**
+ * The wall-clock position (µs since Unix epoch) of @p trace's
+ * timestamp origin, read from its first trace_epoch metadata event;
+ * empty when the file predates epoch stamping. Reads every field the
+ * merge reads, so a trace that passes merges without a type error.
+ * Throws config::JsonTypeError naming the bad field.
+ */
 std::optional<std::uint64_t>
-traceEpochOf(const JsonValue &trace)
+readTrace(const JsonValue &trace)
 {
-    for (const JsonValue &event : trace.at("traceEvents").asArray()) {
+    const JsonValue &events = trace.at("traceEvents");
+    if (!events.isArray())
+        config::badField("traceEvents", "an array of events", events);
+    std::optional<std::uint64_t> epoch;
+    for (const JsonValue &event : events.asArray()) {
         if (!event.isObject())
             continue;
-        if (event.stringOr("name", "") != "trace_epoch")
-            continue;
-        if (!event.contains("args"))
-            continue;
-        const double epoch =
-            event.at("args").numberOr("wall_epoch_us", 0.0);
-        return static_cast<std::uint64_t>(epoch);
+        if (event.stringOr("name", "") != "trace_epoch") {
+            config::number(event, "ts", 0.0);
+        } else if (!epoch && event.contains("args")) {
+            epoch = config::count(event.at("args"), "wall_epoch_us", 0);
+        }
     }
-    return std::nullopt;
+    return epoch;
 }
 
 std::string
@@ -39,19 +45,6 @@ basenameOf(const std::string &path)
 {
     const std::size_t slash = path.find_last_of('/');
     return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-/** Run @p body for the trace named @p name, turning a mistyped field
- *  (a JsonTypeError) into a fatal that names the trace. */
-template <typename Body>
-auto
-forTrace(const std::string &name, Body body)
-{
-    try {
-        return body();
-    } catch (const config::JsonTypeError &error) {
-        util::fatal("bad trace '", name, "': ", error.what());
-    }
 }
 
 JsonValue
@@ -82,15 +75,8 @@ mergeTraceDocs(const std::vector<JsonValue> &traces,
     std::vector<std::size_t> unanchored; // traces without trace_epoch
     epochs.reserve(traces.size());
     for (std::size_t i = 0; i < traces.size(); ++i) {
-        if (!traces[i].isObject() ||
-            !traces[i].contains("traceEvents") ||
-            !traces[i].at("traceEvents").isArray()) {
-            util::fatal("'", names[i],
-                        "' is not a Chrome trace document "
-                        "(no traceEvents array)");
-        }
-        const std::optional<std::uint64_t> epoch =
-            forTrace(names[i], [&] { return traceEpochOf(traces[i]); });
+        const std::optional<std::uint64_t> epoch = config::inContext(
+            [&] { return readTrace(traces[i]); }, "trace '", names[i], "'");
         if (!epoch)
             unanchored.push_back(i);
         epochs.push_back(epoch.value_or(0));
@@ -118,25 +104,22 @@ mergeTraceDocs(const std::vector<JsonValue> &traces,
         // so the µs delta stays well inside double precision.
         const double delta_us =
             static_cast<double>(epochs[i] - min_epoch);
-        forTrace(names[i], [&] {
-            for (const JsonValue &event :
-                 traces[i].at("traceEvents").asArray()) {
-                if (!event.isObject())
-                    continue;
-                // Per-file epoch anchors are consumed by the
-                // alignment; the merged file carries a single fresh
-                // one.
-                if (event.stringOr("name", "") == "trace_epoch")
-                    continue;
-                JsonObject remapped = event.asObject();
-                remapped["pid"] = JsonValue(pid);
-                remapped["ts"] = JsonValue(
-                    event.numberOr("ts", 0.0) + delta_us);
-                merged.push_back(JsonValue(std::move(remapped)));
-            }
-        });
+        for (const JsonValue &event :
+             traces[i].at("traceEvents").asArray()) {
+            if (!event.isObject())
+                continue;
+            // Per-file epoch anchors are consumed by the alignment; the
+            // merged file carries a single fresh one.
+            if (event.stringOr("name", "") == "trace_epoch")
+                continue;
+            JsonObject remapped = event.asObject();
+            remapped["pid"] = JsonValue(pid);
+            remapped["ts"] =
+                JsonValue(config::number(event, "ts", 0.0) + delta_us);
+            merged.emplace_back(std::move(remapped));
+        }
     }
-    // Warned only once every trace merged, so a bad trace's fatal is
+    // Warned only once every trace merged, so a bad trace's error is
     // the only diagnostic it produces.
     for (std::size_t i : unanchored) {
         util::warn("trace '", names[i],
@@ -158,12 +141,11 @@ mergeTraceFiles(const std::string &out_path,
     std::vector<std::string> names;
     traces.reserve(trace_paths.size());
     for (const std::string &path : trace_paths) {
-        try {
-            traces.push_back(config::loadJsonFile(path));
-        } catch (const config::JsonParseError &error) {
-            util::fatal("failed to parse trace '", path, "': ",
-                        error.what());
-        }
+        traces.push_back(
+            config::loadJsonAs(path, "trace", [](JsonValue trace) {
+                readTrace(trace);
+                return trace;
+            }));
         names.push_back(path);
     }
     config::saveJsonFile(out_path, mergeTraceDocs(traces, names));

@@ -28,16 +28,17 @@ namespace act::obs {
  * Merge parsed trace documents into one. @p names labels each pid
  * (parallel to @p traces; typically source basenames). A document
  * missing its `trace_epoch` metadata warns and is aligned with delta
- * zero. Fatal, naming the trace, when a document is not a Chrome
- * trace object or an event field has the wrong type.
+ * zero. Throws config::JsonTypeError, naming the trace and the field,
+ * when a document has no traceEvents array or a field the merge reads
+ * has the wrong type.
  */
 config::JsonValue
 mergeTraceDocs(const std::vector<config::JsonValue> &traces,
                const std::vector<std::string> &names);
 
 /** Load @p trace_paths, merge, and write the result to @p out_path.
- *  Fatal, naming the file and line:column, when a file does not
- *  parse. */
+ *  Fatal, naming the file (and the line:column or the field), when a
+ *  file does not parse or a field has the wrong type. */
 void mergeTraceFiles(const std::string &out_path,
                      const std::vector<std::string> &trace_paths);
 

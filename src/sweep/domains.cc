@@ -45,6 +45,17 @@ resolveFingerprint(SweepPlan &plan)
     }
 }
 
+/** The plan config's "fab" section; the defaults when it has none. */
+core::FabParams
+planFab(const SweepPlan &plan)
+{
+    if (!plan.config.isObject() || !plan.config.contains("fab"))
+        return core::FabParams{};
+    return config::inContext(
+        [&] { return core::fabParamsFromJson(plan.config.at("fab")); },
+        "fab");
+}
+
 // ---------------------------------------------------------------------
 // cpa_montecarlo: Eq. 5 CPA uncertainty at a fixed node.
 // ---------------------------------------------------------------------
@@ -65,54 +76,67 @@ struct CpaMonteCarloConfig
     std::vector<FabField> fields;
 };
 
+constexpr config::Choice<FabField> kFabFields[] = {
+    {"ci_fab_g_per_kwh", FabField::CiFab},
+    {"yield", FabField::Yield},
+    {"abatement", FabField::Abatement},
+};
+
+constexpr config::Choice<dse::Distribution> kDistributions[] = {
+    {"uniform", dse::Distribution::Uniform},
+    {"triangular", dse::Distribution::Triangular},
+};
+
+/**
+ * The values the FabParams field @p field admits. A parameter's
+ * [low, high] range must lie inside, so no sample can fail the
+ * kernel's per-sample checks on a worker thread.
+ */
+config::Interval
+fieldDomain(FabField field)
+{
+    if (field == FabField::CiFab)
+        return config::atLeast(0.0);
+    if (field == FabField::Yield)
+        return {0.0, 1.0, true, false};
+    return config::closed(0.90, 1.0);
+}
+
 CpaMonteCarloConfig
 parseCpaMonteCarloConfig(const SweepPlan &plan)
 {
-    if (!plan.config.isObject())
-        util::fatal("cpa_montecarlo plan needs a 'config' object");
-    CpaMonteCarloConfig parsed;
-    parsed.node_nm = plan.config.numberOr("node_nm", 0.0);
-    if (parsed.node_nm <= 0.0)
-        util::fatal("cpa_montecarlo config needs a positive 'node_nm'");
-    if (plan.config.contains("fab")) {
-        parsed.base_fab =
-            core::fabParamsFromJson(plan.config.at("fab"));
+    if (!plan.config.isObject()) {
+        throw config::JsonTypeError(
+            "cpa_montecarlo plan needs a 'config' object");
     }
-    if (!plan.config.contains("parameters"))
-        util::fatal("cpa_montecarlo config needs a 'parameters' array");
-    for (const JsonValue &entry :
-         plan.config.at("parameters").asArray()) {
-        dse::UncertainParameter parameter;
-        parameter.name = entry.at("name").asString();
-        const std::string distribution =
-            entry.stringOr("distribution", "uniform");
-        if (distribution == "uniform") {
-            parameter.distribution = dse::Distribution::Uniform;
-        } else if (distribution == "triangular") {
-            parameter.distribution = dse::Distribution::Triangular;
-        } else {
-            util::fatal("unknown distribution '", distribution,
-                        "' (expected 'uniform' or 'triangular')");
-        }
-        parameter.low = entry.at("low").asNumber();
-        parameter.high = entry.at("high").asNumber();
-        parameter.baseline = entry.numberOr(
-            "baseline", (parameter.low + parameter.high) / 2.0);
-
-        FabField field;
-        if (parameter.name == "ci_fab_g_per_kwh") {
-            field = FabField::CiFab;
-        } else if (parameter.name == "yield") {
-            field = FabField::Yield;
-        } else if (parameter.name == "abatement") {
-            field = FabField::Abatement;
-        } else {
-            util::fatal("unknown cpa_montecarlo parameter '",
-                        parameter.name, "' (expected "
-                        "'ci_fab_g_per_kwh', 'yield', or 'abatement')");
-        }
-        parsed.parameters.push_back(std::move(parameter));
-        parsed.fields.push_back(field);
+    CpaMonteCarloConfig parsed;
+    parsed.node_nm =
+        config::number(plan.config, "node_nm", config::above(0.0));
+    parsed.base_fab = planFab(plan);
+    const JsonArray &entries = plan.config.at("parameters").asArray();
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        config::inContext(
+            [&] {
+                const JsonValue &entry = entries[i];
+                const FabField field =
+                    config::choice(entry, "name", kFabFields);
+                dse::UncertainParameter parameter;
+                parameter.name = entry.at("name").asString();
+                parameter.distribution =
+                    config::choice(entry, "distribution",
+                                   dse::Distribution::Uniform,
+                                   kDistributions);
+                parameter.low =
+                    config::number(entry, "low", fieldDomain(field));
+                parameter.high =
+                    config::number(entry, "high", fieldDomain(field));
+                parameter.baseline = config::number(
+                    entry, "baseline",
+                    (parameter.low + parameter.high) / 2.0);
+                parsed.parameters.push_back(std::move(parameter));
+                parsed.fields.push_back(field);
+            },
+            "parameters[", i, "]");
     }
     return parsed;
 }
@@ -163,49 +187,6 @@ cpaPlan(const CpaMonteCarloConfig &config)
                                    bindings);
 }
 
-/** A fab carbon intensity the model accepts: finite and >= 0. */
-bool
-validCiFab(double g_per_kwh)
-{
-    return std::isfinite(g_per_kwh) && g_per_kwh >= 0.0;
-}
-
-/**
- * Fatal when @p parameter's [low, high] range leaves the domain of the
- * FabParams field it samples. Every sample lies in the range, so a
- * valid range means no sample can fail the kernel's per-sample checks
- * on a worker thread.
- */
-void
-checkFieldDomain(const dse::UncertainParameter &parameter,
-                 FabField field)
-{
-    const double low = parameter.low;
-    const double high = parameter.high;
-    switch (field) {
-      case FabField::CiFab:
-        if (!(validCiFab(low) && validCiFab(high))) {
-            util::fatal("cpa_montecarlo parameter '", parameter.name,
-                        "' range [", low, ", ", high,
-                        "] must be finite and >= 0");
-        }
-        break;
-      case FabField::Yield:
-        if (!(low > 0.0 && high <= 1.0)) {
-            util::fatal("fab yield range [", low, ", ", high,
-                        "] outside (0, 1]");
-        }
-        break;
-      case FabField::Abatement:
-        if (!(low >= 0.90 && high <= 1.0)) {
-            util::fatal("gaseous abatement fraction range [", low, ", ",
-                        high,
-                        "] outside the characterized range [0.90, 1.0]");
-        }
-        break;
-    }
-}
-
 void
 prepareCpaMonteCarlo(SweepPlan &plan)
 {
@@ -213,10 +194,8 @@ prepareCpaMonteCarlo(SweepPlan &plan)
         plan.items = 10'000;
     if (plan.grain == 0)
         plan.grain = dse::kMonteCarloChunk;
-    const CpaMonteCarloConfig config = parseCpaMonteCarloConfig(plan);
-    dse::validateMonteCarloInputs(config.parameters, plan.items);
-    for (std::size_t i = 0; i < config.parameters.size(); ++i)
-        checkFieldDomain(config.parameters[i], config.fields[i]);
+    dse::validateMonteCarloInputs(parseCpaMonteCarloConfig(plan).parameters,
+                                  plan.items);
     resolveFingerprint(plan);
 }
 
@@ -258,14 +237,6 @@ summarizeCpaMonteCarlo(const SweepPlan &plan, const JsonArray &results)
 // mobile: the Fig. 8 SoC design space.
 // ---------------------------------------------------------------------
 
-core::FabParams
-mobileFab(const SweepPlan &plan)
-{
-    if (plan.config.isObject() && plan.config.contains("fab"))
-        return core::fabParamsFromJson(plan.config.at("fab"));
-    return core::FabParams{};
-}
-
 void
 prepareMobile(SweepPlan &plan)
 {
@@ -276,7 +247,7 @@ prepareMobile(SweepPlan &plan)
     else if (plan.items != socs)
         util::fatal("mobile sweep plan pins ", plan.items,
                     " items but the SoC database has ", socs);
-    mobileFab(plan); // validate any fab override now, on every shard
+    planFab(plan); // validate any fab override now, on every shard
     resolveFingerprint(plan);
 }
 
@@ -297,7 +268,7 @@ designPointToJson(const core::DesignPoint &point)
 JsonChunkEvaluator
 mobileEvaluator(const SweepPlan &plan)
 {
-    const core::FabParams fab = mobileFab(plan);
+    const core::FabParams fab = planFab(plan);
     return [fab](std::size_t, util::IndexRange range,
                  util::Xorshift64Star &) {
         const auto records = data::SocDatabase::instance().records();
@@ -317,15 +288,19 @@ summarizeMobile(const SweepPlan &, const JsonArray &results)
     std::size_t count = 0;
     std::string best_name;
     double best_kg = 0.0;
-    for (const JsonValue &chunk : results) {
-        for (const JsonValue &point : chunk.asArray()) {
-            const double kg = point.at("embodied_kg").asNumber();
-            if (count == 0 || kg < best_kg) {
-                best_kg = kg;
-                best_name = point.at("name").asString();
-            }
-            ++count;
-        }
+    for (std::size_t c = 0; c < results.size(); ++c) {
+        config::inContext(
+            [&] {
+                for (const JsonValue &point : results[c].asArray()) {
+                    const double kg = config::number(point, "embodied_kg");
+                    if (count == 0 || kg < best_kg) {
+                        best_kg = kg;
+                        best_name = point.at("name").asString();
+                    }
+                    ++count;
+                }
+            },
+            "chunk ", c);
     }
     std::ostringstream out;
     out << "mobile design space, " << count
@@ -349,24 +324,17 @@ parseAccelConfig(const SweepPlan &plan)
 {
     AccelConfig parsed;
     if (plan.config.isObject() && plan.config.contains("nodes")) {
-        for (const JsonValue &node :
-             plan.config.at("nodes").asArray()) {
-            parsed.nodes.push_back(node.asNumber());
+        parsed.nodes = config::numbers(plan.config, "nodes",
+                                       config::closed(3.0, 28.0));
+        if (parsed.nodes.empty()) {
+            config::badField("nodes", "a non-empty array",
+                             plan.config.at("nodes"));
         }
     } else {
         // The Fig. 13 (right) node walk, newest last.
         parsed.nodes = {28.0, 20.0, 16.0, 10.0, 7.0, 5.0, 3.0};
     }
-    if (parsed.nodes.empty())
-        util::fatal("accel sweep config has an empty 'nodes' array");
-    for (const double node : parsed.nodes) {
-        if (!(node >= 3.0 && node <= 28.0)) {
-            util::fatal("accel sweep node ", node,
-                        " nm outside the modeled range [3, 28] nm");
-        }
-    }
-    if (plan.config.isObject() && plan.config.contains("fab"))
-        parsed.fab = core::fabParamsFromJson(plan.config.at("fab"));
+    parsed.fab = planFab(plan);
     return parsed;
 }
 
@@ -437,23 +405,27 @@ summarizeAccel(const SweepPlan &, const JsonArray &results)
     std::size_t count = 0;
     double best_g = 0.0;
     double best_node = 0.0;
-    double best_macs = 0.0;
-    for (const JsonValue &chunk : results) {
-        for (const JsonValue &point : chunk.asArray()) {
-            const double grams = point.at("embodied_g").asNumber();
-            if (count == 0 || grams < best_g) {
-                best_g = grams;
-                best_node = point.at("node_nm").asNumber();
-                best_macs = point.at("macs").asNumber();
-            }
-            ++count;
-        }
+    std::uint64_t best_macs = 0;
+    for (std::size_t c = 0; c < results.size(); ++c) {
+        config::inContext(
+            [&] {
+                for (const JsonValue &point : results[c].asArray()) {
+                    const double grams = config::number(point, "embodied_g");
+                    if (count == 0 || grams < best_g) {
+                        best_g = grams;
+                        best_node = config::number(point, "node_nm");
+                        best_macs = config::count(point, "macs");
+                    }
+                    ++count;
+                }
+            },
+            "chunk ", c);
     }
     std::ostringstream out;
     out << "NPU design space, " << count
         << " configurations: minimum embodied "
         << util::formatSig(best_g, 3) << " g CO2 ("
-        << static_cast<int>(best_macs) << " MACs @ "
+        << best_macs << " MACs @ "
         << util::formatSig(best_node, 3) << " nm)\n";
     return out.str();
 }
@@ -483,64 +455,39 @@ ChipletSweepConfig
 parseChipletConfig(const SweepPlan &plan)
 {
     if (!plan.config.isObject())
-        util::fatal("chiplet plan needs a 'config' object");
+        throw config::JsonTypeError("chiplet plan needs a 'config' object");
     ChipletSweepConfig parsed;
     parsed.logic_area_mm2 =
-        plan.config.numberOr("logic_area_mm2", 0.0);
-    if (parsed.logic_area_mm2 <= 0.0)
-        util::fatal(
-            "chiplet config needs a positive 'logic_area_mm2'");
-    parsed.node_nm = plan.config.numberOr("node_nm", 7.0);
-    if (plan.config.contains("max_chiplets")) {
-        // The grid is materialised, so the bound also caps its size.
-        constexpr std::int64_t kMaxChiplets = 1024;
-        const JsonValue &value = plan.config.at("max_chiplets");
-        std::int64_t count = 0;
-        try {
-            count = value.asInteger();
-        } catch (const config::JsonTypeError &) {
-            // Not an integer: reported below with the value.
-        }
-        if (count < 1 || count > kMaxChiplets) {
-            util::fatal("chiplet config 'max_chiplets' must be an "
-                        "integer in [1, ", kMaxChiplets, "], got ",
-                        value.dump());
-        }
-        parsed.max_chiplets = static_cast<int>(count);
-    }
+        config::number(plan.config, "logic_area_mm2", config::above(0.0));
+    parsed.node_nm = config::number(plan.config, "node_nm", parsed.node_nm,
+                                    config::above(0.0));
+    // The grid is materialised, so the bound also caps its size.
+    parsed.max_chiplets = static_cast<int>(config::count(
+        plan.config, "max_chiplets", parsed.max_chiplets, {1, 1024}));
     parsed.interface_overhead =
-        plan.config.numberOr("interface_overhead", 0.10);
-    if (parsed.interface_overhead < 0.0)
-        util::fatal(
-            "chiplet config 'interface_overhead' must be >= 0");
-    if (plan.config.contains("defect_density_per_cm2")) {
-        parsed.defects.defect_density_per_cm2 =
-            plan.config.at("defect_density_per_cm2").asNumber();
-    }
-    if (plan.config.contains("fab"))
-        parsed.fab = core::fabParamsFromJson(plan.config.at("fab"));
+        config::number(plan.config, "interface_overhead",
+                       parsed.interface_overhead, config::atLeast(0.0));
+    parsed.defects.defect_density_per_cm2 =
+        config::number(plan.config, "defect_density_per_cm2",
+                       parsed.defects.defect_density_per_cm2);
+    parsed.fab = planFab(plan);
     if (plan.config.contains("styles")) {
         for (const JsonValue &style :
              plan.config.at("styles").asArray()) {
             parsed.styles.push_back(
                 pkg::packagingStyleByName(style.asString()));
         }
-        if (parsed.styles.empty())
-            util::fatal("chiplet config has an empty 'styles' array");
+        if (parsed.styles.empty()) {
+            config::badField("styles", "a non-empty array",
+                             plan.config.at("styles"));
+        }
     } else {
         parsed.styles.assign(std::begin(pkg::kPackagingStyles),
                              std::end(pkg::kPackagingStyles));
     }
     if (plan.config.contains("ci_fab_g_per_kwh")) {
-        for (const JsonValue &value :
-             plan.config.at("ci_fab_g_per_kwh").asArray()) {
-            const double ci = value.asNumber();
-            if (!validCiFab(ci)) {
-                util::fatal("chiplet config 'ci_fab_g_per_kwh' entries "
-                            "must be finite and >= 0, got ", ci);
-            }
-            parsed.ci_fab_g_per_kwh.push_back(ci);
-        }
+        parsed.ci_fab_g_per_kwh = config::numbers(
+            plan.config, "ci_fab_g_per_kwh", config::atLeast(0.0));
     }
     // Monolithic only admits one die; multi-die styles walk the cut
     // counts 2..max so the grid never repeats the monolithic point.
@@ -553,8 +500,9 @@ parseChipletConfig(const SweepPlan &plan)
         }
     }
     if (parsed.points.empty()) {
-        util::fatal("chiplet config spans no grid points (multi-die "
-                    "styles need 'max_chiplets' >= 2)");
+        throw config::JsonTypeError(
+            "chiplet config spans no grid points (multi-die styles need "
+            "'max_chiplets' >= 2)");
     }
     return parsed;
 }
@@ -644,18 +592,21 @@ summarizeChiplet(const SweepPlan &, const JsonArray &results)
     std::size_t count = 0;
     double best_g = 0.0;
     std::string best_style;
-    int best_dies = 0;
-    for (const JsonValue &chunk : results) {
-        for (const JsonValue &point : chunk.asArray()) {
-            const double grams = point.at("total_g").asNumber();
-            if (count == 0 || grams < best_g) {
-                best_g = grams;
-                best_style = point.at("style").asString();
-                best_dies = static_cast<int>(
-                    point.at("num_dies").asNumber());
-            }
-            ++count;
-        }
+    std::uint64_t best_dies = 0;
+    for (std::size_t c = 0; c < results.size(); ++c) {
+        config::inContext(
+            [&] {
+                for (const JsonValue &point : results[c].asArray()) {
+                    const double grams = config::number(point, "total_g");
+                    if (count == 0 || grams < best_g) {
+                        best_g = grams;
+                        best_style = point.at("style").asString();
+                        best_dies = config::count(point, "num_dies");
+                    }
+                    ++count;
+                }
+            },
+            "chunk ", c);
     }
     std::ostringstream out;
     out << "chiplet packaging sweep, " << count
@@ -776,24 +727,17 @@ fleetResultFromPayloads(const SweepPlan &plan,
         fleet::fleetSetupFromJson(plan.config, plan.seed);
     std::vector<fleet::FleetAccumulator> totals(setup.scenarios.size());
     for (std::size_t c = 0; c < results.size(); ++c) {
-        if (!results[c].isArray())
-            util::fatal("fleet chunk ", c, " payload is not an array");
-        const JsonArray &payload = results[c].asArray();
-        if (payload.size() != totals.size()) {
-            util::fatal("fleet chunk ", c, " payload carries ",
-                        payload.size(),
-                        " scenarios but the plan's grid has ",
-                        totals.size());
+        if (!results[c].isArray() ||
+            results[c].asArray().size() != totals.size()) {
+            throw config::JsonTypeError(util::detail::concatenate(
+                "chunk ", c, ": payload must be an array of ",
+                totals.size(), " scenario accumulators"));
         }
+        const JsonArray &payload = results[c].asArray();
         for (std::size_t s = 0; s < totals.size(); ++s) {
-            try {
-                totals[s].add(
-                    fleet::fleetAccumulatorFromJson(payload[s]));
-            } catch (const config::JsonTypeError &error) {
-                util::fatal("fleet chunk ", c, " scenario '",
-                            setup.scenarios[s].label, "': ",
-                            error.what());
-            }
+            totals[s].add(config::inContext(
+                [&] { return fleet::fleetAccumulatorFromJson(payload[s]); },
+                "chunk ", c, " scenario '", setup.scenarios[s].label, "'"));
         }
     }
     return totals;
@@ -850,12 +794,9 @@ dse::MonteCarloPartial
 monteCarloPartialFromJson(const JsonValue &value)
 {
     dse::MonteCarloPartial partial;
-    const JsonArray &outputs = value.at("outputs").asArray();
-    partial.outputs.reserve(outputs.size());
-    for (const JsonValue &output : outputs)
-        partial.outputs.push_back(output.asNumber());
-    partial.sum = value.at("sum").asNumber();
-    partial.sum_squares = value.at("sum_squares").asNumber();
+    partial.outputs = config::numbers(value, "outputs");
+    partial.sum = config::number(value, "sum");
+    partial.sum_squares = config::number(value, "sum_squares");
     return partial;
 }
 
@@ -865,9 +806,12 @@ monteCarloResultFromPayloads(std::size_t samples,
 {
     dse::MonteCarloPartial merged;
     merged.outputs.reserve(samples);
-    for (const JsonValue &payload : results) {
-        merged = dse::mergePartial(std::move(merged),
-                                   monteCarloPartialFromJson(payload));
+    for (std::size_t c = 0; c < results.size(); ++c) {
+        merged = dse::mergePartial(
+            std::move(merged),
+            config::inContext(
+                [&] { return monteCarloPartialFromJson(results[c]); },
+                "chunk ", c));
     }
     return dse::finalizeMonteCarlo(samples, std::move(merged));
 }

@@ -55,13 +55,16 @@ struct Domain
      * Resolve a loaded plan for execution: fill a zero item count and
      * an automatic grain with the domain's defaults, validate the
      * domain config, and stamp (or check) the model-config
-     * fingerprint. Fatal when the plan was authored against different
-     * model data -- every shard of a sweep must resolve identically.
+     * fingerprint. Throws config::JsonTypeError naming a bad config
+     * field; fatal when the plan was authored against different model
+     * data -- every shard of a sweep must resolve identically.
      */
     void (*prepare)(SweepPlan &plan);
     /** Chunk evaluator bound to the (prepared) plan's config. */
     JsonChunkEvaluator (*evaluator)(const SweepPlan &plan);
-    /** Human summary of a merged result document's payload array. */
+    /** Human summary of a merged result document's payload array.
+     *  Throws config::JsonTypeError naming the chunk and the field of
+     *  a mistyped or missing payload value. */
     std::string (*summarize)(const SweepPlan &plan,
                              const config::JsonArray &results);
 };
@@ -86,7 +89,8 @@ cpaMonteCarloScalarModel(const SweepPlan &plan);
 std::vector<dse::UncertainParameter>
 cpaMonteCarloParameters(const SweepPlan &plan);
 
-/** Chunk payload codec for Monte Carlo partials (bit-exact doubles). */
+/** Chunk payload codec for Monte Carlo partials (bit-exact doubles).
+ *  Decoding throws config::JsonTypeError naming the field. */
 config::JsonValue toJson(const dse::MonteCarloPartial &partial);
 dse::MonteCarloPartial
 monteCarloPartialFromJson(const config::JsonValue &value);
@@ -94,6 +98,7 @@ monteCarloPartialFromJson(const config::JsonValue &value);
 /**
  * Reassemble a merged result document's payload array into the final
  * Monte Carlo summary (equivalent to running dse::monteCarlo whole).
+ * Throws config::JsonTypeError naming the chunk and the field.
  */
 dse::MonteCarloResult
 monteCarloResultFromPayloads(std::size_t samples,
@@ -102,10 +107,10 @@ monteCarloResultFromPayloads(std::size_t samples,
 /**
  * Fold a fleet result document's chunk payloads, in order, into the
  * final per-scenario accumulators (index-aligned with the scenario
- * grid of the plan's config). Fatal, naming the chunk (and the
- * scenario label), when a chunk payload disagrees with the grid size
- * or carries a count that is not a non-negative integer or a sum that
- * is not a finite number.
+ * grid of the plan's config). Throws config::JsonTypeError, naming
+ * the chunk (and the scenario label), when a chunk payload disagrees
+ * with the grid size or carries a count that is not a non-negative
+ * integer or a sum that is not a finite number.
  */
 std::vector<fleet::FleetAccumulator>
 fleetResultFromPayloads(const SweepPlan &plan,

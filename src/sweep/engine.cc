@@ -179,16 +179,16 @@ toJson(const ShardResult &result)
 ShardResult
 shardResultFromJson(const JsonValue &value)
 {
-    const std::string format = value.stringOr("format", "");
-    if (format != kPartialFormat)
-        util::fatal("not a sweep partial file (format '", format,
-                    "', expected '", kPartialFormat, "')");
+    constexpr config::Choice<bool> kFormats[] = {{kPartialFormat, true}};
+    config::choice(value, "format", kFormats);
     ShardResult result;
-    result.plan = sweepPlanFromJson(value.at("plan"));
-    result.shard.shard_count = sizeField(value, "shard_count");
-    result.shard.shard_index = sizeField(value, "shard_index");
-    validateShard(result.shard);
-    result.chunk_begin = sizeField(value, "chunk_begin");
+    result.plan = config::inContext(
+        [&] { return sweepPlanFromJson(value.at("plan")); }, "plan");
+    result.shard.shard_count =
+        config::count(value, "shard_count", {1, config::kMaxCount});
+    result.shard.shard_index = config::count(
+        value, "shard_index", {0, result.shard.shard_count - 1});
+    result.chunk_begin = config::count(value, "chunk_begin");
     result.chunks = value.at("chunks").asArray();
     if (value.contains("metrics"))
         result.metrics = value.at("metrics");

@@ -162,7 +162,8 @@ ShardResult runShardedSweep(const SweepPlan &plan,
                             const JsonChunkEvaluator &evaluator,
                             const ShardRunOptions &options = {});
 
-/** Partial-result file document ("act.sweep.partial.v1"). */
+/** Partial-result file document ("act.sweep.partial.v1"). The reader
+ *  throws config::JsonTypeError naming a bad field. */
 config::JsonValue toJson(const ShardResult &result);
 ShardResult shardResultFromJson(const config::JsonValue &value);
 

@@ -1,8 +1,9 @@
 #include "sweep/plan.h"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
+#include <system_error>
 #include <utility>
 
 #include "util/logging.h"
@@ -47,38 +48,24 @@ seedToJson(std::uint64_t seed)
     return JsonValue(std::string(buffer));
 }
 
+/** A number seed is a count; a string seed is the whole decimal
+ *  spelling of a uint64, with no sign, space or trailing text. */
 std::uint64_t
-seedFromJson(const JsonValue &value)
+seedFromJson(const JsonValue &plan)
 {
-    if (value.isString()) {
-        const std::string &text = value.asString();
-        char *tail = nullptr;
-        const unsigned long long parsed =
-            std::strtoull(text.c_str(), &tail, 10);
-        if (tail == text.c_str() || *tail != '\0')
-            util::fatal("sweep plan seed '", text,
-                        "' is not an unsigned integer");
-        return parsed;
-    }
-    const std::int64_t seed = value.asInteger();
-    if (seed < 0)
-        util::fatal("sweep plan seed must be non-negative, got ", seed);
-    return static_cast<std::uint64_t>(seed);
+    const JsonValue &value = plan.at("seed");
+    if (!value.isString())
+        return config::count(plan, "seed");
+    const std::string &text = value.asString();
+    std::uint64_t seed = 0;
+    const auto [end, error] =
+        std::from_chars(text.data(), text.data() + text.size(), seed);
+    if (error != std::errc() || end != text.data() + text.size())
+        config::badField("seed", "an unsigned 64-bit integer", value);
+    return seed;
 }
 
 } // namespace
-
-std::size_t
-sizeField(const JsonValue &value, const std::string &key)
-{
-    const std::int64_t parsed = value.at(key).asInteger();
-    if (parsed < 0)
-        throw config::JsonTypeError("'" + key +
-                                    "' must be a non-negative integer "
-                                    "(got " +
-                                    std::to_string(parsed) + ")");
-    return static_cast<std::size_t>(parsed);
-}
 
 JsonValue
 toJson(const SweepPlan &plan)
@@ -97,17 +84,13 @@ SweepPlan
 sweepPlanFromJson(const JsonValue &value)
 {
     SweepPlan plan;
-    if (!value.contains("domain"))
-        util::fatal("sweep plan needs a 'domain' key");
     plan.domain = value.at("domain").asString();
     if (plan.domain.empty())
-        util::fatal("sweep plan 'domain' must not be empty");
-    if (value.contains("items"))
-        plan.items = sizeField(value, "items");
-    if (value.contains("grain"))
-        plan.grain = sizeField(value, "grain");
+        config::badField("domain", "a domain name", value.at("domain"));
+    plan.items = config::count(value, "items", plan.items);
+    plan.grain = config::count(value, "grain", plan.grain);
     if (value.contains("seed"))
-        plan.seed = seedFromJson(value.at("seed"));
+        plan.seed = seedFromJson(value);
     plan.fingerprint = value.stringOr("fingerprint", "");
     if (value.contains("config"))
         plan.config = value.at("config");

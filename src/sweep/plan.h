@@ -75,17 +75,9 @@ std::vector<util::IndexRange> planChunks(const SweepPlan &plan);
 
 config::JsonValue toJson(const SweepPlan &plan);
 
-/** Parse a plan; `domain` is required, everything else defaults. */
+/** Parse a plan; `domain` is required, everything else defaults.
+ *  Throws config::JsonTypeError naming a bad field. */
 SweepPlan sweepPlanFromJson(const config::JsonValue &value);
-
-/**
- * @p value's count field @p key (plan sizes, shard fields): a JSON
- * integer >= 0. Throws config::JsonTypeError when the key is missing
- * or not an integer, and "'<key>' must be a non-negative integer
- * (got N)" when it is negative, where a bare cast would wrap it.
- */
-std::size_t sizeField(const config::JsonValue &value,
-                      const std::string &key);
 
 /**
  * A deterministic slice of a plan's chunks: shard i of N owns the

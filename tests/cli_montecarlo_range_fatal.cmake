@@ -17,7 +17,7 @@ file(WRITE "${WORK_DIR}/plan.json" [=[
                             "low": 0.5, "high": 0.99}]}}
 ]=])
 
-set(expected "fatal: gaseous abatement fraction range [0.5, 0.99] outside the characterized range [0.90, 1.0]\n")
+set(expected "fatal: bad sweep plan 'plan.json': parameters[0]: 'low' must be a number in [0.9, 1] (got 0.5)\n")
 foreach(run RANGE 1 20)
     execute_process(COMMAND "${ACT}" sweep --plan plan.json --out out.json
         WORKING_DIRECTORY "${WORK_DIR}"

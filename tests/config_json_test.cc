@@ -227,13 +227,178 @@ TEST(JsonAccess, AsIntegerRejectsOutOfRange)
 TEST(JsonAccess, DefaultingAccessors)
 {
     const JsonValue doc = JsonValue::parse(
-        R"({"x": 2.5, "flag": true, "name": "act"})");
-    EXPECT_DOUBLE_EQ(doc.numberOr("x", 0.0), 2.5);
-    EXPECT_DOUBLE_EQ(doc.numberOr("y", 9.0), 9.0);
-    EXPECT_TRUE(doc.boolOr("flag", false));
-    EXPECT_FALSE(doc.boolOr("other", false));
+        R"({"x": 2.5, "n": 3, "flag": true, "name": "act"})");
+    EXPECT_DOUBLE_EQ(number(doc, "x", 0.0), 2.5);
+    EXPECT_DOUBLE_EQ(number(doc, "y", 9.0), 9.0);
+    EXPECT_EQ(count(doc, "n", 7), 3u);
+    EXPECT_EQ(count(doc, "m", 7), 7u);
+    EXPECT_TRUE(doc.at("flag").asBool());
+    EXPECT_FALSE(doc.contains("other"));
     EXPECT_EQ(doc.stringOr("name", ""), "act");
     EXPECT_EQ(doc.stringOr("nope", "dflt"), "dflt");
+}
+
+/** The JsonTypeError message @p read throws; "" when it returns. */
+template <typename Read>
+std::string
+errorOf(Read read)
+{
+    try {
+        read();
+    } catch (const JsonTypeError &error) {
+        return error.what();
+    }
+    return "";
+}
+
+TEST(JsonReaders, CountRejectsWhatACastWouldMangle)
+{
+    const JsonValue doc = JsonValue::parse(
+        R"({"n": 3, "neg": -1, "frac": 2.5, "huge": 1e300, "text": "3"})");
+    EXPECT_EQ(count(doc, "n"), 3u);
+    EXPECT_EQ(errorOf([&] { count(doc, "neg"); }),
+              "'neg' must be a non-negative integer (got -1)");
+    EXPECT_EQ(errorOf([&] { count(doc, "frac"); }),
+              "'frac' must be a non-negative integer (got 2.5)");
+    EXPECT_EQ(errorOf([&] { count(doc, "huge"); }),
+              "'huge' must be a non-negative integer (got 1e+300)");
+    EXPECT_EQ(errorOf([&] { count(doc, "text"); }),
+              "'text' must be a non-negative integer (got \"3\")");
+    EXPECT_EQ(errorOf([&] { count(doc, "absent"); }), "missing 'absent'");
+    EXPECT_EQ(count(doc, "absent", 7), 7u);
+    // A default never hides a bad value.
+    EXPECT_EQ(errorOf([&] { count(doc, "neg", 7); }),
+              "'neg' must be a non-negative integer (got -1)");
+}
+
+TEST(JsonReaders, CountBoundsAreInclusive)
+{
+    const JsonValue doc = JsonValue::parse(
+        R"({"lo": 1, "hi": 1024, "below": 0, "above": 1025})");
+    EXPECT_EQ(count(doc, "lo", {1, 1024}), 1u);
+    EXPECT_EQ(count(doc, "hi", {1, 1024}), 1024u);
+    EXPECT_EQ(errorOf([&] { count(doc, "below", {1, 1024}); }),
+              "'below' must be an integer in [1, 1024] (got 0)");
+    EXPECT_EQ(errorOf([&] { count(doc, "above", {1, 1024}); }),
+              "'above' must be an integer in [1, 1024] (got 1025)");
+    EXPECT_EQ(errorOf([&] { count(doc, "below", {1, kMaxCount}); }),
+              "'below' must be an integer >= 1 (got 0)");
+
+    // The default range is [0, 2^63): its top converts exactly.
+    JsonObject edges;
+    edges["top"] = JsonValue(0x1p63 - 1024.0);
+    edges["past"] = JsonValue(0x1p63);
+    const JsonValue wide(std::move(edges));
+    EXPECT_EQ(count(wide, "top"), (std::uint64_t{1} << 63) - 1024);
+    EXPECT_EQ(errorOf([&] { count(wide, "past"); }),
+              "'past' must be a non-negative integer "
+              "(got 9223372036854775808)");
+}
+
+TEST(JsonReaders, NumberIntervalEnds)
+{
+    const JsonValue doc =
+        JsonValue::parse(R"({"zero": 0, "one": 1, "text": "x"})");
+    EXPECT_EQ(number(doc, "zero", atLeast(0.0)), 0.0);
+    EXPECT_EQ(errorOf([&] { number(doc, "zero", above(0.0)); }),
+              "'zero' must be a number > 0 (got 0)");
+    EXPECT_EQ(number(doc, "zero", closed(0.0, 1.0)), 0.0);
+    EXPECT_EQ(number(doc, "one", closed(0.0, 1.0)), 1.0);
+    EXPECT_EQ(errorOf([&] { number(doc, "zero", {0.0, 1.0, true, false}); }),
+              "'zero' must be a number in (0, 1] (got 0)");
+    EXPECT_EQ(number(doc, "one", {0.0, 1.0, true, false}), 1.0);
+    EXPECT_EQ(errorOf([&] { number(doc, "one", {0.0, 1.0, false, true}); }),
+              "'one' must be a number in [0, 1) (got 1)");
+    const Interval below_one(-std::numeric_limits<double>::infinity(), 1.0,
+                             true, true);
+    EXPECT_EQ(errorOf([&] { number(doc, "one", below_one); }),
+              "'one' must be a number < 1 (got 1)");
+    EXPECT_EQ(errorOf([&] { number(doc, "text"); }),
+              "'text' must be a number (got \"x\")");
+    EXPECT_EQ(errorOf([&] { number(doc, "absent"); }), "missing 'absent'");
+    EXPECT_EQ(number(doc, "absent", 4.5), 4.5);
+
+    // The default interval is every finite number.
+    JsonObject infinite;
+    infinite["inf"] = JsonValue(std::numeric_limits<double>::infinity());
+    EXPECT_EQ(errorOf([&] { number(JsonValue(infinite), "inf"); }),
+              "'inf' must be a number (got inf)");
+}
+
+TEST(JsonReaders, ArrayEntriesAreNamedByIndex)
+{
+    const JsonValue doc =
+        JsonValue::parse(R"({"xs": [1, "x"], "cs": [0, -3], "s": 5})");
+    EXPECT_EQ(errorOf([&] { numbers(doc, "xs"); }),
+              "'xs[1]' must be a number (got \"x\")");
+    EXPECT_EQ(errorOf([&] { numbers(doc, "xs", above(1.0)); }),
+              "'xs[0]' must be a number > 1 (got 1)");
+    EXPECT_EQ(errorOf([&] { counts(doc, "cs"); }),
+              "'cs[1]' must be a non-negative integer (got -3)");
+    EXPECT_EQ(errorOf([&] { numbers(doc, "s"); }),
+              "'s' must be an array of numbers (got 5)");
+    EXPECT_EQ(numbers(JsonValue::parse(R"({"xs": [1, 2.5]})"), "xs"),
+              (std::vector<double>{1.0, 2.5}));
+}
+
+enum class Color
+{
+    Red,
+    Blue,
+};
+
+constexpr Choice<Color> kColors[] = {
+    {"red", Color::Red},
+    {"blue", Color::Blue},
+};
+
+TEST(JsonReaders, ChoiceListsTheAllowedNames)
+{
+    const JsonValue doc =
+        JsonValue::parse(R"({"c": "blue", "bad": "green", "n": 3})");
+    EXPECT_EQ(choice(doc, "c", kColors), Color::Blue);
+    EXPECT_EQ(choice(doc, "absent", Color::Red, kColors), Color::Red);
+    EXPECT_EQ(errorOf([&] { choice(doc, "bad", kColors); }),
+              "'bad' must be one of 'red', 'blue' (got \"green\")");
+    EXPECT_EQ(errorOf([&] { choice(doc, "n", Color::Red, kColors); }),
+              "'n' must be one of 'red', 'blue' (got 3)");
+}
+
+TEST(JsonReaders, ContextPrefixesTheMessage)
+{
+    const JsonValue doc = JsonValue::parse(R"({"neg": -1, "n": 5})");
+    EXPECT_EQ(errorOf([&] {
+                  inContext([&] { return count(doc, "neg"); }, "regions[",
+                            1, "]");
+              }),
+              "regions[1]: 'neg' must be a non-negative integer (got -1)");
+    EXPECT_EQ(errorOf([&] {
+                  inContext(
+                      [&] {
+                          return inContext(
+                              [&] { return count(doc, "missing"); },
+                              "scenario 'a'");
+                      },
+                      "chunk ", 4);
+              }),
+              "chunk 4: scenario 'a': missing 'missing'");
+    EXPECT_EQ(inContext([&] { return count(doc, "n"); }, "unused"), 5u);
+}
+
+TEST(JsonReadersDeathTest, ReadJsonAsIsTheOneFatalPath)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const JsonValue doc = JsonValue::parse(R"({"neg": -1})");
+    EXPECT_EXIT(readJsonAs("sweep plan 'p.json'",
+                           [&] { return count(doc, "neg"); }),
+                ::testing::ExitedWithCode(1),
+                "fatal: bad sweep plan 'p\\.json': 'neg' must be a "
+                "non-negative integer \\(got -1\\)");
+    EXPECT_EXIT(readJsonAs("trace 't.json'",
+                           [] { return JsonValue::parse("["); }),
+                ::testing::ExitedWithCode(1),
+                "fatal: failed to parse trace 't\\.json': unexpected "
+                "end of input");
 }
 
 TEST(JsonDump, RoundTripsStructure)

@@ -1,6 +1,4 @@
-/** @file Tests for scenario configuration (de)serialization. */
-
-#include <fstream>
+/** @file Tests for reading a "fab" configuration section. */
 
 #include <gtest/gtest.h>
 
@@ -9,92 +7,44 @@
 namespace act::core {
 namespace {
 
-TEST(ModelConfig, DefaultsRoundTrip)
-{
-    const Scenario scenario;
-    const Scenario loaded = scenarioFromJson(toJson(scenario));
-    EXPECT_DOUBLE_EQ(loaded.fab.ci_fab.value(),
-                     scenario.fab.ci_fab.value());
-    EXPECT_DOUBLE_EQ(loaded.fab.abatement, scenario.fab.abatement);
-    EXPECT_DOUBLE_EQ(loaded.fab.yield, scenario.fab.yield);
-    EXPECT_EQ(loaded.fab.lookup, scenario.fab.lookup);
-    EXPECT_DOUBLE_EQ(loaded.operational.ci_use.value(),
-                     scenario.operational.ci_use.value());
-    EXPECT_DOUBLE_EQ(util::asYears(loaded.lifetime),
-                     util::asYears(scenario.lifetime));
-}
-
-TEST(ModelConfig, CustomScenarioRoundTripsThroughText)
-{
-    Scenario scenario;
-    scenario.fab.ci_fab = util::gramsPerKilowattHour(41.0);
-    scenario.fab.abatement = 0.99;
-    scenario.fab.yield = 0.6;
-    scenario.fab.lookup = data::NodeLookup::NearestAnchor;
-    scenario.operational.ci_use = util::gramsPerKilowattHour(820.0);
-    scenario.operational.utilization_effectiveness = 1.4;
-    scenario.lifetime = util::years(5.0);
-
-    const std::string text = toJson(scenario).dump(2);
-    const Scenario loaded =
-        scenarioFromJson(config::JsonValue::parse(text));
-    EXPECT_DOUBLE_EQ(loaded.fab.ci_fab.value(), 41.0);
-    EXPECT_DOUBLE_EQ(loaded.fab.abatement, 0.99);
-    EXPECT_DOUBLE_EQ(loaded.fab.yield, 0.6);
-    EXPECT_EQ(loaded.fab.lookup, data::NodeLookup::NearestAnchor);
-    EXPECT_DOUBLE_EQ(loaded.operational.ci_use.value(), 820.0);
-    EXPECT_DOUBLE_EQ(loaded.operational.utilization_effectiveness, 1.4);
-    EXPECT_DOUBLE_EQ(util::asYears(loaded.lifetime), 5.0);
-}
-
 TEST(ModelConfig, MissingKeysKeepDefaults)
 {
-    const Scenario loaded =
-        scenarioFromJson(config::JsonValue::parse("{}"));
-    const Scenario defaults;
-    EXPECT_DOUBLE_EQ(loaded.fab.yield, defaults.fab.yield);
-    EXPECT_DOUBLE_EQ(util::asYears(loaded.lifetime), 3.0);
+    const FabParams defaults;
+    const FabParams loaded =
+        fabParamsFromJson(config::JsonValue::parse("{}"));
+    EXPECT_DOUBLE_EQ(loaded.ci_fab.value(), defaults.ci_fab.value());
+    EXPECT_DOUBLE_EQ(loaded.abatement, defaults.abatement);
+    EXPECT_DOUBLE_EQ(loaded.yield, defaults.yield);
+    EXPECT_EQ(loaded.lookup, defaults.lookup);
 
-    const Scenario partial = scenarioFromJson(
-        config::JsonValue::parse(R"({"fab": {"yield": 0.5}})"));
-    EXPECT_DOUBLE_EQ(partial.fab.yield, 0.5);
-    EXPECT_DOUBLE_EQ(partial.fab.abatement, defaults.fab.abatement);
+    const FabParams partial = fabParamsFromJson(config::JsonValue::parse(
+        R"({"yield": 0.5, "lookup": "nearest"})"));
+    EXPECT_DOUBLE_EQ(partial.yield, 0.5);
+    EXPECT_EQ(partial.lookup, data::NodeLookup::NearestAnchor);
+    EXPECT_DOUBLE_EQ(partial.abatement, defaults.abatement);
 }
 
-TEST(ModelConfig, BadLookupIsFatal)
+TEST(ModelConfig, BadLookupThrowsNamingTheKey)
 {
-    EXPECT_EXIT(fabParamsFromJson(config::JsonValue::parse(
-                    R"({"lookup": "sideways"})")),
-                ::testing::ExitedWithCode(1), "");
-}
-
-TEST(ModelConfig, NonPositiveLifetimeIsFatal)
-{
-    EXPECT_EXIT(scenarioFromJson(config::JsonValue::parse(
-                    R"({"lifetime_years": 0})")),
-                ::testing::ExitedWithCode(1), "");
-}
-
-TEST(ModelConfig, SaveAndLoadFile)
-{
-    const std::string path =
-        ::testing::TempDir() + "/act_scenario_test.json";
-    Scenario scenario;
-    scenario.lifetime = util::years(4.0);
-    saveScenario(path, scenario);
-    const Scenario loaded = loadScenario(path);
-    EXPECT_DOUBLE_EQ(util::asYears(loaded.lifetime), 4.0);
-}
-
-TEST(ModelConfig, LoadRejectsMalformedFile)
-{
-    const std::string path =
-        ::testing::TempDir() + "/act_scenario_bad.json";
-    {
-        std::ofstream out(path);
-        out << "{ not json";
+    try {
+        fabParamsFromJson(
+            config::JsonValue::parse(R"({"lookup": "sideways"})"));
+        FAIL() << "expected JsonTypeError";
+    } catch (const config::JsonTypeError &error) {
+        EXPECT_STREQ(error.what(),
+                     "'lookup' must be one of 'interpolate', 'nearest' "
+                     "(got \"sideways\")");
     }
-    EXPECT_EXIT(loadScenario(path), ::testing::ExitedWithCode(1), "");
+}
+
+TEST(ModelConfig, MistypedNumberThrowsNamingTheKey)
+{
+    try {
+        fabParamsFromJson(config::JsonValue::parse(R"({"yield": "0.5"})"));
+        FAIL() << "expected JsonTypeError";
+    } catch (const config::JsonTypeError &error) {
+        EXPECT_STREQ(error.what(), "'yield' must be a number (got \"0.5\")");
+    }
 }
 
 } // namespace

@@ -91,34 +91,64 @@ TEST(DeviceJson, BuiltinDevicesRoundTrip)
     }
 }
 
-TEST(DeviceJson, RejectsBadDefinitions)
+/** The message deviceFromJson() throws for @p text. */
+std::string
+deviceError(const char *text)
 {
-    const auto parse_device = [](const char *text) {
-        return deviceFromJson(config::JsonValue::parse(text));
-    };
+    try {
+        deviceFromJson(config::JsonValue::parse(text));
+    } catch (const config::JsonTypeError &error) {
+        return error.what();
+    }
+    ADD_FAILURE() << "expected JsonTypeError for " << text;
+    return "";
+}
+
+TEST(DeviceJson, RejectsBadDefinitionsNamingTheField)
+{
     // Unknown kind.
-    EXPECT_EXIT(parse_device(R"({"name": "x", "ics": [
-                    {"name": "a", "kind": "quantum"}]})"),
-                ::testing::ExitedWithCode(1), "");
+    EXPECT_EQ(deviceError(R"({"name": "x", "ics": [
+                  {"name": "a", "kind": "quantum"}]})"),
+              "ics[0]: 'kind' must be one of 'logic', 'dram', 'nand', "
+              "'hdd' (got \"quantum\")");
     // Logic without area.
-    EXPECT_EXIT(parse_device(R"({"name": "x", "ics": [
-                    {"name": "a", "kind": "logic", "node_nm": 7}]})"),
-                ::testing::ExitedWithCode(1), "");
+    EXPECT_EQ(deviceError(R"({"name": "x", "ics": [
+                  {"name": "a", "kind": "logic", "node_nm": 7}]})"),
+              "ics[0]: missing 'area_mm2'");
     // Out-of-range node.
-    EXPECT_EXIT(parse_device(R"({"name": "x", "ics": [
-                    {"name": "a", "kind": "logic", "area_mm2": 10,
-                     "node_nm": 90}]})"),
-                ::testing::ExitedWithCode(1), "");
+    EXPECT_EQ(deviceError(R"({"name": "x", "ics": [
+                  {"name": "a", "kind": "logic", "area_mm2": 10,
+                   "node_nm": 90}]})"),
+              "ics[0]: 'node_nm' must be a number in [3, 28] (got 90)");
     // Unknown storage technology.
-    EXPECT_EXIT(parse_device(R"({"name": "x", "ics": [
-                    {"name": "a", "kind": "nand", "capacity_gb": 64,
-                     "technology": "optane"}]})"),
-                ::testing::ExitedWithCode(1), "");
+    EXPECT_EQ(deviceError(R"({"name": "x", "ics": [
+                  {"name": "a", "kind": "nand", "capacity_gb": 64,
+                   "technology": "optane"}]})"),
+              "ics[0]: 'technology' must be a known storage technology "
+              "(got \"optane\")");
     // Unknown named fab node.
-    EXPECT_EXIT(parse_device(R"({"name": "x", "ics": [
-                    {"name": "a", "kind": "logic", "area_mm2": 10,
-                     "node_nm": 7, "fab_node": "6nm"}]})"),
-                ::testing::ExitedWithCode(1), "");
+    EXPECT_EQ(deviceError(R"({"name": "x", "ics": [
+                  {"name": "a", "kind": "logic", "area_mm2": 10,
+                   "node_nm": 7, "fab_node": "6nm"}]})"),
+              "ics[0]: 'fab_node' must be a known fab node (got \"6nm\")");
+}
+
+TEST(DeviceJson, CountsAreIntegersInIntRange)
+{
+    // 2.7 packages used to truncate to 2 and 3e9 to wrap negative.
+    EXPECT_EQ(deviceError(R"({"name": "x", "ics": [
+                  {"name": "a", "kind": "dram", "capacity_gb": 4,
+                   "technology": "LPDDR4", "packages": 2.7}]})"),
+              "ics[0]: 'packages' must be an integer in [1, 2147483647] "
+              "(got 2.7)");
+    EXPECT_EQ(deviceError(R"({"name": "x", "ics": [
+                  {"name": "a", "kind": "dram", "capacity_gb": 4,
+                   "technology": "LPDDR4", "packages": 3e9}]})"),
+              "ics[0]: 'packages' must be an integer in [1, 2147483647] "
+              "(got 3e+09)");
+    EXPECT_EQ(deviceError(R"({"name": "x", "release_year": 1e300})"),
+              "'release_year' must be an integer in [0, 2147483647] "
+              "(got 1e+300)");
 }
 
 TEST(DeviceJson, FileRoundTrip)

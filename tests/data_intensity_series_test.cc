@@ -161,31 +161,53 @@ TEST_F(IntensitySeriesDeathTest, NonPositiveStepIsFatal)
         ::testing::ExitedWithCode(1), "step must be positive");
 }
 
-TEST_F(IntensitySeriesDeathTest, MissingProfileAndSamplesIsFatal)
+/** The message intensitySeriesFromJson() throws for @p text. */
+std::string
+seriesError(const std::string &text)
 {
-    EXPECT_EXIT(parseText(R"({"name": "empty"})"),
-                ::testing::ExitedWithCode(1), "samples_g_per_kwh");
+    try {
+        intensitySeriesFromJson(config::JsonValue::parse(text));
+    } catch (const config::JsonTypeError &error) {
+        return error.what();
+    }
+    ADD_FAILURE() << "expected JsonTypeError for " << text;
+    return "";
 }
 
-TEST_F(IntensitySeriesDeathTest, UnknownProfileIsFatal)
+TEST(IntensitySeriesJson, MissingProfileAndSamplesThrows)
 {
-    EXPECT_EXIT(parseText(R"({"profile": "tidal",
-                              "base_g_per_kwh": 300})"),
-                ::testing::ExitedWithCode(1), "unknown intensity");
+    EXPECT_EQ(seriesError(R"({"name": "empty"})"),
+              "an intensity series needs either 'samples_g_per_kwh' or a "
+              "generated 'profile'");
 }
 
-TEST_F(IntensitySeriesDeathTest, GeneratedFormNeedsABaseGrid)
+TEST(IntensitySeriesJson, UnknownProfileThrows)
 {
-    EXPECT_EXIT(parseText(R"({"profile": "solar", "share": 0.2})"),
-                ::testing::ExitedWithCode(1), "base grid");
+    EXPECT_EQ(seriesError(R"({"profile": "tidal", "base_g_per_kwh": 300})"),
+              "'profile' must be one of 'flat', 'solar', 'wind' "
+              "(got \"tidal\")");
 }
 
-TEST_F(IntensitySeriesDeathTest, FractionalDaysAreFatal)
+TEST(IntensitySeriesJson, GeneratedFormNeedsABaseGrid)
 {
-    EXPECT_EXIT(parseText(R"({"profile": "flat",
-                              "base_g_per_kwh": 300,
-                              "days": 1.5})"),
-                ::testing::ExitedWithCode(1), "positive");
+    EXPECT_EQ(seriesError(R"({"profile": "solar", "share": 0.2})"),
+              "a generated intensity series needs a base grid: 'region' or "
+              "'base_g_per_kwh'");
+}
+
+TEST(IntensitySeriesJson, DaysIsACountUpToACentury)
+{
+    // 1.5 used to be rejected by hand, 1e12 to abort on bad_alloc and
+    // 1e300 to overflow its size_t cast.
+    for (const char *days : {"1.5", "0", "36526", "1e+12", "1e+300"}) {
+        EXPECT_EQ(seriesError(std::string(R"({"profile": "flat",
+                                              "base_g_per_kwh": 300,
+                                              "days": )") +
+                              days + "}"),
+                  std::string("'days' must be an integer in [1, 36525] "
+                              "(got ") +
+                      days + ")");
+    }
 }
 
 TEST_F(IntensitySeriesDeathTest, SeasonalAmplitudeOutOfRangeIsFatal)

@@ -85,27 +85,40 @@ TEST_F(HeartbeatTest, JsonRoundTrip)
 
 TEST_F(HeartbeatTest, RejectsWrongFormat)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_EXIT(
-        obs::heartbeatFromJson(config::JsonValue::parse("{}")),
-        ::testing::ExitedWithCode(1), "not a heartbeat document");
+    for (const char *text : {"{}", R"({"format": "act.metrics.v1"})"}) {
+        try {
+            obs::heartbeatFromJson(config::JsonValue::parse(text));
+            ADD_FAILURE() << "expected JsonTypeError for " << text;
+        } catch (const config::JsonTypeError &error) {
+            EXPECT_NE(std::string(error.what()).find("'format'"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
 }
 
 TEST_F(HeartbeatTest, RejectsBadCounts)
 {
-    // Each count goes through the range-checked asInteger(): a string,
-    // a value past 2^63, a negative, and a fraction all throw instead
-    // of being cast to size_t.
+    // Each count goes through config::count(): a string, a value past
+    // 2^63, a negative, and a fraction all throw naming the field
+    // instead of being cast to size_t.
     for (const char *bad :
          {R"("shard_index": "zero")", R"("shard_count": 1e300)",
           R"("items_done": -5)", R"("chunks_total": 2.5)"}) {
         const std::string text =
             std::string(R"({"format": "act.heartbeat.v1", )") + bad +
             "}";
-        EXPECT_THROW(
-            obs::heartbeatFromJson(config::JsonValue::parse(text)),
-            config::JsonTypeError)
-            << bad;
+        const std::string field(bad);
+        const std::string key = "'" + field.substr(1, field.find('"', 1) - 1) +
+                                "' must be a non-negative integer";
+        try {
+            obs::heartbeatFromJson(config::JsonValue::parse(text));
+            ADD_FAILURE() << "expected JsonTypeError for " << bad;
+        } catch (const config::JsonTypeError &error) {
+            EXPECT_NE(std::string(error.what()).find(key),
+                      std::string::npos)
+                << error.what();
+        }
     }
 }
 

@@ -108,19 +108,35 @@ TEST(TraceMergeTest, MissingEpochAlignsWithZeroDelta)
     }
 }
 
-TEST(TraceMergeDeathTest, RejectsNonTraceInput)
+/** The message mergeTraceDocs() throws for @p trace named @p name. */
+std::string
+mergeError(const config::JsonValue &trace, const std::string &name)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_EXIT(
-        obs::mergeTraceDocs({config::JsonValue::parse("{}")},
-                            {"bad.json"}),
-        ::testing::ExitedWithCode(1), "not a Chrome trace");
-    // A mistyped event field is fatal too, naming the trace.
-    const config::JsonValue typed = config::JsonValue::parse(
-        R"({"traceEvents": [{"ts": "x", "ph": 5}]})");
-    EXPECT_EXIT(obs::mergeTraceDocs({typed}, {"typed.json"}),
-                ::testing::ExitedWithCode(1),
-                "bad trace 'typed.json': JSON value is not a number");
+    try {
+        obs::mergeTraceDocs({trace}, {name});
+    } catch (const config::JsonTypeError &error) {
+        return error.what();
+    }
+    ADD_FAILURE() << "expected JsonTypeError for " << name;
+    return "";
+}
+
+TEST(TraceMerge, RejectsNonTraceInputNamingTheField)
+{
+    EXPECT_EQ(mergeError(config::JsonValue::parse("{}"), "bad.json"),
+              "trace 'bad.json': missing 'traceEvents'");
+    // A mistyped event field names the trace and the field.
+    EXPECT_EQ(mergeError(config::JsonValue::parse(
+                             R"({"traceEvents": [{"ts": "x", "ph": 5}]})"),
+                         "typed.json"),
+              "trace 'typed.json': 'ts' must be a number (got \"x\")");
+    // A negative epoch would wrap in the uint64 timeline.
+    EXPECT_EQ(mergeError(config::JsonValue::parse(R"({"traceEvents": [
+                             {"name": "trace_epoch", "ph": "M",
+                              "args": {"wall_epoch_us": -5}}]})"),
+                         "epoch.json"),
+              "trace 'epoch.json': 'wall_epoch_us' must be a non-negative "
+              "integer (got -5)");
 }
 
 } // namespace

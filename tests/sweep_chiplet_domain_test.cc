@@ -181,13 +181,25 @@ class SweepChipletDeathTest : public SweepChipletDomainTest
             sweepPlanFromJson(config::JsonValue::parse(text));
         findDomain(plan.domain).prepare(plan);
     }
+
+    /** The JsonTypeError message preparing @p text throws. */
+    static std::string
+    prepareError(const std::string &text)
+    {
+        try {
+            prepareText(text);
+        } catch (const config::JsonTypeError &error) {
+            return error.what();
+        }
+        ADD_FAILURE() << "expected JsonTypeError for " << text;
+        return "";
+    }
 };
 
-TEST_F(SweepChipletDeathTest, MissingLogicAreaIsFatal)
+TEST_F(SweepChipletDeathTest, MissingLogicAreaThrows)
 {
-    EXPECT_EXIT(
-        prepareText(R"({"domain": "chiplet", "config": {}})"),
-        ::testing::ExitedWithCode(1), "logic_area_mm2");
+    EXPECT_EQ(prepareError(R"({"domain": "chiplet", "config": {}})"),
+              "missing 'logic_area_mm2'");
 }
 
 TEST_F(SweepChipletDeathTest, UnknownStyleIsFatal)
@@ -204,23 +216,22 @@ TEST_F(SweepChipletDeathTest, PinnedItemMismatchIsFatal)
                 ::testing::ExitedWithCode(1), "pins 5 items");
 }
 
-TEST_F(SweepChipletDeathTest, EmptyGridIsFatal)
+TEST_F(SweepChipletDeathTest, EmptyGridThrows)
 {
     // Multi-die styles with max_chiplets 1 span no points.
-    EXPECT_EXIT(prepareText(R"({"domain": "chiplet", "config": {
-                    "logic_area_mm2": 800, "max_chiplets": 1,
-                    "styles": ["organic"]}})"),
-                ::testing::ExitedWithCode(1), "no grid points");
+    EXPECT_EQ(prepareError(R"({"domain": "chiplet", "config": {
+                  "logic_area_mm2": 800, "max_chiplets": 1,
+                  "styles": ["organic"]}})"),
+              "chiplet config spans no grid points (multi-die styles need "
+              "'max_chiplets' >= 2)");
 }
 
-TEST_F(SweepChipletDeathTest, NegativeScenarioCiIsFatal)
+TEST_F(SweepChipletDeathTest, NegativeScenarioCiThrows)
 {
-    EXPECT_EXIT(prepareText(R"({"domain": "chiplet", "config": {
-                    "logic_area_mm2": 800,
-                    "ci_fab_g_per_kwh": [30, -1]}})"),
-                ::testing::ExitedWithCode(1),
-                "'ci_fab_g_per_kwh' entries must be finite and >= 0, "
-                "got -1");
+    EXPECT_EQ(prepareError(R"({"domain": "chiplet", "config": {
+                  "logic_area_mm2": 800,
+                  "ci_fab_g_per_kwh": [30, -1]}})"),
+              "'ci_fab_g_per_kwh[1]' must be a number >= 0 (got -1)");
 }
 
 TEST_F(SweepChipletDeathTest, UnknownDomainHintsAtListDomains)

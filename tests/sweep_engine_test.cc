@@ -75,11 +75,54 @@ TEST_F(SweepEngineTest, PlanRoundTripsSeedsBeyondDoublePrecision)
     EXPECT_EQ(parsed.seed, plan.seed);
 }
 
+/** The JsonTypeError message @p read throws; "" when it returns. */
+template <typename Read>
+std::string
+errorOf(Read read)
+{
+    try {
+        read();
+    } catch (const config::JsonTypeError &error) {
+        return error.what();
+    }
+    return "";
+}
+
 TEST_F(SweepEngineTest, PlanRequiresDomain)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_EXIT(sweepPlanFromJson(config::JsonValue::parse("{}")),
-                ::testing::ExitedWithCode(1), "");
+    EXPECT_EQ(errorOf([] {
+                  sweepPlanFromJson(config::JsonValue::parse("{}"));
+              }),
+              "missing 'domain'");
+}
+
+TEST_F(SweepEngineTest, SeedStringsMustSpellAWholeUint64)
+{
+    // strtoull used to wrap "-1" and saturate the overflow, both to
+    // 18446744073709551615, and to skip leading space.
+    for (const char *seed :
+         {"-1", "99999999999999999999999", " 5", "5x", ""}) {
+        const std::string text =
+            std::string(R"({"domain": "mobile", "seed": ")") + seed + "\"}";
+        EXPECT_EQ(errorOf([&] {
+                      sweepPlanFromJson(config::JsonValue::parse(text));
+                  }),
+                  std::string("'seed' must be an unsigned 64-bit integer "
+                              "(got \"") +
+                      seed + "\")");
+    }
+    SweepPlan plan;
+    plan.domain = "mobile";
+    plan.seed = 18446744073709551615ULL;
+    const config::JsonValue document = toJson(plan);
+    EXPECT_EQ(document.at("seed").asString(), "18446744073709551615");
+    EXPECT_EQ(sweepPlanFromJson(document).seed, plan.seed);
+    // A number seed is a count: negative and fractional ones throw.
+    EXPECT_EQ(errorOf([] {
+                  sweepPlanFromJson(config::JsonValue::parse(
+                      R"({"domain": "mobile", "seed": -1})"));
+              }),
+              "'seed' must be a non-negative integer (got -1)");
 }
 
 // ---------------------------------------------------------------------
@@ -337,10 +380,14 @@ TEST_F(SweepEngineTest, NegativeShardFieldsThrowNamingTheField)
     {
         const char *key;
         int value;
+        const char *domain;
     };
-    for (const Edit edit : {Edit{"shard_count", -1},
-                            Edit{"shard_index", -1},
-                            Edit{"chunk_begin", -5}}) {
+    for (const Edit edit :
+         {Edit{"shard_count", -1, "an integer >= 1"},
+          Edit{"shard_count", 0, "an integer >= 1"},
+          Edit{"shard_index", -1, "an integer in [0, 1]"},
+          Edit{"shard_index", 2, "an integer in [0, 1]"},
+          Edit{"chunk_begin", -5, "a non-negative integer"}}) {
         config::JsonValue edited = partial;
         edited.asObject()[edit.key] = config::JsonValue(edit.value);
         try {
@@ -349,8 +396,8 @@ TEST_F(SweepEngineTest, NegativeShardFieldsThrowNamingTheField)
                           << " was accepted";
         } catch (const config::JsonTypeError &error) {
             EXPECT_EQ(std::string(error.what()),
-                      "'" + std::string(edit.key) +
-                          "' must be a non-negative integer (got " +
+                      "'" + std::string(edit.key) + "' must be " +
+                          edit.domain + " (got " +
                           std::to_string(edit.value) + ")");
         }
     }
@@ -422,37 +469,31 @@ TEST_F(SweepEngineTest, MonteCarloRangesInsideTheirDomainsPrepare)
     prepareRange("abatement", "0.9", "1");
 }
 
-TEST_F(SweepEngineTest, NegativeCiFabRangeIsFatal)
+TEST_F(SweepEngineTest, NegativeCiFabRangeThrows)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_EXIT(prepareRange("ci_fab_g_per_kwh", "-500", "-100"),
-                ::testing::ExitedWithCode(1),
-                "parameter 'ci_fab_g_per_kwh' range \\[-500, -100\\] "
-                "must be finite and >= 0");
-    EXPECT_EXIT(prepareRange("ci_fab_g_per_kwh", "-1", "100"),
-                ::testing::ExitedWithCode(1), "must be finite and >= 0");
+    EXPECT_EQ(errorOf([] {
+                  prepareRange("ci_fab_g_per_kwh", "-500", "-100");
+              }),
+              "parameters[0]: 'low' must be a number >= 0 (got -500)");
+    EXPECT_EQ(errorOf([] { prepareRange("ci_fab_g_per_kwh", "-1", "100"); }),
+              "parameters[0]: 'low' must be a number >= 0 (got -1)");
 }
 
-TEST_F(SweepEngineTest, YieldRangeOutsideUnitIntervalIsFatal)
+TEST_F(SweepEngineTest, YieldRangeOutsideUnitIntervalThrows)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_EXIT(prepareRange("yield", "0", "0.5"),
-                ::testing::ExitedWithCode(1),
-                "fab yield range \\[0, 0.5\\] outside \\(0, 1\\]");
-    EXPECT_EXIT(prepareRange("yield", "0.5", "1.2"),
-                ::testing::ExitedWithCode(1), "fab yield range");
+    EXPECT_EQ(errorOf([] { prepareRange("yield", "0", "0.5"); }),
+              "parameters[0]: 'low' must be a number in (0, 1] (got 0)");
+    EXPECT_EQ(errorOf([] { prepareRange("yield", "0.5", "1.2"); }),
+              "parameters[0]: 'high' must be a number in (0, 1] (got 1.2)");
 }
 
-TEST_F(SweepEngineTest, AbatementRangeOutsideBandIsFatal)
+TEST_F(SweepEngineTest, AbatementRangeOutsideBandThrows)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_EXIT(prepareRange("abatement", "0.5", "0.99"),
-                ::testing::ExitedWithCode(1),
-                "gaseous abatement fraction range \\[0.5, 0.99\\] "
-                "outside the characterized range");
-    EXPECT_EXIT(prepareRange("abatement", "0.95", "1.00002"),
-                ::testing::ExitedWithCode(1),
-                "gaseous abatement fraction range");
+    EXPECT_EQ(errorOf([] { prepareRange("abatement", "0.5", "0.99"); }),
+              "parameters[0]: 'low' must be a number in [0.9, 1] (got 0.5)");
+    EXPECT_EQ(errorOf([] { prepareRange("abatement", "0.95", "1.00002"); }),
+              "parameters[0]: 'high' must be a number in [0.9, 1] "
+              "(got 1.00002)");
 }
 
 // ---------------------------------------------------------------------

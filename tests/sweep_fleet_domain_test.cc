@@ -490,6 +490,7 @@ class SweepFleetDeathTest : public SweepFleetDomainTest
         ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     }
 
+  public:
     static void
     prepareText(const std::string &text)
     {
@@ -567,116 +568,136 @@ corruptedResults(Corrupt corrupt)
     return doc;
 }
 
-/** Folding a corrupted payload must end in a fatal naming the chunk,
- *  the scenario and the field. */
-template <typename Corrupt>
-void
-expectCorruptPayloadFatal(Corrupt corrupt, const std::string &pattern)
+/** The JsonTypeError message @p read throws; "" when it returns. */
+template <typename Read>
+std::string
+errorOf(Read read)
 {
-    const config::JsonValue doc = corruptedResults(corrupt);
-    EXPECT_EXIT((void)fleetResultFromPayloads(
-                    fleetPlan(), doc.at("results").asArray()),
-                ::testing::ExitedWithCode(1),
-                "fatal: fleet chunk 1 scenario 'greedy@tw-solar/4\\.00y': " +
-                    pattern);
+    try {
+        read();
+    } catch (const config::JsonTypeError &error) {
+        return error.what();
+    }
+    return "";
 }
 
-TEST_F(SweepFleetDeathTest, NegativeCountInPartialIsFatal)
+/** Folding a corrupted payload must throw naming the chunk, the
+ *  scenario and the field: @p message, after that prefix. */
+template <typename Corrupt>
+void
+expectCorruptPayloadThrows(Corrupt corrupt, const std::string &message)
 {
-    expectCorruptPayloadFatal(
+    const config::JsonValue doc = corruptedResults(corrupt);
+    EXPECT_EQ(errorOf([&] {
+                  (void)fleetResultFromPayloads(
+                      fleetPlan(), doc.at("results").asArray());
+              }),
+              "chunk 1 scenario 'greedy@tw-solar/4.00y': " + message);
+}
+
+TEST_F(SweepFleetDeathTest, NegativeCountInPartialThrows)
+{
+    expectCorruptPayloadThrows(
         [](config::JsonObject &entry) {
             entry["jobs"] = config::JsonValue(-1.0);
         },
-        "'jobs' must be a non-negative integer \\(got -1\\)");
+        "'jobs' must be a non-negative integer (got -1)");
 }
 
-TEST_F(SweepFleetDeathTest, FractionalCountInPartialIsFatal)
+TEST_F(SweepFleetDeathTest, FractionalCountInPartialThrows)
 {
-    expectCorruptPayloadFatal(
+    expectCorruptPayloadThrows(
         [](config::JsonObject &entry) {
             entry["deferred"] = config::JsonValue(0.5);
         },
-        "'deferred' must be a non-negative integer \\(JSON number is "
-        "not integral\\)");
+        "'deferred' must be a non-negative integer (got 0.5)");
 }
 
-TEST_F(SweepFleetDeathTest, HugeCountInPartialIsFatal)
+TEST_F(SweepFleetDeathTest, HugeCountInPartialThrows)
 {
-    expectCorruptPayloadFatal(
+    expectCorruptPayloadThrows(
         [](config::JsonObject &entry) {
             entry["jobs"] = config::JsonValue(1e30);
         },
-        "'jobs' must be a non-negative integer \\(JSON number 1e\\+30 "
-        "is out of 64-bit integer range\\)");
+        "'jobs' must be a non-negative integer (got 1e+30)");
 }
 
-TEST_F(SweepFleetDeathTest, StringCountInPartialIsFatal)
+TEST_F(SweepFleetDeathTest, StringCountInPartialThrows)
 {
-    expectCorruptPayloadFatal(
+    expectCorruptPayloadThrows(
         [](config::JsonObject &entry) {
             entry["migrated"] = config::JsonValue(std::string("12"));
         },
-        "'migrated' must be a non-negative integer \\(JSON value is "
-        "not a number\\)");
+        "'migrated' must be a non-negative integer (got \"12\")");
 }
 
-TEST_F(SweepFleetDeathTest, MissingCountInPartialIsFatal)
+TEST_F(SweepFleetDeathTest, MissingCountInPartialThrows)
 {
-    expectCorruptPayloadFatal(
+    expectCorruptPayloadThrows(
         [](config::JsonObject &entry) { entry.erase("jobs"); },
-        "'jobs' must be a non-negative integer \\(missing JSON key "
-        "'jobs'\\)");
+        "missing 'jobs'");
 }
 
-TEST_F(SweepFleetDeathTest, NonFiniteSumInPartialIsFatal)
+TEST_F(SweepFleetDeathTest, NonFiniteSumInPartialThrows)
 {
-    expectCorruptPayloadFatal(
+    expectCorruptPayloadThrows(
         [](config::JsonObject &entry) {
             entry["operational_g"] = config::JsonValue(
                 std::numeric_limits<double>::infinity());
         },
-        "'operational_g' must be a finite number \\(got inf\\)");
-    expectCorruptPayloadFatal(
+        "'operational_g' must be a number (got inf)");
+    expectCorruptPayloadThrows(
         [](config::JsonObject &entry) {
             entry["baseline_g"] = config::JsonValue(
                 std::numeric_limits<double>::quiet_NaN());
         },
-        "'baseline_g' must be a finite number \\(got nan\\)");
+        "'baseline_g' must be a number (got nan)");
 }
 
-TEST_F(SweepFleetDeathTest, NonArrayChunkPayloadIsFatal)
+TEST_F(SweepFleetDeathTest, NonArrayChunkPayloadThrows)
 {
     const SweepPlan plan = fleetPlan();
     config::JsonValue doc =
         fullSweepResult(plan, findDomain(plan.domain).evaluator(plan));
     doc.asObject()["results"].asArray().at(3) = config::JsonValue(7.0);
-    EXPECT_EXIT((void)fleetResultFromPayloads(
-                    plan, doc.at("results").asArray()),
-                ::testing::ExitedWithCode(1),
-                "fatal: fleet chunk 3 payload is not an array");
+    EXPECT_EQ(errorOf([&] {
+                  (void)fleetResultFromPayloads(
+                      plan, doc.at("results").asArray());
+              }),
+              "chunk 3: payload must be an array of 8 scenario "
+              "accumulators");
 }
 
-TEST_F(SweepFleetDeathTest, MissingRegionsIsFatal)
+/** The JsonTypeError message preparing the fleet plan @p config
+ *  throws. */
+std::string
+prepareError(const std::string &config)
 {
-    EXPECT_EXIT(prepareText(R"({"domain": "fleet", "config": {}})"),
-                ::testing::ExitedWithCode(1), "'regions'");
+    return errorOf([&] {
+        SweepFleetDeathTest::prepareText(
+            R"({"domain": "fleet", "config": )" + config + "}");
+    });
 }
 
-TEST_F(SweepFleetDeathTest, SubUnityPueIsFatal)
+TEST_F(SweepFleetDeathTest, MissingRegionsThrows)
 {
-    EXPECT_EXIT(prepareText(R"({"domain": "fleet", "config": {
-                    "pue": 0.5, "regions": [
-                        {"profile": "flat", "region": "Iceland"}]}})"),
-                ::testing::ExitedWithCode(1), "'pue' must be >= 1");
+    EXPECT_EQ(prepareError("{}"), "missing 'regions'");
 }
 
-TEST_F(SweepFleetDeathTest, MismatchedRegionSeriesAreFatal)
+TEST_F(SweepFleetDeathTest, SubUnityPueThrows)
 {
-    EXPECT_EXIT(
-        prepareText(R"({"domain": "fleet", "config": {"regions": [
-            {"profile": "flat", "region": "Iceland"},
-            {"profile": "flat", "region": "Taiwan", "days": 2}]}})"),
-        ::testing::ExitedWithCode(1), "share series length");
+    EXPECT_EQ(prepareError(R"({"pue": 0.5, "regions": [
+                  {"profile": "flat", "region": "Iceland"}]})"),
+              "'pue' must be a number >= 1 (got 0.5)");
+}
+
+TEST_F(SweepFleetDeathTest, MismatchedRegionSeriesThrow)
+{
+    EXPECT_EQ(prepareError(R"({"regions": [
+                  {"profile": "flat", "region": "Iceland"},
+                  {"profile": "flat", "region": "Taiwan", "days": 2}]})"),
+              "regions[1]: series of 48 x 1 h must match regions[0]'s "
+              "24 x 1 h");
 }
 
 TEST_F(SweepFleetDeathTest, UnknownPolicyIsFatal)
@@ -687,38 +708,31 @@ TEST_F(SweepFleetDeathTest, UnknownPolicyIsFatal)
                 ::testing::ExitedWithCode(1), "policy");
 }
 
-TEST_F(SweepFleetDeathTest, NonPositiveLifetimeIsFatal)
+TEST_F(SweepFleetDeathTest, NonPositiveLifetimeThrows)
 {
-    EXPECT_EXIT(prepareText(R"({"domain": "fleet", "config": {
-                    "lifetime_years": [0], "regions": [
-                        {"profile": "flat", "region": "Iceland"}]}})"),
-                ::testing::ExitedWithCode(1), "lifetime_years");
+    EXPECT_EQ(prepareError(R"({"lifetime_years": [4, 0], "regions": [
+                  {"profile": "flat", "region": "Iceland"}]})"),
+              "'lifetime_years[1]' must be a number > 0 (got 0)");
 }
 
-TEST_F(SweepFleetDeathTest, NonPositiveDeadlineSamplesIsFatal)
+TEST_F(SweepFleetDeathTest, DeadlineSamplesIsAPositiveCount)
 {
-    EXPECT_EXIT(prepareText(R"({"domain": "fleet", "config": {
-                    "deadline_samples": -3, "regions": [
-                        {"profile": "flat", "region": "Iceland"}]}})"),
-                ::testing::ExitedWithCode(1),
-                "'deadline_samples' must be a positive integer");
+    // 1e300 used to overflow its size_t cast and run.
+    for (const char *deadline : {"-3", "0", "2.5", "1e+300"}) {
+        EXPECT_EQ(prepareError(std::string(R"({"deadline_samples": )") +
+                               deadline + R"(, "regions": [
+                      {"profile": "flat", "region": "Iceland"}]})"),
+                  std::string("'deadline_samples' must be an integer >= 1 "
+                              "(got ") +
+                      deadline + ")");
+    }
 }
 
-TEST_F(SweepFleetDeathTest, FractionalDeadlineSamplesIsFatal)
+TEST_F(SweepFleetDeathTest, MalformedJobStreamThrows)
 {
-    EXPECT_EXIT(prepareText(R"({"domain": "fleet", "config": {
-                    "deadline_samples": 2.5, "regions": [
-                        {"profile": "flat", "region": "Iceland"}]}})"),
-                ::testing::ExitedWithCode(1),
-                "'deadline_samples' must be a positive integer");
-}
-
-TEST_F(SweepFleetDeathTest, MalformedJobStreamIsFatal)
-{
-    EXPECT_EXIT(prepareText(R"({"domain": "fleet", "config": {
-                    "jobs": {"horizon_hours": -1}, "regions": [
-                        {"profile": "flat", "region": "Iceland"}]}})"),
-                ::testing::ExitedWithCode(1), "horizon_hours");
+    EXPECT_EQ(prepareError(R"({"jobs": {"horizon_hours": -1}, "regions": [
+                  {"profile": "flat", "region": "Iceland"}]})"),
+              "jobs: 'horizon_hours' must be a number > 0 (got -1)");
 }
 
 } // namespace

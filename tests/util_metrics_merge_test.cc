@@ -191,7 +191,12 @@ TEST(MetricsDocDeathTest, RejectsWrongFormatAndBadShapes)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_EXIT(obs::validateMetricsDoc(parseDoc("{}")),
-                ::testing::ExitedWithCode(1), "not a metrics document");
+                ::testing::ExitedWithCode(1),
+                "bad metrics document: missing 'format'");
+    EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(R"({"format": "x"})")),
+                ::testing::ExitedWithCode(1),
+                "'format' must be one of 'act\\.metrics\\.v1' "
+                "\\(got \"x\"\\)");
     EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(
                     R"({"format": "act.metrics.v1",
                         "counters": {"x": -1}})")),
@@ -213,19 +218,19 @@ TEST(MetricsDocDeathTest, MissingRequiredFieldsAreFatal)
                     R"({"format": "act.metrics.v1",
                         "gauges": {"g": {"min": 1}}})")),
                 ::testing::ExitedWithCode(1),
-                "gauge 'g' is missing field 'values'");
+                "gauge 'g': missing 'values'");
     EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(
                     R"({"format": "act.metrics.v1", "histograms":
                         {"h": {"counts": [0], "count": 0, "sum": 0,
                                "min": 0, "max": 0}}})")),
                 ::testing::ExitedWithCode(1),
-                "histogram 'h' is missing field 'bounds'");
+                "histogram 'h': missing 'bounds'");
     EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(
                     R"({"format": "act.metrics.v1", "histograms":
                         {"h": {"bounds": [], "counts": [0],
                                "sum": 0, "min": 0, "max": 0}}})")),
                 ::testing::ExitedWithCode(1),
-                "histogram 'h' is missing field 'count'");
+                "histogram 'h': missing 'count'");
 }
 
 TEST(MetricsDocDeathTest, CountsMustBeNonNegativeIntegers)
@@ -242,28 +247,28 @@ TEST(MetricsDocDeathTest, CountsMustBeNonNegativeIntegers)
     };
     EXPECT_EXIT(obs::validateMetricsDoc(histogram("[1, -3]", "1")),
                 ::testing::ExitedWithCode(1),
-                "histogram 'h' bucket count 1 must be a non-negative "
+                "histogram 'h': 'counts\\[1\\]' must be a non-negative "
                 "integer \\(got -3\\)");
     EXPECT_EXIT(obs::validateMetricsDoc(histogram("[0, 0]", "-1")),
                 ::testing::ExitedWithCode(1),
-                "histogram 'h' count must be a non-negative integer "
+                "histogram 'h': 'count' must be a non-negative integer "
                 "\\(got -1\\)");
     EXPECT_EXIT(obs::validateMetricsDoc(histogram("[0.5, 0]", "0")),
                 ::testing::ExitedWithCode(1),
-                "histogram 'h' bucket count 0 must be a non-negative "
-                "integer");
+                "histogram 'h': 'counts\\[0\\]' must be a non-negative "
+                "integer \\(got 0\\.5\\)");
     EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(
                     R"({"format": "act.metrics.v1",
                         "counters": {"x": 2.5}})")),
                 ::testing::ExitedWithCode(1),
-                "counter 'x' must be a non-negative integer \\(JSON "
-                "number is not integral\\)");
+                "counters: 'x' must be a non-negative integer "
+                "\\(got 2\\.5\\)");
     EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(
                     R"({"format": "act.metrics.v1",
                         "counters": {"x": 1e30}})")),
                 ::testing::ExitedWithCode(1),
-                "counter 'x' must be a non-negative integer \\(JSON "
-                "number 1e\\+30 is out of 64-bit integer range\\)");
+                "counters: 'x' must be a non-negative integer "
+                "\\(got 1e\\+30\\)");
 }
 
 TEST(MetricsDocDeathTest, FatalNamesTheOrigin)
@@ -275,7 +280,7 @@ TEST(MetricsDocDeathTest, FatalNamesTheOrigin)
                     "sweep partial 'part1.json'"),
                 ::testing::ExitedWithCode(1),
                 "fatal: bad metrics in sweep partial 'part1\\.json': "
-                "metrics counter 'x' must be a non-negative integer");
+                "counters: 'x' must be a non-negative integer");
 }
 
 TEST(MetricsDocTest, PrometheusRenderingIsWellFormed)

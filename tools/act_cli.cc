@@ -21,6 +21,7 @@
  */
 
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -445,31 +446,11 @@ countOr(const Args &args, const std::string &name, std::size_t fallback)
 {
     const double value =
         args.numberOr(name, static_cast<double>(fallback));
-    if (value < 0.0 || value != static_cast<double>(
-                                    static_cast<std::size_t>(value)))
+    // Range first: the cast is undefined outside [0, 2^64).
+    if (!(value >= 0.0 && value < 0x1p64) || value != std::floor(value))
         util::fatal("flag --", name,
                     " expects a non-negative integer, got ", value);
     return static_cast<std::size_t>(value);
-}
-
-/**
- * Load the JSON file @p path and convert it with @p convert. Parse and
- * type errors become a fatal naming the file (and, for parse errors,
- * the line and column), so a bad plan or a truncated partial exits 1
- * instead of escaping main.
- */
-template <typename Convert>
-auto
-loadJsonAs(const std::string &path, const char *what, Convert convert)
-{
-    try {
-        return convert(config::loadJsonFile(path));
-    } catch (const config::JsonParseError &error) {
-        util::fatal("failed to parse ", what, " '", path, "': ",
-                    error.what());
-    } catch (const config::JsonTypeError &error) {
-        util::fatal("bad ", what, " '", path, "': ", error.what());
-    }
 }
 
 int
@@ -489,7 +470,7 @@ cmdSweep(const Args &args)
     const std::string plan_path = args.stringOr("plan", "");
     // Domains parse their config eagerly in prepare(), so a mistyped
     // config field surfaces here too.
-    sweep::SweepPlan plan = loadJsonAs(
+    sweep::SweepPlan plan = config::loadJsonAs(
         plan_path, "sweep plan", [](const config::JsonValue &document) {
             sweep::SweepPlan parsed = sweep::sweepPlanFromJson(document);
             sweep::findDomain(parsed.domain).prepare(parsed);
@@ -547,12 +528,9 @@ cmdMerge(const Args &args)
     std::vector<sweep::ShardResult> partials;
     partials.reserve(args.positional().size());
     for (const std::string &path : args.positional())
-        partials.push_back(loadJsonAs(path, "sweep partial",
-                                      sweep::shardResultFromJson));
+        partials.push_back(config::loadJsonAs(path, "sweep partial",
+                                              sweep::shardResultFromJson));
     const config::JsonValue merged = sweep::mergeShards(partials);
-    const std::string out = args.stringOr("out", "");
-    if (!out.empty())
-        config::saveJsonFile(out, merged);
 
     // Aggregate whatever telemetry the partials carried (absent
     // sections are fine -- shards may mix metrics on and off).
@@ -564,6 +542,17 @@ cmdMerge(const Args &args)
             partials[i].metrics,
             "sweep partial '" + args.positional()[i] + "'"));
     }
+    // The summary reads every payload, so a corrupt one fails here,
+    // naming its chunk, before --out is written.
+    const sweep::SweepPlan &plan = partials.front().plan;
+    const std::string summary =
+        config::readJsonAs("sweep partials", [&] {
+            return sweep::findDomain(plan.domain)
+                .summarize(plan, merged.at("results").asArray());
+        });
+    const std::string out = args.stringOr("out", "");
+    if (!out.empty())
+        config::saveJsonFile(out, merged);
     const std::string metrics_out = args.stringOr("metrics-out", "");
     const std::string metrics_prom = args.stringOr("metrics-prom", "");
     if (!metric_docs.empty() || !metrics_out.empty() ||
@@ -585,10 +574,7 @@ cmdMerge(const Args &args)
         }
     }
 
-    const sweep::SweepPlan &plan = partials.front().plan;
-    std::cout << sweep::findDomain(plan.domain)
-                     .summarize(plan, merged.at("results").asArray())
-              << "\n";
+    std::cout << summary << "\n";
     return 0;
 }
 

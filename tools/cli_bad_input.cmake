@@ -1,15 +1,20 @@
-# Drives `act sweep`, `act merge`, `act trace-merge` and `act status`
-# with broken input files -- a partial truncated as a dead shard leaves
-# it, a partial with a negative chunk_begin, a plan whose item count is
-# out of integer range, a plan with a
-# mistyped config field, a plan whose abatement range leaves the model's
-# domain, a chiplet plan with a huge or fractional max_chiplets, a
-# chiplet plan whose result overflows to infinity, partials whose
-# metrics section lacks a gauge's values or has a negative bucket
-# count, a fleet partial with a negative job count, a truncated and a
-# mistyped trace -- and checks that each run exits 1 with one `fatal:`
-# diagnostic instead of aborting. A heartbeat with bad counts must
-# instead be skipped by `act status` with a warning.
+# Drives `act sweep`, `act merge`, `act device-file`, `act trace-merge`
+# and `act status` with broken input files -- a partial truncated as a
+# dead shard leaves it, a partial with a negative chunk_begin, a plan
+# whose item count is out of integer range, a plan with a mistyped
+# config field, a plan whose abatement range leaves the model's domain,
+# a chiplet plan with a huge or fractional max_chiplets, a chiplet plan
+# whose result overflows to infinity, partials whose metrics section
+# lacks a gauge's values or has a negative bucket count, Monte Carlo
+# and mobile partials with a mistyped or missing payload field, a fleet
+# partial with a negative job count, fleet plans with a huge
+# deadline_samples or region day count, devices with a fractional or
+# huge package count, a truncated trace, a mistyped trace and a trace
+# with a negative epoch, and a huge --shards flag -- and checks that
+# each run exits 1 with one `fatal:` diagnostic naming the file and the
+# field instead of aborting (and, for merge, before writing --out). A
+# heartbeat with bad counts must instead be skipped by `act status`
+# with a warning.
 #
 #   cmake -DACT=<act binary> -DPLAN=<sweep plan> -DWORK_DIR=<dir> \
 #         -P cli_bad_input.cmake
@@ -39,6 +44,15 @@ function(expect_fatal what pattern)
                             "${pattern}', got exit ${status}:\n${stderr}")
     endif()
     message(STATUS "${what}: ${stderr}")
+endfunction()
+
+# Like expect_fatal, and the run must not have written `file`.
+function(expect_fatal_without what pattern file)
+    file(REMOVE "${WORK_DIR}/${file}")
+    expect_fatal("${what}" "${pattern}" ${ARGN})
+    if(EXISTS "${WORK_DIR}/${file}")
+        message(FATAL_ERROR "${what}: ${file} was written")
+    endif()
 endfunction()
 
 foreach(index 0 1)
@@ -72,14 +86,14 @@ file(READ "${PLAN}" plan)
 string(REGEX REPLACE "\"items\": *[0-9]+" "\"items\": 1e30" huge "${plan}")
 file(WRITE "${WORK_DIR}/huge.json" "${huge}")
 expect_fatal("items out of range"
-    "bad sweep plan 'huge.json': JSON number 1e\\+30 is out of 64-bit"
+    "bad sweep plan 'huge\\.json': 'items' must be a non-negative integer \\(got 1e\\+30\\)"
     sweep --plan huge.json)
 
 string(REGEX REPLACE "\"node_nm\": *([0-9]+)" "\"node_nm\": \"\\1\""
        mistyped "${plan}")
 file(WRITE "${WORK_DIR}/mistyped.json" "${mistyped}")
 expect_fatal("mistyped config field"
-    "bad sweep plan 'mistyped.json': JSON value is not a number"
+    "bad sweep plan 'mistyped\\.json': 'node_nm' must be a number > 0 \\(got \"14\"\\)"
     sweep --plan mistyped.json)
 
 # An abatement range reaching past 1.0 is rejected when the plan is
@@ -94,7 +108,7 @@ endif()
 file(WRITE "${WORK_DIR}/bad_abatement.json" "${bad_abatement}")
 set(ENV{ACT_THREADS} 4)
 expect_fatal("abatement range"
-    "gaseous abatement fraction"
+    "bad sweep plan 'bad_abatement\\.json': parameters\\[2\\]: 'high' must be a number in \\[0\\.9, 1\\] \\(got 1\\.00002\\)"
     sweep --plan bad_abatement.json)
 set(ENV{ACT_THREADS} 1)
 
@@ -104,10 +118,13 @@ foreach(count 1e9 2.5)
     file(WRITE "${WORK_DIR}/chiplet_${count}.json"
          "{\"domain\": \"chiplet\", \"config\": "
          "{\"logic_area_mm2\": 800, \"max_chiplets\": ${count}}}\n")
-    expect_fatal("max_chiplets ${count}"
-        "chiplet config 'max_chiplets' must be an integer in \\[1, 1024\\]"
-        sweep --plan chiplet_${count}.json)
 endforeach()
+expect_fatal("max_chiplets 1e9"
+    "bad sweep plan 'chiplet_1e9\\.json': 'max_chiplets' must be an integer in \\[1, 1024\\] \\(got 1e\\+09\\)"
+    sweep --plan chiplet_1e9.json)
+expect_fatal("max_chiplets 2.5"
+    "bad sweep plan 'chiplet_2\\.5\\.json': 'max_chiplets' must be an integer in \\[1, 1024\\] \\(got 2\\.5\\)"
+    sweep --plan chiplet_2.5.json)
 
 # A logic area of 1e300 mm2 overflows every package total to infinity,
 # which JSON cannot carry. Writing the result used to succeed with
@@ -144,12 +161,67 @@ if(no_values STREQUAL metrics_partial OR
 endif()
 file(WRITE "${WORK_DIR}/metrics_no_values.json" "${no_values}")
 expect_fatal("gauge without values"
-    "bad metrics in sweep partial 'metrics_no_values\\.json': metrics gauge '[^']+' is missing field 'values'"
+    "bad metrics in sweep partial 'metrics_no_values\\.json': gauge '[^']+': missing 'values'"
     merge metrics_part0.json metrics_no_values.json)
 file(WRITE "${WORK_DIR}/metrics_negative.json" "${negative_bucket}")
 expect_fatal("negative bucket count"
-    "bad metrics in sweep partial 'metrics_negative\\.json': metrics histogram '[^']+' bucket count 0 must be a non-negative integer \\(got -3\\)"
+    "bad metrics in sweep partial 'metrics_negative\\.json': histogram '[^']+': 'counts\\[0\\]' must be a non-negative integer \\(got -3\\)"
     merge metrics_part0.json metrics_negative.json)
+
+# A Monte Carlo partial whose payload field is mistyped or missing used
+# to abort `act merge` on an uncaught JSON exception after --out was
+# written. The summary reads every payload before --out is written, so
+# the run must fail naming the chunk and write nothing.
+file(READ "${WORK_DIR}/part1.json" partial)
+string(REGEX MATCH "\"chunk_begin\": *([0-9]+)" unused "${partial}")
+set(first_chunk "${CMAKE_MATCH_1}")
+string(REGEX REPLACE "(\"sum\": *)[-0-9.e+]+" "\\1\"x\"" string_sum
+       "${partial}")
+string(REGEX REPLACE "\"sum\": *[-0-9.e+]+," "" no_sum "${partial}")
+string(REGEX REPLACE "(\"outputs\": *\\[[ \n]*)[-0-9.e+]+" "\\1\"x\""
+       string_output "${partial}")
+if(string_sum STREQUAL partial OR no_sum STREQUAL partial OR
+   string_output STREQUAL partial)
+    message(FATAL_ERROR "no Monte Carlo payload to corrupt in part1.json")
+endif()
+file(WRITE "${WORK_DIR}/string_sum.json" "${string_sum}")
+expect_fatal_without("mistyped Monte Carlo sum"
+    "bad sweep partials: chunk ${first_chunk}: 'sum' must be a number \\(got \"x\"\\)"
+    merged_bad.json
+    merge part0.json string_sum.json --out merged_bad.json)
+file(WRITE "${WORK_DIR}/no_sum.json" "${no_sum}")
+expect_fatal_without("missing Monte Carlo sum"
+    "bad sweep partials: chunk ${first_chunk}: missing 'sum'"
+    merged_bad.json
+    merge part0.json no_sum.json --out merged_bad.json)
+file(WRITE "${WORK_DIR}/string_output.json" "${string_output}")
+expect_fatal_without("mistyped Monte Carlo output"
+    "bad sweep partials: chunk ${first_chunk}: 'outputs\\[0\\]' must be a number \\(got \"x\"\\)"
+    merged_bad.json
+    merge part0.json string_output.json --out merged_bad.json)
+
+# The same for a mobile partial's embodied_kg.
+file(WRITE "${WORK_DIR}/mobile_plan.json" "{\"domain\": \"mobile\"}\n")
+foreach(index 0 1)
+    run_act(sweep --plan mobile_plan.json --shards 2 --shard-index ${index}
+            --out mobile_part${index}.json)
+    if(NOT status STREQUAL "0")
+        message(FATAL_ERROR "mobile shard ${index} failed:\n${stderr}")
+    endif()
+endforeach()
+file(READ "${WORK_DIR}/mobile_part1.json" mobile_partial)
+string(REGEX MATCH "\"chunk_begin\": *([0-9]+)" unused "${mobile_partial}")
+set(first_chunk "${CMAKE_MATCH_1}")
+string(REGEX REPLACE "(\"embodied_kg\": *)[-0-9.e+]+" "\\1\"x\""
+       string_kg "${mobile_partial}")
+if(string_kg STREQUAL mobile_partial)
+    message(FATAL_ERROR "no embodied_kg to corrupt in mobile_part1.json")
+endif()
+file(WRITE "${WORK_DIR}/mobile_string_kg.json" "${string_kg}")
+expect_fatal_without("mistyped mobile embodied_kg"
+    "bad sweep partials: chunk ${first_chunk}: 'embodied_kg' must be a number \\(got \"x\"\\)"
+    merged_bad.json
+    merge mobile_part0.json mobile_string_kg.json --out merged_bad.json)
 
 # A fleet partial whose job count was edited to -1 used to be cast to
 # a huge count and merged. It must name the chunk and the scenario.
@@ -173,9 +245,49 @@ if(negative_jobs STREQUAL fleet_partial)
     message(FATAL_ERROR "no job count to corrupt in fleet_part1.json")
 endif()
 file(WRITE "${WORK_DIR}/fleet_negative.json" "${negative_jobs}")
-expect_fatal("negative fleet job count"
-    "fleet chunk 4 scenario 'uniform@is-flat/4\\.00y': 'jobs' must be a non-negative integer \\(got -1\\)"
-    merge fleet_part0.json fleet_negative.json)
+expect_fatal_without("negative fleet job count"
+    "bad sweep partials: chunk 4 scenario 'uniform@is-flat/4\\.00y': 'jobs' must be a non-negative integer \\(got -1\\)"
+    merged_bad.json
+    merge fleet_part0.json fleet_negative.json --out merged_bad.json)
+
+# A deadline or a region day count past any real series used to
+# overflow a size_t cast (and exit 0) or abort on std::bad_alloc.
+file(READ "${WORK_DIR}/fleet_plan.json" fleet_plan)
+string(REPLACE "\"horizon_hours\": 48}" "\"horizon_hours\": 48},
+            \"deadline_samples\": 1e300" deadline_plan "${fleet_plan}")
+string(REPLACE "\"region\": \"Iceland\"" "\"region\": \"Iceland\", \"days\": 1e12"
+       days_plan "${fleet_plan}")
+if(deadline_plan STREQUAL fleet_plan OR days_plan STREQUAL fleet_plan)
+    message(FATAL_ERROR "could not edit fleet_plan.json")
+endif()
+file(WRITE "${WORK_DIR}/fleet_deadline.json" "${deadline_plan}")
+expect_fatal("huge deadline_samples"
+    "bad sweep plan 'fleet_deadline\\.json': 'deadline_samples' must be an integer >= 1 \\(got 1e\\+300\\)"
+    sweep --plan fleet_deadline.json)
+file(WRITE "${WORK_DIR}/fleet_days.json" "${days_plan}")
+expect_fatal("huge region days"
+    "bad sweep plan 'fleet_days\\.json': regions\\[0\\]: 'days' must be an integer in \\[1, 36525\\] \\(got 1e\\+12\\)"
+    sweep --plan fleet_days.json)
+
+# A shard count past 2^64 used to be cast before the range check.
+expect_fatal("huge --shards"
+    "flag --shards expects a non-negative integer, got 1e\\+300"
+    sweep --plan "${PLAN}" --shards 1e300 --shard-index 0 --out huge_shards.json)
+
+# A device's package count of 2.7 used to truncate to 2, and 3e9 to
+# wrap into a "non-positive package count".
+foreach(packages 2.7 3e9)
+    file(WRITE "${WORK_DIR}/device_${packages}.json"
+         "{\"name\": \"d\", \"ics\": [{\"name\": \"m\", \"kind\": \"dram\", "
+         "\"capacity_gb\": 4, \"technology\": \"LPDDR4\", "
+         "\"packages\": ${packages}}]}\n")
+endforeach()
+expect_fatal("fractional package count"
+    "bad device file 'device_2\\.7\\.json': ics\\[0\\]: 'packages' must be an integer in \\[1, 2147483647\\] \\(got 2\\.7\\)"
+    device-file device_2.7.json)
+expect_fatal("huge package count"
+    "bad device file 'device_3e9\\.json': ics\\[0\\]: 'packages' must be an integer in \\[1, 2147483647\\] \\(got 3e\\+09\\)"
+    device-file device_3e9.json)
 
 # A truncated trace and a trace with a mistyped event field must make
 # `act trace-merge` exit 1 naming the file, not abort on an uncaught
@@ -187,8 +299,15 @@ expect_fatal("truncated trace"
 file(WRITE "${WORK_DIR}/typed_trace.json"
      "{\"traceEvents\":[{\"ts\":\"x\",\"ph\":5}]}\n")
 expect_fatal("mistyped trace event"
-    "bad trace 'typed_trace\\.json': JSON value is not a number"
+    "bad trace 'typed_trace\\.json': 'ts' must be a number \\(got \"x\"\\)"
     trace-merge merged_trace.json typed_trace.json)
+# A negative epoch used to wrap and shift the merged timeline.
+file(WRITE "${WORK_DIR}/epoch_trace.json"
+     "{\"traceEvents\":[{\"name\":\"trace_epoch\",\"ph\":\"M\","
+     "\"args\":{\"wall_epoch_us\":-5}}]}\n")
+expect_fatal("negative trace epoch"
+    "bad trace 'epoch_trace\\.json': 'wall_epoch_us' must be a non-negative integer \\(got -5\\)"
+    trace-merge merged_trace.json epoch_trace.json)
 
 # A heartbeat whose counts are mistyped, out of range, or negative is
 # skipped with a warning; `act status` still exits 0.
