@@ -1,7 +1,14 @@
 #include "sweep/engine.h"
 
+#include <array>
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "obs/heartbeat.h"
@@ -17,7 +24,7 @@ using config::JsonValue;
 
 namespace {
 
-constexpr const char *kPartialFormat = "act.sweep.partial.v1";
+constexpr const char *kPartialFormat = "act.sweep.partial.v2";
 constexpr const char *kResultFormat = "act.sweep.result.v1";
 
 struct SweepInstruments
@@ -158,9 +165,161 @@ runShardedSweep(const SweepPlan &plan, const ShardSpec &shard,
     return result;
 }
 
+namespace {
+
+/** The key of a packed number array: {"f64": "<hex>"}. */
+constexpr const char *kPackedKey = "f64";
+constexpr std::size_t kHexPerNumber = 16;
+
+/** True when @p object is a packed number array. */
+bool
+isPacked(const JsonObject &object)
+{
+    return object.size() == 1 && object.begin()->first == kPackedKey;
+}
+
+/** True for a non-empty array whose elements are all numbers. */
+bool
+isNumberArray(const JsonArray &array)
+{
+    if (array.empty())
+        return false;
+    for (const JsonValue &element : array) {
+        if (!element.isNumber())
+            return false;
+    }
+    return true;
+}
+
+/** 16 lowercase hex digits per element: its binary64 bit pattern as
+ *  a uint64_t, most significant digit first. */
+std::string
+packNumbers(const JsonArray &array)
+{
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string hex(array.size() * kHexPerNumber, '0');
+    char *out = hex.data();
+    for (const JsonValue &element : array) {
+        const auto bits = std::bit_cast<std::uint64_t>(element.asNumber());
+        for (int shift = 60; shift >= 0; shift -= 4)
+            *out++ = kDigits[(bits >> shift) & 0xf];
+    }
+    return hex;
+}
+
+/** @p payload with every non-empty all-number array packed. */
+JsonValue
+pack(const JsonValue &payload)
+{
+    if (payload.isArray()) {
+        const JsonArray &array = payload.asArray();
+        if (isNumberArray(array)) {
+            JsonObject packed;
+            packed[kPackedKey] = JsonValue(packNumbers(array));
+            return JsonValue(std::move(packed));
+        }
+        JsonArray out;
+        out.reserve(array.size());
+        for (const JsonValue &element : array)
+            out.push_back(pack(element));
+        return JsonValue(std::move(out));
+    }
+    if (payload.isObject()) {
+        const JsonObject &object = payload.asObject();
+        if (isPacked(object))
+            util::panic("a sweep payload object has the reserved sole key '",
+                        kPackedKey, "'");
+        JsonObject out;
+        for (const auto &[key, value] : object)
+            out.emplace_hint(out.end(), key, pack(value));
+        return JsonValue(std::move(out));
+    }
+    return payload;
+}
+
+/** Each byte's hex digit value; 0xff for a byte outside [0-9a-f]. */
+constexpr std::array<std::uint8_t, 256> kHexValues = [] {
+    std::array<std::uint8_t, 256> values{};
+    values.fill(0xff);
+    for (int digit = 0; digit < 10; ++digit)
+        values['0' + digit] = static_cast<std::uint8_t>(digit);
+    for (int digit = 0; digit < 6; ++digit)
+        values['a' + digit] = static_cast<std::uint8_t>(10 + digit);
+    return values;
+}();
+
+/** The numbers of a packed array's @p hex value; throws naming the
+ *  first element that is not 16 hex digits of a finite number. */
+JsonArray
+unpackNumbers(const JsonValue &hex_value)
+{
+    if (!hex_value.isString() || hex_value.asString().empty()) {
+        config::badField(kPackedKey,
+                         "a non-empty string of 16 hex digits per number",
+                         hex_value);
+    }
+    const std::string_view hex = hex_value.asString();
+    const std::size_t count =
+        (hex.size() + kHexPerNumber - 1) / kHexPerNumber;
+    JsonArray out;
+    out.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        const std::string_view digits =
+            hex.substr(i * kHexPerNumber, kHexPerNumber);
+        std::uint64_t bits = 0;
+        // Any invalid byte sets the high nibble of `invalid`.
+        unsigned invalid = digits.size() == kHexPerNumber ? 0 : 0xf0;
+        for (const char c : digits) {
+            const std::uint8_t value =
+                kHexValues[static_cast<unsigned char>(c)];
+            invalid |= value;
+            bits = bits << 4 | (value & 0xf);
+        }
+        const double number = std::bit_cast<double>(bits);
+        if ((invalid & 0xf0) != 0 || !std::isfinite(number)) {
+            config::badField(std::string(kPackedKey) + "[" +
+                                 std::to_string(i) + "]",
+                             "16 hex digits of a finite number",
+                             JsonValue(std::string(digits)));
+        }
+        out.emplace_back(number);
+    }
+    return out;
+}
+
+/** pack()'s inverse: @p payload with every packed array restored. */
+JsonValue
+unpack(const JsonValue &payload)
+{
+    if (payload.isArray()) {
+        const JsonArray &array = payload.asArray();
+        JsonArray out;
+        out.reserve(array.size());
+        for (const JsonValue &element : array)
+            out.push_back(unpack(element));
+        return JsonValue(std::move(out));
+    }
+    if (payload.isObject()) {
+        const JsonObject &object = payload.asObject();
+        if (isPacked(object))
+            return JsonValue(unpackNumbers(object.begin()->second));
+        JsonObject out;
+        for (const auto &[key, value] : object)
+            out.emplace_hint(out.end(), key, unpack(value));
+        return JsonValue(std::move(out));
+    }
+    return payload;
+}
+
+} // namespace
+
 JsonValue
 toJson(const ShardResult &result)
 {
+    JsonArray chunks;
+    chunks.reserve(result.chunks.size());
+    for (const JsonValue &payload : result.chunks)
+        chunks.push_back(pack(payload));
     JsonObject object;
     object["format"] = JsonValue(kPartialFormat);
     object["plan"] = toJson(result.plan);
@@ -170,7 +329,7 @@ toJson(const ShardResult &result)
         JsonValue(static_cast<double>(result.shard.shard_index));
     object["chunk_begin"] =
         JsonValue(static_cast<double>(result.chunk_begin));
-    object["chunks"] = JsonValue(JsonArray(result.chunks));
+    object["chunks"] = JsonValue(std::move(chunks));
     if (!result.metrics.isNull())
         object["metrics"] = result.metrics;
     return JsonValue(std::move(object));
@@ -189,7 +348,13 @@ shardResultFromJson(const JsonValue &value)
     result.shard.shard_index = config::count(
         value, "shard_index", {0, result.shard.shard_count - 1});
     result.chunk_begin = config::count(value, "chunk_begin");
-    result.chunks = value.at("chunks").asArray();
+    const JsonArray &chunks = value.at("chunks").asArray();
+    result.chunks.reserve(chunks.size());
+    for (const JsonValue &payload : chunks) {
+        result.chunks.push_back(config::inContext(
+            [&] { return unpack(payload); }, "chunk ",
+            result.chunk_begin + result.chunks.size()));
+    }
     if (value.contains("metrics"))
         result.metrics = value.at("metrics");
     return result;
@@ -211,7 +376,7 @@ resultDocument(const SweepPlan &plan, JsonArray payloads)
 } // namespace
 
 JsonValue
-mergeShards(const std::vector<ShardResult> &shards)
+mergeShards(std::vector<ShardResult> shards)
 {
     if (shards.empty())
         util::fatal("mergeShards() needs at least one partial");
@@ -226,8 +391,8 @@ mergeShards(const std::vector<ShardResult> &shards)
                     "--shards ", shard_count, "), got ", shards.size());
     }
 
-    std::vector<const ShardResult *> by_index(shard_count, nullptr);
-    for (const ShardResult &shard : shards) {
+    std::vector<ShardResult *> by_index(shard_count, nullptr);
+    for (ShardResult &shard : shards) {
         if (toJson(shard.plan).dump() != plan_dump) {
             util::fatal("cannot merge partials from different sweep "
                         "plans (domain/items/grain/seed/fingerprint "
@@ -248,7 +413,7 @@ mergeShards(const std::vector<ShardResult> &shards)
     payloads.reserve(chunk_count);
     std::size_t next_chunk = 0;
     for (std::size_t index = 0; index < shard_count; ++index) {
-        const ShardResult &shard = *by_index[index];
+        ShardResult &shard = *by_index[index];
         const util::IndexRange owned =
             shardChunkRange(chunk_count, shard.shard);
         if (shard.chunk_begin != owned.begin ||
@@ -262,8 +427,9 @@ mergeShards(const std::vector<ShardResult> &shards)
         if (owned.begin != next_chunk)
             util::panic("shard chunk ranges do not tile the sweep");
         next_chunk = owned.end;
-        payloads.insert(payloads.end(), shard.chunks.begin(),
-                        shard.chunks.end());
+        payloads.insert(payloads.end(),
+                        std::make_move_iterator(shard.chunks.begin()),
+                        std::make_move_iterator(shard.chunks.end()));
     }
     if (next_chunk != chunk_count)
         util::panic("merged shards cover ", next_chunk, " of ",

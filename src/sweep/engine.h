@@ -19,6 +19,12 @@
  * `mergeShards` recombines them -- rejecting overlapping, missing, or
  * mismatched partials -- into a result document byte-identical to a
  * single-process `fullSweepResult` run.
+ *
+ * A partial ("act.sweep.partial.v2") carries each number array of a
+ * payload as the exact IEEE-754 bits of its elements rather than as
+ * decimal text, so writing and reading a partial is bit-exact by
+ * construction and costs no number formatting. Only the partial
+ * changes shape; payloads and the merged result document do not.
  */
 
 #ifndef ACT_SWEEP_ENGINE_H
@@ -162,18 +168,35 @@ ShardResult runShardedSweep(const SweepPlan &plan,
                             const JsonChunkEvaluator &evaluator,
                             const ShardRunOptions &options = {});
 
-/** Partial-result file document ("act.sweep.partial.v1"). The reader
- *  throws config::JsonTypeError naming a bad field. */
+/**
+ * Partial-result file document ("act.sweep.partial.v2"). Inside each
+ * chunk payload, every non-empty array whose elements are all numbers
+ * is written as {"f64": "<hex>"}: 16 lowercase hex digits per element,
+ * the element's binary64 bit pattern read as a uint64_t, most
+ * significant digit first, so no host byte order is involved. Every
+ * other value -- objects, strings, scalars, mixed or empty arrays, the
+ * plan, the shard fields and metrics -- is written as JSON. A payload
+ * object whose only key is "f64" is therefore reserved (a panic).
+ */
 config::JsonValue toJson(const ShardResult &result);
+
+/**
+ * Read a toJson() document, restoring every packed array to the exact
+ * numbers it was written from. Only v2 is read: a v1 partial fails on
+ * 'format'. Throws config::JsonTypeError naming a bad field, and for a
+ * packed array that is not 16 hex digits of a finite number per
+ * element, "chunk <global index>: 'f64[i]' must be ...".
+ */
 ShardResult shardResultFromJson(const config::JsonValue &value);
 
 /**
- * Recombine partials into the canonical result document. Fatal when
- * shards disagree on the plan or shard count, repeat a shard index,
- * overlap, or fail to cover every chunk -- a partial set that merges
- * is guaranteed bit-identical to the single-process run.
+ * Recombine partials into the canonical result document, moving each
+ * shard's payloads into it (pass an rvalue to avoid copying them).
+ * Fatal when shards disagree on the plan or shard count, repeat a
+ * shard index, overlap, or fail to cover every chunk -- a partial set
+ * that merges is guaranteed bit-identical to the single-process run.
  */
-config::JsonValue mergeShards(const std::vector<ShardResult> &shards);
+config::JsonValue mergeShards(std::vector<ShardResult> shards);
 
 /**
  * Single-process reference run: evaluate every chunk and return the

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -219,10 +220,36 @@ accelPlan()
     })");
 }
 
+/** The examples/configs/sweep_chiplet.json packaging grid. */
+SweepPlan
+chipletPlan()
+{
+    return preparedPlan(R"({
+        "domain": "chiplet",
+        "seed": 42,
+        "config": {"logic_area_mm2": 800, "node_nm": 7,
+                   "max_chiplets": 8, "defect_density_per_cm2": 0.15,
+                   "ci_fab_g_per_kwh": [30, 300, 700]}
+    })");
+}
+
+/** A two-day, one-region fleet replay (8 chunks of 256 jobs). */
+SweepPlan
+fleetPlan()
+{
+    return preparedPlan(R"({
+        "domain": "fleet", "items": 2000, "grain": 256, "seed": 42,
+        "config": {"regions": [{"name": "is-flat", "profile": "flat",
+                                "region": "Iceland"}],
+                   "jobs": {"horizon_hours": 48}}
+    })");
+}
+
 TEST_F(SweepEngineTest, ShardedMergeIsByteIdenticalToSingleProcess)
 {
     for (const SweepPlan &plan :
-         {monteCarloPlan(), mobilePlan(), accelPlan()}) {
+         {monteCarloPlan(), mobilePlan(), accelPlan(), chipletPlan(),
+          fleetPlan()}) {
         const Domain &domain = findDomain(plan.domain);
 
         util::setThreadCount(1);
@@ -236,7 +263,7 @@ TEST_F(SweepEngineTest, ShardedMergeIsByteIdenticalToSingleProcess)
                 reference)
                 << plan.domain << ", single-process, " << threads
                 << " threads";
-            for (const std::size_t shard_count : {1u, 2u, 5u}) {
+            for (const std::size_t shard_count : {1u, 2u, 3u, 4u, 5u}) {
                 std::vector<ShardResult> partials;
                 for (std::size_t i = 0; i < shard_count; ++i) {
                     // Round-trip every partial through its file
@@ -251,6 +278,74 @@ TEST_F(SweepEngineTest, ShardedMergeIsByteIdenticalToSingleProcess)
                     << " shards, " << threads << " threads";
             }
         }
+    }
+}
+
+TEST_F(SweepEngineTest, PartialRoundTripIsBitExact)
+{
+    using config::JsonArray;
+    using config::JsonObject;
+    using config::JsonValue;
+    constexpr double kMax = std::numeric_limits<double>::max();
+
+    ShardResult result;
+    result.plan = monteCarloPlan();
+    result.shard = {1, 0};
+    result.chunk_begin = 3;
+    // Edge cases of the writer's decimal text: a signed zero, the
+    // smallest subnormal and normal, the extremes, an inexact decimal,
+    // and both sides of the integral-format boundary at 1e15.
+    result.chunks.emplace_back(
+        JsonArray{-0.0, 5e-324, 2.2250738585072014e-308, kMax, -kMax,
+                  0.1, 1e15 - 1, 1e15});
+    result.chunks.emplace_back(JsonArray{1, "x"});
+    result.chunks.emplace_back(JsonArray{});
+    result.chunks.emplace_back(
+        JsonArray{JsonArray{1, 2}, JsonArray{3}});
+    result.chunks.emplace_back(JsonArray{
+        JsonObject{{"s", "t"}, {"v", JsonArray{1.5, 2.5}}}});
+    result.chunks.emplace_back(JsonObject{{"n", 4}, {"e", JsonArray{}}});
+
+    const JsonValue encoded = toJson(result);
+    EXPECT_EQ(encoded.at("format").asString(), "act.sweep.partial.v2");
+    // Only the non-empty all-number arrays are packed.
+    const std::vector<std::string> expected = {
+        R"({"f64":"8000000000000000000000000000000100100000000000007fefffffffffffffffefffffffffffff3fb999999999999a430c6bf52633fff8430c6bf526340000"})",
+        R"([1,"x"])",
+        "[]",
+        R"([{"f64":"3ff00000000000004000000000000000"},{"f64":"4008000000000000"}])",
+        R"([{"s":"t","v":{"f64":"3ff80000000000004004000000000000"}}])",
+        R"({"e":[],"n":4})",
+    };
+    const JsonArray &chunks = encoded.at("chunks").asArray();
+    ASSERT_EQ(chunks.size(), expected.size());
+    for (std::size_t i = 0; i < chunks.size(); ++i)
+        EXPECT_EQ(chunks[i].dump(), expected[i]) << "chunk " << i;
+
+    // The restored payloads are the written ones, bit for bit, also
+    // after a trip through the file's text.
+    for (const JsonValue &document :
+         {encoded, JsonValue::parse(encoded.dump(2))}) {
+        const ShardResult restored = shardResultFromJson(document);
+        ASSERT_EQ(restored.chunks.size(), result.chunks.size());
+        for (std::size_t i = 0; i < result.chunks.size(); ++i) {
+            EXPECT_EQ(restored.chunks[i].dump(), result.chunks[i].dump())
+                << "chunk " << i;
+        }
+        EXPECT_EQ(restored.chunk_begin, result.chunk_begin);
+    }
+
+    // A bad packed array names its global chunk index and element.
+    JsonValue corrupt = encoded;
+    corrupt.asObject()["chunks"].asArray()[3].asArray()[1] =
+        JsonValue(JsonObject{{"f64", "40080000000000"}});
+    try {
+        shardResultFromJson(corrupt);
+        ADD_FAILURE() << "a 14-digit packed number was accepted";
+    } catch (const config::JsonTypeError &error) {
+        EXPECT_EQ(std::string(error.what()),
+                  "chunk 6: 'f64[0]' must be 16 hex digits of a finite "
+                  "number (got \"40080000000000\")");
     }
 }
 

@@ -530,21 +530,26 @@ cmdMerge(const Args &args)
     for (const std::string &path : args.positional())
         partials.push_back(config::loadJsonAs(path, "sweep partial",
                                               sweep::shardResultFromJson));
-    const config::JsonValue merged = sweep::mergeShards(partials);
+    // Keep the plan and the telemetry; the payloads move into the
+    // merged document.
+    const sweep::SweepPlan plan = partials.front().plan;
+    std::vector<config::JsonValue> metrics;
+    for (sweep::ShardResult &partial : partials)
+        metrics.push_back(std::move(partial.metrics));
+    const config::JsonValue merged =
+        sweep::mergeShards(std::move(partials));
 
     // Aggregate whatever telemetry the partials carried (absent
     // sections are fine -- shards may mix metrics on and off).
     std::vector<config::JsonValue> metric_docs;
-    for (std::size_t i = 0; i < partials.size(); ++i) {
-        if (partials[i].metrics.isNull())
+    for (std::size_t i = 0; i < metrics.size(); ++i) {
+        if (metrics[i].isNull())
             continue;
         metric_docs.push_back(obs::validateMetricsDoc(
-            partials[i].metrics,
-            "sweep partial '" + args.positional()[i] + "'"));
+            metrics[i], "sweep partial '" + args.positional()[i] + "'"));
     }
     // The summary reads every payload, so a corrupt one fails here,
     // naming its chunk, before --out is written.
-    const sweep::SweepPlan &plan = partials.front().plan;
     const std::string summary =
         config::readJsonAs("sweep partials", [&] {
             return sweep::findDomain(plan.domain)
@@ -569,7 +574,7 @@ cmdMerge(const Args &args)
         }
         if (!metric_docs.empty()) {
             std::cout << "--- merged metrics (" << metric_docs.size()
-                      << " of " << partials.size() << " shards) ---\n"
+                      << " of " << metrics.size() << " shards) ---\n"
                       << obs::renderMetricsDocTable(aggregated);
         }
     }

@@ -6,15 +6,17 @@
 # a chiplet plan with a huge or fractional max_chiplets, a chiplet plan
 # whose result overflows to infinity, partials whose metrics section
 # lacks a gauge's values or has a negative bucket count, Monte Carlo
-# and mobile partials with a mistyped or missing payload field, a fleet
-# partial with a negative job count, fleet plans with a huge
-# deadline_samples or region day count, devices with a fractional or
-# huge package count, a truncated trace, a mistyped trace and a trace
-# with a negative epoch, and a huge --shards flag -- and checks that
-# each run exits 1 with one `fatal:` diagnostic naming the file and the
-# field instead of aborting (and, for merge, before writing --out). A
-# heartbeat with bad counts must instead be skipped by `act status`
-# with a warning.
+# and mobile partials with a mistyped or missing payload field, Monte
+# Carlo partials whose packed outputs have a bad hex digit, a length
+# that is not a multiple of 16, a NaN or infinite sample, or an empty or
+# non-string value, a v1 partial, a fleet partial with a negative job
+# count, fleet plans with a huge deadline_samples or region day count,
+# devices with a fractional or huge package count, a truncated trace,
+# a mistyped trace and a trace with a negative epoch, and a huge
+# --shards flag -- and checks that each run exits 1 with one `fatal:`
+# diagnostic naming the file and the field instead of aborting (and,
+# for merge, before writing --out). A heartbeat with bad counts must
+# instead be skipped by `act status` with a warning.
 #
 #   cmake -DACT=<act binary> -DPLAN=<sweep plan> -DWORK_DIR=<dir> \
 #         -P cli_bad_input.cmake
@@ -178,10 +180,7 @@ set(first_chunk "${CMAKE_MATCH_1}")
 string(REGEX REPLACE "(\"sum\": *)[-0-9.e+]+" "\\1\"x\"" string_sum
        "${partial}")
 string(REGEX REPLACE "\"sum\": *[-0-9.e+]+," "" no_sum "${partial}")
-string(REGEX REPLACE "(\"outputs\": *\\[[ \n]*)[-0-9.e+]+" "\\1\"x\""
-       string_output "${partial}")
-if(string_sum STREQUAL partial OR no_sum STREQUAL partial OR
-   string_output STREQUAL partial)
+if(string_sum STREQUAL partial OR no_sum STREQUAL partial)
     message(FATAL_ERROR "no Monte Carlo payload to corrupt in part1.json")
 endif()
 file(WRITE "${WORK_DIR}/string_sum.json" "${string_sum}")
@@ -194,11 +193,64 @@ expect_fatal_without("missing Monte Carlo sum"
     "bad sweep partials: chunk ${first_chunk}: missing 'sum'"
     merged_bad.json
     merge part0.json no_sum.json --out merged_bad.json)
-file(WRITE "${WORK_DIR}/string_output.json" "${string_output}")
-expect_fatal_without("mistyped Monte Carlo output"
-    "bad sweep partials: chunk ${first_chunk}: 'outputs\\[0\\]' must be a number \\(got \"x\"\\)"
+
+# A partial carries each chunk's Monte Carlo outputs as one packed
+# array, {"f64": "<hex>"}: 16 hex digits of IEEE-754 bits per sample.
+# A packed array with a bad digit, a length that is not a multiple of
+# 16, a NaN or infinite sample, or a value that is not a string, and a
+# partial of the old v1 format, must each fail reading the partial,
+# naming the file and the chunk, before --out is written.
+string(REGEX MATCH "\"f64\": *\"([0-9a-f]+)\"" unused "${partial}")
+set(hex "${CMAKE_MATCH_1}")
+string(LENGTH "${hex}" hex_length)
+math(EXPR samples "${hex_length} / 16")
+math(EXPR last_sample "${samples} - 1")
+math(EXPR remainder "${hex_length} % 16")
+if(samples LESS 2 OR NOT remainder EQUAL 0)
+    message(FATAL_ERROR "no packed Monte Carlo outputs in part1.json")
+endif()
+string(SUBSTRING "${hex}" 1 -1 hex_tail_1)
+string(SUBSTRING "${hex}" 16 -1 hex_tail_16)
+math(EXPR short_length "${hex_length} - 1")
+string(SUBSTRING "${hex}" 0 ${short_length} short_hex)
+math(EXPR last_begin "${last_sample} * 16")
+string(SUBSTRING "${hex}" ${last_begin} 15 last_digits)
+
+# <case>|<replacement of the first packed array>|<expected message>
+set(packed_cases
+    "nonhex|\"g${hex_tail_1}\"|'f64\\[0\\]' must be 16 hex digits of a finite number \\(got \"g[0-9a-f]+\"\\)"
+    "upper|\"A${hex_tail_1}\"|'f64\\[0\\]' must be 16 hex digits of a finite number \\(got \"A[0-9a-f]+\"\\)"
+    "short|\"${short_hex}\"|'f64\\[${last_sample}\\]' must be 16 hex digits of a finite number \\(got \"${last_digits}\"\\)"
+    "nan|\"7ff8000000000000${hex_tail_16}\"|'f64\\[0\\]' must be 16 hex digits of a finite number \\(got \"7ff8000000000000\"\\)"
+    "inf|\"7ff0000000000000${hex_tail_16}\"|'f64\\[0\\]' must be 16 hex digits of a finite number \\(got \"7ff0000000000000\"\\)"
+    "empty|\"\"|'f64' must be a non-empty string of 16 hex digits per number \\(got \"\"\\)"
+    "number|5|'f64' must be a non-empty string of 16 hex digits per number \\(got 5\\)")
+foreach(packed_case IN LISTS packed_cases)
+    string(REPLACE "|" ";" fields "${packed_case}")
+    list(GET fields 0 name)
+    list(GET fields 1 replacement)
+    list(GET fields 2 message)
+    string(REPLACE "\"${hex}\"" "${replacement}" corrupt "${partial}")
+    if(corrupt STREQUAL partial)
+        message(FATAL_ERROR "could not corrupt the packed outputs (${name})")
+    endif()
+    file(WRITE "${WORK_DIR}/packed_${name}.json" "${corrupt}")
+    expect_fatal_without("packed outputs: ${name}"
+        "bad sweep partial 'packed_${name}\\.json': chunk ${first_chunk}: ${message}"
+        merged_bad.json
+        merge part0.json packed_${name}.json --out merged_bad.json)
+endforeach()
+
+string(REPLACE "\"act.sweep.partial.v2\"" "\"act.sweep.partial.v1\""
+       v1_partial "${partial}")
+if(v1_partial STREQUAL partial)
+    message(FATAL_ERROR "no partial format to rewrite in part1.json")
+endif()
+file(WRITE "${WORK_DIR}/v1_partial.json" "${v1_partial}")
+expect_fatal_without("v1 partial"
+    "bad sweep partial 'v1_partial\\.json': 'format' must be one of 'act\\.sweep\\.partial\\.v2' \\(got \"act\\.sweep\\.partial\\.v1\"\\)"
     merged_bad.json
-    merge part0.json string_output.json --out merged_bad.json)
+    merge part0.json v1_partial.json --out merged_bad.json)
 
 # The same for a mobile partial's embodied_kg.
 file(WRITE "${WORK_DIR}/mobile_plan.json" "{\"domain\": \"mobile\"}\n")
