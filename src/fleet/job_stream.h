@@ -31,8 +31,9 @@ struct JobStreamParams
     std::uint64_t seed = 42;
     /** Arrivals are uniform over [0, horizon) hours. */
     double horizon_hours = 24.0;
-    /** Durations are log-normal (median, multiplicative spread),
-     *  clamped to max_duration_hours. */
+    /** Durations are log-normal (median, multiplicative spread > 1),
+     *  drawn by Box-Muller with the libm-free util::simd::detLog /
+     *  detCos / detExp, and clamped to max_duration_hours. */
     double median_duration_hours = 2.0;
     double duration_sigma_factor = 2.5;
     double max_duration_hours = 48.0;
@@ -54,7 +55,12 @@ struct Job
     bool deferrable = false;
 };
 
-/** Generate job @p index of the stream (pure in (params, index)). */
+/**
+ * Generate job @p index of the stream (pure in (params, index)): five
+ * unit draws in the order arrival, Box-Muller u1, u2, utilization,
+ * deferrable, slack, with the duration from the scalar log-normal
+ * kernel. The result's bits depend on no libm, host or SIMD level.
+ */
 Job jobAt(const JobStreamParams &params, std::uint64_t index);
 
 /**
@@ -72,17 +78,19 @@ struct JobBlock
     /** 0 when the job is not deferrable, like Job::slack_hours. */
     std::vector<double> slack_hours;
     std::vector<std::uint8_t> deferrable;
-    /** RNG scratch: each job's second Box-Muller unit draw. */
+    /** RNG scratch: each job's deriveSeed() seed, and its second
+     *  Box-Muller unit draw. */
+    std::vector<std::uint64_t> seeds;
     std::vector<double> normal_u2;
 };
 
 /**
  * Generate jobs [first, first + count) of the stream into @p block,
- * bit-identical to `count` jobAt() calls: each job's deriveSeed
- * stream is consumed in jobAt()'s draw order with its exact
- * expression shapes, in two scalar loops (the draws, then the libm
- * log-normal), with log(sigma) computed once per block instead of
- * once per job.
+ * bit-identical to `count` jobAt() calls: two scalar loops derive
+ * each job's seed and consume its stream in jobAt()'s draw order, then
+ * the dispatched log-normal kernel (util::simd::activeKernels(), 4
+ * lanes on AVX2) turns the parked Box-Muller pairs into durations,
+ * with log(sigma) computed once per block instead of once per job.
  */
 void jobBlockAt(const JobStreamParams &params, std::uint64_t first,
                 std::size_t count, JobBlock &block);

@@ -1,10 +1,11 @@
 /**
  * @file
- * A small deterministic PRNG (xorshift64*) with the distributions the
- * library needs: uniform reals/integers, normal (Box-Muller), and
- * log-normal. Deterministic for a fixed seed across platforms, unlike
- * <random>'s distributions, so simulation results and Monte Carlo
- * percentiles are reproducible everywhere.
+ * A small deterministic PRNG (xorshift64*) with the draws the library
+ * needs: uniform reals and integers. Deterministic for a fixed seed
+ * across platforms, unlike <random>'s distributions, so simulation
+ * results and Monte Carlo percentiles are reproducible everywhere.
+ * The fleet job stream's log-normal durations are a kernel over two
+ * unit draws (util/simd_kernels.h), not a method here.
  */
 
 #ifndef ACT_UTIL_RANDOM_H
@@ -69,23 +70,8 @@ class Xorshift64Star
         return lo + (hi - lo) * nextUnit();
     }
 
-    /** Standard normal via Box-Muller. */
-    double nextNormal();
-
-    /** Normal with the given mean and standard deviation. */
-    double nextNormal(double mean, double stddev);
-
-    /**
-     * Log-normal such that the *median* of the distribution equals
-     * @p median and the multiplicative spread is @p sigma_factor
-     * (i.e. one log-sd spans median/sigma_factor .. median*sigma_factor).
-     */
-    double nextLogNormal(double median, double sigma_factor);
-
   private:
     std::uint64_t state_;
-    bool have_spare_ = false;
-    double spare_ = 0.0;
 };
 
 } // namespace act::util

@@ -1,18 +1,23 @@
 /**
  * @file
  * Internal kernel table behind util/simd.h: the fleet replayer's
- * window-cost and argmin kernels, the two loops where the hand-written
- * AVX2 tier measurably shortens an end-to-end run (DESIGN.md §11), as
- * per-level tables of function pointers: the scalar reference and the
- * 4-lane AVX2 tier. The problem descriptor is a plain POD so the
- * per-level translation units -- the AVX2 one is compiled with
- * -mavx2 -- depend on nothing above util. Every other batch loop in
- * the tree is plain scalar code.
+ * window-cost and argmin kernels and the job stream's log-normal
+ * duration transform, the three loops where the 4-lane AVX2 tier
+ * measurably shortens an end-to-end run (DESIGN.md §11), as per-level
+ * tables of function pointers: the scalar reference and the 4-lane
+ * AVX2 tier. The problem descriptors are plain PODs so the per-level
+ * translation units -- the AVX2 one is compiled with -mavx2 -- depend
+ * on nothing above util. Every other batch loop in the tree is plain
+ * scalar code.
  *
  * The scalar table is the semantic reference: each AVX2 kernel must
  * reproduce its outputs bit-for-bit on every input (tested in
  * tests/util_simd_test.cc). Callers normally go through
  * activeKernels(); tests index a specific level with kernels().
+ *
+ * detLog(), detCos() and detExp() are the libm-free functions the
+ * log-normal kernel is built from, exported at scalar width for the
+ * job stream's per-job oracle and for the accuracy tests.
  */
 
 #ifndef ACT_UTIL_SIMD_KERNELS_H
@@ -57,6 +62,29 @@ struct WindowCostProblem
 };
 
 /**
+ * A block of log-normal draws by Box-Muller from two unit columns,
+ * clamped to max_value. Per element, with u1 raised to 1e-300 when it
+ * is smaller (so the log stays finite):
+ *
+ *   normal = sqrt(-2 * detLog(u1)) * detCos(2 * pi * u2)
+ *   out    = min(max_value, median * detExp(log_sigma * normal))
+ *
+ * where min(a, b) is std::min's (b < a ? b : a). The median of the
+ * unclamped draws is `median` and one log-sd spans a factor of
+ * exp(log_sigma). out may alias u1 but not u2: the kernel uses out
+ * as scratch between its passes.
+ */
+struct LogNormalProblem
+{
+    const double *u1 = nullptr; ///< radius draws in [0, 1)
+    const double *u2 = nullptr; ///< angle draws in [0, 1)
+    std::size_t count = 0;      ///< draws to transform
+    double median = 0.0;        ///< median of the draws, > 0
+    double log_sigma = 0.0;     ///< detLog(sigma factor)
+    double max_value = 0.0;     ///< upper clamp
+};
+
+/**
  * One dispatch level's kernels. All kernels are pure (no global
  * state) and safe to call concurrently from many threads.
  */
@@ -72,7 +100,35 @@ struct KernelTable
      * scan's earliest-start tie-break. n must be >= 1.
      */
     std::size_t (*argmin_first)(const double *p, std::size_t n);
+
+    /** Log-normal draws [0, count) into out; see LogNormalProblem. */
+    void (*log_normal)(const LogNormalProblem &problem, double *out);
 };
+
+/**
+ * Natural log of a positive normal double (x >= 2^-1022, finite),
+ * from fdlibm's e_log.c with only + - * / and bit operations. Within
+ * 2 ulp of a correctly rounded log; tests/util_det_math_test.cc
+ * checks it against libm on [1e-300, 1) and on sigma factors.
+ */
+double detLog(double x);
+
+/**
+ * Cosine on the Box-Muller angle range [0, 2 pi], from fdlibm's
+ * k_cos.c/k_sin.c after a Cody-Waite reduction by pi/2 with a
+ * 33 + 33 + 53-bit split of pi/2, so results stay within 2 ulp even
+ * next to the zeros at odd multiples of pi/2. Larger arguments are
+ * not supported.
+ */
+double detCos(double x);
+
+/**
+ * e^x, from fdlibm's e_exp.c; within 2 ulp of a correctly rounded
+ * exp where the result is a normal double. Arguments are clamped to
+ * [-1000, 1000] first, so the result saturates to 0 or +inf instead
+ * of wrapping the exponent.
+ */
+double detExp(double x);
 
 /** The scalar reference kernels (always available). */
 const KernelTable &scalarKernels();

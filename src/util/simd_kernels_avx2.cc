@@ -13,10 +13,13 @@
  * The lane policy implements the surface documented in
  * simd_kernels_impl.h; `u < pivot ? a : b` is replicated with an
  * ordered compare + blend so NaN lanes take the scalar operator's
- * branch.
+ * branch. The integer half of the surface (bit casts, and/or/xor,
+ * 64-bit shifts) is all plain AVX2; no kernel needs a 64-bit
+ * int <-> double conversion, which AVX2 lacks.
  */
 
 #include <cstddef>
+#include <cstdint>
 
 #include "util/simd_kernels.h"
 
@@ -34,11 +37,17 @@ struct LanesAvx2
 {
     static constexpr std::size_t kLanes = 4;
     using VF = __m256d;
+    using VI = __m256i;
 
     static VF
     bcast(double v)
     {
         return _mm256_set1_pd(v);
+    }
+    static VI
+    bcastBits(std::uint64_t v)
+    {
+        return _mm256_set1_epi64x(static_cast<long long>(v));
     }
     static VF
     loadu(const double *p)
@@ -66,10 +75,63 @@ struct LanesAvx2
         return _mm256_mul_pd(a, b);
     }
     static VF
+    div(VF a, VF b)
+    {
+        return _mm256_div_pd(a, b);
+    }
+    static VF
+    sqrt(VF a)
+    {
+        return _mm256_sqrt_pd(a);
+    }
+    static VF
     blendLess(VF u, VF pivot, VF lo, VF hi)
     {
         const VF mask = _mm256_cmp_pd(u, pivot, _CMP_LT_OQ);
         return _mm256_blendv_pd(hi, lo, mask);
+    }
+    static VI
+    bits(VF v)
+    {
+        return _mm256_castpd_si256(v);
+    }
+    static VF
+    fromBits(VI v)
+    {
+        return _mm256_castsi256_pd(v);
+    }
+    static VI
+    andBits(VI a, VI b)
+    {
+        return _mm256_and_si256(a, b);
+    }
+    static VI
+    orBits(VI a, VI b)
+    {
+        return _mm256_or_si256(a, b);
+    }
+    static VI
+    xorBits(VI a, VI b)
+    {
+        return _mm256_xor_si256(a, b);
+    }
+    template <int k>
+    static VI
+    shl(VI v)
+    {
+        return _mm256_slli_epi64(v, k);
+    }
+    template <int k>
+    static VI
+    shr(VI v)
+    {
+        return _mm256_srli_epi64(v, k);
+    }
+    static VF
+    selectSign(VI m, VF a, VF b)
+    {
+        // blendv reads each lane's top bit.
+        return _mm256_blendv_pd(b, a, _mm256_castsi256_pd(m));
     }
 };
 
@@ -81,6 +143,7 @@ avx2Kernels()
     static const KernelTable table = {
         &windowCostsT<LanesAvx2>,
         &argminFirstT<LanesAvx2>,
+        &logNormalT<LanesAvx2>,
     };
     return &table;
 }

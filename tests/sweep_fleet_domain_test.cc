@@ -7,7 +7,9 @@
  * job seeds its own RNG stream from its index.
  */
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -24,6 +26,7 @@
 #include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/simd.h"
+#include "util/stats.h"
 #include "util/units.h"
 
 namespace act::sweep {
@@ -208,44 +211,75 @@ TEST_F(SweepFleetDomainTest, JobBlockMatchesJobAtBitwise)
 {
     // Block lengths around the 4-lane width and the replayer's
     // 512-job block, from the stream start and from a non-zero first
-    // index, with no, some and every job deferrable.
-    for (const double fraction : {0.0, 0.6, 1.0}) {
-        fleet::JobStreamParams params;
-        params.seed = 2024;
-        params.horizon_hours = 8760.0;
-        params.deferrable_fraction = fraction;
-        fleet::JobBlock block;
-        for (const std::size_t count :
-             {1u, 3u, 4u, 5u, 511u, 512u, 513u}) {
-            for (const std::uint64_t first :
-                 {std::uint64_t{0}, std::uint64_t{987'654'321}}) {
-                fleet::jobBlockAt(params, first, count, block);
-                ASSERT_EQ(block.count, count);
-                for (std::size_t i = 0; i < count; ++i) {
-                    const fleet::Job job =
-                        fleet::jobAt(params, first + i);
-                    const std::string label =
-                        "fraction " + std::to_string(fraction) +
-                        " count " + std::to_string(count) + " job " +
-                        std::to_string(first + i);
-                    EXPECT_EQ(bitsOf(block.arrival_hours[i]),
-                              bitsOf(job.arrival_hours))
-                        << label;
-                    EXPECT_EQ(bitsOf(block.duration_hours[i]),
-                              bitsOf(job.duration_hours))
-                        << label;
-                    EXPECT_EQ(bitsOf(block.utilization[i]),
-                              bitsOf(job.utilization))
-                        << label;
-                    EXPECT_EQ(bitsOf(block.slack_hours[i]),
-                              bitsOf(job.slack_hours))
-                        << label;
-                    EXPECT_EQ(block.deferrable[i] != 0, job.deferrable)
-                        << label;
+    // index, with no, some and every job deferrable, at every SIMD
+    // level the log-normal kernel dispatches to.
+    for (const util::SimdLevel level : availableSimdLevels()) {
+        util::setSimdLevel(level);
+        for (const double fraction : {0.0, 0.6, 1.0}) {
+            fleet::JobStreamParams params;
+            params.seed = 2024;
+            params.horizon_hours = 8760.0;
+            params.deferrable_fraction = fraction;
+            fleet::JobBlock block;
+            for (const std::size_t count :
+                 {1u, 3u, 4u, 5u, 511u, 512u, 513u}) {
+                for (const std::uint64_t first :
+                     {std::uint64_t{0}, std::uint64_t{987'654'321}}) {
+                    fleet::jobBlockAt(params, first, count, block);
+                    ASSERT_EQ(block.count, count);
+                    for (std::size_t i = 0; i < count; ++i) {
+                        const fleet::Job job =
+                            fleet::jobAt(params, first + i);
+                        const std::string label =
+                            std::string(util::simdLevelName(level)) +
+                            " fraction " + std::to_string(fraction) +
+                            " count " + std::to_string(count) + " job " +
+                            std::to_string(first + i);
+                        EXPECT_EQ(bitsOf(block.arrival_hours[i]),
+                                  bitsOf(job.arrival_hours))
+                            << label;
+                        EXPECT_EQ(bitsOf(block.duration_hours[i]),
+                                  bitsOf(job.duration_hours))
+                            << label;
+                        EXPECT_EQ(bitsOf(block.utilization[i]),
+                                  bitsOf(job.utilization))
+                            << label;
+                        EXPECT_EQ(bitsOf(block.slack_hours[i]),
+                                  bitsOf(job.slack_hours))
+                            << label;
+                        EXPECT_EQ(block.deferrable[i] != 0, job.deferrable)
+                            << label;
+                    }
                 }
             }
         }
     }
+}
+
+TEST_F(SweepFleetDomainTest, JobDurationsAreLogNormal)
+{
+    // With the clamp out of reach, log(duration / median) / log(sigma)
+    // is the Box-Muller normal: mean 0, sd 1, and the durations'
+    // median is the median parameter.
+    fleet::JobStreamParams params;
+    params.seed = 5;
+    params.median_duration_hours = 100.0;
+    params.duration_sigma_factor = 1.5;
+    params.max_duration_hours = 1e300;
+    constexpr std::size_t kJobs = 100'001;
+    fleet::JobBlock block;
+    fleet::jobBlockAt(params, 0, kJobs, block);
+    std::vector<double> normals(kJobs);
+    for (std::size_t i = 0; i < kJobs; ++i) {
+        ASSERT_GT(block.duration_hours[i], 0.0) << "job " << i;
+        normals[i] = std::log(block.duration_hours[i] / 100.0) /
+                     std::log(1.5);
+    }
+    EXPECT_NEAR(util::mean(normals), 0.0, 0.025);
+    EXPECT_NEAR(util::stddev(normals), 1.0, 0.025);
+    std::vector<double> sorted = block.duration_hours;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_NEAR(sorted[kJobs / 2], 100.0, 2.0);
 }
 
 TEST_F(SweepFleetDomainTest, PlacementGroupsMatchPerScenarioOracle)
@@ -733,6 +767,36 @@ TEST_F(SweepFleetDeathTest, MalformedJobStreamThrows)
     EXPECT_EQ(prepareError(R"({"jobs": {"horizon_hours": -1}, "regions": [
                   {"profile": "flat", "region": "Iceland"}]})"),
               "jobs: 'horizon_hours' must be a number > 0 (got -1)");
+}
+
+TEST_F(SweepFleetDeathTest, UnitSigmaFactorThrows)
+{
+    // A sigma factor of 1 is no spread at all; the plan is refused at
+    // load instead of on the first worker that draws a duration.
+    EXPECT_EQ(prepareError(R"({"jobs": {"duration_sigma_factor": 1},
+                  "regions": [{"profile": "flat", "region": "Iceland"}]})"),
+              "jobs: 'duration_sigma_factor' must be a number > 1 "
+              "(got 1)");
+}
+
+TEST_F(SweepFleetDeathTest, DegenerateDurationDistributionIsFatal)
+{
+    // Params built in code skip the JSON bounds; both job generators
+    // still refuse them, naming the fields.
+    const std::string message =
+        "fatal: job stream needs median_duration_hours > 0 and "
+        "duration_sigma_factor > 1";
+    fleet::JobStreamParams unit_sigma;
+    unit_sigma.duration_sigma_factor = 1.0;
+    fleet::JobStreamParams zero_median;
+    zero_median.median_duration_hours = 0.0;
+    for (const fleet::JobStreamParams &params : {unit_sigma, zero_median}) {
+        EXPECT_EXIT((void)fleet::jobAt(params, 0),
+                    ::testing::ExitedWithCode(1), message);
+        fleet::JobBlock block;
+        EXPECT_EXIT(fleet::jobBlockAt(params, 0, 4, block),
+                    ::testing::ExitedWithCode(1), message);
+    }
 }
 
 } // namespace

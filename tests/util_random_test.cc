@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "util/random.h"
-#include "util/stats.h"
 
 namespace act::util {
 namespace {
@@ -62,37 +61,6 @@ TEST(Random, UniformMeanConverges)
     for (int i = 0; i < kSamples; ++i)
         sum += rng.nextUniform(10.0, 20.0);
     EXPECT_NEAR(sum / kSamples, 15.0, 0.05);
-}
-
-TEST(Random, NormalMomentsConverge)
-{
-    Xorshift64Star rng(4);
-    constexpr int kSamples = 100'000;
-    std::vector<double> samples;
-    samples.reserve(kSamples);
-    for (int i = 0; i < kSamples; ++i)
-        samples.push_back(rng.nextNormal(5.0, 2.0));
-    EXPECT_NEAR(mean(samples), 5.0, 0.05);
-    EXPECT_NEAR(stddev(samples), 2.0, 0.05);
-}
-
-TEST(Random, LogNormalMedianAndPositivity)
-{
-    Xorshift64Star rng(5);
-    constexpr int kSamples = 100'001;
-    std::vector<double> samples;
-    samples.reserve(kSamples);
-    for (int i = 0; i < kSamples; ++i) {
-        const double v = rng.nextLogNormal(100.0, 1.5);
-        EXPECT_GT(v, 0.0);
-        samples.push_back(v);
-    }
-    std::sort(samples.begin(), samples.end());
-    EXPECT_NEAR(samples[kSamples / 2], 100.0, 2.0);
-    EXPECT_EXIT(rng.nextLogNormal(0.0, 1.5),
-                ::testing::ExitedWithCode(1), "");
-    EXPECT_EXIT(rng.nextLogNormal(1.0, 1.0),
-                ::testing::ExitedWithCode(1), "");
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the SIMD dispatch layer and its two kernels. The contract
+ * Tests for the SIMD dispatch layer and its three kernels. The contract
  * under test is bit-identity (DESIGN.md §11): every vector kernel
  * must reproduce the scalar reference kernel's outputs exactly --
  * EXPECT_EQ on doubles throughout, no tolerances -- for every length,
@@ -85,6 +85,7 @@ TEST(SimdKernelsTest, TableForEveryAvailableLevel)
         const KernelTable &table = kernels(level);
         EXPECT_NE(table.window_costs, nullptr);
         EXPECT_NE(table.argmin_first, nullptr);
+        EXPECT_NE(table.log_normal, nullptr);
     }
 }
 
@@ -170,6 +171,61 @@ TEST(SimdKernelsTest, ArgminFirstReturnsEarliestMinimum)
                 EXPECT_EQ(table.argmin_first(tied.data(), n), lo)
                     << simdLevelName(level) << " n " << n << " lo "
                     << lo;
+            }
+        }
+    }
+}
+
+TEST(SimdKernelsTest, LogNormalMatchesScalarReferenceBitwise)
+{
+    // Irregular draws plus the edges of the transform: u1 = 0 and
+    // subnormal (both clamped to 1e-300), u1 just below 1, and u2 on
+    // the quadrant boundaries of the angle 2 pi u2.
+    constexpr std::size_t kMax = 512;
+    std::vector<double> u1 = unitDraws(71, kMax);
+    std::vector<double> u2 = unitDraws(72, kMax);
+    const double edges_u1[] = {0.0, 1e-310, 1e-300, 1.0 - 0x1p-53};
+    const double edges_u2[] = {0.0, 0.25, 0.5, 0.75, 1.0 - 0x1p-53};
+    for (std::size_t i = 0; i < 4; ++i)
+        u1[5 * i + 2] = edges_u1[i];
+    for (std::size_t i = 0; i < 5; ++i)
+        u2[3 * i + 1] = edges_u2[i];
+    const KernelTable &scalar = scalarKernels();
+
+    for (SimdLevel level : availableLevels()) {
+        const KernelTable &table = kernels(level);
+        for (std::size_t count : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{3}, std::size_t{4},
+                                  std::size_t{5}, std::size_t{511},
+                                  std::size_t{512}}) {
+            // A clamp no draw reaches and one most draws hit.
+            for (double max_value : {1e300, 3.0}) {
+                LogNormalProblem problem;
+                problem.u1 = u1.data();
+                problem.u2 = u2.data();
+                problem.count = count;
+                problem.median = 2.0;
+                problem.log_sigma = detLog(2.5);
+                problem.max_value = max_value;
+
+                std::vector<double> expected(count, -1.0);
+                std::vector<double> actual(count, -1.0);
+                scalar.log_normal(problem, expected.data());
+                table.log_normal(problem, actual.data());
+                // In place over u1, as the job stream runs it.
+                std::vector<double> in_place(u1.begin(),
+                                             u1.begin() + count);
+                problem.u1 = in_place.data();
+                table.log_normal(problem, in_place.data());
+                for (std::size_t i = 0; i < count; ++i) {
+                    ASSERT_GT(expected[i], 0.0) << "draw " << i;
+                    ASSERT_EQ(actual[i], expected[i])
+                        << simdLevelName(level) << " count " << count
+                        << " max " << max_value << " draw " << i;
+                    ASSERT_EQ(in_place[i], expected[i])
+                        << simdLevelName(level) << " in place, count "
+                        << count << " draw " << i;
+                }
             }
         }
     }

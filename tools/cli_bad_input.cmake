@@ -10,7 +10,8 @@
 # Carlo partials whose packed outputs have a bad hex digit, a length
 # that is not a multiple of 16, a NaN or infinite sample, or an empty or
 # non-string value, a v1 partial, a fleet partial with a negative job
-# count, fleet plans with a huge deadline_samples or region day count,
+# count, fleet plans with a huge deadline_samples or region day count
+# or a duration sigma factor of 1,
 # devices with a fractional or huge package count, a truncated trace,
 # a mistyped trace and a trace with a negative epoch, and a huge
 # --shards flag -- and checks that each run exits 1 with one `fatal:`
@@ -320,6 +321,26 @@ file(WRITE "${WORK_DIR}/fleet_days.json" "${days_plan}")
 expect_fatal("huge region days"
     "bad sweep plan 'fleet_days\\.json': regions\\[0\\]: 'days' must be an integer in \\[1, 36525\\] \\(got 1e\\+12\\)"
     sweep --plan fleet_days.json)
+
+# A duration sigma factor of 1 used to pass the plan reader and then
+# fail inside a chunk, on a worker, with a line naming neither the file
+# nor the field. It must fail at load, at any thread count, with no
+# --out written.
+string(REPLACE "\"horizon_hours\": 48}"
+       "\"horizon_hours\": 48, \"duration_sigma_factor\": 1}"
+       sigma_plan "${fleet_plan}")
+if(sigma_plan STREQUAL fleet_plan)
+    message(FATAL_ERROR "could not edit fleet_plan.json")
+endif()
+file(WRITE "${WORK_DIR}/fleet_sigma.json" "${sigma_plan}")
+foreach(threads 1 4)
+    set(ENV{ACT_THREADS} ${threads})
+    expect_fatal_without("unit duration_sigma_factor at ${threads} threads"
+        "bad sweep plan 'fleet_sigma\\.json': jobs: 'duration_sigma_factor' must be a number > 1 \\(got 1\\)"
+        sigma_out.json
+        sweep --plan fleet_sigma.json --out sigma_out.json)
+endforeach()
+set(ENV{ACT_THREADS} 1)
 
 # A shard count past 2^64 used to be cast before the range check.
 expect_fatal("huge --shards"

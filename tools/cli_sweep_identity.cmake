@@ -12,11 +12,16 @@
 # byte. The hashes pin every result byte: the partial format may
 # change, the results may not.
 #
-# The fleet result has no recorded hash: its job stream goes through
-# libm's log/cos/exp, whose last bits may differ across libm versions
-# and architectures. Its single-process results must instead be
-# byte-identical across the three passes (thread count and SIMD level
-# change no byte), and each merged result must equal them.
+# The fleet job stream draws its log-normal durations with the
+# in-repo detLog/detCos/detExp (util/simd_kernels.h), so its result
+# bits no longer depend on the host libm and are pinned like the
+# others. The libm use left on the fleet path is setup-time: the
+# sin/cos in data::IntensitySeries::solarDay, windDay and seasonal,
+# which build the regions' intensity series. Those builders also feed
+# ext_carbon_aware_scheduling, whose output is pinned by its ctest
+# golden and by perfbench/figures.json, so they still call libm; a
+# libm whose sin or cos rounds differently could move the fleet hash
+# through them.
 #
 #   cmake -DACT=<act binary> -DCONFIGS=<examples/configs> \
 #         -DWORK_DIR=<dir> -P cli_sweep_identity.cmake
@@ -27,6 +32,8 @@ set(expected_chiplet
     b5c5061e894c06ae52ac8556d52b60c695252322ffaede104f6f9e5df90ce6c9)
 set(expected_cpa_montecarlo
     a4f5c9244ca509fa2c84e5627c3dc029346712b896f09aad2e9279d7c8b83a1b)
+set(expected_fleet
+    57840d7d0fad6b8ff144be3aaf90eb2dbb26320df1641e4984de718612577322)
 set(expected_mobile
     4f0fc634558cfae12e1bd5d6f1528576dff887348c7f8016b8189399dd5b3f5f)
 
@@ -70,9 +77,7 @@ foreach(domain accel chiplet cpa_montecarlo fleet mobile)
         run_act("${tag} single" ${threads} ${simd}
                 sweep --plan "${plan}" --out ${tag}_full.json)
         file(SHA256 "${WORK_DIR}/${tag}_full.json" digest)
-        if(domain STREQUAL "fleet")
-            expect_same("${tag}" ${domain}_1_auto_full.json ${tag}_full.json)
-        elseif(NOT digest STREQUAL expected_${domain})
+        if(NOT digest STREQUAL expected_${domain})
             message(FATAL_ERROR "${tag}: single-process result has "
                     "SHA-256 ${digest}, expected ${expected_${domain}}")
         endif()
