@@ -283,7 +283,7 @@ toJson(const IntensitySeries &series)
     config::JsonArray samples;
     samples.reserve(series.size());
     for (const double g : series.samples())
-        samples.push_back(config::JsonValue(g));
+        samples.emplace_back(g);
     object["samples_g_per_kwh"] = config::JsonValue(std::move(samples));
     return config::JsonValue(std::move(object));
 }

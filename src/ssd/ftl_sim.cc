@@ -1,5 +1,6 @@
 #include "ssd/ftl_sim.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -42,6 +43,20 @@ FtlSimulator::FtlSimulator(FtlConfig config) : config_(config)
         }
     }
 
+    page_shift_ = std::bit_width(
+        static_cast<unsigned>(config_.pages_per_block - 1));
+    const std::uint64_t padded_pages =
+        static_cast<std::uint64_t>(config_.num_blocks) << page_shift_;
+    if (padded_pages > kNone) {
+        util::fatal("FTL geometry too large for 32-bit page IDs (num_blocks=",
+                    config_.num_blocks,
+                    ", pages_per_block=", config_.pages_per_block,
+                    ": ", padded_pages, " padded pages, at most ", kNone,
+                    ")");
+    }
+    separate_streams_ = config_.separate_hot_cold &&
+                        config_.pattern == WritePattern::HotCold;
+
     const std::uint64_t physical_pages =
         static_cast<std::uint64_t>(config_.num_blocks) *
         config_.pages_per_block;
@@ -57,10 +72,12 @@ void
 FtlSimulator::reset()
 {
     blocks_.assign(static_cast<std::size_t>(config_.num_blocks), Block{});
-    page_table_.assign(logical_pages_, -1);
-    reverse_table_.assign(static_cast<std::size_t>(config_.num_blocks) *
-                              config_.pages_per_block,
-                          -1);
+    page_table_.assign(logical_pages_, kNone);
+    reverse_table_.assign(static_cast<std::size_t>(config_.num_blocks)
+                              << page_shift_,
+                          kNone);
+    gc_scratch_.assign(static_cast<std::size_t>(config_.pages_per_block),
+                       kNone);
     free_blocks_.clear();
     for (int b = config_.num_blocks - 1; b >= 0; --b)
         free_blocks_.push_back(b);
@@ -75,19 +92,8 @@ FtlSimulator::reset()
     measuring_ = false;
 }
 
-std::int64_t
-FtlSimulator::pageInBlock(int block_id)
-{
-    Block &block = blocks_[block_id];
-    const std::int64_t page_id =
-        static_cast<std::int64_t>(block_id) * config_.pages_per_block +
-        block.next_page;
-    ++block.next_page;
-    return page_id;
-}
-
-std::int64_t
-FtlSimulator::allocatePage(int stream)
+int
+FtlSimulator::userFrontier(int stream)
 {
     int &active = active_blocks_[static_cast<std::size_t>(stream)];
     if (active < 0 ||
@@ -101,11 +107,11 @@ FtlSimulator::allocatePage(int stream)
         active = free_blocks_.back();
         free_blocks_.pop_back();
     }
-    return pageInBlock(active);
+    return active;
 }
 
-std::int64_t
-FtlSimulator::allocateGcPage(int stream)
+int
+FtlSimulator::gcFrontier(int stream)
 {
     int &gc_block = gc_blocks_[static_cast<std::size_t>(stream)];
     if (gc_block < 0 ||
@@ -117,22 +123,20 @@ FtlSimulator::allocateGcPage(int stream)
         gc_block = free_blocks_.back();
         free_blocks_.pop_back();
     }
-    return pageInBlock(gc_block);
+    return gc_block;
 }
 
 int
 FtlSimulator::streamFor(std::uint64_t lba) const
 {
-    const bool separate = config_.separate_hot_cold &&
-                          config_.pattern == WritePattern::HotCold;
-    return (separate && isHotLba(lba)) ? 1 : 0;
+    return (separate_streams_ && isHotLba(lba)) ? 1 : 0;
 }
 
 void
-FtlSimulator::invalidatePage(std::int64_t page)
+FtlSimulator::invalidatePage(std::uint32_t page)
 {
-    reverse_table_[page] = -1;
-    const int block_id = static_cast<int>(page / config_.pages_per_block);
+    reverse_table_[page] = kNone;
+    const int block_id = static_cast<int>(page >> page_shift_);
     const int valid = blocks_[block_id].valid--;
     std::uint64_t *word = &victim_index_[indexSlot(valid, block_id)];
     const std::uint64_t bit = blockBit(block_id);
@@ -189,25 +193,46 @@ FtlSimulator::collectOneBlock()
     Block &block = blocks_[victim];
     ++stats_.gc_invocations;
 
-    // Relocate live pages.
-    const std::int64_t base =
-        static_cast<std::int64_t>(victim) * config_.pages_per_block;
-    for (int p = 0; p < config_.pages_per_block && block.valid > 0; ++p) {
-        const std::int64_t lba = reverse_table_[base + p];
-        if (lba < 0)
-            continue;
-        reverse_table_[base + p] = -1;
-        --block.valid;
+    // Pass 1: gather the live LBAs in page order and clear the
+    // victim's reverse entries (a dead entry is already kNone).
+    const std::uint32_t base = static_cast<std::uint32_t>(victim)
+                               << page_shift_;
+    std::uint32_t *live = gc_scratch_.data();
+    std::size_t live_count = 0;
+    for (int p = 0; p < config_.pages_per_block; ++p) {
+        const std::uint32_t lba = reverse_table_[base + p];
+        live[live_count] = lba;
+        live_count += lba != kNone;
+        reverse_table_[base + p] = kNone;
+    }
 
-        const std::int64_t new_page =
-            allocateGcPage(streamFor(static_cast<std::uint64_t>(lba)));
-        page_table_[lba] = new_page;
-        reverse_table_[new_page] = lba;
-        ++blocks_[new_page / config_.pages_per_block].valid;
-        if (measuring_) {
-            ++stats_.physical_pages_written;
-            ++stats_.pages_relocated;
+    // Pass 2: fill the GC frontier one run at a time. A run ends when
+    // the frontier is full or the stream changes, so the next
+    // gcFrontier() call closes the full block (its valid count already
+    // includes the run) exactly when a page-at-a-time loop would.
+    std::size_t i = 0;
+    while (i < live_count) {
+        const int stream = streamFor(live[i]);
+        const int dest = gcFrontier(stream);
+        Block &frontier = blocks_[dest];
+        const std::size_t room =
+            static_cast<std::size_t>(config_.pages_per_block -
+                                     frontier.next_page);
+        const std::size_t end = std::min(live_count, i + room);
+        std::uint32_t page = nextPageId(dest);
+        std::size_t j = i;
+        for (; j < end && streamFor(live[j]) == stream; ++j, ++page) {
+            page_table_[live[j]] = page;
+            reverse_table_[page] = live[j];
         }
+        const int moved = static_cast<int>(j - i);
+        frontier.next_page += moved;
+        frontier.valid += moved;
+        if (measuring_) {
+            stats_.physical_pages_written += j - i;
+            stats_.pages_relocated += j - i;
+        }
+        i = j;
     }
 
     block.valid = 0;
@@ -245,13 +270,16 @@ FtlSimulator::nextLba()
 void
 FtlSimulator::writePage(std::uint64_t lba)
 {
-    const std::int64_t old_page = page_table_[lba];
-    if (old_page >= 0)
+    const std::uint32_t old_page = page_table_[lba];
+    if (old_page != kNone)
         invalidatePage(old_page);
-    const std::int64_t new_page = allocatePage(streamFor(lba));
+    const int block_id = userFrontier(streamFor(lba));
+    const std::uint32_t new_page = nextPageId(block_id);
     page_table_[lba] = new_page;
-    reverse_table_[new_page] = lba;
-    ++blocks_[new_page / config_.pages_per_block].valid;
+    reverse_table_[new_page] = static_cast<std::uint32_t>(lba);
+    Block &block = blocks_[block_id];
+    ++block.next_page;
+    ++block.valid;
     if (measuring_) {
         ++stats_.user_pages_written;
         ++stats_.physical_pages_written;
@@ -266,25 +294,33 @@ FtlSimulator::checkConsistency() const
 
     // Every mapped LBA must point at a page that maps back to it.
     std::uint64_t mapped = 0;
+    const auto pages_per_block =
+        static_cast<std::uint32_t>(config_.pages_per_block);
+    const std::uint32_t page_mask = (std::uint32_t{1} << page_shift_) - 1;
     for (std::uint64_t lba = 0; lba < logical_pages_; ++lba) {
-        const std::int64_t page = page_table_[lba];
-        if (page < 0)
+        const std::uint32_t page = page_table_[lba];
+        if (page == kNone)
             continue;
         ++mapped;
-        if (reverse_table_[page] != static_cast<std::int64_t>(lba))
+        if (page >= reverse_table_.size() ||
+            (page & page_mask) >= pages_per_block ||
+            reverse_table_[page] != lba)
             return false;
     }
 
-    // Per-block valid counts match the reverse map, and the total
-    // equals the mapped logical pages.
+    // Per-block valid counts match the reverse map, the total equals
+    // the mapped logical pages, and every padding entry is kNone.
     std::uint64_t total_valid = 0;
     for (int b = 0; b < config_.num_blocks; ++b) {
         int valid = 0;
-        const std::int64_t base =
-            static_cast<std::int64_t>(b) * config_.pages_per_block;
-        for (int page = 0; page < config_.pages_per_block; ++page) {
-            if (reverse_table_[base + page] >= 0)
-                ++valid;
+        const std::uint32_t base = static_cast<std::uint32_t>(b)
+                                   << page_shift_;
+        for (std::uint32_t page = 0; page <= page_mask; ++page) {
+            if (reverse_table_[base + page] == kNone)
+                continue;
+            if (page >= pages_per_block)
+                return false;
+            ++valid;
         }
         if (valid != blocks_[b].valid)
             return false;

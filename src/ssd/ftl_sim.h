@@ -25,6 +25,23 @@
  * block is fully valid, collecting one frees no space, and GC could
  * never end. The simulator then stops with util::fatal naming the
  * geometry, over-provisioning and GC threshold; raise over_provision.
+ *
+ * Page IDs: a physical page is (block << page_shift) | page, with
+ * page_shift = bit_width(pages_per_block - 1), so finding a page's
+ * block is a shift, not a divide. The tables hold 32-bit IDs with
+ * kNone (all ones) for "unmapped"; the reverse map is padded to
+ * num_blocks << page_shift entries (the padding of a non-power-of-two
+ * block stays kNone). A geometry whose padded page space does not fit
+ * below kNone is fatal in the constructor, before anything is
+ * allocated.
+ *
+ * Relocation: collecting a victim gathers its live LBAs in page order
+ * into a preallocated scratch buffer (no branches), then fills the GC
+ * frontier one run at a time. A run ends when the frontier is full or,
+ * with separate hot/cold streams, when the stream changes; the
+ * destination's valid count and the stats move once per run. Pages
+ * land in the same order and blocks close, pop and enter the victim
+ * index at the same moments as a page-at-a-time loop would.
  */
 
 #ifndef ACT_SSD_FTL_SIM_H
@@ -108,7 +125,8 @@ class FtlSimulator
 
     /**
      * Structural invariant check over the FTL state after run():
-     * page table and reverse map agree, per-block valid counts match,
+     * page table and reverse map agree (the reverse map's padding
+     * stays unmapped), per-block valid counts match,
      * total valid pages equal the logical space, and the victim index
      * holds exactly the closed blocks, each in the row of its valid
      * count, and picks the victim a scan of every block would pick.
@@ -124,14 +142,23 @@ class FtlSimulator
         std::uint64_t erase_count = 0;
     };
 
+    /** Unmapped entry of the page table and the reverse map. */
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
     FtlConfig config_;
     std::uint64_t logical_pages_ = 0;
+    /** bit_width(pages_per_block - 1): page ID = (block << shift) | page. */
+    int page_shift_ = 0;
+    /** Hot and cold LBAs go to separate frontiers. */
+    bool separate_streams_ = false;
 
     std::vector<Block> blocks_;
-    /** LBA -> physical page id (block * pages_per_block + page). */
-    std::vector<std::int64_t> page_table_;
-    /** physical page id -> LBA (or -1 when invalid/free). */
-    std::vector<std::int64_t> reverse_table_;
+    /** LBA -> physical page ID, or kNone. */
+    std::vector<std::uint32_t> page_table_;
+    /** Physical page ID -> LBA, or kNone when invalid, free or padding. */
+    std::vector<std::uint32_t> reverse_table_;
+    /** Live LBAs of the block being collected, in page order. */
+    std::vector<std::uint32_t> gc_scratch_;
     std::vector<int> free_blocks_;
     /** User-write frontiers: [0] = cold/default, [1] = hot stream. */
     std::array<int, 2> active_blocks_ = {-1, -1};
@@ -166,16 +193,22 @@ class FtlSimulator
     std::uint64_t nextLba();
     bool isHotLba(std::uint64_t lba) const;
     void writePage(std::uint64_t lba);
-    /** Allocate the next user page on a stream, running GC as needed. */
-    std::int64_t allocatePage(int stream);
-    /** Allocate the next GC relocation page on a stream. */
-    std::int64_t allocateGcPage(int stream);
+    /** User-write frontier of a stream, with a free page; moves the
+     *  frontier to a free block (running GC first) when it is full. */
+    int userFrontier(int stream);
+    /** GC relocation frontier of a stream, with a free page. */
+    int gcFrontier(int stream);
     /** Stream for a user or relocated write of this LBA. */
     int streamFor(std::uint64_t lba) const;
-    std::int64_t pageInBlock(int block);
+    /** Page ID of a block's next free page. */
+    std::uint32_t nextPageId(int block) const
+    {
+        return (static_cast<std::uint32_t>(block) << page_shift_) |
+               static_cast<std::uint32_t>(blocks_[block].next_page);
+    }
     /** Mark a physical page invalid, moving its block down one row of
      *  the victim index when the block is closed. */
-    void invalidatePage(std::int64_t page);
+    void invalidatePage(std::uint32_t page);
     /** Add a full block that a frontier has just moved off. */
     void closeBlock(int block);
     /** Lowest indexed block at or above row min_valid_, or -1; sets

@@ -393,7 +393,7 @@ accelEvaluator(const SweepPlan &plan)
             point["area_mm2"] = JsonValue(
                 util::asSquareMillimeters(evaluation.area));
             point["utilization"] = JsonValue(evaluation.utilization);
-            points.push_back(JsonValue(std::move(point)));
+            points.emplace_back(std::move(point));
         }
         return JsonValue(std::move(points));
     };
@@ -574,13 +574,13 @@ chipletEvaluator(const SweepPlan &plan)
                 totals.reserve(config->ci_fab_g_per_kwh.size());
                 for (const double ci : config->ci_fab_g_per_kwh) {
                     fab.ci_fab = util::gramsPerKilowattHour(ci);
-                    totals.push_back(JsonValue(util::asGrams(
-                        pkg::evaluatePackage(spec, fab).total)));
+                    totals.emplace_back(util::asGrams(
+                        pkg::evaluatePackage(spec, fab).total));
                 }
                 point["ci_fab_totals_g"] =
                     JsonValue(std::move(totals));
             }
-            points.push_back(JsonValue(std::move(point)));
+            points.emplace_back(std::move(point));
         }
         return JsonValue(std::move(points));
     };
@@ -783,7 +783,7 @@ toJson(const dse::MonteCarloPartial &partial)
     JsonArray outputs;
     outputs.reserve(partial.outputs.size());
     for (const double output : partial.outputs)
-        outputs.push_back(JsonValue(output));
+        outputs.emplace_back(output);
     object["outputs"] = JsonValue(std::move(outputs));
     object["sum"] = JsonValue(partial.sum);
     object["sum_squares"] = JsonValue(partial.sum_squares);

@@ -87,7 +87,8 @@ sweepPlanFromJson(const JsonValue &value)
     plan.domain = value.at("domain").asString();
     if (plan.domain.empty())
         config::badField("domain", "a domain name", value.at("domain"));
-    plan.items = config::count(value, "items", plan.items);
+    plan.items =
+        config::count(value, "items", plan.items, {0, kMaxSweepItems});
     plan.grain = config::count(value, "grain", plan.grain);
     if (value.contains("seed"))
         plan.seed = seedFromJson(value);

@@ -15,7 +15,8 @@
  *
  *   {
  *     "domain": "cpa_montecarlo",   // registered sweep domain
- *     "items": 10000,               // index-space size (0 = domain default)
+ *     "items": 10000,               // index-space size (0 = domain default,
+ *                                   //   at most kMaxSweepItems)
  *     "grain": 2048,                // chunk granularity (0 = automatic)
  *     "seed": 42,                   // base seed for per-chunk RNG streams
  *     "fingerprint": "",            // model-config fingerprint ("" = fill in)
@@ -35,6 +36,14 @@
 #include "util/parallel.h"
 
 namespace act::sweep {
+
+/**
+ * The largest index space a plan may declare, 2^30 items. A Monte
+ * Carlo sweep keeps one 8-byte output per item, 8 GiB at this bound;
+ * a larger plan is rejected when it is read rather than failing to
+ * allocate its chunks or outputs.
+ */
+inline constexpr std::uint64_t kMaxSweepItems = std::uint64_t{1} << 30;
 
 /** Serializable description of one sweep over [0, items). */
 struct SweepPlan

@@ -30,12 +30,10 @@ deriveSeed(std::uint64_t base, std::uint64_t stream)
     return splitMix64Finalize(splitMix64Finalize(mixed));
 }
 
-std::uint64_t
-Xorshift64Star::nextBelow(std::uint64_t bound)
+void
+Xorshift64Star::zeroBoundFatal()
 {
-    if (bound == 0)
-        fatal("nextBelow() with a zero bound");
-    return next() % bound;
+    fatal("nextBelow() with a zero bound");
 }
 
 } // namespace act::util

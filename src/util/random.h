@@ -60,8 +60,15 @@ class Xorshift64Star
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
     }
 
-    /** Uniform integer in [0, bound); fatal for bound == 0. */
-    std::uint64_t nextBelow(std::uint64_t bound);
+    /** Uniform integer in [0, bound); fatal for bound == 0. Inline:
+     *  the FTL simulator draws one per simulated write. */
+    std::uint64_t
+    nextBelow(std::uint64_t bound)
+    {
+        if (bound == 0) [[unlikely]]
+            zeroBoundFatal();
+        return next() % bound;
+    }
 
     /** Uniform real in [lo, hi). */
     double
@@ -71,6 +78,8 @@ class Xorshift64Star
     }
 
   private:
+    [[noreturn, gnu::cold]] static void zeroBoundFatal();
+
     std::uint64_t state_;
 };
 

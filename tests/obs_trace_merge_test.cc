@@ -103,8 +103,9 @@ TEST(TraceMergeTest, MissingEpochAlignsWithZeroDelta)
         obs::mergeTraceDocs({no_epoch}, {"legacy.json"});
     for (const config::JsonValue &event :
          merged.at("traceEvents").asArray()) {
-        if (event.at("name").asString() == "s")
+        if (event.at("name").asString() == "s") {
             EXPECT_EQ(event.at("ts").asNumber(), 7.0);
+        }
     }
 }
 

@@ -269,6 +269,95 @@ TEST(FtlSim, SeparatedHotColdVictimSequenceIsPinned)
     expectPinned(config, {0.2, 257'007, 16'170, 157'007, 16'062});
 }
 
+/**
+ * Exact statistics on a 100-block grid with non-power-of-two pages per
+ * block (5, 24, 48, whose page IDs leave padding at the top of each
+ * block) and with one page per block (page shift 0), under every
+ * write pattern and two seeds. Recorded from the simulator that
+ * addressed pages as block * pages_per_block + page and relocated one
+ * page at a time.
+ */
+TEST(FtlSim, NonPowerOfTwoGeometriesArePinned)
+{
+    struct GridRun
+    {
+        int pages_per_block;
+        int pattern;  // 0 uniform, 1 hot/cold, 2 separated hot/cold
+        std::uint64_t seed;
+        PinnedRun pinned;
+    };
+    const GridRun runs[] = {
+        {1, 0, 42, {0.16, 20'000, 20'074, 0, 20'000}},
+        {1, 0, 7, {0.16, 20'000, 20'074, 0, 20'000}},
+        {1, 1, 42, {0.16, 20'000, 20'074, 0, 20'000}},
+        {1, 1, 7, {0.16, 20'000, 20'074, 0, 20'000}},
+        {1, 2, 42, {0.16, 20'000, 20'074, 0, 20'000}},
+        {1, 2, 7, {0.16, 20'000, 20'074, 0, 20'000}},
+        {5, 0, 42, {0.16, 51'525, 10'496, 31'525, 10'305}},
+        {5, 0, 7, {0.16, 50'954, 10'372, 30'954, 10'191}},
+        {5, 1, 42, {0.16, 55'930, 11'349, 35'930, 11'186}},
+        {5, 1, 7, {0.16, 56'110, 11'399, 36'110, 11'222}},
+        {5, 2, 42, {0.16, 49'991, 10'173, 29'991, 10'000}},
+        {5, 2, 7, {0.16, 50'035, 10'170, 30'035, 10'007}},
+        {24, 0, 42, {0.16, 77'675, 3'530, 57'675, 3'236}},
+        {24, 0, 7, {0.16, 77'577, 3'526, 57'577, 3'232}},
+        {24, 1, 42, {0.16, 81'393, 3'639, 61'393, 3'391}},
+        {24, 1, 7, {0.16, 80'983, 3'622, 60'983, 3'374}},
+        {24, 2, 42, {0.16, 75'039, 3'367, 55'039, 3'127}},
+        {24, 2, 7, {0.16, 75'031, 3'362, 55'031, 3'125}},
+        {48, 0, 42, {0.16, 83'312, 2'051, 63'312, 1'736}},
+        {48, 0, 7, {0.16, 83'310, 2'051, 63'310, 1'736}},
+        {48, 1, 42, {0.16, 87'249, 2'099, 67'249, 1'818}},
+        {48, 1, 7, {0.16, 87'387, 2'098, 67'387, 1'821}},
+        {48, 2, 42, {0.16, 81'529, 1'966, 61'529, 1'698}},
+        {48, 2, 7, {0.16, 80'775, 1'941, 60'775, 1'684}},
+    };
+    for (const GridRun &run : runs) {
+        SCOPED_TRACE(::testing::Message()
+                     << run.pages_per_block << " pages, pattern "
+                     << run.pattern << ", seed " << run.seed);
+        FtlConfig config;
+        config.num_blocks = 100;
+        config.pages_per_block = run.pages_per_block;
+        config.over_provision = run.pinned.over_provision;
+        config.user_writes = 20'000;
+        config.seed = run.seed;
+        config.pattern = run.pattern == 0 ? WritePattern::Uniform
+                                          : WritePattern::HotCold;
+        config.separate_hot_cold = run.pattern == 2;
+        expectPinned(config, run.pinned);
+    }
+}
+
+TEST(FtlSim, PageIdsMustFitIn32Bits)
+{
+    // 2^26 blocks of 64 pages pad to 2^32 page IDs, one more than
+    // fit below the unmapped sentinel. The constructor must refuse it
+    // before allocating anything: the tables would need 16 GiB.
+    FtlConfig config;
+    config.num_blocks = 1 << 26;
+    config.pages_per_block = 64;
+    EXPECT_EXIT(FtlSimulator{config}, ::testing::ExitedWithCode(1),
+                "fatal: FTL geometry too large for 32-bit page IDs "
+                "\\(num_blocks=67108864, pages_per_block=64");
+    // 33 pages pad to 64, so 2^26 blocks are too large here as well.
+    config.pages_per_block = 33;
+    EXPECT_EXIT(FtlSimulator{config}, ::testing::ExitedWithCode(1),
+                "fatal: FTL geometry too large for 32-bit page IDs");
+    // Far beyond the bound: an allocation would fail, not exit 1.
+    config.num_blocks = 1 << 30;
+    config.pages_per_block = 1 << 30;
+    EXPECT_EXIT(FtlSimulator{config}, ::testing::ExitedWithCode(1),
+                "fatal: FTL geometry too large for 32-bit page IDs");
+
+    // One block fewer fits; construction allocates nothing, so this
+    // is cheap as long as run() is not called.
+    config.num_blocks = (1 << 26) - 1;
+    config.pages_per_block = 64;
+    const FtlSimulator fits(config);
+    EXPECT_GT(fits.logicalPageCount(), 0u);
+}
+
 TEST(FtlSim, FullyValidVictimIsFatal)
 {
     // Too little spare area: GC runs out of blocks with any invalid

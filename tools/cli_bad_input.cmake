@@ -1,7 +1,8 @@
 # Drives `act sweep`, `act merge`, `act device-file`, `act trace-merge`
 # and `act status` with broken input files -- a partial truncated as a
-# dead shard leaves it, a partial with a negative chunk_begin, a plan
-# whose item count is out of integer range, a plan with a mistyped
+# dead shard leaves it, a partial with a negative chunk_begin, plans
+# whose item count is out of integer range or above the 2^30 plan
+# bound, a plan with a mistyped
 # config field, a plan whose abatement range leaves the model's domain,
 # a chiplet plan with a huge or fractional max_chiplets, a chiplet plan
 # whose result overflows to infinity, partials whose metrics section
@@ -89,8 +90,21 @@ file(READ "${PLAN}" plan)
 string(REGEX REPLACE "\"items\": *[0-9]+" "\"items\": 1e30" huge "${plan}")
 file(WRITE "${WORK_DIR}/huge.json" "${huge}")
 expect_fatal("items out of range"
-    "bad sweep plan 'huge\\.json': 'items' must be a non-negative integer \\(got 1e\\+30\\)"
+    "bad sweep plan 'huge\\.json': 'items' must be an integer in \\[0, 1073741824\\] \\(got 1e\\+30\\)"
     sweep --plan huge.json)
+
+# 1e13 items is a valid 64-bit count but used to abort with
+# std::bad_alloc in planChunks; the plan reader bounds it at 2^30 at
+# any thread count.
+string(REGEX REPLACE "\"items\": *[0-9]+" "\"items\": 1e13" too_many "${plan}")
+file(WRITE "${WORK_DIR}/too_many.json" "${too_many}")
+foreach(threads 1 4)
+    set(ENV{ACT_THREADS} ${threads})
+    expect_fatal("items above the plan bound at ${threads} threads"
+        "bad sweep plan 'too_many\\.json': 'items' must be an integer in \\[0, 1073741824\\] \\(got 1e\\+13\\)"
+        sweep --plan too_many.json)
+endforeach()
+set(ENV{ACT_THREADS} 1)
 
 string(REGEX REPLACE "\"node_nm\": *([0-9]+)" "\"node_nm\": \"\\1\""
        mistyped "${plan}")
