@@ -367,17 +367,6 @@ appendNumber(std::string &out, double value)
     out.append(buffer, result.ptr);
 }
 
-/** @p value's shortest round-tripping spelling ("1e+30", "0.5",
- *  "inf"), for messages. */
-std::string
-shortest(double value)
-{
-    char buffer[32];
-    return std::string(buffer,
-                       std::to_chars(buffer, buffer + sizeof(buffer), value)
-                           .ptr);
-}
-
 /** @p value as a "(got ...)" message shows it. */
 std::string
 describe(const JsonValue &value)
@@ -391,9 +380,31 @@ describe(const JsonValue &value)
     return value.dump();
 }
 
-/** "a number >= 1", "a number in (0, 1]", ... for @p range. */
+/** Start a new line at @p depth when pretty-printing. */
+void
+appendBreak(std::string &out, int indent, int depth)
+{
+    if (indent <= 0)
+        return;
+    out += '\n';
+    out.append(static_cast<std::size_t>(indent) *
+                   static_cast<std::size_t>(depth),
+               ' ');
+}
+
+} // namespace
+
 std::string
-numberDomain(const Interval &range)
+shortest(double value)
+{
+    char buffer[32];
+    return std::string(buffer,
+                       std::to_chars(buffer, buffer + sizeof(buffer), value)
+                           .ptr);
+}
+
+std::string
+domainName(const Interval &range)
 {
     const bool low = std::isfinite(range.lo);
     const bool high = std::isfinite(range.hi);
@@ -411,10 +422,8 @@ numberDomain(const Interval &range)
     return "a number";
 }
 
-/** "a non-negative integer", "an integer >= 1" or
- *  "an integer in [1, 1024]" for @p range. */
 std::string
-countDomain(const CountRange &range)
+domainName(const CountRange &range)
 {
     if (range.hi == kMaxCount) {
         return range.lo == 0 ? "a non-negative integer"
@@ -424,37 +433,18 @@ countDomain(const CountRange &range)
            std::to_string(range.hi) + "]";
 }
 
-/** Store @p value in @p out when it is an integer in @p range. */
 bool
-countFits(const JsonValue &value, const CountRange &range,
-          std::uint64_t &out)
+CountRange::fits(double x, std::uint64_t &out) const
 {
-    if (!value.isNumber())
-        return false;
     // Every hi <= 2^63 - 1 rounds to at most 2^63, so the cast of a
     // value that passes the double compares is defined; the integer
     // compares then reject what rounding let through.
-    const double x = value.asNumber();
-    if (!(x == std::floor(x) && x >= static_cast<double>(range.lo) &&
-          x <= static_cast<double>(range.hi)))
+    if (!(x == std::floor(x) && x >= static_cast<double>(lo) &&
+          x <= static_cast<double>(hi)))
         return false;
     out = static_cast<std::uint64_t>(x);
-    return out >= range.lo && out <= range.hi;
+    return out >= lo && out <= hi;
 }
-
-/** Start a new line at @p depth when pretty-printing. */
-void
-appendBreak(std::string &out, int indent, int depth)
-{
-    if (indent <= 0)
-        return;
-    out += '\n';
-    out.append(static_cast<std::size_t>(indent) *
-                   static_cast<std::size_t>(depth),
-               ' ');
-}
-
-} // namespace
 
 bool
 JsonValue::asBool() const
@@ -616,8 +606,8 @@ count(const JsonValue &object, const std::string &key, CountRange range)
 {
     const JsonValue &value = object.at(key);
     std::uint64_t parsed = 0;
-    if (!countFits(value, range, parsed))
-        badField(key, countDomain(range), value);
+    if (!value.isNumber() || !range.fits(value.asNumber(), parsed))
+        badField(key, domainName(range), value);
     return parsed;
 }
 
@@ -633,7 +623,7 @@ number(const JsonValue &object, const std::string &key, Interval range)
 {
     const JsonValue &value = object.at(key);
     if (!value.isNumber() || !range.contains(value.asNumber()))
-        badField(key, numberDomain(range), value);
+        badField(key, domainName(range), value);
     return value.asNumber();
 }
 
@@ -656,7 +646,7 @@ numbers(const JsonValue &object, const std::string &key, Interval range)
     for (const JsonValue &entry : entries) {
         if (!entry.isNumber() || !range.contains(entry.asNumber())) {
             badField(key + "[" + std::to_string(out.size()) + "]",
-                     numberDomain(range), entry);
+                     domainName(range), entry);
         }
         out.push_back(entry.asNumber());
     }
@@ -672,9 +662,10 @@ counts(const JsonValue &object, const std::string &key, CountRange range)
     const JsonArray &entries = value.asArray();
     std::vector<std::uint64_t> out(entries.size());
     for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (!countFits(entries[i], range, out[i])) {
+        if (!entries[i].isNumber() ||
+            !range.fits(entries[i].asNumber(), out[i])) {
             badField(key + "[" + std::to_string(i) + "]",
-                     countDomain(range), entries[i]);
+                     domainName(range), entries[i]);
         }
     }
     return out;

@@ -146,6 +146,9 @@ struct CountRange
     constexpr CountRange(std::uint64_t lo_in, std::uint64_t hi_in)
         : lo(lo_in), hi(hi_in)
     {}
+
+    /** Store @p x in @p out when it is an integer in the range. */
+    bool fits(double x, std::uint64_t &out) const;
 };
 
 /** The interval of a number() read; each end is open or closed. The
@@ -190,6 +193,17 @@ closed(double lo, double hi)
 {
     return {lo, hi, false, false};
 }
+
+/** What @p range admits, as the readers' messages spell it:
+ *  "a number", "a number > 0", "a number in (0, 1]", ... */
+std::string domainName(const Interval &range);
+/** "a non-negative integer", "an integer >= 1" or
+ *  "an integer in [1, 1024]". */
+std::string domainName(const CountRange &range);
+
+/** @p value's shortest round-tripping spelling ("1e+30", "0.5",
+ *  "inf"), for messages. */
+std::string shortest(double value);
 
 /** @p object's @p key: a JSON integer in @p range. */
 std::uint64_t count(const JsonValue &object, const std::string &key,

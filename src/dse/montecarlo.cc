@@ -269,32 +269,6 @@ resolveRanks(std::vector<std::uint64_t> &keys, OrderStatQuery *queries,
     }
 }
 
-/** The shared monteCarlo()/monteCarloBatch() sweep boilerplate: same
- *  domain, grain, and seed derivation for both execution paths, so
- *  chunk layout -- and therefore every statistic -- matches across
- *  them by construction. */
-template <typename ChunkFn>
-MonteCarloResult
-runMonteCarloSweep(std::size_t samples, std::uint64_t seed,
-                   ChunkFn &&chunk)
-{
-    sweep::SweepPlan plan;
-    plan.domain = "dse.montecarlo";
-    plan.items = samples;
-    plan.grain = kMonteCarloChunk;
-    plan.seed = seed;
-    MonteCarloPartial init;
-    init.outputs.reserve(samples);
-    MonteCarloPartial merged = sweep::runSweep(
-        plan, std::forward<ChunkFn>(chunk),
-        [](MonteCarloPartial accumulator, MonteCarloPartial part) {
-            return mergePartial(std::move(accumulator),
-                                std::move(part));
-        },
-        std::move(init));
-    return finalizeMonteCarlo(samples, std::move(merged));
-}
-
 } // namespace
 
 void
@@ -469,12 +443,25 @@ monteCarlo(const std::vector<UncertainParameter> &parameters,
     // The sweep engine owns chunking, per-chunk derived RNG streams,
     // and ordered reduction; the fixed grain keeps the chunk layout
     // (and therefore every statistic) thread-count independent.
-    return runMonteCarloSweep(
-        samples, seed,
+    sweep::SweepPlan plan;
+    plan.domain = "dse.montecarlo";
+    plan.items = samples;
+    plan.grain = kMonteCarloChunk;
+    plan.seed = seed;
+    MonteCarloPartial init;
+    init.outputs.reserve(samples);
+    MonteCarloPartial merged = sweep::runSweep(
+        plan,
         [&](std::size_t, util::IndexRange range,
             util::Xorshift64Star &rng) {
             return monteCarloChunk(parameters, model, range, rng);
-        });
+        },
+        [](MonteCarloPartial accumulator, MonteCarloPartial part) {
+            return mergePartial(std::move(accumulator),
+                                std::move(part));
+        },
+        std::move(init));
+    return finalizeMonteCarlo(samples, std::move(merged));
 }
 
 void
@@ -527,31 +514,6 @@ monteCarloPlanChunk(const std::vector<UncertainParameter> &parameters,
         partial.sum_squares += output * output;
     }
     return partial;
-}
-
-MonteCarloResult
-monteCarloBatch(const std::vector<UncertainParameter> &parameters,
-                const core::EvalPlan &plan, std::size_t samples,
-                std::uint64_t seed)
-{
-    if (plan.inputCount() != parameters.size()) {
-        util::fatal("compiled plan binds ", plan.inputCount(),
-                    " inputs but the sweep has ", parameters.size(),
-                    " uncertain parameters");
-    }
-    TRACE_SPAN("dse.montecarlo", "monteCarloBatch");
-    g_runs.add();
-    g_samples.add(samples);
-    validateMonteCarloInputs(parameters, samples);
-
-    return runMonteCarloSweep(
-        samples, seed,
-        [&](std::size_t, util::IndexRange range,
-            util::Xorshift64Star &rng) {
-            thread_local MonteCarloScratch scratch;
-            return monteCarloPlanChunk(parameters, plan, range, rng,
-                                       scratch);
-        });
 }
 
 } // namespace act::dse

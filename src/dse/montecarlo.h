@@ -162,19 +162,6 @@ monteCarloPlanChunk(const std::vector<UncertainParameter> &parameters,
                     util::Xorshift64Star &rng,
                     MonteCarloScratch &scratch);
 
-/**
- * monteCarlo() over a compiled plan whose bindings line up with
- * @p parameters (fatal on a count mismatch): same chunk layout, same
- * per-chunk derived RNG streams, same ordered reduction -- results
- * are bit-identical to the closure path for any thread or shard
- * count -- but each chunk runs monteCarloPlanChunk() instead of
- * kMonteCarloChunk std::function invocations.
- */
-MonteCarloResult
-monteCarloBatch(const std::vector<UncertainParameter> &parameters,
-                const core::EvalPlan &plan,
-                std::size_t samples = 10'000, std::uint64_t seed = 42);
-
 } // namespace act::dse
 
 #endif // ACT_DSE_MONTECARLO_H

@@ -20,11 +20,12 @@
  * Fab options: --fab-ci <g/kWh>  --yield <y>  --abatement <a>
  */
 
+#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -123,6 +124,54 @@ isBooleanFlag(std::string_view name)
     return false;
 }
 
+/** @p token as std::from_chars reads it, all of it; nullopt when any
+ *  part of it is not a number ("7x", "", "1e400"). */
+std::optional<double>
+wholeNumber(const std::string &token)
+{
+    double value = 0.0;
+    const char *end = token.data() + token.size();
+    const auto [ptr, error] = std::from_chars(token.data(), end, value);
+    if (error != std::errc() || ptr != end)
+        return std::nullopt;
+    return value;
+}
+
+/** "<what> expects <domain>, got <token>": a token that parses shows
+ *  its shortest spelling, any other is quoted as typed. */
+[[noreturn]] void
+badArgument(const std::string &what, const std::string &domain,
+            const std::string &token)
+{
+    const std::optional<double> value = wholeNumber(token);
+    util::fatal(what, " expects ", domain, ", got ",
+                value ? config::shortest(*value) : "'" + token + "'");
+}
+
+/** Argument @p what, spelled @p token, as a number in @p range (by
+ *  default, any finite number). */
+double
+numberArgument(const std::string &what, const std::string &token,
+               config::Interval range = {})
+{
+    const std::optional<double> value = wholeNumber(token);
+    if (!value || !range.contains(*value))
+        badArgument(what, config::domainName(range), token);
+    return *value;
+}
+
+/** Argument @p what, spelled @p token, as an integer in @p range. */
+std::size_t
+countArgument(const std::string &what, const std::string &token,
+              config::CountRange range = {})
+{
+    const std::optional<double> value = wholeNumber(token);
+    std::uint64_t count = 0;
+    if (!value || !range.fits(*value, count))
+        badArgument(what, config::domainName(range), token);
+    return count;
+}
+
 /** Simple flag map over argv[from..). */
 class Args
 {
@@ -150,44 +199,50 @@ class Args
     { return positional_; }
 
     double
-    numberOr(const std::string &name, double fallback) const
+    numberOr(const std::string &name, double fallback,
+             config::Interval range = {}) const
     {
-        for (const auto &[key, value] : flags_) {
-            if (key == name) {
-                try {
-                    return std::stod(value);
-                } catch (const std::logic_error &) {
-                    util::fatal("flag --", name,
-                                " expects a number, got '", value, "'");
-                }
-            }
-        }
-        return fallback;
+        const std::string *value = find(name);
+        return value != nullptr
+                   ? numberArgument("flag --" + name, *value, range)
+                   : fallback;
+    }
+
+    std::size_t
+    countOr(const std::string &name, std::size_t fallback) const
+    {
+        const std::string *value = find(name);
+        return value != nullptr ? countArgument("flag --" + name, *value)
+                                : fallback;
     }
 
     std::string
     stringOr(const std::string &name, const std::string &fallback) const
     {
-        for (const auto &[key, value] : flags_) {
-            if (key == name)
-                return value;
-        }
-        return fallback;
+        const std::string *value = find(name);
+        return value != nullptr ? *value : fallback;
     }
 
     bool
     has(const std::string &name) const
     {
-        for (const auto &[key, value] : flags_) {
-            if (key == name)
-                return true;
-        }
-        return false;
+        return find(name) != nullptr;
     }
 
   private:
     std::vector<std::pair<std::string, std::string>> flags_;
     std::vector<std::string> positional_;
+
+    /** The first value given for flag @p name, or nullptr. */
+    const std::string *
+    find(const std::string &name) const
+    {
+        for (const auto &[key, value] : flags_) {
+            if (key == name)
+                return &value;
+        }
+        return nullptr;
+    }
 };
 
 core::FabParams
@@ -195,8 +250,8 @@ fabFromArgs(const Args &args)
 {
     core::FabParams fab;
     if (args.has("fab-ci")) {
-        fab.ci_fab = util::gramsPerKilowattHour(
-            args.numberOr("fab-ci", fab.ci_fab.value()));
+        fab.ci_fab = util::gramsPerKilowattHour(args.numberOr(
+            "fab-ci", fab.ci_fab.value(), config::atLeast(0.0)));
     }
     fab.yield = args.numberOr("yield", fab.yield);
     fab.abatement = args.numberOr("abatement", fab.abatement);
@@ -255,7 +310,8 @@ cmdCpa(const Args &args)
 {
     if (args.positional().empty())
         util::fatal("cpa needs a node in nm");
-    const double nm = std::stod(args.positional()[0]);
+    const double nm =
+        numberArgument("cpa <node_nm>", args.positional()[0]);
     const core::FabParams fab = fabFromArgs(args);
     const auto cpa = core::carbonPerArea(fab, nm);
     std::cout << "CPA(" << nm << " nm) = "
@@ -271,8 +327,10 @@ cmdLogic(const Args &args)
 {
     if (args.positional().size() < 2)
         util::fatal("logic needs <area_mm2> <node_nm>");
-    const double mm2 = std::stod(args.positional()[0]);
-    const double nm = std::stod(args.positional()[1]);
+    const double mm2 = numberArgument(
+        "logic <area_mm2>", args.positional()[0], config::atLeast(0.0));
+    const double nm =
+        numberArgument("logic <node_nm>", args.positional()[1]);
     const core::FabParams fab = fabFromArgs(args);
     const auto mass = core::logicEmbodied(
         util::squareMillimeters(mm2), nm, fab);
@@ -289,7 +347,8 @@ cmdStorage(const Args &args)
     if (args.positional().size() < 2)
         util::fatal("storage needs <technology> <gigabytes>");
     const std::string technology = args.positional()[0];
-    const double gb = std::stod(args.positional()[1]);
+    const double gb = numberArgument(
+        "storage <gigabytes>", args.positional()[1], config::atLeast(0.0));
     const auto mass = core::storageEmbodied(
         util::gigabytes(gb), technology);
     std::cout << gb << " GB of " << technology << " -> "
@@ -420,15 +479,21 @@ cmdFootprint(const Args &args)
         util::fatal("footprint needs --energy-kwh, --embodied-g, "
                     "--time-years, --lifetime-years");
     }
+    constexpr config::Interval kNonNegative = config::atLeast(0.0);
     const auto use = core::OperationalParams::withIntensity(
         util::gramsPerKilowattHour(args.numberOr(
-            "ci-use", data::defaultUseIntensity().value())));
+            "ci-use", data::defaultUseIntensity().value(),
+            kNonNegative)));
     const auto opcf = core::operationalFootprint(
-        util::kilowattHours(args.numberOr("energy-kwh", 0.0)), use);
+        util::kilowattHours(
+            args.numberOr("energy-kwh", 0.0, kNonNegative)),
+        use);
     const auto cf = core::combineFootprint(
-        opcf, util::grams(args.numberOr("embodied-g", 0.0)),
-        util::years(args.numberOr("time-years", 0.0)),
-        util::years(args.numberOr("lifetime-years", 1.0)));
+        opcf,
+        util::grams(args.numberOr("embodied-g", 0.0, kNonNegative)),
+        util::years(args.numberOr("time-years", 0.0, kNonNegative)),
+        util::years(
+            args.numberOr("lifetime-years", 1.0, config::above(0.0))));
     std::cout << "OPCF = " << util::formatSig(util::asGrams(opcf), 4)
               << " g, embodied allocated = "
               << util::formatSig(
@@ -439,18 +504,6 @@ cmdFootprint(const Args &args)
               << util::formatFixed(cf.embodiedShare() * 100.0, 1)
               << "%)\n";
     return 0;
-}
-
-std::size_t
-countOr(const Args &args, const std::string &name, std::size_t fallback)
-{
-    const double value =
-        args.numberOr(name, static_cast<double>(fallback));
-    // Range first: the cast is undefined outside [0, 2^64).
-    if (!(value >= 0.0 && value < 0x1p64) || value != std::floor(value))
-        util::fatal("flag --", name,
-                    " expects a non-negative integer, got ", value);
-    return static_cast<std::size_t>(value);
 }
 
 int
@@ -491,8 +544,8 @@ cmdSweep(const Args &args)
     }
 
     sweep::ShardSpec shard;
-    shard.shard_count = countOr(args, "shards", 1);
-    shard.shard_index = countOr(args, "shard-index", 0);
+    shard.shard_count = args.countOr("shards", 1);
+    shard.shard_index = args.countOr("shard-index", 0);
     if (out.empty())
         util::fatal("a sharded sweep needs --out <partial.json>");
 
@@ -589,8 +642,12 @@ cmdStatus(const Args &args)
     const std::string directory = args.positional().empty()
                                       ? std::string(".")
                                       : args.positional()[0];
-    const double stale_secs = args.numberOr("stale-secs", 15.0);
-    const double watch_secs = args.numberOr("watch", 0.0);
+    const double stale_secs =
+        args.numberOr("stale-secs", 15.0, config::atLeast(0.0));
+    // Bounded, so the sleep's conversion to clock ticks cannot
+    // overflow.
+    const double watch_secs =
+        args.numberOr("watch", 0.0, config::closed(0.0, 3600.0));
 
     for (;;) {
         const auto heartbeats = obs::loadHeartbeatDirectory(directory);

@@ -1,6 +1,6 @@
 # Drives `act sweep`, `act merge`, `act device-file`, `act trace-merge`
-# and `act status` with broken input files -- a partial truncated as a
-# dead shard leaves it, a partial with a negative chunk_begin, plans
+# and `act status` with broken input files and arguments -- a partial
+# truncated as a dead shard leaves it, a partial with a negative chunk_begin, plans
 # whose item count is out of integer range or above the 2^30 plan
 # bound, a plan with a mistyped
 # config field, a plan whose abatement range leaves the model's domain,
@@ -14,8 +14,10 @@
 # count, fleet plans with a huge deadline_samples or region day count
 # or a duration sigma factor of 1,
 # devices with a fractional or huge package count, a truncated trace,
-# a mistyped trace and a trace with a negative epoch, and a huge
-# --shards flag -- and checks that each run exits 1 with one `fatal:`
+# a mistyped trace and a trace with a negative epoch, a huge --shards
+# flag, and `act cpa`/`logic`/`footprint`/`status`/`sweep` numbers
+# that do not parse whole, overflow, are NaN or leave their argument's
+# range -- and checks that each run exits 1 with one `fatal:`
 # diagnostic naming the file and the field instead of aborting (and,
 # for merge, before writing --out). A heartbeat with bad counts must
 # instead be skipped by `act status` with a warning.
@@ -360,6 +362,43 @@ set(ENV{ACT_THREADS} 1)
 expect_fatal("huge --shards"
     "flag --shards expects a non-negative integer, got 1e\\+300"
     sweep --plan "${PLAN}" --shards 1e300 --shard-index 0 --out huge_shards.json)
+
+# A command-line number must parse whole, be finite and lie in its
+# argument's range. These used to abort on an uncaught std::stod
+# exception (exit 134), run on a prefix ("7x" as 7 nm, "3x" as 3
+# shards), loop without sleeping (--watch nan), or print a negative or
+# NaN footprint.
+file(MAKE_DIRECTORY "${WORK_DIR}/no_heartbeats")
+foreach(threads 1 4)
+    set(ENV{ACT_THREADS} ${threads})
+    expect_fatal("non-numeric node at ${threads} threads"
+        "cpa <node_nm> expects a number, got 'abc'"
+        cpa abc)
+    expect_fatal("node past double range at ${threads} threads"
+        "cpa <node_nm> expects a number, got '1e400'"
+        cpa 1e400)
+    expect_fatal("node with trailing text at ${threads} threads"
+        "cpa <node_nm> expects a number, got '7x'"
+        cpa 7x --yield 0.9zz)
+    expect_fatal("yield with trailing text at ${threads} threads"
+        "flag --yield expects a number, got '0\\.9zz'"
+        cpa 7 --yield 0.9zz)
+    expect_fatal_without("shard count with trailing text at ${threads} threads"
+        "flag --shards expects a non-negative integer, got '3x'"
+        prefix_shards.json
+        sweep --plan "${PLAN}" --shards 3x --shard-index 0 --out prefix_shards.json)
+    expect_fatal("NaN watch interval at ${threads} threads"
+        "flag --watch expects a number in \\[0, 3600\\], got nan"
+        status no_heartbeats --watch nan)
+    expect_fatal("negative logic area at ${threads} threads"
+        "logic <area_mm2> expects a number >= 0, got -5"
+        logic -5 7)
+    expect_fatal("NaN energy at ${threads} threads"
+        "flag --energy-kwh expects a number >= 0, got nan"
+        footprint --energy-kwh nan --embodied-g 1 --time-years 1
+                  --lifetime-years 4)
+endforeach()
+set(ENV{ACT_THREADS} 1)
 
 # A device's package count of 2.7 used to truncate to 2, and 3e9 to
 # wrap into a "non-positive package count".
