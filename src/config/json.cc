@@ -1,9 +1,13 @@
 #include "config/json.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -317,7 +321,15 @@ void
 appendEscaped(std::string &out, const std::string &text)
 {
     out += '"';
-    for (char c : text) {
+    // Each run of bytes that need no escape is appended whole.
+    const char *run = text.data();
+    const char *const end = run + text.size();
+    for (const char *p = run; p != end; ++p) {
+        const unsigned char c = static_cast<unsigned char>(*p);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(run, p);
+        run = p + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
@@ -326,28 +338,187 @@ appendEscaped(std::string &out, const std::string &text)
           case '\n': out += "\\n"; break;
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buffer;
-            } else {
-                out += c;
-            }
+          default: {
+            char buffer[8];
+            std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                          static_cast<unsigned>(c));
+            out += buffer;
+          }
         }
     }
+    out.append(run, end);
     out += '"';
+}
+
+/** "00", "01", ..., "99": two digits per table lookup. */
+struct DigitPairs
+{
+    char text[200];
+};
+
+constexpr DigitPairs
+makeDigitPairs()
+{
+    DigitPairs pairs{};
+    for (int i = 0; i < 100; ++i) {
+        pairs.text[2 * i] = static_cast<char>('0' + i / 10);
+        pairs.text[2 * i + 1] = static_cast<char>('0' + i % 10);
+    }
+    return pairs;
+}
+
+constexpr DigitPairs kDigitPairs = makeDigitPairs();
+
+/** Write @p value (< 100) as two digits at @p out. */
+void
+writePair(char *out, unsigned value)
+{
+    std::memcpy(out, kDigitPairs.text + 2 * value, 2);
+}
+
+using Uint128 = unsigned __int128;
+
+/** 10^0 .. 10^22: the powers whose product with a 53-bit significand
+ *  still fits in 128 bits. */
+struct PowersOfTen
+{
+    Uint128 value[23];
+};
+
+constexpr PowersOfTen
+makePowersOfTen()
+{
+    PowersOfTen powers{};
+    Uint128 power = 1;
+    for (Uint128 &entry : powers.value) {
+        entry = power;
+        power *= 10;
+    }
+    return powers;
+}
+
+constexpr PowersOfTen kPowersOfTen = makePowersOfTen();
+
+/** Bytes formatSeventeenDigits may write: sign, 16 integer digits,
+ *  the point and a fixed 16-byte copy of the fraction. */
+constexpr std::size_t kNumberBuffer = 48;
+
+constexpr std::uint64_t kTenToThe16 = 10000000000000000ULL;
+constexpr std::uint64_t kTenToThe17 = 100000000000000000ULL;
+
+/**
+ * printf's "%.17g" of @p value, computed exactly in integers, written
+ * at @p out, which has room for kNumberBuffer bytes (the layout copies
+ * fixed sizes, past the end of the text); returns the end of the text,
+ * or nullptr when @p value is outside the kernel's range and the
+ * caller must format it otherwise.
+ *
+ * A normal double is m * 2^e2 with a 53-bit m. Its seventeen
+ * significant digits are m * 10^(16 - E) / 2^-e2, rounded half to
+ * even, where E = floor(log10 |value|): one 128-bit product, a shift
+ * and the exact remainder. That needs e2 < 0 (|value| < 2^53) and
+ * 0 <= 16 - E <= 22 (1e-6 <= |value| < 1e17); zero, subnormals and
+ * everything else return nullptr.
+ */
+char *
+formatSeventeenDigits(double value, char *out)
+{
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    const int biased = static_cast<int>((bits >> 52) & 0x7ff);
+    const int e2 = biased - 1075;
+    if (biased == 0 || e2 >= 0)
+        return nullptr;
+    const std::uint64_t m =
+        (bits & ((std::uint64_t{1} << 52) - 1)) | (std::uint64_t{1} << 52);
+    // |value| lies in [2^b, 2^(b+1)) with b = e2 + 52, so E is
+    // floor(b * log10 2) or one more; 78913 / 2^18 is log10 2 to well
+    // within this kernel's range of b. (C++20 shifts negatives down.)
+    int exponent = ((e2 + 52) * 78913) >> 18;
+    const int shift = -e2;
+    Uint128 product = 0;
+    std::uint64_t digits = 0;
+    for (;;) {
+        const int power = 16 - exponent;
+        if (power < 0 || power > 22)
+            return nullptr;
+        product = Uint128{m} * kPowersOfTen.value[power];
+        digits = static_cast<std::uint64_t>(product >> shift);
+        if (digits < kTenToThe17)
+            break;
+        ++exponent;
+    }
+    const Uint128 remainder = product & ((Uint128{1} << shift) - 1);
+    const Uint128 half = Uint128{1} << (shift - 1);
+    if (remainder > half || (remainder == half && (digits & 1) != 0))
+        ++digits;
+    if (digits == kTenToThe17) {
+        // Rounded up to the next power of ten. (No double in this
+        // range lies near enough below one to get here, but the carry
+        // keeps the kernel exact without relying on that.)
+        digits = kTenToThe16;
+        ++exponent;
+    }
+
+    // The seventeen digits, then the significant ones. The layout below
+    // copies fixed sizes, so the text has room past them.
+    char text[33] = {};
+    const auto high = static_cast<unsigned>(digits / 100000000);
+    auto low = static_cast<unsigned>(digits % 100000000);
+    auto middle = high % 100000000;
+    text[0] = static_cast<char>('0' + high / 100000000);
+    for (int i = 7; i >= 1; i -= 2) {
+        writePair(text + i, middle % 100);
+        middle /= 100;
+        writePair(text + i + 8, low % 100);
+        low /= 100;
+    }
+    int length = 17;
+    while (text[length - 1] == '0')
+        --length;
+
+    char *p = out;
+    if (value < 0.0)
+        *p++ = '-';
+    if (exponent < -4 || exponent >= 17) {
+        // d[.ddd]e±XX; here |exponent| <= 17.
+        p[0] = text[0];
+        p[1] = '.';
+        std::memcpy(p + 2, text + 1, 16);
+        p += length > 1 ? length + 1 : 1;
+        *p++ = 'e';
+        *p++ = exponent < 0 ? '-' : '+';
+        writePair(p, static_cast<unsigned>(std::abs(exponent)));
+        p += 2;
+    } else if (exponent >= 0) {
+        // exponent + 1 integer digits, then the fraction if any.
+        const int integral = exponent + 1;
+        std::memcpy(p, text, 17);
+        if (length > integral) {
+            p[integral] = '.';
+            std::memcpy(p + integral + 1, text + integral, 16);
+            p += length + 1;
+        } else {
+            p += integral;
+        }
+    } else {
+        // 0.000ddd: -exponent - 1 zeros after the point.
+        std::memcpy(p, "0.0000", 6);
+        p += 1 - exponent;
+        std::memcpy(p, text, 17);
+        p += length;
+    }
+    return p;
 }
 
 /**
  * Integral values of magnitude below 1e15 print as printf's "%.0f",
- * everything else
- * as "%.17g" (which round-trips every bit). std::to_chars with a
- * precision is specified to produce exactly printf's bytes in the "C"
- * locale, without printf's format parsing and locale lookups. JSON has
- * no spelling for infinities or NaN, so those throw JsonTypeError
- * rather than write a document no reader parses.
+ * everything else as "%.17g" (which round-trips every bit).
+ * formatSeventeenDigits covers most "%.17g" values; the rest, and
+ * "%.0f", go to std::to_chars with a precision, which is specified to
+ * produce exactly printf's bytes in the "C" locale, without printf's
+ * format parsing and locale lookups. JSON has no spelling for
+ * infinities or NaN, so those throw JsonTypeError rather than write a
+ * document no reader parses.
  */
 void
 appendNumber(std::string &out, double value)
@@ -357,14 +528,21 @@ appendNumber(std::string &out, double value)
             std::string("JSON cannot represent the non-finite number ") +
             (std::isnan(value) ? "nan" : value > 0.0 ? "inf" : "-inf"));
     }
-    char buffer[32];
-    const std::to_chars_result result =
-        value == std::floor(value) && std::fabs(value) < 1e15
-            ? std::to_chars(buffer, buffer + sizeof(buffer), value,
+    char buffer[kNumberBuffer];
+    char *end;
+    if (value == std::floor(value) && std::fabs(value) < 1e15) {
+        end = std::to_chars(buffer, buffer + sizeof(buffer), value,
                             std::chars_format::fixed, 0)
-            : std::to_chars(buffer, buffer + sizeof(buffer), value,
-                            std::chars_format::general, 17);
-    out.append(buffer, result.ptr);
+                  .ptr;
+    } else {
+        end = formatSeventeenDigits(value, buffer);
+        if (end == nullptr) {
+            end = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                std::chars_format::general, 17)
+                      .ptr;
+        }
+    }
+    out.append(buffer, end);
 }
 
 /** @p value as a "(got ...)" message shows it. */
@@ -725,10 +903,16 @@ saveJsonFile(const std::string &path, const JsonValue &value, int indent)
     } catch (const JsonTypeError &error) {
         util::fatal("cannot write JSON file '", path, "': ", error.what());
     }
-    std::ofstream out(path);
+    std::ofstream out(path, std::ios::binary);
     if (!out)
         util::fatal("cannot write JSON file '", path, "'");
-    out << text << '\n';
+    // The newline is put separately: appending it to a text at its
+    // capacity would reallocate the whole document.
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
+    out.put('\n');
+    out.close();
+    if (!out)
+        util::fatal("cannot write JSON file '", path, "'");
 }
 
 } // namespace act::config

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "util/logging.h"
-#include "util/stats.h"
 
 namespace act::dse {
 
@@ -49,18 +48,6 @@ minimizeSubjectToAtMost(std::span<const double> objective,
             best = i;
     }
     return best;
-}
-
-std::size_t
-minimizeIndex(std::span<const double> objective)
-{
-    return util::argmin(objective);
-}
-
-std::size_t
-maximizeIndex(std::span<const double> objective)
-{
-    return util::argmax(objective);
 }
 
 std::vector<double>

@@ -34,10 +34,6 @@ minimizeSubjectToAtMost(std::span<const double> objective,
                         std::span<const double> constraint,
                         double maximum);
 
-/** Unconstrained argmin / argmax helpers over the same span type. */
-std::size_t minimizeIndex(std::span<const double> objective);
-std::size_t maximizeIndex(std::span<const double> objective);
-
 /** @p steps evenly spaced values from @p lo to @p hi inclusive. */
 std::vector<double> linearRange(double lo, double hi, std::size_t steps);
 

@@ -17,12 +17,6 @@ FtlStats::writeAmplification() const
            static_cast<double>(user_pages_written);
 }
 
-double
-FtlStats::meanEraseCount(const FtlConfig &config) const
-{
-    return static_cast<double>(erases) / config.num_blocks;
-}
-
 FtlSimulator::FtlSimulator(FtlConfig config) : config_(config)
 {
     if (config_.num_blocks < 8 || config_.pages_per_block < 1)

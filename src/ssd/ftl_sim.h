@@ -104,8 +104,6 @@ struct FtlStats
 
     /** physical / user page writes. */
     double writeAmplification() const;
-    /** Mean program/erase cycles consumed per block. */
-    double meanEraseCount(const FtlConfig &config) const;
 };
 
 /** The simulator. Deterministic for a fixed config (own xorshift RNG). */

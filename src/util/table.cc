@@ -13,16 +13,6 @@ Table::Table(std::vector<std::string> headers)
 {
     if (headers_.empty())
         fatal("Table requires at least one column");
-    alignment_.assign(headers_.size(), Align::Right);
-    alignment_[0] = Align::Left;
-}
-
-void
-Table::setAlignment(std::vector<Align> alignment)
-{
-    if (alignment.size() != headers_.size())
-        fatal("Table alignment size mismatch");
-    alignment_ = std::move(alignment);
 }
 
 void
@@ -76,16 +66,16 @@ Table::render() const
     };
 
     const auto render_cells =
-        [this, &widths](const std::vector<std::string> &cells) {
+        [&widths](const std::vector<std::string> &cells) {
             std::ostringstream out;
             out << "|";
             for (std::size_t c = 0; c < cells.size(); ++c) {
                 const std::size_t pad = widths[c] - cells[c].size();
                 out << ' ';
-                if (alignment_[c] == Align::Right)
-                    out << std::string(pad, ' ') << cells[c];
-                else
+                if (c == 0)
                     out << cells[c] << std::string(pad, ' ');
+                else
+                    out << std::string(pad, ' ') << cells[c];
                 out << " |";
             }
             out << '\n';

@@ -14,11 +14,9 @@
 
 namespace act::util {
 
-/** Column alignment within a rendered table. */
-enum class Align { Left, Right };
-
 /**
- * A simple monospace table builder.
+ * A simple monospace table builder. The first column is left-aligned
+ * and the rest right-aligned, which suits "name, numbers..." layouts.
  *
  * Usage:
  *   Table t({"Node", "EPA (kWh/cm2)"});
@@ -29,10 +27,6 @@ class Table
 {
   public:
     explicit Table(std::vector<std::string> headers);
-
-    /** Per-column alignment; defaults to Left for the first column and
-     *  Right for the rest, which suits "name, numbers..." layouts. */
-    void setAlignment(std::vector<Align> alignment);
 
     /** Append a row; fatal if the cell count mismatches the header. */
     void addRow(std::vector<std::string> cells);
@@ -58,7 +52,6 @@ class Table
     };
 
     std::vector<std::string> headers_;
-    std::vector<Align> alignment_;
     std::vector<Row> rows_;
     bool pending_separator_ = false;
 };

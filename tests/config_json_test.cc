@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -515,6 +516,130 @@ TEST(JsonDump, NumbersMatchPrintfOnRandomDoubles)
             ADD_FAILURE() << "wrote " << written << ", printf " << expected;
     }
     EXPECT_EQ(mismatches, 0);
+}
+
+TEST(JsonDump, NumbersMatchPrintfAcrossTheIntegerKernel)
+{
+    // The writer's exact integer "%.17g" path covers normal values with
+    // 1e-6 <= |value| < 1e17; raw bit patterns reach it rarely. Draw
+    // every binary exponent from 2^-21 to 2^57 (the range and one
+    // binade past each end, where std::to_chars takes over), with
+    // random significands and signs, and short decimals, whose
+    // trailing zeros the writer trims.
+    util::Xorshift64Star rng(20261019);
+    int mismatches = 0;
+    for (int i = 0; i < 500000; ++i) {
+        const std::uint64_t bits = rng.next();
+        const std::uint64_t biased = 1002 + rng.nextBelow(79);
+        double value = std::bit_cast<double>(
+            (bits & 0x800fffffffffffffULL) | biased << 52);
+        if (i % 8 == 0) {
+            value = static_cast<double>(rng.nextBelow(2000000)) /
+                    std::pow(10.0, static_cast<double>(rng.nextBelow(18)));
+        }
+        const std::string written = JsonValue(value).dump();
+        const std::string expected = printfNumber(value);
+        if (written != expected && ++mismatches <= 5)
+            ADD_FAILURE() << "wrote " << written << ", printf " << expected;
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(JsonDump, NumbersMatchPrintfAtTheIntegerKernelEdges)
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::vector<double> corpus;
+    // 10^k and its neighbours: the decimal exponent's edges, the
+    // doubles nearest below a power of ten (where the 17 digits come
+    // closest to carrying), and both ends of the kernel's range.
+    for (int k = -7; k <= 17; ++k) {
+        const double power =
+            std::strtod(("1e" + std::to_string(k)).c_str(), nullptr);
+        corpus.insert(corpus.end(), {power, std::nextafter(power, 0.0),
+                                     std::nextafter(power, kInf)});
+    }
+    corpus.insert(corpus.end(), {
+        // The switch to exponent notation below 1e-4.
+        1.5e-4, 9.5e-5, 1.2345e-5, 0.000123456789, 0.0000123456789,
+        // The switch from "%.0f" to "%.17g" at 1e15.
+        1e15 - 1.0, 1e15 - 0.5, 1e15 + 2.0, 0x1p50 + 0.25,
+        // The largest doubles below 1e17, all 17 digits significant.
+        99999999999999984.0, 99999999999999968.0,
+        // Short binary fractions.
+        0.5, 0.25, 0x1p-20, 0x1p-19 * 3.0,
+        // Exact ties at the 17th digit, rounding half to even both ways.
+        0x1.2p-20, 0x1.7p-19, 0x1.1e4p-11, 0x1.358p-12, 0x1.3519p-2,
+        0x1.cb758p-1, 0x1.582e4p+1, 0x1.84e4cp+1, 0x1.d0accdp+10,
+        0x1.90551fp+10, 0x1.abd59e2b4dp+32, 0x1.8e28ebc173p+32,
+        0x1.08ef563aa95d5p+49, 0x1.03f80f4c12d06p+48,
+        0x1.e689c98abfa6dp+50, 0x1.a37204da49367p+50});
+    const std::size_t positive = corpus.size();
+    for (std::size_t i = 0; i < positive; ++i)
+        corpus.push_back(-corpus[i]);
+    corpus.push_back(-0.0);
+    for (double value : corpus)
+        EXPECT_EQ(JsonValue(value).dump(), printfNumber(value)) << value;
+}
+
+/** The escaper's specification, one byte at a time. */
+std::string
+referenceEscaped(const std::string &text)
+{
+    std::string out = "\"";
+    for (const char c : text) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\b': out += "\\b"; break;
+          case '\f': out += "\\f"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buffer[8];
+                std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                              static_cast<unsigned>(c));
+                out += buffer;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out + '"';
+}
+
+TEST(JsonDump, EscapingMatchesAByteAtATimeEscaper)
+{
+    // Long runs of bytes that need no escape (UTF-8 and DEL included),
+    // with quotes, backslashes and control bytes at the start, in the
+    // middle and at the end, as string values and as object keys.
+    util::Xorshift64Star rng(20261019);
+    const std::string special = std::string("\"\\\b\f\n\r\t\x01\x1f", 9) +
+                                std::string(1, '\0');
+    for (int trial = 0; trial < 2000; ++trial) {
+        std::string text;
+        if (trial % 2 == 0)
+            text += special[rng.nextBelow(special.size())];
+        const int runs = static_cast<int>(rng.nextBelow(4));
+        for (int run = 0; run <= runs; ++run) {
+            const auto length = rng.nextBelow(trial % 10 == 0 ? 40000 : 300);
+            for (std::uint64_t i = 0; i < length; ++i)
+                text += static_cast<char>(0x20 + rng.nextBelow(0xe0));
+            if (run < runs || trial % 3 == 0)
+                text += special[rng.nextBelow(special.size())];
+        }
+        const std::string expected = referenceEscaped(text);
+        ASSERT_EQ(JsonValue(text).dump(), expected) << "trial " << trial;
+        JsonObject object;
+        object[text] = JsonValue(1.0);
+        ASSERT_EQ(JsonValue(std::move(object)).dump(),
+                  "{" + expected + ":1}")
+            << "trial " << trial;
+    }
+    EXPECT_EQ(JsonValue(std::string()).dump(), "\"\"");
+    EXPECT_EQ(JsonValue(special).dump(),
+              R"("\"\\\b\f\n\r\t\u0001\u001f\u0000")");
 }
 
 TEST(JsonFile, SaveAndLoad)

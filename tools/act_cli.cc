@@ -22,6 +22,7 @@
 
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -172,6 +173,17 @@ countArgument(const std::string &what, const std::string &token,
     return count;
 }
 
+/** Fatal unless @p value, which a calculator subcommand is about to
+ *  print as @p what, is finite: a finite input can overflow the model
+ *  (`logic 1e308 7`), and inf is no answer, as for `sweep --out`. */
+void
+requireFinite(const std::string &what, double value)
+{
+    if (!std::isfinite(value))
+        util::fatal(what, " is not a finite number (got ",
+                    config::shortest(value), ")");
+}
+
 /** Simple flag map over argv[from..). */
 class Args
 {
@@ -314,6 +326,7 @@ cmdCpa(const Args &args)
         numberArgument("cpa <node_nm>", args.positional()[0]);
     const core::FabParams fab = fabFromArgs(args);
     const auto cpa = core::carbonPerArea(fab, nm);
+    requireFinite("cpa result", cpa.value());
     std::cout << "CPA(" << nm << " nm) = "
               << util::formatSig(cpa.value(), 4) << " g CO2/cm2 "
               << "(CI_fab " << util::formatSig(fab.ci_fab.value(), 4)
@@ -334,6 +347,7 @@ cmdLogic(const Args &args)
     const core::FabParams fab = fabFromArgs(args);
     const auto mass = core::logicEmbodied(
         util::squareMillimeters(mm2), nm, fab);
+    requireFinite("logic result", util::asGrams(mass));
     std::cout << mm2 << " mm2 @ " << nm << " nm -> "
               << util::formatSig(util::asGrams(mass), 4) << " g CO2 ("
               << util::formatSig(util::asKilograms(mass), 3)
@@ -351,6 +365,7 @@ cmdStorage(const Args &args)
         "storage <gigabytes>", args.positional()[1], config::atLeast(0.0));
     const auto mass = core::storageEmbodied(
         util::gigabytes(gb), technology);
+    requireFinite("storage result", util::asGrams(mass));
     std::cout << gb << " GB of " << technology << " -> "
               << util::formatSig(util::asGrams(mass), 4) << " g CO2\n";
     return 0;
@@ -494,6 +509,9 @@ cmdFootprint(const Args &args)
         util::years(args.numberOr("time-years", 0.0, kNonNegative)),
         util::years(
             args.numberOr("lifetime-years", 1.0, config::above(0.0))));
+    // The allocated embodied share is at most --embodied-g (T <= LT).
+    requireFinite("footprint OPCF", util::asGrams(opcf));
+    requireFinite("footprint CF", util::asGrams(cf.total()));
     std::cout << "OPCF = " << util::formatSig(util::asGrams(opcf), 4)
               << " g, embodied allocated = "
               << util::formatSig(

@@ -15,9 +15,11 @@
 # or a duration sigma factor of 1,
 # devices with a fractional or huge package count, a truncated trace,
 # a mistyped trace and a trace with a negative epoch, a huge --shards
-# flag, and `act cpa`/`logic`/`footprint`/`status`/`sweep` numbers
+# flag, `act cpa`/`logic`/`footprint`/`status`/`sweep` numbers
 # that do not parse whole, overflow, are NaN or leave their argument's
-# range -- and checks that each run exits 1 with one `fatal:`
+# range, `act cpa`/`logic`/`storage`/`footprint` inputs whose result
+# overflows to infinity, and `sweep`/`merge --out` to a full device --
+# and checks that each run exits 1 with one `fatal:`
 # diagnostic naming the file and the field instead of aborting (and,
 # for merge, before writing --out). A heartbeat with bad counts must
 # instead be skipped by `act status` with a warning.
@@ -155,6 +157,17 @@ file(WRITE "${WORK_DIR}/chiplet_inf.json"
 expect_fatal("non-finite result"
     "cannot write JSON file 'chiplet_inf_out\\.json': JSON cannot represent the non-finite number"
     sweep --plan chiplet_inf.json --out chiplet_inf_out.json)
+
+# A write that fails (here: a full device) used to go unchecked, so the
+# run printed its summary and exited 0 with no result written.
+if(EXISTS /dev/full)
+    expect_fatal("sweep --out to a full device"
+        "cannot write JSON file '/dev/full'"
+        sweep --plan "${PLAN}" --out /dev/full)
+    expect_fatal("merge --out to a full device"
+        "cannot write JSON file '/dev/full'"
+        merge part0.json part1.json --out /dev/full)
+endif()
 
 # A partial's metrics section with a gauge stripped of its values used
 # to abort `act merge` on an uncaught JSON exception, and a negative
@@ -397,6 +410,24 @@ foreach(threads 1 4)
         "flag --energy-kwh expects a number >= 0, got nan"
         footprint --energy-kwh nan --embodied-g 1 --time-years 1
                   --lifetime-years 4)
+    # Finite inputs whose result overflows used to print inf and exit 0.
+    expect_fatal("overflowing logic result at ${threads} threads"
+        "logic result is not a finite number \\(got inf\\)"
+        logic 1e308 7)
+    expect_fatal("overflowing storage result at ${threads} threads"
+        "storage result is not a finite number \\(got inf\\)"
+        storage LPDDR4 1e308)
+    expect_fatal("overflowing CPA at ${threads} threads"
+        "cpa result is not a finite number \\(got inf\\)"
+        cpa 7 --fab-ci 1.5e308)
+    expect_fatal("overflowing OPCF at ${threads} threads"
+        "footprint OPCF is not a finite number \\(got inf\\)"
+        footprint --energy-kwh 1e308 --embodied-g 1 --time-years 1
+                  --lifetime-years 4)
+    expect_fatal("overflowing CF at ${threads} threads"
+        "footprint CF is not a finite number \\(got inf\\)"
+        footprint --energy-kwh 1e308 --ci-use 1 --embodied-g 1e308
+                  --time-years 1 --lifetime-years 1)
 endforeach()
 set(ENV{ACT_THREADS} 1)
 
