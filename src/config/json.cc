@@ -570,6 +570,29 @@ appendBreak(std::string &out, int indent, int depth)
                ' ');
 }
 
+/** The block saveJsonFile() streams a document through, so no writer
+ *  holds a whole document's text. */
+constexpr std::size_t kBlockBytes = std::size_t{16} << 10;
+
+/** Write @p block to @p sink and clear it; throws
+ *  std::ios_base::failure when the write fails. */
+void
+writeBlock(std::string &block, std::ostream &sink)
+{
+    sink.write(block.data(), static_cast<std::streamsize>(block.size()));
+    if (!sink)
+        throw std::ios_base::failure("JSON block write failed");
+    block.clear();
+}
+
+/** writeBlock() once @p out holds a block, if there is a @p sink. */
+void
+flushFullBlock(std::string &out, std::ostream *sink)
+{
+    if (sink != nullptr && out.size() >= kBlockBytes)
+        writeBlock(out, *sink);
+}
+
 } // namespace
 
 std::string
@@ -717,7 +740,8 @@ JsonValue::stringOr(const std::string &key, const std::string &fallback) const
 }
 
 void
-JsonValue::dumpTo(std::string &out, int indent, int depth) const
+JsonValue::dumpTo(std::string &out, int indent, int depth,
+                  std::ostream *sink) const
 {
     if (isNull()) {
         out += "null";
@@ -738,7 +762,8 @@ JsonValue::dumpTo(std::string &out, int indent, int depth) const
             if (i > 0)
                 out += ',';
             appendBreak(out, indent, depth + 1);
-            array[i].dumpTo(out, indent, depth + 1);
+            array[i].dumpTo(out, indent, depth + 1, sink);
+            flushFullBlock(out, sink);
         }
         appendBreak(out, indent, depth);
         out += ']';
@@ -757,7 +782,8 @@ JsonValue::dumpTo(std::string &out, int indent, int depth) const
             appendBreak(out, indent, depth + 1);
             appendEscaped(out, key);
             out += indent > 0 ? ": " : ":";
-            value.dumpTo(out, indent, depth + 1);
+            value.dumpTo(out, indent, depth + 1, sink);
+            flushFullBlock(out, sink);
         }
         appendBreak(out, indent, depth);
         out += '}';
@@ -768,7 +794,7 @@ std::string
 JsonValue::dump(int indent) const
 {
     std::string out;
-    dumpTo(out, indent, 0);
+    dumpTo(out, indent, 0, nullptr);
     return out;
 }
 
@@ -897,22 +923,35 @@ loadJsonFile(const std::string &path)
 void
 saveJsonFile(const std::string &path, const JsonValue &value, int indent)
 {
-    std::string text;
+    // Unbuffered: every write is a whole block of dumpTo()'s.
+    std::ofstream file;
+    file.rdbuf()->pubsetbuf(nullptr, 0);
+    file.open(path, std::ios::binary);
+    if (!file)
+        util::fatal("cannot write JSON file '", path, "'");
+    // A failure leaves no truncated document behind; a device or FIFO
+    // (/dev/full, a pipe to another process) is never removed.
+    const auto fail = [&](const auto &...detail) {
+        file.close();
+        std::error_code error;
+        if (std::filesystem::is_regular_file(path, error))
+            std::filesystem::remove(path, error);
+        util::fatal("cannot write JSON file '", path, "'", detail...);
+    };
     try {
-        text = value.dump(indent);
+        std::string block;
+        block.reserve(kBlockBytes);
+        value.dumpTo(block, indent, 0, &file);
+        block += '\n';
+        writeBlock(block, file);
     } catch (const JsonTypeError &error) {
-        util::fatal("cannot write JSON file '", path, "': ", error.what());
+        fail(": ", error.what());
+    } catch (const std::ios_base::failure &) {
+        fail();
     }
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        util::fatal("cannot write JSON file '", path, "'");
-    // The newline is put separately: appending it to a text at its
-    // capacity would reallocate the whole document.
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    out.put('\n');
-    out.close();
-    if (!out)
-        util::fatal("cannot write JSON file '", path, "'");
+    file.close();
+    if (!file)
+        fail();
 }
 
 } // namespace act::config

@@ -14,6 +14,7 @@
 #define ACT_CONFIG_JSON_H
 
 #include <cstdint>
+#include <iosfwd>
 #include <limits>
 #include <map>
 #include <memory>
@@ -119,7 +120,14 @@ class JsonValue
                  JsonObject>
         data_;
 
-    void dumpTo(std::string &out, int indent, int depth) const;
+    /** Append this value's text to @p out. With a @p sink, @p out is
+     *  one reused block: once it holds a block after an array element
+     *  or object member, it is written to @p sink and cleared. */
+    void dumpTo(std::string &out, int indent, int depth,
+                std::ostream *sink) const;
+
+    friend void saveJsonFile(const std::string &path,
+                             const JsonValue &value, int indent);
 };
 
 // ---------------------------------------------------------------------
@@ -322,8 +330,10 @@ loadJsonAs(const std::string &path, std::string_view kind,
                       [&] { return convert(loadJsonFile(path)); });
 }
 
-/** Serialize @p value to @p path; fatal on I/O failure or on a
- *  value dump() rejects (naming the path). */
+/** Serialize @p value to @p path, dump(indent) plus a newline, one
+ *  16 KiB block at a time; fatal, naming the path, on I/O failure or on
+ *  a value dump() rejects. A regular file left partly written by a
+ *  failure is removed. */
 void saveJsonFile(const std::string &path, const JsonValue &value,
                   int indent = 2);
 

@@ -102,17 +102,6 @@ regionName(Region region)
     return findRegion(region).name;
 }
 
-EnergySource
-sourceByName(std::string_view name)
-{
-    const std::string lowered = util::toLower(name);
-    for (const auto &record : kEnergySources) {
-        if (record.name == lowered)
-            return record.source;
-    }
-    util::fatal("unknown energy source '", std::string(name), "'");
-}
-
 Region
 regionByName(std::string_view name)
 {

@@ -91,7 +91,6 @@ std::string_view sourceName(EnergySource source);
 std::string_view regionName(Region region);
 
 /** Lookup by (case-insensitive) name; fatal on unknown names. */
-EnergySource sourceByName(std::string_view name);
 Region regionByName(std::string_view name);
 
 /** Share-weighted mix intensity; fatal unless shares sum to ~1. */

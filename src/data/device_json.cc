@@ -1,16 +1,12 @@
 #include "data/device_json.h"
 
 #include <climits>
-#include <utility>
 
 #include "data/fab_db.h"
 #include "data/memory_db.h"
-#include "util/logging.h"
 
 namespace act::data {
 
-using config::JsonArray;
-using config::JsonObject;
 using config::JsonValue;
 
 namespace {
@@ -30,18 +26,6 @@ constexpr config::Choice<IcCategory> kCategoryNames[] = {
     {"hdd", IcCategory::Hdd},
     {"other", IcCategory::OtherIc},
 };
-
-/** @p value's name in @p table. */
-template <typename T, std::size_t N>
-std::string
-nameOf(const config::Choice<T> (&table)[N], T value)
-{
-    for (const auto &[name, candidate] : table) {
-        if (candidate == value)
-            return std::string(name);
-    }
-    util::panic("enumerator missing from its name table");
-}
 
 IcComponent
 icFromJson(const JsonValue &value)
@@ -82,28 +66,6 @@ icFromJson(const JsonValue &value)
     return ic;
 }
 
-JsonValue
-toJson(const IcComponent &ic)
-{
-    JsonObject object;
-    object["name"] = JsonValue(ic.name);
-    object["kind"] = JsonValue(nameOf(kKindNames, ic.kind));
-    object["category"] = JsonValue(nameOf(kCategoryNames, ic.category));
-    object["packages"] = JsonValue(ic.package_count);
-    if (ic.kind == IcKind::Logic) {
-        object["area_mm2"] =
-            JsonValue(util::asSquareMillimeters(ic.area));
-        object["node_nm"] = JsonValue(ic.node_nm);
-        if (!ic.fab_node_name.empty())
-            object["fab_node"] = JsonValue(ic.fab_node_name);
-    } else {
-        object["capacity_gb"] =
-            JsonValue(util::asGigabytes(ic.capacity));
-        object["technology"] = JsonValue(ic.technology);
-    }
-    return JsonValue(std::move(object));
-}
-
 LcaProfile
 lcaFromJson(const JsonValue &value)
 {
@@ -141,39 +103,10 @@ deviceFromJson(const JsonValue &value)
     return device;
 }
 
-JsonValue
-toJson(const DeviceRecord &device)
-{
-    JsonObject object;
-    object["name"] = JsonValue(device.name);
-    object["release_year"] = JsonValue(device.release_year);
-    JsonArray ics;
-    for (const auto &ic : device.ics)
-        ics.push_back(toJson(ic));
-    object["ics"] = JsonValue(std::move(ics));
-
-    JsonObject lca;
-    lca["total_kg"] = JsonValue(util::asKilograms(device.lca.total));
-    lca["production_share"] = JsonValue(device.lca.production_share);
-    lca["use_share"] = JsonValue(device.lca.use_share);
-    lca["transport_share"] = JsonValue(device.lca.transport_share);
-    lca["eol_share"] = JsonValue(device.lca.eol_share);
-    lca["ic_share_of_production"] =
-        JsonValue(device.lca.ic_share_of_production);
-    object["lca"] = JsonValue(std::move(lca));
-    return JsonValue(std::move(object));
-}
-
 DeviceRecord
 loadDeviceFile(const std::string &path)
 {
     return config::loadJsonAs(path, "device file", deviceFromJson);
-}
-
-void
-saveDeviceFile(const std::string &path, const DeviceRecord &device)
-{
-    config::saveJsonFile(path, toJson(device));
 }
 
 } // namespace act::data

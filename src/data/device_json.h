@@ -1,6 +1,6 @@
 /**
  * @file
- * JSON (de)serialization for device bills of materials, so users can
+ * JSON loading of device bills of materials, so users can
  * evaluate their own platforms without recompiling (mirroring the
  * released tool's config-file workflow). A device file looks like:
  *
@@ -37,15 +37,9 @@ namespace act::data {
  *  storage technologies or fab nodes, out-of-range nodes or counts. */
 DeviceRecord deviceFromJson(const config::JsonValue &value);
 
-/** Serialize a device to JSON (round-trips through deviceFromJson). */
-config::JsonValue toJson(const DeviceRecord &device);
-
 /** Load a device file; fatal, naming the file, on I/O, parse or field
  *  errors. */
 DeviceRecord loadDeviceFile(const std::string &path);
-
-/** Save a device file. */
-void saveDeviceFile(const std::string &path, const DeviceRecord &device);
 
 } // namespace act::data
 

@@ -135,10 +135,4 @@ defaultSsd()
     return storageOrDie("V3 NAND TLC");
 }
 
-StorageRecord
-defaultHdd()
-{
-    return storageOrDie("BarraCuda");
-}
-
 } // namespace act::data

@@ -63,12 +63,10 @@ StorageRecord storageOrDie(std::string_view name);
 
 /**
  * Default technologies used when a case study does not pin a specific
- * part: modern mobile LPDDR4 DRAM, V3 TLC NAND, and a consumer
- * BarraCuda HDD.
+ * part: modern mobile LPDDR4 DRAM and V3 TLC NAND.
  */
 StorageRecord defaultDram();
 StorageRecord defaultSsd();
-StorageRecord defaultHdd();
 
 } // namespace act::data
 

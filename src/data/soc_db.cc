@@ -18,16 +18,6 @@ using util::watts;
 
 namespace {
 
-constexpr std::array<MobileWorkload, kNumMobileWorkloads> kWorkloads = {
-    MobileWorkload::Html5Rendering,
-    MobileWorkload::AesEncryption,
-    MobileWorkload::TextCompression,
-    MobileWorkload::ImageCompression,
-    MobileWorkload::FaceDetection,
-    MobileWorkload::SpeechRecognition,
-    MobileWorkload::ImageClassification,
-};
-
 constexpr std::array<std::string_view, kNumMobileWorkloads> kWorkloadNames = {
     "HTML5 rendering",
     "AES encryption",
@@ -97,12 +87,6 @@ makeSoc(std::string name, SocFamily family, int year, double node_nm,
 }
 
 } // namespace
-
-std::span<const MobileWorkload>
-allMobileWorkloads()
-{
-    return kWorkloads;
-}
 
 std::string_view
 workloadName(MobileWorkload workload)

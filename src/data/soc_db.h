@@ -50,9 +50,6 @@ enum class MobileWorkload
 
 inline constexpr std::size_t kNumMobileWorkloads = 7;
 
-/** All workloads, in a fixed iteration order. */
-std::span<const MobileWorkload> allMobileWorkloads();
-
 std::string_view workloadName(MobileWorkload workload);
 std::string_view familyName(SocFamily family);
 

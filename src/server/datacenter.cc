@@ -78,20 +78,6 @@ jobFootprint(const ServerPlatform &platform, const DatacenterParams &dc,
         platform.embodied, duration, dc.lifetime);
 }
 
-core::DesignPoint
-serverDesignPoint(const ServerPlatform &platform,
-                  const DatacenterParams &dc)
-{
-    checkDatacenter(dc);
-    core::DesignPoint point;
-    point.name = platform.name;
-    point.embodied = platform.embodied;
-    point.energy =
-        powerAtUtilization(platform, dc.utilization) * util::years(1.0);
-    point.delay = util::seconds(1.0 / platform.performance);
-    return point;
-}
-
 std::vector<core::ReplacementPoint>
 refreshSweep(const ServerPlatform &platform, const DatacenterParams &dc,
              double annual_efficiency_improvement,

@@ -18,7 +18,6 @@
 
 #include "core/embodied.h"
 #include "core/footprint.h"
-#include "core/metrics.h"
 #include "core/replacement.h"
 
 namespace act::server {
@@ -72,14 +71,6 @@ core::CarbonFootprint annualFootprint(const ServerPlatform &platform,
 core::CarbonFootprint jobFootprint(const ServerPlatform &platform,
                                    const DatacenterParams &dc,
                                    util::Duration duration);
-
-/**
- * CDP-style design point for a server: delay is the reciprocal of
- * relative performance, energy is annual grid energy, carbon is the
- * embodied footprint.
- */
-core::DesignPoint serverDesignPoint(const ServerPlatform &platform,
-                                    const DatacenterParams &dc);
 
 /**
  * Server-refresh analysis: sweep replacement intervals under an

@@ -44,34 +44,6 @@ evaluateOverProvision(double pf, const ProvisioningStudyParams &params)
     return point;
 }
 
-std::vector<OverProvisionPoint>
-overProvisionSweep(const ProvisioningStudyParams &params, double lo,
-                   double hi, std::size_t steps)
-{
-    if (steps < 2 || lo <= 0.0 || hi <= lo)
-        util::fatal("bad over-provisioning sweep range");
-    std::vector<OverProvisionPoint> sweep;
-    sweep.reserve(steps);
-    const double delta = (hi - lo) / static_cast<double>(steps - 1);
-    for (std::size_t i = 0; i < steps; ++i)
-        sweep.push_back(evaluateOverProvision(
-            lo + delta * static_cast<double>(i), params));
-    return sweep;
-}
-
-std::size_t
-optimalOverProvisionIndex(const std::vector<OverProvisionPoint> &sweep)
-{
-    if (sweep.empty())
-        util::fatal("optimalOverProvisionIndex() on an empty sweep");
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < sweep.size(); ++i) {
-        if (sweep[i].effective_embodied < sweep[best].effective_embodied)
-            best = i;
-    }
-    return best;
-}
-
 double
 minimumPfForService(const ProvisioningStudyParams &params, double lo,
                     double hi)

@@ -17,9 +17,6 @@
 #ifndef ACT_SSD_LIFETIME_H
 #define ACT_SSD_LIFETIME_H
 
-#include <cstddef>
-#include <vector>
-
 #include "data/memory_db.h"
 #include "util/units.h"
 
@@ -72,15 +69,6 @@ struct ProvisioningStudyParams
 /** Evaluate one over-provisioning factor. */
 OverProvisionPoint evaluateOverProvision(
     double pf, const ProvisioningStudyParams &params);
-
-/** Sweep PF over [lo, hi] with the given number of steps. */
-std::vector<OverProvisionPoint>
-overProvisionSweep(const ProvisioningStudyParams &params, double lo = 0.04,
-                   double hi = 0.50, std::size_t steps = 47);
-
-/** Index of the effective-embodied-minimizing point in a sweep. */
-std::size_t optimalOverProvisionIndex(
-    const std::vector<OverProvisionPoint> &sweep);
 
 /**
  * The smallest PF whose lifetime covers the service period -- the

@@ -659,13 +659,37 @@ fleetEvaluator(const SweepPlan &plan)
     };
 }
 
+/** fleetResultFromPayloads() over an already parsed @p setup. */
+std::vector<fleet::FleetAccumulator>
+foldFleetPayloads(const fleet::FleetSetup &setup, const JsonArray &results)
+{
+    std::vector<fleet::FleetAccumulator> totals(setup.scenarios.size());
+    for (std::size_t c = 0; c < results.size(); ++c) {
+        if (!results[c].isArray() ||
+            results[c].asArray().size() != totals.size()) {
+            throw config::JsonTypeError(util::detail::concatenate(
+                "chunk ", c, ": payload must be an array of ",
+                totals.size(), " scenario accumulators"));
+        }
+        const JsonArray &payload = results[c].asArray();
+        for (std::size_t s = 0; s < totals.size(); ++s) {
+            totals[s].add(config::inContext(
+                [&] { return fleet::fleetAccumulatorFromJson(payload[s]); },
+                "chunk ", c, " scenario '", setup.scenarios[s].label, "'"));
+        }
+    }
+    return totals;
+}
+
 std::string
 summarizeFleet(const SweepPlan &plan, const JsonArray &results)
 {
+    // One setup serves the fold and the labels: each holds every
+    // region's doubled series, the largest transient of `act sweep`.
     const fleet::FleetSetup setup =
         fleet::fleetSetupFromJson(plan.config, plan.seed);
     const std::vector<fleet::FleetAccumulator> totals =
-        fleetResultFromPayloads(plan, results);
+        foldFleetPayloads(setup, results);
     std::ostringstream out;
     out << "fleet replay, "
         << (totals.empty() ? 0 : totals.front().jobs) << " jobs x "
@@ -723,24 +747,8 @@ std::vector<fleet::FleetAccumulator>
 fleetResultFromPayloads(const SweepPlan &plan,
                         const config::JsonArray &results)
 {
-    const fleet::FleetSetup setup =
-        fleet::fleetSetupFromJson(plan.config, plan.seed);
-    std::vector<fleet::FleetAccumulator> totals(setup.scenarios.size());
-    for (std::size_t c = 0; c < results.size(); ++c) {
-        if (!results[c].isArray() ||
-            results[c].asArray().size() != totals.size()) {
-            throw config::JsonTypeError(util::detail::concatenate(
-                "chunk ", c, ": payload must be an array of ",
-                totals.size(), " scenario accumulators"));
-        }
-        const JsonArray &payload = results[c].asArray();
-        for (std::size_t s = 0; s < totals.size(); ++s) {
-            totals[s].add(config::inContext(
-                [&] { return fleet::fleetAccumulatorFromJson(payload[s]); },
-                "chunk ", c, " scenario '", setup.scenarios[s].label, "'"));
-        }
-    }
-    return totals;
+    return foldFleetPayloads(
+        fleet::fleetSetupFromJson(plan.config, plan.seed), results);
 }
 
 const Domain &

@@ -2,7 +2,7 @@
  * @file
  * Property tests for the JSON layer: randomly generated documents
  * round-trip through dump() and parse() structurally unchanged, every
- * number bit for bit.
+ * number bit for bit, and saveJsonFile() streams exactly dump()'s text.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "config/json.h"
 #include "util/random.h"
@@ -155,6 +159,70 @@ TEST_P(JsonRoundTrip, DumpParseIsIdentity)
             << original.dump(2);
         // Dump is a fixed point after one round trip.
         EXPECT_EQ(compact.dump(), original.dump());
+    }
+}
+
+/** The block saveJsonFile() streams through. */
+constexpr std::size_t kBlockBytes = 16384;
+
+/** The bytes saveJsonFile() writes for @p value at @p indent. */
+std::string
+savedText(const JsonValue &value, int indent)
+{
+    const std::string path =
+        ::testing::TempDir() + "/act_json_property_test.json";
+    saveJsonFile(path, value, indent);
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+TEST_P(JsonRoundTrip, SavedFileIsDumpPlusNewline)
+{
+    util::Xorshift64Star rng(GetParam());
+    std::vector<JsonValue> documents;
+    // Below one block.
+    for (int i = 0; i < 20; ++i)
+        documents.push_back(randomValue(rng, 4));
+    // One block exactly, one byte short and one byte over: as the
+    // whole file, and as the first array element, after which the
+    // writer flushes.
+    for (int indent : {0, 2}) {
+        const std::size_t open = indent > 0 ? 2 + indent : 1;
+        const std::size_t close = indent > 0 ? 3 : 2;
+        for (std::size_t pad : {kBlockBytes - 1, kBlockBytes,
+                                kBlockBytes + 1}) {
+            JsonArray whole(
+                1, JsonValue(std::string(pad - open - close - 2, 'x')));
+            JsonArray first(1, JsonValue(std::string(pad - open - 2, 'x')));
+            first.push_back(randomValue(rng, 4));
+            documents.emplace_back(std::move(whole));
+            documents.emplace_back(std::move(first));
+        }
+    }
+    // Many blocks, as one array and as one object, with a string
+    // longer than a block in the middle.
+    JsonArray array;
+    JsonObject object;
+    std::size_t bytes = 0;
+    while (bytes < 6 * kBlockBytes) {
+        JsonValue value = randomValue(rng, 4);
+        bytes += value.dump().size();
+        if (array.size() == 100)
+            array.push_back(JsonValue(std::string(3 * kBlockBytes, '"')));
+        object["m" + std::to_string(array.size())] = value;
+        array.push_back(std::move(value));
+    }
+    object["long"] = JsonValue(std::string(2 * kBlockBytes + 7, '\\'));
+    documents.push_back(JsonValue(std::move(array)));
+    documents.push_back(JsonValue(std::move(object)));
+
+    for (const JsonValue &document : documents) {
+        for (int indent : {0, 2}) {
+            const std::string text = document.dump(indent);
+            ASSERT_EQ(savedText(document, indent), text + "\n")
+                << "indent " << indent << ", " << text.size() << " bytes";
+        }
     }
 }
 

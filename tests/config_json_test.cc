@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -663,6 +665,25 @@ TEST(JsonFile, NonFiniteValueIsFatalNamingThePath)
     EXPECT_EXIT(saveJsonFile(path, value), ::testing::ExitedWithCode(1),
                 "cannot write JSON file '.*act_json_test_inf\\.json': "
                 "JSON cannot represent the non-finite number inf");
+}
+
+TEST(JsonFile, NonFiniteValueLateInAStreamedFileRemovesTheFile)
+{
+    // The NaN sits past the first blocks, which are already written
+    // when dump() rejects it; the partial document must not survive.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string path =
+        ::testing::TempDir() + "/act_json_test_nan.json";
+    JsonArray samples;
+    for (int i = 0; i < 8000; ++i)
+        samples.push_back(JsonValue(1.0 / (i + 3)));
+    samples[7990] = JsonValue(std::numeric_limits<double>::quiet_NaN());
+    const JsonValue value(std::move(samples));
+    std::ofstream(path) << "stale\n";
+    EXPECT_EXIT(saveJsonFile(path, value), ::testing::ExitedWithCode(1),
+                "cannot write JSON file '.*act_json_test_nan\\.json': "
+                "JSON cannot represent the non-finite number nan");
+    EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(JsonFile, MissingFileIsFatal)

@@ -60,16 +60,12 @@ TEST(Table6, DominantSources)
 
 TEST(Lookup, ByNameIsCaseInsensitive)
 {
-    EXPECT_EQ(sourceByName("Coal"), EnergySource::Coal);
-    EXPECT_EQ(sourceByName("WIND"), EnergySource::Wind);
     EXPECT_EQ(regionByName("taiwan"), Region::Taiwan);
     EXPECT_EQ(regionByName("United States"), Region::UnitedStates);
 }
 
 TEST(Lookup, UnknownNamesAreFatal)
 {
-    EXPECT_EXIT(sourceByName("plutonium"), ::testing::ExitedWithCode(1),
-                "");
     EXPECT_EXIT(regionByName("atlantis"), ::testing::ExitedWithCode(1),
                 "");
 }

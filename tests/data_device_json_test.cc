@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "core/lifecycle.h"
 #include "data/device_json.h"
 
@@ -57,38 +59,6 @@ TEST(DeviceJson, EvaluatesUnderTheEmbodiedModel)
     EXPECT_DOUBLE_EQ(
         util::asGrams(footprint.categoryTotal(IcCategory::Dram)),
         12.0 * 48.0);
-}
-
-TEST(DeviceJson, RoundTripsThroughText)
-{
-    const DeviceRecord device =
-        deviceFromJson(config::JsonValue::parse(kCustomPhone));
-    const DeviceRecord reloaded = deviceFromJson(toJson(device));
-    ASSERT_EQ(reloaded.ics.size(), device.ics.size());
-    for (std::size_t i = 0; i < device.ics.size(); ++i) {
-        EXPECT_EQ(reloaded.ics[i].name, device.ics[i].name);
-        EXPECT_EQ(reloaded.ics[i].kind, device.ics[i].kind);
-        EXPECT_EQ(reloaded.ics[i].category, device.ics[i].category);
-        EXPECT_EQ(reloaded.ics[i].package_count,
-                  device.ics[i].package_count);
-    }
-    const core::EmbodiedModel model;
-    EXPECT_DOUBLE_EQ(
-        util::asGrams(model.evaluate(device).total()),
-        util::asGrams(model.evaluate(reloaded).total()));
-}
-
-TEST(DeviceJson, BuiltinDevicesRoundTrip)
-{
-    const core::EmbodiedModel model;
-    for (const auto &device : DeviceDatabase::instance().records()) {
-        const DeviceRecord reloaded = deviceFromJson(toJson(device));
-        if (device.ics.empty())
-            continue;
-        EXPECT_NEAR(util::asGrams(model.evaluate(reloaded).total()),
-                    util::asGrams(model.evaluate(device).total()), 1e-6)
-            << device.name;
-    }
 }
 
 /** The message deviceFromJson() throws for @p text. */
@@ -151,13 +121,11 @@ TEST(DeviceJson, CountsAreIntegersInIntRange)
               "(got 1e+300)");
 }
 
-TEST(DeviceJson, FileRoundTrip)
+TEST(DeviceJson, LoadsAFile)
 {
     const std::string path =
         ::testing::TempDir() + "/act_device_test.json";
-    const DeviceRecord device =
-        deviceFromJson(config::JsonValue::parse(kCustomPhone));
-    saveDeviceFile(path, device);
+    std::ofstream(path) << kCustomPhone;
     const DeviceRecord loaded = loadDeviceFile(path);
     EXPECT_EQ(loaded.name, "custom-phone");
     EXPECT_EQ(loaded.ics.size(), 4u);

@@ -110,7 +110,6 @@ TEST(Defaults, ExpectedTechnologies)
 {
     EXPECT_EQ(defaultDram().name, "LPDDR4");
     EXPECT_EQ(defaultSsd().name, "V3 NAND TLC");
-    EXPECT_EQ(defaultHdd().name, "BarraCuda");
 }
 
 } // namespace

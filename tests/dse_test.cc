@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 
-#include "dse/optimize.h"
 #include "dse/pareto.h"
 #include "dse/scoreboard.h"
 
@@ -85,58 +84,6 @@ TEST(Pareto, PropertyNoFrontierPointIsDominated)
             dominated = dominated || dominates(other, points[i]);
         EXPECT_TRUE(dominated) << points[i].name;
     }
-}
-
-TEST(Optimize, ConstrainedSelection)
-{
-    const std::vector<double> objective = {5.0, 3.0, 8.0, 1.0};
-    const std::vector<double> fps = {50.0, 28.0, 60.0, 10.0};
-
-    const auto qos = minimizeSubjectToAtLeast(objective, fps, 30.0);
-    ASSERT_TRUE(qos.has_value());
-    EXPECT_EQ(*qos, 0u);  // index 3 is cheapest but misses QoS
-
-    const auto budget = minimizeSubjectToAtMost(objective, fps, 30.0);
-    ASSERT_TRUE(budget.has_value());
-    EXPECT_EQ(*budget, 3u);
-
-    EXPECT_FALSE(
-        minimizeSubjectToAtLeast(objective, fps, 100.0).has_value());
-}
-
-TEST(Optimize, SizeMismatchIsFatal)
-{
-    const std::vector<double> a = {1.0};
-    const std::vector<double> b = {1.0, 2.0};
-    EXPECT_EXIT(minimizeSubjectToAtLeast(a, b, 0.0),
-                ::testing::ExitedWithCode(1), "");
-}
-
-TEST(Optimize, Ranges)
-{
-    const auto linear = linearRange(0.0, 1.0, 5);
-    ASSERT_EQ(linear.size(), 5u);
-    EXPECT_DOUBLE_EQ(linear.front(), 0.0);
-    EXPECT_DOUBLE_EQ(linear.back(), 1.0);
-    EXPECT_DOUBLE_EQ(linear[2], 0.5);
-
-    const auto geometric = geometricRange(1.0, 16.0, 5);
-    ASSERT_EQ(geometric.size(), 5u);
-    EXPECT_NEAR(geometric[1], 2.0, 1e-9);
-    EXPECT_NEAR(geometric.back(), 16.0, 1e-9);
-
-    const auto powers = powersOfTwo(64, 2048);
-    EXPECT_EQ(powers, (std::vector<int>{64, 128, 256, 512, 1024, 2048}));
-}
-
-TEST(Optimize, RangeErrors)
-{
-    EXPECT_EXIT(linearRange(0.0, 1.0, 1), ::testing::ExitedWithCode(1),
-                "");
-    EXPECT_EXIT(geometricRange(0.0, 1.0, 4),
-                ::testing::ExitedWithCode(1), "");
-    EXPECT_EXIT(powersOfTwo(3, 8), ::testing::ExitedWithCode(1), "");
-    EXPECT_EXIT(powersOfTwo(8, 4), ::testing::ExitedWithCode(1), "");
 }
 
 TEST(Scoreboard, ColumnsAndWinners)

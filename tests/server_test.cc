@@ -91,17 +91,6 @@ TEST(Datacenter, GreenGridRaisesEmbodiedShare)
     EXPECT_GT(clean.embodiedShare(), 0.5);
 }
 
-TEST(Datacenter, DesignPointForCdp)
-{
-    const ServerPlatform platform = dellR740Platform(kFab);
-    DatacenterParams dc;
-    const auto point = serverDesignPoint(platform, dc);
-    EXPECT_DOUBLE_EQ(util::asGrams(point.embodied),
-                     util::asGrams(platform.embodied));
-    EXPECT_GT(util::asKilowattHours(point.energy), 0.0);
-    EXPECT_DOUBLE_EQ(util::asSeconds(point.delay), 1.0);
-}
-
 TEST(Refresh, SweepFindsInteriorOptimum)
 {
     const ServerPlatform platform = dellR740Platform(kFab);

@@ -488,25 +488,6 @@ TEST(Figure15, SecondLifeReducesEmbodiedByNearlyTwoX)
     EXPECT_NEAR(reduction, 1.8, 0.1);
 }
 
-TEST(Figure15, SweepFindsInteriorOptimum)
-{
-    // With whole-device replacement over a 2-year service period the
-    // effective embodied curve is minimized near the smallest PF whose
-    // lifetime covers the period.
-    ProvisioningStudyParams params;
-    params.whole_devices = true;
-    params.service_period = util::years(2.0);
-    const auto sweep = overProvisionSweep(params);
-    const std::size_t best = optimalOverProvisionIndex(sweep);
-    EXPECT_NEAR(sweep[best].pf, minimumPfForService(params), 0.02);
-    // Beyond the optimum, extra spare only adds carbon.
-    EXPECT_GT(util::asGrams(sweep.back().effective_embodied),
-              util::asGrams(sweep[best].effective_embodied));
-    // Below it, early replacement dominates.
-    EXPECT_GT(util::asGrams(sweep.front().effective_embodied),
-              util::asGrams(sweep[best].effective_embodied));
-}
-
 TEST(Figure15, PointFieldsAreConsistent)
 {
     ProvisioningStudyParams params;
@@ -526,13 +507,9 @@ TEST(Figure15, PointFieldsAreConsistent)
                 at10.devices * 1.10 * 128.0 * 6.3, 1e-6);
 }
 
-TEST(Figure15, BadSweepsAreFatal)
+TEST(Figure15, UncoverableServicePeriodIsFatal)
 {
     ProvisioningStudyParams params;
-    EXPECT_EXIT(overProvisionSweep(params, 0.2, 0.1),
-                ::testing::ExitedWithCode(1), "");
-    EXPECT_EXIT(optimalOverProvisionIndex({}),
-                ::testing::ExitedWithCode(1), "");
     params.service_period = util::years(50.0);
     EXPECT_EXIT(minimumPfForService(params),
                 ::testing::ExitedWithCode(1), "");

@@ -382,14 +382,17 @@ printDeviceFootprint(const data::DeviceRecord &device, const Args &args)
     const auto footprint = model.evaluate(device);
 
     util::Table table({"IC", "kg CO2"});
+    const auto add_row = [&](const std::string &label, util::Mass mass) {
+        requireFinite("'" + label + "' footprint", util::asKilograms(mass));
+        table.addRow(label, {util::asKilograms(mass)});
+    };
     for (const auto &component : footprint.components)
-        table.addRow(component.name,
-                     {util::asKilograms(component.embodied)});
+        add_row(component.name, component.embodied);
     table.addSeparator();
-    table.addRow("packaging (Nr = " +
-                     std::to_string(footprint.package_count) + ")",
-                 {util::asKilograms(footprint.packaging)});
-    table.addRow("TOTAL", {util::asKilograms(footprint.total())});
+    add_row("packaging (Nr = " + std::to_string(footprint.package_count) +
+                ")",
+            footprint.packaging);
+    add_row("TOTAL", footprint.total());
     std::cout << device.name << " embodied IC footprint:\n"
               << table.render();
     return 0;
@@ -429,16 +432,17 @@ cmdLifecycle(const Args &args)
         core::estimateLifecycle(device, fabFromArgs(args));
 
     util::Table table({"Phase", "kg CO2"});
-    table.addRow("IC manufacturing (ACT bottom-up)",
-                 {util::asKilograms(estimate.ic_manufacturing)});
-    table.addRow("other manufacturing",
-                 {util::asKilograms(estimate.other_manufacturing)});
-    table.addRow("transport", {util::asKilograms(estimate.transport)});
-    table.addRow("use", {util::asKilograms(estimate.use)});
-    table.addRow("end of life",
-                 {util::asKilograms(estimate.end_of_life)});
+    const auto add_row = [&](const std::string &phase, util::Mass mass) {
+        requireFinite("lifecycle " + phase, util::asKilograms(mass));
+        table.addRow(phase, {util::asKilograms(mass)});
+    };
+    add_row("IC manufacturing (ACT bottom-up)", estimate.ic_manufacturing);
+    add_row("other manufacturing", estimate.other_manufacturing);
+    add_row("transport", estimate.transport);
+    add_row("use", estimate.use);
+    add_row("end of life", estimate.end_of_life);
     table.addSeparator();
-    table.addRow("TOTAL", {util::asKilograms(estimate.total())});
+    add_row("TOTAL", estimate.total());
     std::cout << device.name << " life-cycle estimate:\n"
               << table.render();
     std::cout << "manufacturing share: "
@@ -458,6 +462,10 @@ cmdSoc(const Args &args)
     const core::FabParams fab = fabFromArgs(args);
     const auto embodied = mobile::platformEmbodied(soc, fab);
     const auto point = mobile::designPoint(soc, fab);
+    requireFinite("SoC embodied", util::asGrams(embodied.soc));
+    requireFinite("DRAM embodied", util::asGrams(embodied.dram));
+    requireFinite("platform embodied", util::asGrams(embodied.total()));
+    requireFinite("reference energy", util::asJoules(point.energy));
 
     util::Table table({"Quantity", "Value"});
     table.addRow({"process node",

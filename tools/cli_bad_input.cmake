@@ -17,8 +17,8 @@
 # a mistyped trace and a trace with a negative epoch, a huge --shards
 # flag, `act cpa`/`logic`/`footprint`/`status`/`sweep` numbers
 # that do not parse whole, overflow, are NaN or leave their argument's
-# range, `act cpa`/`logic`/`storage`/`footprint` inputs whose result
-# overflows to infinity, and `sweep`/`merge --out` to a full device --
+# range, `act cpa`/`logic`/`storage`/`footprint`/`device`/`device-file`/
+# `lifecycle`/`soc` inputs whose result overflows to infinity, and `sweep`/`merge --out` to a full device --
 # and checks that each run exits 1 with one `fatal:`
 # diagnostic naming the file and the field instead of aborting (and,
 # for merge, before writing --out). A heartbeat with bad counts must
@@ -150,12 +150,13 @@ expect_fatal("max_chiplets 2.5"
 # A logic area of 1e300 mm2 overflows every package total to infinity,
 # which JSON cannot carry. Writing the result used to succeed with
 # `"total_g": inf`, a file `act merge` then failed to parse; it must
-# fail naming the output file.
+# fail naming the output file, and leave no partly written file.
 file(WRITE "${WORK_DIR}/chiplet_inf.json"
      "{\"domain\": \"chiplet\", \"config\": "
      "{\"logic_area_mm2\": 1e300, \"max_chiplets\": 2}}\n")
-expect_fatal("non-finite result"
+expect_fatal_without("non-finite result"
     "cannot write JSON file 'chiplet_inf_out\\.json': JSON cannot represent the non-finite number"
+    chiplet_inf_out.json
     sweep --plan chiplet_inf.json --out chiplet_inf_out.json)
 
 # A write that fails (here: a full device) used to go unchecked, so the
@@ -382,6 +383,12 @@ expect_fatal("huge --shards"
 # shards), loop without sleeping (--watch nan), or print a negative or
 # NaN footprint.
 file(MAKE_DIRECTORY "${WORK_DIR}/no_heartbeats")
+file(WRITE "${WORK_DIR}/device_huge.json"
+     "{\"name\": \"d\", \"ics\": [{\"name\": \"Flash\", \"kind\": \"nand\", "
+     "\"capacity_gb\": 1e308, \"technology\": \"10nm NAND\"}], "
+     "\"lca\": {\"total_kg\": 60, \"production_share\": 0.8, "
+     "\"use_share\": 0.15, \"transport_share\": 0.04, "
+     "\"eol_share\": 0.01}}\n")
 foreach(threads 1 4)
     set(ENV{ACT_THREADS} ${threads})
     expect_fatal("non-numeric node at ${threads} threads"
@@ -428,6 +435,18 @@ foreach(threads 1 4)
         "footprint CF is not a finite number \\(got inf\\)"
         footprint --energy-kwh 1e308 --ci-use 1 --embodied-g 1e308
                   --time-years 1 --lifetime-years 1)
+    expect_fatal("overflowing device-file IC at ${threads} threads"
+        "'Flash' footprint is not a finite number \\(got inf\\)"
+        device-file device_huge.json)
+    expect_fatal("overflowing device IC at ${threads} threads"
+        "'A13 Bionic SoC' footprint is not a finite number \\(got inf\\)"
+        device "iPhone 11" --fab-ci 1.5e308)
+    expect_fatal("overflowing lifecycle phase at ${threads} threads"
+        "lifecycle IC manufacturing \\(ACT bottom-up\\) is not a finite number \\(got inf\\)"
+        lifecycle device_huge.json)
+    expect_fatal("overflowing SoC embodied at ${threads} threads"
+        "SoC embodied is not a finite number \\(got inf\\)"
+        soc "Exynos 9820" --fab-ci 1.5e308)
 endforeach()
 set(ENV{ACT_THREADS} 1)
 
