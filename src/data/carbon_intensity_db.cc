@@ -1,7 +1,6 @@
 #include "data/carbon_intensity_db.h"
 
 #include <array>
-#include <cmath>
 
 #include "util/logging.h"
 #include "util/strings.h"
@@ -111,26 +110,6 @@ regionByName(std::string_view name)
             return record.region;
     }
     util::fatal("unknown region '", std::string(name), "'");
-}
-
-CarbonIntensity
-mixIntensity(std::span<const MixComponent> mix)
-{
-    if (mix.empty())
-        util::fatal("mixIntensity() with an empty mix");
-    double total_share = 0.0;
-    double weighted = 0.0;
-    for (const auto &component : mix) {
-        if (component.share < 0.0)
-            util::fatal("mixIntensity() with a negative share");
-        total_share += component.share;
-        weighted +=
-            component.share * sourceIntensity(component.source).value();
-    }
-    if (std::fabs(total_share - 1.0) > 1e-9)
-        util::fatal("mixIntensity() shares sum to ", total_share,
-                    ", expected 1.0");
-    return gramsPerKilowattHour(weighted);
 }
 
 CarbonIntensity

@@ -2,8 +2,8 @@
  * @file
  * Operational carbon intensities from the paper's Appendix A.1:
  * per-energy-source intensities (Table 5) and per-region grid averages
- * (Table 6), plus mixing helpers used to model partially renewable fabs
- * and grids.
+ * (Table 6), plus the renewable blend used to model partially
+ * renewable fabs and grids.
  */
 
 #ifndef ACT_DATA_CARBON_INTENSITY_DB_H
@@ -67,13 +67,6 @@ struct RegionRecord
     std::string dominant_source;
 };
 
-/** A (source, share) component of an energy mix; shares must sum to 1. */
-struct MixComponent
-{
-    EnergySource source;
-    double share;
-};
-
 /** All Table 5 rows, in the paper's order. */
 std::span<const EnergySourceRecord> energySourceTable();
 
@@ -92,9 +85,6 @@ std::string_view regionName(Region region);
 
 /** Lookup by (case-insensitive) name; fatal on unknown names. */
 Region regionByName(std::string_view name);
-
-/** Share-weighted mix intensity; fatal unless shares sum to ~1. */
-util::CarbonIntensity mixIntensity(std::span<const MixComponent> mix);
 
 /**
  * Blend a base grid with a renewable share: the paper's default fab runs

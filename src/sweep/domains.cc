@@ -626,11 +626,26 @@ constexpr std::size_t kFleetDefaultJobs = 100000;
  *  so the default fleet layout is fixed by the plan. */
 constexpr std::size_t kFleetDefaultGrain = 8192;
 
+/** The fleet setup prepareFleet() stored in @p plan, or a fresh
+ *  parse for a plan read back from a partial. */
+std::shared_ptr<const fleet::FleetSetup>
+fleetSetupOf(const SweepPlan &plan)
+{
+    if (plan.prepared) {
+        return std::static_pointer_cast<const fleet::FleetSetup>(
+            plan.prepared);
+    }
+    return std::make_shared<const fleet::FleetSetup>(
+        fleet::fleetSetupFromJson(plan.config, plan.seed));
+}
+
 void
 prepareFleet(SweepPlan &plan)
 {
-    // Parse eagerly so every shard rejects a bad config up front.
-    (void)fleet::fleetSetupFromJson(plan.config, plan.seed);
+    // Parse eagerly so every shard rejects a bad config up front; the
+    // evaluator and the summary reuse the parsed setup.
+    plan.prepared = std::make_shared<const fleet::FleetSetup>(
+        fleet::fleetSetupFromJson(plan.config, plan.seed));
     if (plan.items == 0)
         plan.items = kFleetDefaultJobs;
     if (plan.grain == 0)
@@ -641,10 +656,9 @@ prepareFleet(SweepPlan &plan)
 JsonChunkEvaluator
 fleetEvaluator(const SweepPlan &plan)
 {
-    auto setup = std::make_shared<const fleet::FleetSetup>(
-        fleet::fleetSetupFromJson(plan.config, plan.seed));
-    return [setup](std::size_t, util::IndexRange range,
-                   util::Xorshift64Star &) {
+    return [setup = fleetSetupOf(plan)](std::size_t,
+                                        util::IndexRange range,
+                                        util::Xorshift64Star &) {
         // Jobs seed their own deriveSeed(seed, index) streams, so the
         // engine's per-chunk RNG goes unused: a job's placement is a
         // pure function of its index, independent of which chunk,
@@ -684,12 +698,10 @@ foldFleetPayloads(const fleet::FleetSetup &setup, const JsonArray &results)
 std::string
 summarizeFleet(const SweepPlan &plan, const JsonArray &results)
 {
-    // One setup serves the fold and the labels: each holds every
-    // region's doubled series, the largest transient of `act sweep`.
-    const fleet::FleetSetup setup =
-        fleet::fleetSetupFromJson(plan.config, plan.seed);
+    const std::shared_ptr<const fleet::FleetSetup> setup =
+        fleetSetupOf(plan);
     const std::vector<fleet::FleetAccumulator> totals =
-        foldFleetPayloads(setup, results);
+        foldFleetPayloads(*setup, results);
     std::ostringstream out;
     out << "fleet replay, "
         << (totals.empty() ? 0 : totals.front().jobs) << " jobs x "
@@ -700,7 +712,7 @@ summarizeFleet(const SweepPlan &plan, const JsonArray &results)
         const double saving = acc.operational_g > 0.0
                                   ? acc.baseline_g / acc.operational_g
                                   : 1.0;
-        out << "  " << setup.scenarios[s].label << ": "
+        out << "  " << setup->scenarios[s].label << ": "
             << util::formatSig(total_g / 1000.0, 4) << " kg CO2 ("
             << util::formatSig(acc.operational_g / 1000.0, 4)
             << " op + "
@@ -747,8 +759,7 @@ std::vector<fleet::FleetAccumulator>
 fleetResultFromPayloads(const SweepPlan &plan,
                         const config::JsonArray &results)
 {
-    return foldFleetPayloads(
-        fleet::fleetSetupFromJson(plan.config, plan.seed), results);
+    return foldFleetPayloads(*fleetSetupOf(plan), results);
 }
 
 const Domain &

@@ -29,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,14 @@ struct SweepPlan
     std::string fingerprint;
     /** Domain-specific parameters, opaque to the engine. */
     config::JsonValue config;
+    /**
+     * What Domain::prepare() resolved from `config` and `seed` (the
+     * fleet domain's parsed setup), shared by the plan's evaluator
+     * and summary so a process builds it once. Not serialized: a plan
+     * read back from a partial has none, and its domain resolves the
+     * config again. Prepare again after editing `config` or `seed`.
+     */
+    std::shared_ptr<const void> prepared;
 
     /** Convenience constructor for in-process per-item map sweeps. */
     static SweepPlan map(std::string domain, std::size_t items);

@@ -75,50 +75,6 @@ argmax(std::span<const double> values)
         std::max_element(values.begin(), values.end()) - values.begin());
 }
 
-double
-compoundAnnualGrowth(std::span<const double> yearly_values)
-{
-    if (yearly_values.size() < 2)
-        fatal("compoundAnnualGrowth() needs at least two samples");
-    const double first = yearly_values.front();
-    const double last = yearly_values.back();
-    if (first <= 0.0 || last <= 0.0)
-        fatal("compoundAnnualGrowth() requires positive samples");
-    const double periods = static_cast<double>(yearly_values.size() - 1);
-    return std::pow(last / first, 1.0 / periods);
-}
-
-LinearFit
-fitLine(std::span<const double> x, std::span<const double> y)
-{
-    if (x.size() != y.size() || x.size() < 2)
-        fatal("fitLine() needs two equally-sized ranges of >= 2 points");
-
-    const double n = static_cast<double>(x.size());
-    const double mean_x = mean(x);
-    const double mean_y = mean(y);
-
-    double sxy = 0.0;
-    double sxx = 0.0;
-    double syy = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        const double dx = x[i] - mean_x;
-        const double dy = y[i] - mean_y;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    if (sxx == 0.0)
-        fatal("fitLine() with all-identical x values");
-
-    LinearFit fit;
-    fit.slope = sxy / sxx;
-    fit.intercept = mean_y - fit.slope * mean_x;
-    fit.r2 = (syy == 0.0) ? 1.0 : (sxy * sxy) / (sxx * syy);
-    (void)n;
-    return fit;
-}
-
 std::vector<double>
 normalizeBy(std::span<const double> values, double baseline)
 {

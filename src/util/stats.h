@@ -1,7 +1,7 @@
 /**
  * @file
  * Statistics helpers used by the evaluation harnesses: means, geometric
- * means, dispersion, compound growth rates, and simple least-squares fits.
+ * means, dispersion and extremes.
  */
 
 #ifndef ACT_UTIL_STATS_H
@@ -32,26 +32,6 @@ double maxValue(std::span<const double> values);
 /** Index of the smallest / largest element; fatal on an empty input. */
 std::size_t argmin(std::span<const double> values);
 std::size_t argmax(std::span<const double> values);
-
-/**
- * Compound annual growth rate implied by a time series of yearly samples:
- * (last / first)^(1 / (n - 1)). Requires at least two positive samples.
- * The paper's "1.21x annual energy efficiency improvement" (Fig. 14) is a
- * CAGR over per-generation efficiency samples.
- */
-double compoundAnnualGrowth(std::span<const double> yearly_values);
-
-/** Result of an ordinary least-squares line fit y = slope * x + intercept. */
-struct LinearFit
-{
-    double slope = 0.0;
-    double intercept = 0.0;
-    /** Coefficient of determination. */
-    double r2 = 0.0;
-};
-
-/** Least-squares fit; fatal unless both spans have the same size >= 2. */
-LinearFit fitLine(std::span<const double> x, std::span<const double> y);
 
 /** Normalize each element by the given baseline value. */
 std::vector<double> normalizeBy(std::span<const double> values,

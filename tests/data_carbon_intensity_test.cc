@@ -1,4 +1,4 @@
-/** @file Tests for Tables 5/6 data and energy-mix helpers. */
+/** @file Tests for Tables 5/6 data and the renewable blend. */
 
 #include <gtest/gtest.h>
 
@@ -68,22 +68,6 @@ TEST(Lookup, UnknownNamesAreFatal)
 {
     EXPECT_EXIT(regionByName("atlantis"), ::testing::ExitedWithCode(1),
                 "");
-}
-
-TEST(Mix, WeightedAverage)
-{
-    const MixComponent mix[] = {{EnergySource::Coal, 0.5},
-                                {EnergySource::Wind, 0.5}};
-    EXPECT_DOUBLE_EQ(mixIntensity(mix).value(), (820.0 + 11.0) / 2.0);
-}
-
-TEST(Mix, RejectsBadShares)
-{
-    const MixComponent under[] = {{EnergySource::Coal, 0.5}};
-    EXPECT_EXIT(mixIntensity(under), ::testing::ExitedWithCode(1), "");
-    const MixComponent negative[] = {{EnergySource::Coal, -0.5},
-                                     {EnergySource::Wind, 1.5}};
-    EXPECT_EXIT(mixIntensity(negative), ::testing::ExitedWithCode(1), "");
 }
 
 TEST(Blend, RenewableBlendInterpolates)

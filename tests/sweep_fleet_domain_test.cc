@@ -511,6 +511,26 @@ TEST_F(SweepFleetDomainTest, SummarizeListsEveryScenario)
               std::string::npos);
 }
 
+TEST_F(SweepFleetDomainTest, PlanReadBackRunsLikeThePreparedPlan)
+{
+    // `act sweep` runs and summarizes with the setup prepare() parsed;
+    // `act merge` reads the plan back from a partial, without one, and
+    // parses its own.
+    const SweepPlan plan = fleetPlan();
+    ASSERT_TRUE(plan.prepared);
+    const SweepPlan read_back = sweepPlanFromJson(toJson(plan));
+    EXPECT_FALSE(read_back.prepared);
+    const Domain &domain = findDomain(plan.domain);
+    const config::JsonValue doc =
+        fullSweepResult(plan, domain.evaluator(plan));
+    const config::JsonArray &results = doc.at("results").asArray();
+    EXPECT_EQ(domain.summarize(read_back, results),
+              domain.summarize(plan, results));
+    EXPECT_EQ(fullSweepResult(read_back, domain.evaluator(read_back))
+                  .dump(),
+              doc.dump());
+}
+
 // ---------------------------------------------------------------------
 // Config validation
 // ---------------------------------------------------------------------

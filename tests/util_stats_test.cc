@@ -66,39 +66,6 @@ TEST(Stats, ArgminArgmaxAndExtremes)
     EXPECT_DOUBLE_EQ(maxValue(values), 9.0);
 }
 
-TEST(Stats, CompoundAnnualGrowth)
-{
-    // 100 -> 121 over 2 periods is 10% per period.
-    const std::vector<double> series = {100.0, 105.0, 121.0};
-    EXPECT_NEAR(compoundAnnualGrowth(series), 1.1, 1e-12);
-}
-
-TEST(Stats, CompoundAnnualGrowthNeedsTwoSamples)
-{
-    const std::vector<double> series = {100.0};
-    EXPECT_EXIT(compoundAnnualGrowth(series),
-                ::testing::ExitedWithCode(1), "");
-}
-
-TEST(Stats, FitLineExact)
-{
-    const std::vector<double> x = {0.0, 1.0, 2.0, 3.0};
-    const std::vector<double> y = {1.0, 3.0, 5.0, 7.0};
-    const LinearFit fit = fitLine(x, y);
-    EXPECT_NEAR(fit.slope, 2.0, 1e-12);
-    EXPECT_NEAR(fit.intercept, 1.0, 1e-12);
-    EXPECT_NEAR(fit.r2, 1.0, 1e-12);
-}
-
-TEST(Stats, FitLineNoisyR2BelowOne)
-{
-    const std::vector<double> x = {0.0, 1.0, 2.0, 3.0};
-    const std::vector<double> y = {1.0, 2.5, 5.5, 7.0};
-    const LinearFit fit = fitLine(x, y);
-    EXPECT_GT(fit.r2, 0.9);
-    EXPECT_LT(fit.r2, 1.0);
-}
-
 TEST(Stats, NormalizeBy)
 {
     const std::vector<double> values = {2.0, 4.0, 8.0};
