@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/footprint.h"
+#include "data/intensity_series.h"
 #include "util/logging.h"
 #include "util/simd_kernels.h"
 #include "util/strings.h"
@@ -15,41 +16,43 @@ namespace act::fleet {
 
 namespace {
 
-/** Sum of @p count consecutive samples from @p start, cyclic, O(1)
- *  via the prefix sums. */
+/** Sum of @p count consecutive samples of @p region from @p start,
+ *  cyclic, O(1) via the prefix sums. */
 double
-sumSamples(const RegionSeries &region, std::size_t start,
-           std::size_t count)
+sumSamples(const RegionTable &table, std::size_t region,
+           std::size_t start, std::size_t count)
 {
-    const std::size_t n = region.series.size();
-    const double *prefix = region.prefix_g.data();
-    double sum = static_cast<double>(count / n) * prefix[n];
+    const std::size_t n = table.n;
+    double sum =
+        static_cast<double>(count / n) * table.prefixAt(region, n);
     const std::size_t rem = count % n;
     const std::size_t s0 = start % n;
     if (s0 + rem <= n)
-        sum += prefix[s0 + rem] - prefix[s0];
+        sum += table.prefixAt(region, s0 + rem) -
+               table.prefixAt(region, s0);
     else
-        sum += (prefix[n] - prefix[s0]) + prefix[s0 + rem - n];
+        sum += (table.prefixAt(region, n) - table.prefixAt(region, s0)) +
+               table.prefixAt(region, s0 + rem - n);
     return sum;
 }
 
 /**
  * Duration-weighted intensity (g/kWh x h) of a job occupying
- * [start, start + duration) sample-aligned: full samples at step
- * hours each plus the fractional tail. Multiplying by the job's grid
- * power in kW yields its operational grams.
+ * [start, start + duration) sample-aligned in @p region: full samples
+ * at step hours each plus the fractional tail. Multiplying by the
+ * job's grid power in kW yields its operational grams.
  */
 double
-weightAt(const RegionSeries &region, std::size_t start,
+weightAt(const RegionTable &table, std::size_t region, std::size_t start,
          double duration_hours)
 {
-    const double step = region.series.stepHours();
+    const double step = table.step_hours;
     const auto full = static_cast<std::size_t>(duration_hours / step);
     const double tail_hours =
         duration_hours - static_cast<double>(full) * step;
-    double weight = sumSamples(region, start, full) * step;
+    double weight = sumSamples(table, region, start, full) * step;
     if (tail_hours > 0.0)
-        weight += region.series.gramsAt(start + full) * tail_hours;
+        weight += table.sampleAt(region, start + full) * tail_hours;
     return weight;
 }
 
@@ -137,36 +140,6 @@ windowClassOf(core::DeferralPolicy kind)
     util::fatal("unknown deferral policy kind");
 }
 
-/** Below this window width the kernel-dispatch overhead outweighs the
- *  lanes; the inline strict-< scan wins. The result is identical
- *  either way: argmin is an exact integer reduction (first index of
- *  the minimum), so the choice cannot affect bit-identity. */
-constexpr std::size_t kArgminKernelMin = 32;
-
-/**
- * Extend a first-index strict-< argmin of @p row from [0, begin),
- * whose answer is @p best, to [0, end). A later index replaces @p best
- * only when strictly smaller, so the result is the argmin of the whole
- * prefix, exactly as one left-to-right scan would find it.
- */
-std::size_t
-extendArgmin(const util::simd::KernelTable &kt, const double *row,
-             std::size_t best, std::size_t begin, std::size_t end)
-{
-    if (end - begin >= kArgminKernelMin) {
-        const std::size_t tail =
-            begin + kt.argmin_first(row + begin, end - begin);
-        return row[tail] < row[best] ? tail : best;
-    }
-    double best_value = row[best];
-    for (std::size_t s = begin; s < end; ++s) {
-        const bool lt = row[s] < best_value;
-        best_value = lt ? row[s] : best_value;
-        best = lt ? s : best;
-    }
-    return best;
-}
-
 std::vector<PlacementGroup>
 buildPlacementGroups(const FleetSetup &setup)
 {
@@ -206,24 +179,6 @@ struct GroupSums
 
 } // namespace
 
-RegionSeries::RegionSeries(std::string name_in,
-                           data::IntensitySeries series_in)
-    : name(std::move(name_in)), series(std::move(series_in))
-{
-    prefix_g.reserve(series.size() + 1);
-    prefix_g.push_back(0.0);
-    double sum = 0.0;
-    for (const double g : series.samples()) {
-        sum += g;
-        prefix_g.push_back(sum);
-    }
-    grams2x.reserve(2 * series.size());
-    for (int pass = 0; pass < 2; ++pass) {
-        for (const double g : series.samples())
-            grams2x.push_back(g);
-    }
-}
-
 FleetSetup
 fleetSetupFromJson(const config::JsonValue &config, std::uint64_t seed)
 {
@@ -244,24 +199,43 @@ fleetSetupFromJson(const config::JsonValue &config, std::uint64_t seed)
         config::badField("regions", "a non-empty array",
                          config.at("regions"));
     }
+    RegionTable &table = setup.intensity;
     for (std::size_t r = 0; r < regions.size(); ++r) {
         config::inContext(
             [&] {
-                data::IntensitySeries series =
+                const data::IntensitySeries series =
                     data::intensitySeriesFromJson(regions[r]);
-                const data::IntensitySeries &first =
-                    r > 0 ? setup.regions[0].series : series;
-                if (series.size() != first.size() ||
-                    series.stepHours() != first.stepHours()) {
+                if (r == 0) {
+                    table.regions = regions.size();
+                    table.n = series.size();
+                    table.step_hours = series.stepHours();
+                    const std::size_t pad = util::simd::kMaxLanes - 1;
+                    table.prefix.assign((table.n + 1) * table.regions + pad,
+                                        0.0);
+                    table.samples.assign(table.n * table.regions + pad,
+                                         0.0);
+                } else if (series.size() != table.n ||
+                           series.stepHours() != table.step_hours) {
                     throw config::JsonTypeError(util::detail::concatenate(
                         "series of ", series.size(), " x ",
                         series.stepHours(), " h must match regions[0]'s ",
-                        first.size(), " x ", first.stepHours(), " h"));
+                        table.n, " x ", table.step_hours, " h"));
                 }
-                std::string name =
-                    regions[r].stringOr("name", series.name());
-                setup.regions.emplace_back(std::move(name),
-                                           std::move(series));
+                double sum = 0.0;
+                for (std::size_t i = 0; i < table.n; ++i) {
+                    const double g = series.samples()[i];
+                    table.samples[i * table.regions + r] = g;
+                    sum += g;
+                    table.prefix[(i + 1) * table.regions + r] = sum;
+                }
+                if (!std::isfinite(sum)) {
+                    throw config::JsonTypeError(util::detail::concatenate(
+                        "the series must sum to a finite number of "
+                        "g CO2/kWh (got ",
+                        sum, ")"));
+                }
+                setup.region_names.push_back(
+                    regions[r].stringOr("name", series.name()));
             },
             "regions[", r, "]");
     }
@@ -297,14 +271,14 @@ fleetSetupFromJson(const config::JsonValue &config, std::uint64_t seed)
             : std::vector<double>{4.0};
 
     for (std::size_t p = 0; p < policies.size(); ++p) {
-        for (std::size_t r = 0; r < setup.regions.size(); ++r) {
+        for (std::size_t r = 0; r < setup.region_names.size(); ++r) {
             for (const double years : lifetimes) {
                 FleetScenario scenario;
                 scenario.policy = policies[p];
                 scenario.home_region = r;
                 scenario.lifetime = util::years(years);
                 scenario.label = policy_names[p] + "@" +
-                                 setup.regions[r].name + "/" +
+                                 setup.region_names[r] + "/" +
                                  util::formatSig(years, 3) + "y";
                 setup.scenarios.push_back(std::move(scenario));
             }
@@ -333,9 +307,10 @@ replayJobs(const FleetSetup &setup, util::IndexRange range)
     if (setup.scenarios.empty() || range.begin >= range.end)
         return accumulators;
 
-    const std::size_t n_regions = setup.regions.size();
-    const std::size_t n = setup.regions.front().series.size();
-    const double step = setup.regions.front().series.stepHours();
+    const RegionTable &table = setup.intensity;
+    const std::size_t n_regions = table.regions;
+    const std::size_t n = table.n;
+    const double step = table.step_hours;
     const double embodied_g = util::asGrams(setup.platform.embodied);
     const std::vector<PlacementGroup> groups =
         buildPlacementGroups(setup);
@@ -365,33 +340,39 @@ replayJobs(const FleetSetup &setup, util::IndexRange range)
     std::vector<double> baseline_sums(n_regions, 0.0);
     std::vector<GroupSums> group_sums(groups.size());
 
-    // Upper bound on shifts any policy grants: greedy uses the stream
-    // maximum; the per-job slack draw stays below it.
-    const std::size_t max_count =
-        static_cast<std::size_t>(setup.jobs.max_slack_hours / step) +
-        1;
-
     const util::simd::KernelTable &kt = util::simd::activeKernels();
     const double idle_w = util::asWatts(setup.platform.idle_power);
     const double span_w = util::asWatts(setup.platform.peak_power -
                                         setup.platform.idle_power);
 
-    // Reused per-thread scratch: the SoA job block and the per-region
-    // cost rows (row r = window costs of region r for this job).
+    // The widest window class any group reads, and the classes a
+    // cross-region group reads. The kernel answers every class up to
+    // the widest; the unit class (shift 0) always, for the baseline.
+    std::size_t widest = kWindowUnit;
+    bool cross_class[kWindowClasses] = {};
+    for (const PlacementGroup &group : groups) {
+        widest = std::max(widest, group.window_class);
+        cross_class[group.window_class] |= group.cross_region;
+    }
+    // Per job, best_shift / best_weight[c * n_regions + r] is region
+    // r's best start within window class c and its cost; class
+    // kWindowUnit's cost is each region's cost at the arrival sample.
+    std::vector<std::size_t> best_shift(kWindowClasses * n_regions);
+    std::vector<double> best_weight(kWindowClasses * n_regions);
+    std::size_t ends[kWindowClasses] = {1, 1, 1};
+    util::simd::PlacementScanProblem problem;
+    problem.prefix = table.prefix.data();
+    problem.samples = table.samples.data();
+    problem.regions = n_regions;
+    problem.n = n;
+    problem.step = step;
+    problem.ends = ends;
+    problem.classes = widest + 1;
+
+    // Reused per-thread scratch: the SoA job block.
     thread_local JobBlock block;
     thread_local std::vector<double> grid_kw;
     thread_local std::vector<std::size_t> arrivals;
-    thread_local std::vector<double> costs;
-    costs.resize(n_regions * max_count);
-    // The widest window class any group reads. Every region's cost row
-    // covers it: a fleetSetupFromJson() grid runs every policy from
-    // every home region, so each row is read at that width.
-    std::size_t widest = kWindowUnit;
-    for (const PlacementGroup &group : groups)
-        widest = std::max(widest, group.window_class);
-    // Per job, argmins[r * kWindowClasses + c] is the best shift of
-    // region r within window class c, for every class up to widest.
-    std::vector<std::size_t> argmins(n_regions * kWindowClasses, 0);
 
     for (std::size_t first = range.begin; first < range.end;
          first += kJobBlock) {
@@ -417,7 +398,6 @@ replayJobs(const FleetSetup &setup, util::IndexRange range)
         for (std::size_t i = 0; i < count; ++i) {
             const double duration = block.duration_hours[i];
             const double job_grid_kw = grid_kw[i];
-            const std::size_t arrival = arrivals[i];
             const bool deferrable = block.deferrable[i] != 0;
             const double job_slack = block.slack_hours[i];
 
@@ -431,18 +411,17 @@ replayJobs(const FleetSetup &setup, util::IndexRange range)
                         util::hours(duration)));
             }
 
-            // The window shape every region shares for this job.
+            // The window shape every region shares for this job, and
+            // its shift count per window class: the arrival sample,
+            // the per-job slack (deadline / migrate) and the
+            // fleet-wide greedy window.
             const auto full_samples =
                 static_cast<std::size_t>(duration / step);
-            const double tail_hours =
+            problem.start0 = arrivals[i];
+            problem.rem = full_samples % n;
+            problem.cycles = static_cast<double>(full_samples / n);
+            problem.tail_hours =
                 duration - static_cast<double>(full_samples) * step;
-            const std::size_t rem = full_samples % n;
-            const double cycles =
-                static_cast<double>(full_samples / n);
-
-            // This job's shift count per window class: the arrival
-            // sample, the per-job slack (deadline / migrate) and the
-            // fleet-wide greedy window.
             const auto shifts = [&](core::DeferralPolicy kind) {
                 return static_cast<std::size_t>(
                            allowedSlackHours(setup, kind, deferrable,
@@ -450,99 +429,81 @@ replayJobs(const FleetSetup &setup, util::IndexRange range)
                            step) +
                        1;
             };
-            const std::size_t counts[kWindowClasses] = {
-                1, shifts(core::DeferralPolicy::DeadlineBounded),
-                shifts(core::DeferralPolicy::GreedyGreenest)};
-            for (std::size_t r = 0; r < n_regions; ++r) {
-                const RegionSeries &region = setup.regions[r];
-                double *row = costs.data() + r * max_count;
-                util::simd::WindowCostProblem problem;
-                problem.prefix = region.prefix_g.data();
-                problem.grams2x = region.grams2x.data();
-                problem.n = n;
-                problem.start0 = arrival;
-                problem.count = counts[widest];
-                problem.rem = rem;
-                problem.base = cycles * region.prefix_g[n];
-                problem.step = step;
-                problem.tail_hours = tail_hours;
-                kt.window_costs(problem, row);
-
-                // One pass over the row: each class's window is a
-                // prefix of the next, so the scan records every
-                // class's answer on its way to the widest.
-                std::size_t *best = argmins.data() + r * kWindowClasses;
-                for (std::size_t c = kWindowSlack; c <= widest; ++c) {
-                    best[c] = extendArgmin(kt, row, best[c - 1],
-                                           counts[c - 1], counts[c]);
-                }
-            }
+            ends[kWindowSlack] =
+                shifts(core::DeferralPolicy::DeadlineBounded);
+            ends[kWindowGreedy] =
+                shifts(core::DeferralPolicy::GreedyGreenest);
+            kt.placement_scan(problem, best_shift.data(),
+                              best_weight.data());
+            const double *cost0 = best_weight.data();
 
             energy_kwh += job_grid_kw * duration;
             busy_hours += duration;
             for (std::size_t r = 0; r < n_regions; ++r)
-                baseline_sums[r] += job_grid_kw * costs[r * max_count];
+                baseline_sums[r] += job_grid_kw * cost0[r];
+
+            // Cross-region winner per class: the lexicographic minimum
+            // of (cost, shift) over the regions' best starts, the
+            // lowest region on a tie. That is the first minimum of the
+            // oracle's shift-major, region-minor strict-< scan (costs
+            // are never NaN, see fleetSetupFromJson()).
+            std::size_t win_region[kWindowClasses] = {};
+            for (std::size_t c = kWindowSlack; c <= widest; ++c) {
+                if (!cross_class[c])
+                    continue;
+                const std::size_t *shift = best_shift.data() + c * n_regions;
+                const double *weight = best_weight.data() + c * n_regions;
+                std::size_t best = 0;
+                for (std::size_t r = 1; r < n_regions; ++r) {
+                    if (weight[r] < weight[best] ||
+                        (weight[r] == weight[best] &&
+                         shift[r] < shift[best]))
+                        best = r;
+                }
+                win_region[c] = best;
+            }
 
             for (std::size_t g = 0; g < groups.size(); ++g) {
                 const PlacementGroup &group = groups[g];
+                const std::size_t c = group.window_class;
+                // A uniform group's operational sum is its home
+                // region's baseline sum, filled in at the end.
+                if (c == kWindowUnit)
+                    continue;
                 const std::size_t home = group.home_region;
-
-                // Greenest window within slack; ties resolve to the
-                // earliest start, then the lowest region index
-                // (replayJobsOracle's scalar scan semantics). A
-                // cross-region group starts from home@0, the oracle's
-                // initial candidate.
-                std::size_t best_shift =
-                    group.cross_region
-                        ? 0
-                        : argmins[home * kWindowClasses +
-                                  group.window_class];
-                double best_weight = costs[home * max_count + best_shift];
-                std::size_t best_region = home;
-                if (group.cross_region) {
-                    // Region-major argmin combine. The scalar scan is
-                    // shift-major with strict <, and its initial
-                    // home@0 candidate shadows equal weights -- which
-                    // the eq-branch reproduces: while best_shift is
-                    // still 0 no index can be smaller, and after a
-                    // strict improvement equal weights win exactly
-                    // when they start earlier.
-                    for (std::size_t r = 0; r < n_regions; ++r) {
-                        const std::size_t r_shift =
-                            argmins[r * kWindowClasses +
-                                    group.window_class];
-                        const double weight =
-                            costs[r * max_count + r_shift];
-                        if (weight < best_weight ||
-                            (weight == best_weight &&
-                             r_shift < best_shift)) {
-                            best_weight = weight;
-                            best_shift = r_shift;
-                            best_region = r;
-                        }
-                    }
-                }
-
+                // The oracle's initial candidate home@0 shadows every
+                // start that only ties it, so a winner at home's
+                // shift-0 cost keeps the job at home.
+                std::size_t region = home;
+                if (group.cross_region &&
+                    best_weight[c * n_regions + win_region[c]] !=
+                        cost0[home])
+                    region = win_region[c];
                 GroupSums &sums = group_sums[g];
-                sums.deferred += best_shift != 0 ? 1 : 0;
-                sums.migrated += best_region != home ? 1 : 0;
-                sums.operational_g += job_grid_kw * best_weight;
+                sums.deferred +=
+                    best_shift[c * n_regions + region] != 0 ? 1 : 0;
+                sums.migrated += region != home ? 1 : 0;
+                sums.operational_g +=
+                    job_grid_kw * best_weight[c * n_regions + region];
             }
         }
         core::countEq1Evals(count * setup.scenarios.size());
     }
 
     for (std::size_t g = 0; g < groups.size(); ++g) {
+        const std::size_t home = groups[g].home_region;
+        const bool uniform = groups[g].window_class == kWindowUnit;
         for (const std::size_t s : groups[g].scenarios) {
             FleetAccumulator &acc = accumulators[s];
             acc.jobs = range.size();
             acc.deferred = group_sums[g].deferred;
             acc.migrated = group_sums[g].migrated;
-            acc.operational_g = group_sums[g].operational_g;
+            acc.operational_g = uniform ? baseline_sums[home]
+                                        : group_sums[g].operational_g;
             acc.embodied_g = embodied_sums[lifetime_of[s]];
             acc.energy_kwh = energy_kwh;
             acc.busy_hours = busy_hours;
-            acc.baseline_g = baseline_sums[groups[g].home_region];
+            acc.baseline_g = baseline_sums[home];
         }
     }
     return accumulators;
@@ -552,7 +513,8 @@ std::vector<FleetAccumulator>
 replayJobsOracle(const FleetSetup &setup, util::IndexRange range)
 {
     std::vector<FleetAccumulator> accumulators(setup.scenarios.size());
-    const double step = setup.regions.front().series.stepHours();
+    const RegionTable &table = setup.intensity;
+    const double step = table.step_hours;
     const double embodied_g = util::asGrams(setup.platform.embodied);
 
     for (std::size_t index = range.begin; index < range.end; ++index) {
@@ -567,8 +529,6 @@ replayJobsOracle(const FleetSetup &setup, util::IndexRange range)
 
         for (std::size_t s = 0; s < setup.scenarios.size(); ++s) {
             const FleetScenario &scenario = setup.scenarios[s];
-            const RegionSeries &home =
-                setup.regions[scenario.home_region];
             const bool cross_region =
                 scenario.policy.kind ==
                 core::DeferralPolicy::GreenestRegion;
@@ -578,19 +538,17 @@ replayJobsOracle(const FleetSetup &setup, util::IndexRange range)
             // Greenest window within slack; ties resolve to the
             // earliest start, then the lowest region index, so the
             // choice is implementation-independent.
-            double best_weight =
-                weightAt(home, arrival, job.duration_hours);
+            double best_weight = weightAt(table, scenario.home_region,
+                                          arrival, job.duration_hours);
             std::size_t best_start = arrival;
             std::size_t best_region = scenario.home_region;
             const double baseline_weight = best_weight;
             for (std::size_t shift = 0; shift <= max_shift; ++shift) {
                 const std::size_t start = arrival + shift;
                 if (cross_region) {
-                    for (std::size_t r = 0; r < setup.regions.size();
-                         ++r) {
+                    for (std::size_t r = 0; r < table.regions; ++r) {
                         const double weight = weightAt(
-                            setup.regions[r], start,
-                            job.duration_hours);
+                            table, r, start, job.duration_hours);
                         if (weight < best_weight) {
                             best_weight = weight;
                             best_start = start;
@@ -598,8 +556,9 @@ replayJobsOracle(const FleetSetup &setup, util::IndexRange range)
                         }
                     }
                 } else if (shift > 0) {
-                    const double weight =
-                        weightAt(home, start, job.duration_hours);
+                    const double weight = weightAt(
+                        table, scenario.home_region, start,
+                        job.duration_hours);
                     if (weight < best_weight) {
                         best_weight = weight;
                         best_start = start;

@@ -38,7 +38,6 @@
 
 #include "config/json.h"
 #include "core/scheduling.h"
-#include "data/intensity_series.h"
 #include "fleet/job_stream.h"
 #include "server/datacenter.h"
 #include "util/parallel.h"
@@ -46,21 +45,36 @@
 
 namespace act::fleet {
 
-/** One region's series plus the prefix sums that make any cyclic
- *  window cost O(1) to evaluate. */
-struct RegionSeries
+/**
+ * Every region's intensity series, interleaved region-minor so that
+ * one lane load reads the same sample of consecutive regions: entry
+ * (i, r) of a table sits at [i * regions + r]. The prefix sums make
+ * any cyclic window cost O(1) to evaluate. Both tables carry
+ * util::simd::kMaxLanes - 1 zeros past their last row, so the
+ * placement kernel's lane loads at the last region stay in bounds.
+ */
+struct RegionTable
 {
-    /** Builds the prefix sums and the doubled sample array. */
-    RegionSeries(std::string name, data::IntensitySeries series);
+    std::size_t regions = 0;
+    /** Samples per region (the series length). */
+    std::size_t n = 0;
+    double step_hours = 0.0;
+    /** Sum of region r's samples [0, i); n + 1 rows. */
+    std::vector<double> prefix;
+    /** Region r's sample i; n rows. */
+    std::vector<double> samples;
 
-    std::string name;
-    data::IntensitySeries series;
-    /** prefix_g[i] = sum of samples [0, i); size() + 1 entries. */
-    std::vector<double> prefix_g;
-    /** The samples twice back-to-back (2 * size() entries), so the
-     *  window kernels index grams2x[s0 + rem] == gramsAt(s0 + rem)
-     *  without a per-lane modulo. */
-    std::vector<double> grams2x;
+    double
+    prefixAt(std::size_t region, std::size_t i) const
+    {
+        return prefix[i * regions + region];
+    }
+    /** Sample i of region r, cyclic in i. */
+    double
+    sampleAt(std::size_t region, std::size_t i) const
+    {
+        return samples[(i % n) * regions + region];
+    }
 };
 
 /** One cell of the policy x region x churn grid. */
@@ -78,7 +92,9 @@ struct FleetSetup
     server::ServerPlatform platform;
     double pue = 1.2;
     JobStreamParams jobs;
-    std::vector<RegionSeries> regions;
+    /** Region names in plan order, the table's region index. */
+    std::vector<std::string> region_names;
+    RegionTable intensity;
     std::vector<FleetScenario> scenarios;
 };
 
@@ -86,8 +102,9 @@ struct FleetSetup
  * Parse a fleet setup from a sweep plan's config object; @p seed
  * (the plan seed) becomes the job stream's base seed. Throws
  * config::JsonTypeError, naming the field and its section, on
- * malformed input, empty regions, or regions whose series disagree on
- * length or step.
+ * malformed input, empty regions, regions whose series disagree on
+ * length or step, or a region whose samples do not sum to a finite
+ * number (a window cost would then be inf - inf).
  */
 FleetSetup fleetSetupFromJson(const config::JsonValue &config,
                               std::uint64_t seed);
@@ -123,16 +140,19 @@ struct FleetAccumulator
  *
  * Batched implementation (DESIGN.md §15): jobs are generated in SoA
  * blocks; scenarios sharing a (policy kind, home region) pair share
- * one placement per job; each region's per-shift window costs run
- * through the SIMD kernel table and one argmin pass per row answers
- * every window class (each class's window is a prefix of the next).
- * Totals are kept as one running sum per distinct key -- job stream,
- * lifetime, home region, placement group -- and copied into each
- * scenario's accumulator at the end, so Eq. 1's embodied share is
- * computed once per (job, distinct lifetime). Every scenario still
- * receives its adds in job order: the result is bit-identical to
- * replayJobsOracle() at every dispatch level, and "core.eq1.evals"
- * grows by jobs x scenarios on both paths.
+ * one placement per job. One call of the SIMD placement kernel per
+ * job scans every region's window costs together and returns each
+ * region's best shift for every window class (each class's window is
+ * a prefix of the next); the cross-region choice is then made once
+ * per class, not once per home region. Totals are kept as one running
+ * sum per distinct key -- job stream, lifetime, home region,
+ * placement group -- and copied into each scenario's accumulator at
+ * the end, so Eq. 1's embodied share is computed once per (job,
+ * distinct lifetime) and a uniform scenario's operational sum is its
+ * home region's baseline sum. Every scenario still receives its adds
+ * in job order: the result is bit-identical to replayJobsOracle() at
+ * every dispatch level, and "core.eq1.evals" grows by jobs x
+ * scenarios on both paths.
  */
 std::vector<FleetAccumulator> replayJobs(const FleetSetup &setup,
                                          util::IndexRange range);

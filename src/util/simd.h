@@ -1,12 +1,12 @@
 /**
  * @file
- * Runtime SIMD dispatch for the fleet replayer's window-cost and
- * argmin kernels (util/simd_kernels.h), the only dispatched kernels:
- * two tiers, the 4-lane AVX2 kernels and the scalar reference,
- * selected once per process from CPU features with an
- * `ACT_SIMD=scalar|avx2|auto` environment override (parsed through
- * util/env). Hosts without AVX2 (including aarch64) run the scalar
- * tier.
+ * Runtime SIMD dispatch for the fleet replayer's placement scan and
+ * the job stream's log-normal transform (util/simd_kernels.h), the
+ * only dispatched kernels: two tiers, the 4-lane AVX2 kernels and the
+ * one-lane scalar tier, selected once per process from CPU features
+ * with an `ACT_SIMD=scalar|avx2|auto` environment override (parsed
+ * through util/env). Hosts without AVX2 (including aarch64) run the
+ * scalar tier.
  *
  * The dispatch level NEVER changes results. Every vector kernel
  * computes the scalar kernel's arithmetic expression for expression --

@@ -1,18 +1,19 @@
 /**
  * @file
  * Internal kernel table behind util/simd.h: the fleet replayer's
- * window-cost and argmin kernels and the job stream's log-normal
- * duration transform, the three loops where the 4-lane AVX2 tier
- * measurably shortens an end-to-end run (DESIGN.md §11), as per-level
- * tables of function pointers: the scalar reference and the 4-lane
- * AVX2 tier. The problem descriptors are plain PODs so the per-level
- * translation units -- the AVX2 one is compiled with -mavx2 -- depend
- * on nothing above util. Every other batch loop in the tree is plain
- * scalar code.
+ * placement scan and the job stream's log-normal duration transform,
+ * the two loops where the 4-lane AVX2 tier measurably shortens an
+ * end-to-end run (DESIGN.md §11), as per-level tables of function
+ * pointers: the scalar tier and the 4-lane AVX2 tier. The problem
+ * descriptors are plain PODs so the per-level translation units -- the
+ * AVX2 one is compiled with -mavx2 -- depend on nothing above util.
+ * Every other batch loop in the tree is plain scalar code.
  *
- * The scalar table is the semantic reference: each AVX2 kernel must
- * reproduce its outputs bit-for-bit on every input (tested in
- * tests/util_simd_test.cc). Callers normally go through
+ * Both tiers instantiate one template per kernel
+ * (simd_kernels_impl.h), at one lane and at four, and every lane
+ * evaluates the scalar expression tree, so each tier's outputs are
+ * bit-identical on every input (tested in tests/util_simd_test.cc
+ * against naive in-test references). Callers normally go through
  * activeKernels(); tests index a specific level with kernels().
  *
  * detLog(), detCos() and detExp() are the libm-free functions the
@@ -30,35 +31,50 @@
 namespace act::util::simd {
 
 /**
- * One job's window-cost evaluation over a cyclic intensity series:
- * for each shift k in [0, count), the duration-weighted intensity of
- * the window starting at sample (start0 + k). Mirrors the fleet
- * replayer's weightAt()/sumSamples() pair exactly:
- *
- *   s0     = (start0 + k) % n
- *   sum    = base + (s0 + rem <= n
- *                      ? prefix[s0 + rem] - prefix[s0]
- *                      : (prefix[n] - prefix[s0]) + prefix[s0+rem-n])
- *   out[k] = sum * step  (+ grams2x[s0 + rem] * tail_hours if tail)
- *
- * base = double(full / n) * prefix[n] and rem = full % n are per-job
- * constants (full = whole samples covered); grams2x is the series
- * doubled back-to-back so grams2x[s0 + rem] == grams[(s0 + rem) % n]
- * without a per-lane modulo. The AVX2 kernel splits [0, count) into
- * segments of uniform branch (wrap vs non-wrap) so loads stay
- * contiguous and every lane keeps the scalar association.
+ * The widest lane count of any tier. A table the placement kernel
+ * reads with lane loads carries kMaxLanes - 1 readable doubles past
+ * its last entry, so a load that starts at the last region stays in
+ * bounds; the extra lanes are never stored.
  */
-struct WindowCostProblem
+constexpr std::size_t kMaxLanes = 4;
+
+/**
+ * One job's placement scan over every region of a fleet at once.
+ * Both tables are region-interleaved: entry (i, r) sits at
+ * [i * regions + r], so one lane load reads one row for consecutive
+ * regions. For each region r and each shift k in [0, ends[classes-1])
+ * the kernel evaluates the fleet replayer's weightAt()/sumSamples()
+ * expression exactly:
+ *
+ *   s0     = (start0 + k) % n,  hi = s0 + rem
+ *   base   = cycles * prefix(n, r)
+ *   sum    = base + (hi <= n
+ *                      ? prefix(hi, r) - prefix(s0, r)
+ *                      : (prefix(n, r) - prefix(s0, r)) + prefix(hi-n, r))
+ *   w(k,r) = sum * step  (+ sample(hi < n ? hi : hi - n, r) * tail_hours
+ *                         if tail_hours > 0)
+ *
+ * and keeps a strict-< running argmin over k, so ties resolve to the
+ * earliest shift. No cost may be NaN (the fleet setup refuses series
+ * whose sums are not finite). Window class c covers shifts
+ * [0, ends[c]); ends never decrease, so each class's window is a
+ * prefix of the next and one pass answers all of them.
+ * cycles = double(full / n) and rem = full % n are per-job constants
+ * (full = whole samples covered).
+ */
+struct PlacementScanProblem
 {
-    const double *prefix = nullptr;  ///< n + 1 cyclic prefix sums
-    const double *grams2x = nullptr; ///< 2n samples (series doubled)
+    const double *prefix = nullptr;  ///< (n + 1) x regions prefix sums
+    const double *samples = nullptr; ///< n x regions samples
+    std::size_t regions = 0;         ///< row stride of both tables
     std::size_t n = 0;               ///< series length
     std::size_t start0 = 0;          ///< window start of shift 0
-    std::size_t count = 0;           ///< shifts evaluated
     std::size_t rem = 0;             ///< full % n
-    double base = 0.0;               ///< double(full / n) * prefix[n]
+    double cycles = 0.0;             ///< double(full / n)
     double step = 0.0;               ///< sample step, hours
     double tail_hours = 0.0;         ///< fractional tail; <= 0 -> none
+    const std::size_t *ends = nullptr; ///< class ends; ends[0] >= 1
+    std::size_t classes = 0;         ///< window classes, >= 1
 };
 
 /**
@@ -90,16 +106,14 @@ struct LogNormalProblem
  */
 struct KernelTable
 {
-    /** Window costs for shifts [0, count) into out; see
-     *  WindowCostProblem. */
-    void (*window_costs)(const WindowCostProblem &problem, double *out);
-
     /**
-     * Index of the minimum of p[0..n); ties resolve to the earliest
-     * index (strict-< scan semantics), matching the fleet placement
-     * scan's earliest-start tie-break. n must be >= 1.
+     * The placement scan; see PlacementScanProblem. For class c and
+     * region r, best_shift[c * regions + r] is the earliest shift in
+     * [0, ends[c]) with the lowest window cost and
+     * best_weight[c * regions + r] that cost.
      */
-    std::size_t (*argmin_first)(const double *p, std::size_t n);
+    void (*placement_scan)(const PlacementScanProblem &problem,
+                           std::size_t *best_shift, double *best_weight);
 
     /** Log-normal draws [0, count) into out; see LogNormalProblem. */
     void (*log_normal)(const LogNormalProblem &problem, double *out);
@@ -130,7 +144,7 @@ double detCos(double x);
  */
 double detExp(double x);
 
-/** The scalar reference kernels (always available). */
+/** The one-lane scalar tier (always available). */
 const KernelTable &scalarKernels();
 
 /** The 4-lane AVX2 tier; null when not compiled in. Only safe to call

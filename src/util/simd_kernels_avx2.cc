@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "util/simd_kernels.h"
 
@@ -90,6 +91,13 @@ struct LanesAvx2
         const VF mask = _mm256_cmp_pd(u, pivot, _CMP_LT_OQ);
         return _mm256_blendv_pd(hi, lo, mask);
     }
+    static VF
+    min(VF a, VF b)
+    {
+        // minpd returns its second operand unless a < b: exactly
+        // a < b ? a : b, NaN and signed-zero lanes included.
+        return _mm256_min_pd(a, b);
+    }
     static VI
     bits(VF v)
     {
@@ -141,8 +149,7 @@ const KernelTable *
 avx2Kernels()
 {
     static const KernelTable table = {
-        &windowCostsT<LanesAvx2>,
-        &argminFirstT<LanesAvx2>,
+        &placementScanT<LanesAvx2>,
         &logNormalT<LanesAvx2>,
     };
     return &table;

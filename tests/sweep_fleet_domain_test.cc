@@ -372,10 +372,10 @@ TEST_F(SweepFleetDomainTest, DuplicateLifetimesMatchOracle)
 
 TEST_F(SweepFleetDomainTest, WideWindowMatchesOracle)
 {
-    // 97 shifts: both the slack prefix and the greedy tail of a cost
-    // row reach the argmin_first kernel path (>= 32 elements). A
-    // seasonal envelope keeps the series from repeating every 24 h, so
-    // the greenest start is often days into the window.
+    // 97 shifts: the placement kernel's scan runs far past its class
+    // ends and past several days of the series. A seasonal envelope
+    // keeps the series from repeating every 24 h, so the greenest
+    // start is often days into the window.
     const fleet::FleetSetup setup = setupFromText(fleetPlanText(
         R"(
         "lifetime_years": [3],
@@ -384,6 +384,77 @@ TEST_F(SweepFleetDomainTest, WideWindowMatchesOracle)
         "jobs": {"horizon_hours": 600, "max_slack_hours": 96})",
         R"(, "days": 28, "seasonal_amplitude": 0.3)"));
     expectOracleParity(setup, 1100, "wide window");
+}
+
+/** A fleet plan of @p regions regions cycling through solar, wind
+ *  and flat series, with all four policies. */
+std::string
+regionCountPlanText(std::size_t regions)
+{
+    const char *series[] = {
+        R"({"profile": "solar", "region": "Taiwan", "share": 0.25})",
+        R"({"profile": "wind", "region": "United States", "share": 0.3})",
+        R"({"profile": "flat", "region": "Iceland"})",
+        R"({"profile": "solar", "region": "India", "share": 0.4})",
+    };
+    std::string list;
+    for (std::size_t r = 0; r < regions; ++r) {
+        std::string entry = series[r % 4];
+        entry.insert(1, R"("name": "r)" + std::to_string(r) + R"(", )");
+        list += (r > 0 ? ", " : "") + entry;
+    }
+    return R"({"domain": "fleet", "items": 600, "seed": 5,
+        "config": {"lifetime_years": [4],
+            "policies": ["uniform", "greedy", "deadline", "migrate"],
+            "regions": [)" +
+           list + R"(],
+            "jobs": {"horizon_hours": 72, "max_slack_hours": 20}}})";
+}
+
+TEST_F(SweepFleetDomainTest, RegionCountsAcrossLaneBoundariesMatchOracle)
+{
+    // The placement kernel holds four regions per AVX2 pass: one
+    // region, exactly one full pass, one region past it, and a third
+    // partial pass must all match the per-region scalar scan.
+    for (const std::size_t regions : {1, 4, 5, 9}) {
+        const fleet::FleetSetup setup =
+            setupFromText(regionCountPlanText(regions));
+        ASSERT_EQ(setup.intensity.regions, regions);
+        expectOracleParity(setup, 600,
+                           std::to_string(regions) + " regions");
+    }
+}
+
+TEST_F(SweepFleetDomainTest, IdenticalRegionsKeepTheOraclesTieBreak)
+{
+    // Two regions with the same series tie at every start. The
+    // oracle's home@0 candidate and its strict-< scan keep a job home
+    // unless a later start is strictly greener, and then pick the
+    // lowest region with that window: a migrating job homed in a never
+    // leaves, and one homed in b moves to a exactly when it defers.
+    const fleet::FleetSetup setup = setupFromText(R"({
+        "domain": "fleet", "items": 900, "seed": 3,
+        "config": {
+            "lifetime_years": [4],
+            "policies": ["migrate"],
+            "regions": [
+                {"name": "a", "profile": "solar", "region": "Taiwan",
+                 "share": 0.25},
+                {"name": "b", "profile": "solar", "region": "Taiwan",
+                 "share": 0.25}
+            ],
+            "jobs": {"horizon_hours": 48, "max_slack_hours": 12}
+        }
+    })");
+    expectOracleParity(setup, 900, "identical regions");
+    const std::vector<fleet::FleetAccumulator> totals =
+        fleet::replayJobs(setup, {0, 900});
+    ASSERT_EQ(totals.size(), 2u);
+    EXPECT_EQ(totals[0].migrated, 0u);
+    EXPECT_GT(totals[0].deferred, 0u);
+    EXPECT_EQ(totals[1].deferred, totals[0].deferred);
+    EXPECT_EQ(totals[1].migrated, totals[1].deferred);
+    EXPECT_EQ(totals[1].operational_g, totals[0].operational_g);
 }
 
 TEST_F(SweepFleetDomainTest, PartlyCrossRegionGridsMatchOracle)
@@ -752,6 +823,20 @@ TEST_F(SweepFleetDeathTest, MismatchedRegionSeriesThrow)
                   {"profile": "flat", "region": "Taiwan", "days": 2}]})"),
               "regions[1]: series of 48 x 1 h must match regions[0]'s "
               "24 x 1 h");
+}
+
+TEST_F(SweepFleetDeathTest, OverflowingRegionSeriesThrows)
+{
+    // A sample total of inf made every window cost inf - inf = NaN,
+    // and the run only failed when the NaN reached the JSON writer.
+    std::string huge = "1e308";
+    for (int i = 1; i < 24; ++i)
+        huge += ", 1e308";
+    EXPECT_EQ(prepareError(R"({"regions": [
+                  {"profile": "flat", "region": "Iceland"},
+                  {"samples_g_per_kwh": [)" + huge + R"(]}]})"),
+              "regions[1]: the series must sum to a finite number of "
+              "g CO2/kWh (got inf)");
 }
 
 TEST_F(SweepFleetDeathTest, UnknownPolicyIsFatal)

@@ -1,15 +1,15 @@
 /**
  * @file
- * Tests for the SIMD dispatch layer and its three kernels. The contract
- * under test is bit-identity (DESIGN.md §11): every vector kernel
- * must reproduce the scalar reference kernel's outputs exactly --
- * EXPECT_EQ on doubles throughout, no tolerances -- for every length,
- * including the ragged tails.
+ * Tests for the SIMD dispatch layer and its two kernels. The contract
+ * under test is bit-identity (DESIGN.md §11): every tier must
+ * reproduce a naive reference exactly -- EXPECT_EQ on doubles
+ * throughout, no tolerances -- for every length, including the
+ * ragged tails.
  */
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,13 +30,6 @@ availableLevels()
         levels.push_back(SimdLevel::Avx2);
     return levels;
 }
-
-/** Lengths that exercise the sub-vector, tail, and long-run paths
- *  of the 4-lane tier. */
-const std::size_t kLengths[] = {1,  2,   3,   4,   5,    7,    8,
-                                15, 16,  17,  63,  64,   65,   96,
-                                127, 128, 129, 255, 256, 257, 511,
-                                1000, 4096, 6143};
 
 /** @p n draws of Xorshift64Star(seed).nextUnit(): irregular values in
  *  [0, 1) for the kernels to chew on. */
@@ -83,94 +76,169 @@ TEST(SimdKernelsTest, TableForEveryAvailableLevel)
 {
     for (SimdLevel level : availableLevels()) {
         const KernelTable &table = kernels(level);
-        EXPECT_NE(table.window_costs, nullptr);
-        EXPECT_NE(table.argmin_first, nullptr);
+        EXPECT_NE(table.placement_scan, nullptr);
         EXPECT_NE(table.log_normal, nullptr);
     }
 }
 
-TEST(SimdKernelsTest, WindowCostsMatchScalarReferenceBitwise)
+/**
+ * The fleet replayer's window cost of one region, written out as the
+ * replay oracle's sumSamples()/weightAt() pair over that region's own
+ * prefix sums and samples.
+ */
+double
+referenceWeight(const std::vector<double> &prefix,
+                const std::vector<double> &grams, std::size_t start,
+                std::size_t full, double step, double tail_hours)
 {
-    // A small cyclic series with irregular values so wrap and
-    // non-wrap windows differ; prefix and doubled arrays as the
-    // fleet's RegionSeries builds them.
-    constexpr std::size_t kSamples = 24;
-    std::vector<double> grams = unitDraws(67, kSamples);
-    const KernelTable &scalar = scalarKernels();
-    for (double &g : grams)
-        g = 100.0 + 500.0 * g;
-    std::vector<double> prefix(kSamples + 1, 0.0);
-    for (std::size_t i = 0; i < kSamples; ++i)
-        prefix[i + 1] = prefix[i] + grams[i];
-    std::vector<double> grams2x(grams);
-    grams2x.insert(grams2x.end(), grams.begin(), grams.end());
+    const std::size_t n = grams.size();
+    double sum = static_cast<double>(full / n) * prefix[n];
+    const std::size_t rem = full % n;
+    const std::size_t s0 = start % n;
+    if (s0 + rem <= n)
+        sum += prefix[s0 + rem] - prefix[s0];
+    else
+        sum += (prefix[n] - prefix[s0]) + prefix[s0 + rem - n];
+    double weight = sum * step;
+    if (tail_hours > 0.0)
+        weight += grams[(start + full) % n] * tail_hours;
+    return weight;
+}
 
-    for (SimdLevel level : availableLevels()) {
-        const KernelTable &table = kernels(level);
-        for (std::size_t start0 : {std::size_t{0}, std::size_t{5},
-                                   std::size_t{23}, std::size_t{70}}) {
-            for (std::size_t rem :
-                 {std::size_t{0}, std::size_t{1}, std::size_t{11},
-                  std::size_t{23}}) {
-                // Counts below, at, and far beyond the series length
-                // exercise every segment split and the s0 rewrap.
-                for (std::size_t count :
-                     {std::size_t{1}, std::size_t{2}, std::size_t{13},
-                      std::size_t{24}, std::size_t{57}}) {
-                    for (double tail : {0.0, 0.37}) {
-                        WindowCostProblem problem;
-                        problem.prefix = prefix.data();
-                        problem.grams2x = grams2x.data();
-                        problem.n = kSamples;
-                        problem.start0 = start0;
-                        problem.count = count;
-                        problem.rem = rem;
-                        problem.base = 2.0 * prefix[kSamples];
-                        problem.step = 1.0;
-                        problem.tail_hours = tail;
+/** Per-region series plus the region-interleaved tables the fleet
+ *  setup builds from them. */
+struct RegionTables
+{
+    std::vector<std::vector<double>> grams;
+    std::vector<std::vector<double>> prefix;
+    std::vector<double> prefix_table;
+    std::vector<double> sample_table;
+};
 
-                        std::vector<double> expected(count),
-                            actual(count);
-                        scalar.window_costs(problem, expected.data());
-                        table.window_costs(problem, actual.data());
-                        for (std::size_t k = 0; k < count; ++k) {
-                            ASSERT_EQ(actual[k], expected[k])
-                                << simdLevelName(level) << " start0 "
-                                << start0 << " rem " << rem
-                                << " count " << count << " tail "
-                                << tail << " shift " << k;
-                        }
-                    }
+/** @p regions series of @p n samples, irregular or all equal. The
+ *  tables are sized exactly, padding included, so a lane load past
+ *  the padding is an out-of-bounds read under AddressSanitizer. */
+RegionTables
+regionTables(std::size_t regions, std::size_t n, bool flat)
+{
+    RegionTables t;
+    t.prefix_table.assign((n + 1) * regions + kMaxLanes - 1, 0.0);
+    t.sample_table.assign(n * regions + kMaxLanes - 1, 0.0);
+    for (std::size_t r = 0; r < regions; ++r) {
+        std::vector<double> grams = unitDraws(300 + r, n);
+        std::vector<double> prefix(1, 0.0);
+        for (double &g : grams) {
+            g = flat ? 250.0 : 100.0 + 500.0 * g;
+            prefix.push_back(prefix.back() + g);
+        }
+        for (std::size_t i = 0; i <= n; ++i)
+            t.prefix_table[i * regions + r] = prefix[i];
+        for (std::size_t i = 0; i < n; ++i)
+            t.sample_table[i * regions + r] = grams[i];
+        t.grams.push_back(std::move(grams));
+        t.prefix.push_back(std::move(prefix));
+    }
+    return t;
+}
+
+/** The naive placement answer: a strict-< scan of each region's
+ *  costs over [0, ends.back()), read at every class end. */
+void
+naiveScan(const RegionTables &t, const PlacementScanProblem &pr,
+          std::size_t full, std::vector<std::size_t> &best_shift,
+          std::vector<double> &best_weight)
+{
+    best_shift.assign(pr.classes * pr.regions, 0);
+    best_weight.assign(pr.classes * pr.regions, 0.0);
+    for (std::size_t r = 0; r < pr.regions; ++r) {
+        std::size_t best = 0;
+        double best_value = referenceWeight(t.prefix[r], t.grams[r],
+                                            pr.start0, full, pr.step,
+                                            pr.tail_hours);
+        std::size_t k = 1;
+        for (std::size_t c = 0; c < pr.classes; ++c) {
+            for (; k < pr.ends[c]; ++k) {
+                const double value =
+                    referenceWeight(t.prefix[r], t.grams[r], pr.start0 + k,
+                                    full, pr.step, pr.tail_hours);
+                if (value < best_value) {
+                    best_value = value;
+                    best = k;
                 }
             }
+            best_shift[c * pr.regions + r] = best;
+            best_weight[c * pr.regions + r] = best_value;
         }
     }
 }
 
-TEST(SimdKernelsTest, ArgminFirstReturnsEarliestMinimum)
+TEST(SimdKernelsTest, PlacementScanMatchesNaiveReferenceBitwise)
 {
-    const KernelTable &scalar = scalarKernels();
-    for (SimdLevel level : availableLevels()) {
-        const KernelTable &table = kernels(level);
-        for (std::size_t n : kLengths) {
-            const std::vector<double> values = unitDraws(123, n);
-            EXPECT_EQ(table.argmin_first(values.data(), n),
-                      scalar.argmin_first(values.data(), n))
-                << simdLevelName(level) << " n " << n;
-
-            // Ties must resolve to the earliest index, wherever the
-            // duplicates land relative to the vector lanes.
-            std::vector<double> tied(n, 5.0);
-            EXPECT_EQ(table.argmin_first(tied.data(), n), 0u)
-                << simdLevelName(level) << " all-equal n " << n;
-            for (std::size_t lo : {std::size_t{0}, n / 3, n - 1}) {
-                std::fill(tied.begin(), tied.end(), 5.0);
-                tied[lo] = 1.0;
-                if (n - 1 > lo)
-                    tied[n - 1] = 1.0;
-                EXPECT_EQ(table.argmin_first(tied.data(), n), lo)
-                    << simdLevelName(level) << " n " << n << " lo "
-                    << lo;
+    // Region counts on both sides of the 4-lane boundary, shift counts
+    // up to four cycles of the series, starts that wrap, windows that
+    // cover the whole series, fractional tails, nested class ends
+    // (equal ones included), and flat series whose exact ties must
+    // resolve to the earliest shift.
+    constexpr std::size_t kSamples = 24;
+    using Ends = std::vector<std::size_t>;
+    std::vector<std::size_t> want_shift;
+    std::vector<double> want_weight;
+    for (const bool flat : {false, true}) {
+        for (std::size_t regions = 1; regions <= 9; ++regions) {
+            const RegionTables tables =
+                regionTables(regions, kSamples, flat);
+            for (const std::size_t width :
+                 {1, 2, 4, 5, 13, 24, 31, 97, 100}) {
+                const Ends class_ends[] = {{width},
+                                           {1, width},
+                                           {1, 1, width},
+                                           {1, width, width},
+                                           {1, (width + 1) / 2, width}};
+                for (const Ends &ends : class_ends) {
+                    for (const std::size_t start0 : {0, 5, 23, 70}) {
+                        for (const std::size_t full :
+                             {0, 1, 11, 23, 24, 59}) {
+                            for (const double tail : {0.0, 0.37}) {
+                                PlacementScanProblem problem;
+                                problem.prefix = tables.prefix_table.data();
+                                problem.samples = tables.sample_table.data();
+                                problem.regions = regions;
+                                problem.n = kSamples;
+                                problem.start0 = start0;
+                                problem.rem = full % kSamples;
+                                problem.cycles =
+                                    static_cast<double>(full / kSamples);
+                                problem.step = 0.5;
+                                problem.tail_hours = tail;
+                                problem.ends = ends.data();
+                                problem.classes = ends.size();
+                                naiveScan(tables, problem, full, want_shift,
+                                          want_weight);
+                                for (SimdLevel level : availableLevels()) {
+                                    std::vector<std::size_t> shift(
+                                        want_shift.size(), 999);
+                                    std::vector<double> weight(
+                                        want_weight.size(), -1.0);
+                                    kernels(level).placement_scan(
+                                        problem, shift.data(),
+                                        weight.data());
+                                    const std::string where =
+                                        std::string(simdLevelName(level)) +
+                                        " flat " + std::to_string(flat) +
+                                        " regions " +
+                                        std::to_string(regions) +
+                                        " width " + std::to_string(width) +
+                                        " start0 " +
+                                        std::to_string(start0) + " full " +
+                                        std::to_string(full) + " tail " +
+                                        std::to_string(tail);
+                                    ASSERT_EQ(shift, want_shift) << where;
+                                    ASSERT_EQ(weight, want_weight) << where;
+                                }
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -11,8 +11,9 @@
 # Carlo partials whose packed outputs have a bad hex digit, a length
 # that is not a multiple of 16, a NaN or infinite sample, or an empty or
 # non-string value, a v1 partial, a fleet partial with a negative job
-# count, fleet plans with a huge deadline_samples or region day count
-# or a duration sigma factor of 1,
+# count, fleet plans with a huge deadline_samples or region day count,
+# a duration sigma factor of 1 or a region series whose total
+# overflows,
 # devices with a fractional or huge package count, a truncated trace,
 # a mistyped trace and a trace with a negative epoch, a huge --shards
 # flag, `act cpa`/`logic`/`footprint`/`status`/`sweep` numbers
@@ -371,6 +372,21 @@ foreach(threads 1 4)
         sweep --plan fleet_sigma.json --out sigma_out.json)
 endforeach()
 set(ENV{ACT_THREADS} 1)
+
+# A region whose samples sum past the double range used to run the
+# whole sweep on NaN window costs (inf - inf) and only then fail in the
+# JSON writer. It must fail at load, naming the region, with no --out.
+string(REPEAT "1e308, " 23 huge_samples)
+file(WRITE "${WORK_DIR}/fleet_overflow.json"
+     "{\"domain\": \"fleet\", \"items\": 5000, \"config\": {\"regions\": ["
+     "{\"samples_g_per_kwh\": [${huge_samples}1e308]}, "
+     "{\"samples_g_per_kwh\": [100, 100, 100, 100, 100, 100, 100, 100, "
+     "100, 100, 100, 100, 100, 100, 100, 100, 100, 100, 100, 100, 100, "
+     "100, 100, 100]}], \"jobs\": {\"horizon_hours\": 24}}}\n")
+expect_fatal_without("overflowing fleet region series"
+    "bad sweep plan 'fleet_overflow\\.json': regions\\[0\\]: the series must sum to a finite number of g CO2/kWh \\(got inf\\)"
+    overflow_out.json
+    sweep --plan fleet_overflow.json --out overflow_out.json)
 
 # A shard count past 2^64 used to be cast before the range check.
 expect_fatal("huge --shards"
