@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "accel/npu_model.h"
+#include "core/fab_params.h"
 #include "core/metrics.h"
 
 namespace act::accel {

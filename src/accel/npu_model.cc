@@ -128,11 +128,4 @@ NpuModel::evaluate(const Network &network, const NpuConfig &config) const
     return result;
 }
 
-util::Mass
-NpuModel::embodied(const NpuConfig &config,
-                   const core::FabParams &fab) const
-{
-    return core::logicEmbodied(area(config), config.node_nm, fab);
-}
-
 } // namespace act::accel

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "accel/network.h"
-#include "core/embodied.h"
 #include "util/units.h"
 
 namespace act::accel {
@@ -108,8 +107,6 @@ class NpuModel
   public:
     explicit NpuModel(NpuModelParams params = NpuModelParams{});
 
-    const NpuModelParams &params() const { return params_; }
-
     /** Silicon area of a configuration. */
     util::Area area(const NpuConfig &config) const;
 
@@ -123,10 +120,6 @@ class NpuModel
     /** Full-frame evaluation over a network. */
     NpuEvaluation evaluate(const Network &network,
                            const NpuConfig &config) const;
-
-    /** Eq. 4 embodied carbon of a configuration. */
-    util::Mass embodied(const NpuConfig &config,
-                        const core::FabParams &fab) const;
 
   private:
     NpuModelParams params_;

@@ -663,20 +663,6 @@ JsonValue::asNumber() const
     return std::get<double>(data_);
 }
 
-std::int64_t
-JsonValue::asInteger() const
-{
-    const double value = asNumber();
-    if (value != std::floor(value))
-        throw JsonTypeError("JSON number is not integral");
-    // Only [-2^63, 2^63) converts; the cast is undefined outside it.
-    if (!(value >= -0x1p63 && value < 0x1p63)) {
-        throw JsonTypeError("JSON number " + shortest(value) +
-                            " is out of 64-bit integer range");
-    }
-    return static_cast<std::int64_t>(value);
-}
-
 const std::string &
 JsonValue::asString() const
 {

@@ -86,9 +86,6 @@ class JsonValue
 
     bool asBool() const;
     double asNumber() const;
-    /** asNumber() narrowed; throws if not integral or outside the
-     *  int64 range. */
-    std::int64_t asInteger() const;
     const std::string &asString() const;
     const JsonArray &asArray() const;
     JsonArray &asArray();

@@ -93,8 +93,6 @@ class EmbodiedModel
   public:
     explicit EmbodiedModel(FabParams fab = FabParams{});
 
-    const FabParams &fab() const { return fab_; }
-
     /** Embodied footprint of one IC (excluding packaging). */
     util::Mass icEmbodied(const data::IcComponent &ic) const;
 

@@ -72,15 +72,6 @@ class EvalPlan
     static EvalPlan forNode(const FabParams &fab, double nm,
                             std::span<const EvalInput> bindings = {});
 
-    /** Number of bound inputs (the expected inputs[] length). */
-    std::size_t inputCount() const { return input_count_; }
-
-    /** The bound inputs, in inputs[] order. */
-    std::span<const EvalInput> bindings() const
-    {
-        return {bindings_.data(), input_count_};
-    }
-
     /**
      * Batched evaluation over structure-of-arrays columns:
      * outputs[s] = Eq. 5 with binding i set to inputs[i][s], for s in

@@ -43,11 +43,4 @@ operationalFootprint(util::Energy energy, const OperationalParams &params)
     return params.ci_use * (energy * params.utilization_effectiveness);
 }
 
-util::Mass
-operationalFootprint(util::Power power, util::Duration duration,
-                     const OperationalParams &params)
-{
-    return operationalFootprint(power * duration, params);
-}
-
 } // namespace act::core

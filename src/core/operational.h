@@ -38,10 +38,6 @@ struct OperationalParams
 util::Mass operationalFootprint(util::Energy energy,
                                 const OperationalParams &params);
 
-/** Eq. 2 for a fixed-power workload running for a duration. */
-util::Mass operationalFootprint(util::Power power, util::Duration duration,
-                                const OperationalParams &params);
-
 } // namespace act::core
 
 #endif // ACT_CORE_OPERATIONAL_H

@@ -159,18 +159,6 @@ policyByName(std::string_view name)
                 "'migrate')");
 }
 
-std::string_view
-policyName(DeferralPolicy kind)
-{
-    switch (kind) {
-    case DeferralPolicy::Uniform: return "uniform";
-    case DeferralPolicy::GreedyGreenest: return "greedy";
-    case DeferralPolicy::DeadlineBounded: return "deadline";
-    case DeferralPolicy::GreenestRegion: return "migrate";
-    }
-    util::fatal("unknown deferral policy kind");
-}
-
 SeriesSchedule
 schedule(const DailyLoad &load, const data::IntensitySeries &series,
          const PolicySpec &policy)

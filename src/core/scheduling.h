@@ -69,9 +69,6 @@ struct PolicySpec
  *  anything else. "deadline" defaults to a 6-sample window. */
 PolicySpec policyByName(std::string_view name);
 
-/** Canonical name of a policy kind. */
-std::string_view policyName(DeferralPolicy kind);
-
 /** Result of scheduling a load against one intensity series. The
  *  per-day load is tiled over the series span (durationHours()/24
  *  days' worth of energy). */

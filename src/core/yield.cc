@@ -6,20 +6,6 @@
 
 namespace act::core {
 
-std::string_view
-yieldModelName(YieldModel model)
-{
-    switch (model) {
-      case YieldModel::Poisson:
-        return "Poisson";
-      case YieldModel::Murphy:
-        return "Murphy";
-      case YieldModel::NegativeBinomial:
-        return "negative binomial";
-    }
-    util::panic("unknown YieldModel enumerator");
-}
-
 double
 dieYield(util::Area die_area, const DefectParams &defects)
 {

@@ -19,8 +19,6 @@
 #ifndef ACT_CORE_YIELD_H
 #define ACT_CORE_YIELD_H
 
-#include <string_view>
-
 #include "util/units.h"
 
 namespace act::core {
@@ -32,8 +30,6 @@ enum class YieldModel
     Murphy,
     NegativeBinomial,
 };
-
-std::string_view yieldModelName(YieldModel model);
 
 /** Process defect characteristics. */
 struct DefectParams

@@ -124,8 +124,6 @@ struct FabDatabase::Curves
                           /*log_x=*/true};
 };
 
-FabDatabase::FabDatabase() = default;
-
 const FabDatabase &
 FabDatabase::instance()
 {

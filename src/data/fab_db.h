@@ -87,11 +87,9 @@ class FabDatabase
     /** Raw material procurement intensity (Table 8): 500 g CO2/cm2. */
     util::CarbonPerArea mpa() const;
 
-    /** Default fab yield used by the paper's released tool. */
-    double defaultYield() const { return kDefaultYield; }
-
     /** TSMC's reported gaseous abatement (Fig. 6 annotation). */
     static constexpr double kDefaultAbatement = 0.97;
+    /** Default fab yield used by the paper's released tool. */
     static constexpr double kDefaultYield = 0.875;
 
     /** Valid feature-size query range. */
@@ -99,7 +97,7 @@ class FabDatabase
     static constexpr double kMaxNode = 28.0;
 
   private:
-    FabDatabase();
+    FabDatabase() = default;
 
     struct Curves;
     const Curves &curves() const;

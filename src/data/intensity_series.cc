@@ -171,15 +171,6 @@ IntensitySeries::seasonal(const IntensitySeries &day, std::size_t days,
                                           : day.name() + "+seasonal");
 }
 
-util::CarbonIntensity
-IntensitySeries::average() const
-{
-    const double sum = std::accumulate(grams_per_kwh_.begin(),
-                                       grams_per_kwh_.end(), 0.0);
-    return util::gramsPerKilowattHour(
-        sum / static_cast<double>(grams_per_kwh_.size()));
-}
-
 std::vector<std::size_t>
 IntensitySeries::samplesByIntensity() const
 {
@@ -271,21 +262,6 @@ intensitySeriesFromJson(const config::JsonValue &value)
             name);
     }
     return series;
-}
-
-config::JsonValue
-toJson(const IntensitySeries &series)
-{
-    config::JsonObject object;
-    if (!series.name().empty())
-        object["name"] = config::JsonValue(series.name());
-    object["step_hours"] = config::JsonValue(series.stepHours());
-    config::JsonArray samples;
-    samples.reserve(series.size());
-    for (const double g : series.samples())
-        samples.emplace_back(g);
-    object["samples_g_per_kwh"] = config::JsonValue(std::move(samples));
-    return config::JsonValue(std::move(object));
 }
 
 } // namespace act::data

@@ -118,9 +118,6 @@ class IntensitySeries
     /** Raw samples (g CO2/kWh), one cycle. */
     const std::vector<double> &samples() const { return grams_per_kwh_; }
 
-    /** Average intensity over one cycle. */
-    util::CarbonIntensity average() const;
-
     /** Sample indices sorted from greenest to dirtiest. */
     std::vector<std::size_t> samplesByIntensity() const;
 
@@ -143,9 +140,6 @@ class IntensitySeries
  * and seasonal() make for every caller stay fatal.
  */
 IntensitySeries intensitySeriesFromJson(const config::JsonValue &value);
-
-/** Serialize in the explicit-samples form (bit-exact round-trip). */
-config::JsonValue toJson(const IntensitySeries &series);
 
 } // namespace act::data
 

@@ -9,24 +9,11 @@
 
 namespace act::data {
 
-using util::Area;
-using util::Capacity;
 using util::gigabytes;
-using util::Power;
 using util::squareMillimeters;
 using util::watts;
 
 namespace {
-
-constexpr std::array<std::string_view, kNumMobileWorkloads> kWorkloadNames = {
-    "HTML5 rendering",
-    "AES encryption",
-    "text compression",
-    "image compression",
-    "face detection",
-    "speech recognition",
-    "image classification",
-};
 
 /**
  * Per-family workload flavor: relative strengths across the Geekbench
@@ -87,12 +74,6 @@ makeSoc(std::string name, SocFamily family, int year, double node_nm,
 }
 
 } // namespace
-
-std::string_view
-workloadName(MobileWorkload workload)
-{
-    return kWorkloadNames[static_cast<std::size_t>(workload)];
-}
 
 std::string_view
 familyName(SocFamily family)

@@ -50,7 +50,6 @@ enum class MobileWorkload
 
 inline constexpr std::size_t kNumMobileWorkloads = 7;
 
-std::string_view workloadName(MobileWorkload workload);
 std::string_view familyName(SocFamily family);
 
 /** One mobile chipset. */

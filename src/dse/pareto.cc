@@ -10,18 +10,8 @@ dominates(const Point2D &a, const Point2D &b)
     return a.x <= b.x && a.y <= b.y && (a.x < b.x || a.y < b.y);
 }
 
-bool
-dominates(const Point3D &a, const Point3D &b)
-{
-    return a.x <= b.x && a.y <= b.y && a.z <= b.z &&
-           (a.x < b.x || a.y < b.y || a.z < b.z);
-}
-
-namespace {
-
-template <typename PointT>
 std::vector<std::size_t>
-frontierImpl(std::span<const PointT> points)
+paretoFrontier(std::span<const Point2D> points)
 {
     std::vector<std::size_t> frontier;
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -40,20 +30,6 @@ frontierImpl(std::span<const PointT> points)
                   return points[a].x < points[b].x;
               });
     return frontier;
-}
-
-} // namespace
-
-std::vector<std::size_t>
-paretoFrontier(std::span<const Point2D> points)
-{
-    return frontierImpl(points);
-}
-
-std::vector<std::size_t>
-paretoFrontier(std::span<const Point3D> points)
-{
-    return frontierImpl(points);
 }
 
 } // namespace act::dse

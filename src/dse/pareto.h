@@ -1,6 +1,6 @@
 /**
  * @file
- * Pareto-frontier extraction for two- and three-objective design-space
+ * Pareto-frontier extraction for two-objective design-space
  * exploration (all objectives minimized). Used by the case studies to
  * show which hardware configurations are jointly optimal in, e.g.,
  * (delay, embodied carbon) space.
@@ -24,25 +24,14 @@ struct Point2D
     double y = 0.0;
 };
 
-/** A named point in a three-objective space. */
-struct Point3D
-{
-    std::string name;
-    double x = 0.0;
-    double y = 0.0;
-    double z = 0.0;
-};
-
 /** True when @p a dominates @p b (<= everywhere, < somewhere). */
 bool dominates(const Point2D &a, const Point2D &b);
-bool dominates(const Point3D &a, const Point3D &b);
 
 /**
  * Indices of the non-dominated points, sorted by ascending x.
  * Duplicate points are all kept (none dominates the other).
  */
 std::vector<std::size_t> paretoFrontier(std::span<const Point2D> points);
-std::vector<std::size_t> paretoFrontier(std::span<const Point3D> points);
 
 } // namespace act::dse
 

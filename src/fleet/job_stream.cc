@@ -124,22 +124,4 @@ jobStreamFromJson(const config::JsonValue &value)
     return params;
 }
 
-config::JsonValue
-toJson(const JobStreamParams &params)
-{
-    config::JsonObject object;
-    object["horizon_hours"] = config::JsonValue(params.horizon_hours);
-    object["median_duration_hours"] =
-        config::JsonValue(params.median_duration_hours);
-    object["duration_sigma_factor"] =
-        config::JsonValue(params.duration_sigma_factor);
-    object["max_duration_hours"] =
-        config::JsonValue(params.max_duration_hours);
-    object["deferrable_fraction"] =
-        config::JsonValue(params.deferrable_fraction);
-    object["max_slack_hours"] =
-        config::JsonValue(params.max_slack_hours);
-    return config::JsonValue(std::move(object));
-}
-
 } // namespace act::fleet

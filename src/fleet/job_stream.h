@@ -100,8 +100,6 @@ void jobBlockAt(const JobStreamParams &params, std::uint64_t first,
  *  mistyped or out-of-range field. */
 JobStreamParams jobStreamFromJson(const config::JsonValue &value);
 
-config::JsonValue toJson(const JobStreamParams &params);
-
 } // namespace act::fleet
 
 #endif // ACT_FLEET_JOB_STREAM_H

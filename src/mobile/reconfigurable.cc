@@ -10,16 +10,12 @@ namespace act::mobile {
 using util::Duration;
 using util::Energy;
 using util::milliseconds;
-using util::millijoules;
 using util::squareMillimeters;
 
 namespace {
 
 constexpr std::array<SmivApp, kNumSmivApps> kApps = {
     SmivApp::Fir, SmivApp::Aes, SmivApp::Ai};
-
-constexpr std::array<std::string_view, kNumSmivApps> kAppNames = {
-    "FIR", "AES", "AI"};
 
 /** A53-class CPU baselines per operation. */
 constexpr std::array<double, kNumSmivApps> kCpuLatencyMs = {2.0, 4.0, 30.0};
@@ -41,18 +37,6 @@ const std::array<SubstrateProfile, 3> kSubstrates = {{
 }};
 
 } // namespace
-
-std::string_view
-smivAppName(SmivApp app)
-{
-    return kAppNames[static_cast<std::size_t>(app)];
-}
-
-std::span<const SmivApp>
-allSmivApps()
-{
-    return kApps;
-}
 
 std::span<const SubstrateProfile>
 smivSubstrates()

@@ -35,9 +35,6 @@ enum class SmivApp
 
 inline constexpr std::size_t kNumSmivApps = 3;
 
-std::string_view smivAppName(SmivApp app);
-std::span<const SmivApp> allSmivApps();
-
 /** One compute substrate on the SMIV-style SoC. */
 struct SubstrateProfile
 {

@@ -171,12 +171,6 @@ struct PackageResult
 
     /** Die-to-die signaling energy, pJ/bit (style-resolved). */
     double d2d_energy_pj_per_bit = 0.0;
-
-    /** Operational energy to move @p bits across the d2d fabric. */
-    util::Energy interfaceEnergy(double bits) const
-    {
-        return util::joules(d2d_energy_pj_per_bit * 1e-12 * bits);
-    }
 };
 
 /**

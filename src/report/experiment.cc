@@ -6,7 +6,6 @@
 #include "obs/metrics_doc.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/strings.h"
 
 namespace act::report {
 
@@ -70,14 +69,6 @@ Experiment::claim(std::string_view label, std::string_view paper,
 {
     std::cout << "[claim] " << label << ": paper=" << paper
               << " measured=" << measured << '\n';
-}
-
-void
-Experiment::claim(std::string_view label, double paper, double measured,
-                  int significant_digits) const
-{
-    claim(label, util::formatSig(paper, significant_digits),
-          util::formatSig(measured, significant_digits));
 }
 
 void

@@ -59,8 +59,6 @@ class Experiment
     /** Report a paper-claimed value against the measured one. */
     void claim(std::string_view label, std::string_view paper,
                std::string_view measured) const;
-    void claim(std::string_view label, double paper, double measured,
-               int significant_digits = 3) const;
 
     /** Free-form note line. */
     void note(std::string_view text) const;

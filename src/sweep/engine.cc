@@ -122,7 +122,6 @@ runShardedSweep(const SweepPlan &plan, const ShardSpec &shard,
     result.plan = plan;
     result.shard = shard;
     result.chunk_begin = owned.begin;
-    result.chunks.resize(owned.size());
 
     const std::vector<util::IndexRange> owned_chunks(
         chunks.begin() + static_cast<std::ptrdiff_t>(owned.begin),
@@ -143,15 +142,13 @@ runShardedSweep(const SweepPlan &plan, const ShardSpec &shard,
         heartbeat->publish(/*force=*/true, /*done=*/false);
     }
 
-    detail::runPlanChunks(
+    // Streams derive from the *global* chunk index, so a shard samples
+    // exactly what the full run would.
+    result.chunks = detail::evaluateChunks(
         plan, owned_chunks, owned.begin,
-        [&](std::size_t chunk, util::IndexRange range) {
-            // Streams derive from the *global* chunk index, so a
-            // shard samples exactly what the full run would.
-            util::Xorshift64Star rng(
-                util::deriveSeed(plan.seed, chunk));
-            result.chunks[chunk - owned.begin] =
-                evaluator(chunk, range, rng);
+        [&](std::size_t chunk, util::IndexRange range,
+            util::Xorshift64Star &rng) {
+            JsonValue payload = evaluator(chunk, range, rng);
             if (heartbeat != nullptr) {
                 heartbeat->items_done.fetch_add(
                     range.size(), std::memory_order_relaxed);
@@ -159,6 +156,7 @@ runShardedSweep(const SweepPlan &plan, const ShardSpec &shard,
                     1, std::memory_order_relaxed);
                 heartbeat->publish(/*force=*/false, /*done=*/false);
             }
+            return payload;
         });
     if (heartbeat != nullptr)
         heartbeat->publish(/*force=*/true, /*done=*/true);
@@ -443,16 +441,9 @@ fullSweepResult(const SweepPlan &plan,
 {
     if (plan.items == 0)
         util::fatal("sweep plan '", plan.domain, "' has no items");
-    JsonArray payloads(planChunks(plan).size());
-    const std::vector<util::IndexRange> chunks = planChunks(plan);
-    detail::runPlanChunks(
-        plan, chunks, 0,
-        [&](std::size_t chunk, util::IndexRange range) {
-            util::Xorshift64Star rng(
-                util::deriveSeed(plan.seed, chunk));
-            payloads[chunk] = evaluator(chunk, range, rng);
-        });
-    return resultDocument(plan, std::move(payloads));
+    return resultDocument(
+        plan,
+        detail::evaluateChunks(plan, planChunks(plan), 0, evaluator));
 }
 
 } // namespace act::sweep

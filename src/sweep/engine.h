@@ -56,31 +56,33 @@ void runPlanChunks(
     std::size_t chunk_offset,
     const std::function<void(std::size_t, util::IndexRange)> &body);
 
-} // namespace detail
-
 /**
- * Evaluate every chunk of @p plan: @p evaluator(chunk, range, rng) ->
- * Chunk, returning the per-chunk results in chunk order. The RNG is
- * pre-seeded with the chunk's derived stream.
+ * The one chunk loop of every seeded sweep: evaluate @p chunks, the
+ * plan's global chunks from @p chunk_offset on, as
+ * @p evaluator(chunk, range, rng), with the RNG pre-seeded with the
+ * chunk's derived stream. Returns the results in chunk order.
  */
 template <typename Evaluator>
 auto
-runSweepChunks(const SweepPlan &plan, Evaluator &&evaluator)
+evaluateChunks(const SweepPlan &plan,
+               const std::vector<util::IndexRange> &chunks,
+               std::size_t chunk_offset, Evaluator &&evaluator)
 {
     using Chunk = std::decay_t<std::invoke_result_t<
         Evaluator &, std::size_t, util::IndexRange,
         util::Xorshift64Star &>>;
-    const std::vector<util::IndexRange> chunks = planChunks(plan);
-    std::vector<Chunk> partials(chunks.size());
-    detail::runPlanChunks(
-        plan, chunks, 0,
-        [&](std::size_t chunk, util::IndexRange range) {
-            util::Xorshift64Star rng(
-                util::deriveSeed(plan.seed, chunk));
-            partials[chunk] = evaluator(chunk, range, rng);
-        });
-    return partials;
+    std::vector<Chunk> results(chunks.size());
+    runPlanChunks(plan, chunks, chunk_offset,
+                  [&](std::size_t chunk, util::IndexRange range) {
+                      util::Xorshift64Star rng(
+                          util::deriveSeed(plan.seed, chunk));
+                      results[chunk - chunk_offset] =
+                          evaluator(chunk, range, rng);
+                  });
+    return results;
 }
+
+} // namespace detail
 
 /**
  * Deterministic sweep with ordered reduction: evaluate every chunk,
@@ -96,7 +98,8 @@ Accumulator
 runSweep(const SweepPlan &plan, Evaluator &&evaluator, Reducer &&reduce,
          Accumulator init = Accumulator{})
 {
-    auto partials = runSweepChunks(plan, evaluator);
+    auto partials =
+        detail::evaluateChunks(plan, planChunks(plan), 0, evaluator);
     Accumulator accumulator = std::move(init);
     for (auto &partial : partials)
         accumulator = reduce(std::move(accumulator), std::move(partial));

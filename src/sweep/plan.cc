@@ -114,12 +114,14 @@ shardChunkRange(std::size_t chunk_count, const ShardSpec &shard)
 {
     validateShard(shard);
     // Contiguous slices: shard i of N owns [floor(C*i/N),
-    // floor(C*(i+1)/N)), which partitions the chunks exactly.
-    const std::size_t begin =
-        chunk_count * shard.shard_index / shard.shard_count;
-    const std::size_t end =
-        chunk_count * (shard.shard_index + 1) / shard.shard_count;
-    return {begin, end};
+    // floor(C*(i+1)/N)), which partitions the chunks exactly. C*i is
+    // exact in 128 bits; in size_t it wraps once C*i passes 2^64.
+    const auto bound = [&](std::size_t index) {
+        return static_cast<std::size_t>(
+            static_cast<unsigned __int128>(chunk_count) * index /
+            shard.shard_count);
+    };
+    return {bound(shard.shard_index), bound(shard.shard_index + 1)};
 }
 
 } // namespace act::sweep

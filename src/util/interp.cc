@@ -8,12 +8,6 @@
 namespace act::util {
 
 double
-clamp(double value, double lo, double hi)
-{
-    return std::min(std::max(value, lo), hi);
-}
-
-double
 lerp(double a, double b, double t)
 {
     return a + (b - a) * t;

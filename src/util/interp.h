@@ -15,9 +15,6 @@
 
 namespace act::util {
 
-/** Clamp @p value into [lo, hi]. */
-double clamp(double value, double lo, double hi);
-
 /** Linear interpolation between two points at parameter t in [0, 1]. */
 double lerp(double a, double b, double t);
 
@@ -43,9 +40,6 @@ class PiecewiseLinear
 
     /** Interpolated value at @p x. */
     double at(double x) const;
-
-    double minX() const { return points_.front().first; }
-    double maxX() const { return points_.back().first; }
 
   private:
     std::vector<std::pair<double, double>> points_;

@@ -1,43 +1,11 @@
 #include "util/strings.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 
 namespace act::util {
-
-std::vector<std::string>
-split(std::string_view text, char delimiter)
-{
-    std::vector<std::string> fields;
-    std::size_t start = 0;
-    while (true) {
-        const std::size_t pos = text.find(delimiter, start);
-        if (pos == std::string_view::npos) {
-            fields.emplace_back(text.substr(start));
-            return fields;
-        }
-        fields.emplace_back(text.substr(start, pos - start));
-        start = pos + 1;
-    }
-}
-
-std::string_view
-trim(std::string_view text)
-{
-    std::size_t begin = 0;
-    std::size_t end = text.size();
-    while (begin < end &&
-           std::isspace(static_cast<unsigned char>(text[begin]))) {
-        ++begin;
-    }
-    while (end > begin &&
-           std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-        --end;
-    }
-    return text.substr(begin, end - begin);
-}
 
 std::string
 toLower(std::string_view text)
@@ -81,18 +49,6 @@ formatSig(double value, int significant_digits)
         std::max(0, significant_digits - leading_exponent - 1);
     std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, value);
     return buffer;
-}
-
-std::string
-join(const std::vector<std::string> &parts, std::string_view separator)
-{
-    std::ostringstream out;
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-        if (i > 0)
-            out << separator;
-        out << parts[i];
-    }
-    return out.str();
 }
 
 } // namespace act::util

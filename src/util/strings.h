@@ -1,7 +1,7 @@
 /**
  * @file
- * Small string utilities shared across the library: splitting, trimming,
- * case folding, and numeric formatting for report output.
+ * Small string utilities shared across the library: case folding,
+ * prefix tests, and numeric formatting for report output.
  */
 
 #ifndef ACT_UTIL_STRINGS_H
@@ -9,15 +9,8 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace act::util {
-
-/** Split on a delimiter character; empty fields are preserved. */
-std::vector<std::string> split(std::string_view text, char delimiter);
-
-/** Strip leading and trailing ASCII whitespace. */
-std::string_view trim(std::string_view text);
 
 /** ASCII lower-case copy. */
 std::string toLower(std::string_view text);
@@ -33,10 +26,6 @@ std::string formatFixed(double value, int decimals);
  * scientific notation based on magnitude; used for table output.
  */
 std::string formatSig(double value, int significant_digits);
-
-/** Join elements with a separator. */
-std::string join(const std::vector<std::string> &parts,
-                 std::string_view separator);
 
 } // namespace act::util
 

@@ -39,8 +39,6 @@ class Table
     /** Insert a horizontal rule before the next row. */
     void addSeparator();
 
-    std::size_t rowCount() const { return rows_.size(); }
-
     /** Render to a string, one trailing newline included. */
     std::string render() const;
 

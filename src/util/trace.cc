@@ -19,12 +19,12 @@ std::atomic<bool> g_trace_enabled{false};
 
 namespace {
 
-/** One buffered trace event; categories are string literals. */
+/** One buffered complete ("ph":"X") trace event; categories are
+ *  string literals. */
 struct TraceEvent
 {
     const char *category = nullptr;
     std::string name;
-    char phase = 'X';
     std::uint32_t tid = 0;
     std::uint64_t ts_ns = 0;
     std::uint64_t dur_ns = 0;
@@ -76,13 +76,6 @@ class TraceCollector
             atexit_registered_ = true;
             std::atexit([] { flushTrace(); });
         }
-    }
-
-    std::string
-    file() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return path_;
     }
 
     void
@@ -170,25 +163,19 @@ class TraceCollector
             appendEscaped(body, event.name);
             body += "\",\"cat\":\"";
             appendEscaped(body, event.category);
-            body += "\",\"ph\":\"";
-            body += event.phase;
-            body += "\",\"pid\":1,\"tid\":";
+            body += "\",\"ph\":\"X\",\"pid\":1,\"tid\":";
             body += std::to_string(event.tid);
             body += ",\"ts\":";
             appendMicros(body, event.ts_ns);
-            if (event.phase == 'X') {
-                body += ",\"dur\":";
-                appendMicros(body, event.dur_ns);
-            } else if (event.phase == 'i') {
-                body += ",\"s\":\"t\"";
-            }
+            body += ",\"dur\":";
+            appendMicros(body, event.dur_ns);
             body += '}';
         }
         body += "]}\n";
         out << body;
     }
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::string path_;
     std::vector<TraceEvent> events_;
     bool atexit_registered_ = false;
@@ -265,7 +252,6 @@ traceComplete(const char *category, std::string name,
     TraceEvent event;
     event.category = category;
     event.name = std::move(name);
-    event.phase = 'X';
     event.tid = currentTid();
     event.ts_ns = start_ns;
     event.dur_ns = end_ns - start_ns;
@@ -280,30 +266,10 @@ setTraceFile(const std::string &path)
     TraceCollector::instance().setFile(path);
 }
 
-std::string
-traceFile()
-{
-    return TraceCollector::instance().file();
-}
-
 void
 flushTrace()
 {
     TraceCollector::instance().flush();
-}
-
-void
-traceInstant(const char *category, std::string name)
-{
-    if (!traceEnabled())
-        return;
-    TraceEvent event;
-    event.category = category;
-    event.name = std::move(name);
-    event.phase = 'i';
-    event.tid = currentTid();
-    event.ts_ns = detail::traceNowNs();
-    TraceCollector::instance().append(std::move(event));
 }
 
 } // namespace act::util

@@ -2,7 +2,7 @@
  * @file
  * Chrome trace-event JSON profiling hooks. Scoped `TRACE_SPAN(cat,
  * name)` RAII timers record complete ("ph":"X") events with per-thread
- * ids; `traceInstant()` records point events. The file written by
+ * ids. The file written by
  * `flushTrace()` is a standard trace-event document
  * (`{"traceEvents":[...]}`) loadable in Perfetto / chrome://tracing and
  * parseable by the in-repo config JSON parser.
@@ -60,14 +60,8 @@ traceEnabled()
  */
 void setTraceFile(const std::string &path);
 
-/** The current trace file path; empty when tracing is off. */
-std::string traceFile();
-
 /** Write every buffered event to the current trace file. */
 void flushTrace();
-
-/** Record a point-in-time ("ph":"i") event. */
-void traceInstant(const char *category, std::string name);
 
 /**
  * RAII timer for one complete trace event. Captures the start time at

@@ -120,12 +120,9 @@ using CarbonPerCapacity = Quantity<CarbonPerCapTag>;
 
 constexpr Mass grams(double g) { return Mass(g); }
 constexpr Mass kilograms(double kg) { return Mass(kg * 1e3); }
-constexpr Mass tonnes(double t) { return Mass(t * 1e6); }
 
 constexpr Energy kilowattHours(double kwh) { return Energy(kwh); }
-constexpr Energy wattHours(double wh) { return Energy(wh / 1e3); }
 constexpr Energy joules(double j) { return Energy(j / 3.6e6); }
-constexpr Energy millijoules(double mj) { return joules(mj * 1e-3); }
 
 constexpr Area squareCentimeters(double cm2) { return Area(cm2); }
 constexpr Area squareMillimeters(double mm2) { return Area(mm2 / 100.0); }
@@ -138,14 +135,12 @@ constexpr double kSecondsPerYear = kSecondsPerDay * kDaysPerYear;
 constexpr Duration seconds(double s) { return Duration(s); }
 constexpr Duration milliseconds(double ms) { return Duration(ms * 1e-3); }
 constexpr Duration hours(double h) { return Duration(h * kSecondsPerHour); }
-constexpr Duration days(double d) { return Duration(d * kSecondsPerDay); }
 constexpr Duration years(double y) { return Duration(y * kSecondsPerYear); }
 
 constexpr Capacity gigabytes(double gb) { return Capacity(gb); }
 constexpr Capacity terabytes(double tb) { return Capacity(tb * 1e3); }
 
 constexpr Power watts(double w) { return Power(w); }
-constexpr Power milliwatts(double mw) { return Power(mw * 1e-3); }
 
 constexpr CarbonIntensity
 gramsPerKilowattHour(double g)
@@ -154,11 +149,6 @@ gramsPerKilowattHour(double g)
 }
 
 constexpr CarbonPerArea gramsPerCm2(double g) { return CarbonPerArea(g); }
-constexpr CarbonPerArea
-kilogramsPerCm2(double kg)
-{
-    return CarbonPerArea(kg * 1e3);
-}
 
 constexpr EnergyPerArea
 kilowattHoursPerCm2(double kwh)

@@ -212,16 +212,6 @@ TEST(Figure13, TinyBudgetIsInfeasible)
     EXPECT_FALSE(entry.best.has_value());
 }
 
-TEST(NpuModel, EmbodiedMatchesAreaTimesCpa)
-{
-    const NpuModel model;
-    const NpuConfig config{512, 16.0};
-    EXPECT_NEAR(util::asGrams(model.embodied(config, kFab)),
-                util::asGrams(core::logicEmbodied(model.area(config),
-                                                  16.0, kFab)),
-                1e-9);
-}
-
 /** Property: energy and latency are positive and finite at all nodes. */
 class NpuNodes : public ::testing::TestWithParam<double> {};
 

@@ -198,33 +198,6 @@ TEST(JsonAccess, TypeErrorsThrow)
     EXPECT_THROW(doc.at("n").asBool(), JsonTypeError);
     EXPECT_THROW(doc.at("missing"), JsonTypeError);
     EXPECT_THROW(doc.asArray(), JsonTypeError);
-    EXPECT_THROW(doc.at("n").asInteger(), JsonTypeError);
-}
-
-TEST(JsonAccess, AsIntegerAcceptsIntegralNumbers)
-{
-    EXPECT_EQ(JsonValue::parse("42").asInteger(), 42);
-    EXPECT_EQ(JsonValue::parse("-7").asInteger(), -7);
-}
-
-TEST(JsonAccess, AsIntegerRejectsOutOfRange)
-{
-    EXPECT_EQ(JsonValue(-0x1p63).asInteger(),
-              std::numeric_limits<std::int64_t>::min());
-    EXPECT_EQ(JsonValue(0x1p63 - 1024.0).asInteger(),
-              std::numeric_limits<std::int64_t>::max() - 1023);
-    try {
-        JsonValue::parse(R"({"items": 1e30})").at("items").asInteger();
-        FAIL() << "expected JsonTypeError";
-    } catch (const JsonTypeError &error) {
-        EXPECT_STREQ(error.what(),
-                     "JSON number 1e+30 is out of 64-bit integer range");
-    }
-    EXPECT_THROW(JsonValue(0x1p63).asInteger(), JsonTypeError);
-    EXPECT_THROW(JsonValue(-0x1p64).asInteger(), JsonTypeError);
-    EXPECT_THROW(JsonValue(std::numeric_limits<double>::infinity())
-                     .asInteger(),
-                 JsonTypeError);
 }
 
 TEST(JsonAccess, DefaultingAccessors)

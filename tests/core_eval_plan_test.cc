@@ -81,7 +81,6 @@ TEST(EvalPlan, BoundInputsMatchMutatedFabParams)
     for (const FabParams &base : fabVariants()) {
         for (const double nm : {3.0, 7.0, 14.0, 28.0}) {
             const EvalPlan plan = EvalPlan::forNode(base, nm, bindings);
-            ASSERT_EQ(plan.inputCount(), 3u);
             for (const double ci : {30.0, 365.0, 700.0}) {
                 for (const double yield : {0.6, 0.875, 1.0}) {
                     for (const double abatement : {0.90, 0.951, 1.0}) {
@@ -129,17 +128,20 @@ TEST(EvalPlan, EvaluateBatchMatchesOraclePerSample)
     }
 }
 
-TEST(EvalPlan, InputNamesAndBindingsRoundTrip)
+TEST(EvalPlan, InputNamesAndBindingOrder)
 {
     EXPECT_EQ(evalInputName(EvalInput::CiFab), "ci_fab");
     EXPECT_EQ(evalInputName(EvalInput::Yield), "yield");
     EXPECT_EQ(evalInputName(EvalInput::Abatement), "abatement");
+    // inputs[i] feeds binding i, in the order forNode() was given.
     const std::vector<EvalInput> bindings = {EvalInput::Yield,
                                              EvalInput::CiFab};
     const EvalPlan plan = EvalPlan::forNode(FabParams{}, 7.0, bindings);
-    ASSERT_EQ(plan.bindings().size(), 2u);
-    EXPECT_EQ(plan.bindings()[0], EvalInput::Yield);
-    EXPECT_EQ(plan.bindings()[1], EvalInput::CiFab);
+    FabParams mutated;
+    mutated.yield = 0.5;
+    mutated.ci_fab = util::gramsPerKilowattHour(100.0);
+    EXPECT_EQ(evaluateOne(plan, {0.5, 100.0}),
+              carbonPerArea(mutated, 7.0).value());
 }
 
 TEST(EvalPlan, InvalidInputsAreFatal)

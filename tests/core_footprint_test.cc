@@ -33,7 +33,7 @@ TEST(Operational, Table4CpuInference)
     // 6.6 W x 6 ms at 300 g/kWh = 3.3 ug CO2 (Table 4, CPU row).
     const OperationalParams params;
     const util::Mass opcf =
-        operationalFootprint(watts(6.6), milliseconds(6.0), params);
+        operationalFootprint(watts(6.6) * milliseconds(6.0), params);
     EXPECT_NEAR(util::asMicrograms(opcf), 3.3, 0.01);
 }
 

@@ -57,14 +57,6 @@ TEST(SocDb, FamilyByYearIsSortedOldestFirst)
     }
 }
 
-TEST(SocDb, WorkloadNamesCoverGeekbenchSuite)
-{
-    EXPECT_EQ(workloadName(MobileWorkload::AesEncryption),
-              "AES encryption");
-    EXPECT_EQ(workloadName(MobileWorkload::ImageClassification),
-              "image classification");
-}
-
 TEST(SocDb, FamilyNames)
 {
     EXPECT_EQ(familyName(SocFamily::Exynos), "Exynos");

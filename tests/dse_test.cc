@@ -43,17 +43,6 @@ TEST(Pareto, DuplicatesAllSurvive)
     EXPECT_EQ(paretoFrontier(points).size(), 2u);
 }
 
-TEST(Pareto, ThreeObjective)
-{
-    const std::vector<Point3D> points = {
-        {"a", 1.0, 5.0, 5.0},
-        {"b", 5.0, 1.0, 5.0},
-        {"c", 5.0, 5.0, 1.0},
-        {"dominated", 6.0, 6.0, 6.0},
-    };
-    EXPECT_EQ(paretoFrontier(points).size(), 3u);
-}
-
 TEST(Pareto, PropertyNoFrontierPointIsDominated)
 {
     // Deterministic pseudo-random cloud.

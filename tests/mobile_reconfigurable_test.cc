@@ -10,16 +10,12 @@ namespace {
 
 const core::FabParams kFab;
 
-TEST(Figure11, SubstratesAndApps)
+TEST(Figure11, Substrates)
 {
     ASSERT_EQ(smivSubstrates().size(), 3u);
     EXPECT_EQ(smivSubstrates()[0].name, "CPU");
     EXPECT_EQ(smivSubstrates()[1].name, "Accel");
     EXPECT_EQ(smivSubstrates()[2].name, "FPGA");
-    ASSERT_EQ(allSmivApps().size(), kNumSmivApps);
-    EXPECT_EQ(smivAppName(SmivApp::Fir), "FIR");
-    EXPECT_EQ(smivAppName(SmivApp::Aes), "AES");
-    EXPECT_EQ(smivAppName(SmivApp::Ai), "AI");
 }
 
 TEST(Figure11, PerformanceRatios)
@@ -92,7 +88,7 @@ TEST(Figure11, AsicFallsBackToHostForNonAiApps)
 
 TEST(Figure11, CpuBaselinesAreConsistent)
 {
-    for (SmivApp app : allSmivApps()) {
+    for (SmivApp app : {SmivApp::Fir, SmivApp::Aes, SmivApp::Ai}) {
         EXPECT_NEAR(util::asJoules(cpuAppEnergy(app)),
                     1.5 * util::asSeconds(cpuAppLatency(app)), 1e-12);
     }

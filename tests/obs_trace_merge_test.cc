@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,7 @@ TEST(TraceMergeTest, AlignsEpochsAndRemapsPids)
     ASSERT_EQ(events.size(), 5u);
 
     double a_ts = -1.0, b_ts = -1.0;
-    int a_pid = 0, b_pid = 0;
+    std::uint64_t a_pid = 0, b_pid = 0;
     std::size_t epoch_events = 0;
     std::vector<std::string> process_names;
     for (const config::JsonValue &event : events) {
@@ -72,16 +73,16 @@ TEST(TraceMergeTest, AlignsEpochsAndRemapsPids)
                 event.at("args").at("name").asString());
         } else if (name == "a_span") {
             a_ts = event.at("ts").asNumber();
-            a_pid = static_cast<int>(event.at("pid").asInteger());
+            a_pid = config::count(event, "pid");
         } else if (name == "b_span") {
             b_ts = event.at("ts").asNumber();
-            b_pid = static_cast<int>(event.at("pid").asInteger());
+            b_pid = config::count(event, "pid");
         }
     }
     EXPECT_EQ(epoch_events, 1u);
     // pids follow input order, 1-based; labels are basenames.
-    EXPECT_EQ(a_pid, 1);
-    EXPECT_EQ(b_pid, 2);
+    EXPECT_EQ(a_pid, 1u);
+    EXPECT_EQ(b_pid, 2u);
     ASSERT_EQ(process_names.size(), 2u);
     EXPECT_EQ(process_names[0], "a.trace.json");
     EXPECT_EQ(process_names[1], "b.trace.json");

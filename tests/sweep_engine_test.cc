@@ -150,6 +150,46 @@ TEST_F(SweepEngineTest, ShardsTileChunksExactly)
     }
 }
 
+TEST_F(SweepEngineTest, ShardsTileChunksExactlyNearTwoTo53Shards)
+{
+    // chunks * shard_index used to be computed in size_t, which wraps
+    // once it passes 2^64: shard 2^53 - 1 of 2^53 over 10000 chunks
+    // claimed [1807, 1808) instead of [9999, 10000).
+    constexpr std::size_t kTwoTo53 = std::size_t{1} << 53;
+    for (const std::size_t chunks : {std::size_t{10000},
+                                     std::size_t{1} << 30}) {
+        for (const std::size_t shards :
+             {kTwoTo53 - 1, kTwoTo53, kTwoTo53 + 1,
+              (std::size_t{1} << 63) - 1}) {
+            EXPECT_EQ(shardChunkRange(chunks, {shards, 0}).begin, 0u);
+            // More shards than chunks: the last shard owns the last
+            // chunk alone.
+            const util::IndexRange last =
+                shardChunkRange(chunks, {shards, shards - 1});
+            EXPECT_EQ(last.begin, chunks - 1) << shards << " shards";
+            EXPECT_EQ(last.end, chunks) << shards << " shards";
+            // Neighbours meet exactly and own at most one chunk each.
+            for (std::size_t eighth = 1; eighth < 8; ++eighth) {
+                const std::size_t index = shards / 8 * eighth;
+                const util::IndexRange range =
+                    shardChunkRange(chunks, {shards, index});
+                EXPECT_EQ(shardChunkRange(chunks, {shards, index - 1}).end,
+                          range.begin);
+                EXPECT_EQ(shardChunkRange(chunks, {shards, index + 1}).begin,
+                          range.end);
+                EXPECT_LE(range.size(), 1u);
+            }
+        }
+        // With 2^53 shards, shard 2^53 * k / 8 begins at chunk C * k / 8.
+        for (std::size_t eighth = 1; eighth < 8; ++eighth) {
+            EXPECT_EQ(shardChunkRange(chunks,
+                                      {kTwoTo53, kTwoTo53 / 8 * eighth})
+                          .begin,
+                      chunks / 8 * eighth);
+        }
+    }
+}
+
 TEST_F(SweepEngineTest, InvalidShardSpecIsFatal)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";

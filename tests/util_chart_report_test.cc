@@ -92,7 +92,6 @@ TEST(Experiment, ClaimAndNoteFormat)
         report::Experiment experiment("Figure 0", "format check");
         experiment.section("part");
         experiment.claim("quantity", "1.0", "1.1");
-        experiment.claim("numeric", 2.0, 2.5, 2);
         experiment.note("caveat");
     }
     const std::string out =
@@ -101,8 +100,6 @@ TEST(Experiment, ClaimAndNoteFormat)
               std::string::npos);
     EXPECT_NE(out.find("--- part ---"), std::string::npos);
     EXPECT_NE(out.find("[claim] quantity: paper=1.0 measured=1.1"),
-              std::string::npos);
-    EXPECT_NE(out.find("[claim] numeric: paper=2.0 measured=2.5"),
               std::string::npos);
     EXPECT_NE(out.find("[note] caveat"), std::string::npos);
 }

@@ -7,11 +7,8 @@
 namespace act::util {
 namespace {
 
-TEST(Interp, ClampAndLerp)
+TEST(Interp, Lerp)
 {
-    EXPECT_DOUBLE_EQ(clamp(5.0, 0.0, 10.0), 5.0);
-    EXPECT_DOUBLE_EQ(clamp(-1.0, 0.0, 10.0), 0.0);
-    EXPECT_DOUBLE_EQ(clamp(11.0, 0.0, 10.0), 10.0);
     EXPECT_DOUBLE_EQ(lerp(2.0, 4.0, 0.5), 3.0);
     EXPECT_DOUBLE_EQ(lerp(2.0, 4.0, 0.0), 2.0);
     EXPECT_DOUBLE_EQ(lerp(2.0, 4.0, 1.0), 4.0);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -51,11 +52,11 @@ struct TraceSummary
     std::size_t events = 0;
     std::set<std::string> categories;
     std::set<std::string> metadata_names;
-    std::set<std::int64_t> pids;
+    std::set<std::uint64_t> pids;
     /** wall_epoch_us values from trace_epoch metadata events. */
     std::vector<double> epochs;
     /** Keyed by (pid, tid): merged traces reuse tids across pids. */
-    std::map<std::pair<std::int64_t, std::int64_t>,
+    std::map<std::pair<std::uint64_t, std::uint64_t>,
              std::vector<ParsedSpan>>
         spans_by_tid;
 };
@@ -81,15 +82,15 @@ validateTrace(const config::JsonValue &root)
         EXPECT_TRUE(event.at("ts").isNumber());
         EXPECT_GE(event.at("ts").asNumber(), 0.0);
         EXPECT_TRUE(event.at("pid").isNumber());
-        summary.pids.insert(event.at("pid").asInteger());
-        const std::int64_t tid = event.at("tid").asInteger();
+        const std::uint64_t pid = config::count(event, "pid");
+        const std::uint64_t tid = config::count(event, "tid");
+        summary.pids.insert(pid);
         const std::string &phase = event.at("ph").asString();
-        EXPECT_TRUE(phase == "X" || phase == "i" || phase == "M")
+        EXPECT_TRUE(phase == "X" || phase == "M")
             << "unexpected phase '" << phase << "'";
         if (phase == "M") {
             // Metadata events (trace_epoch, process_name) ride on
             // tid 0 at ts 0 and never form spans.
-            EXPECT_GE(tid, 0);
             const std::string &name = event.at("name").asString();
             summary.metadata_names.insert(name);
             if (name == "trace_epoch") {
@@ -98,7 +99,7 @@ validateTrace(const config::JsonValue &root)
             }
             continue;
         }
-        EXPECT_GE(tid, 1);
+        EXPECT_GE(tid, 1u);
         summary.categories.insert(event.at("cat").asString());
         if (phase == "X") {
             EXPECT_TRUE(event.at("dur").isNumber());
@@ -109,7 +110,7 @@ validateTrace(const config::JsonValue &root)
             span.start_us = event.at("ts").asNumber();
             span.end_us = span.start_us + event.at("dur").asNumber();
             summary
-                .spans_by_tid[{event.at("pid").asInteger(), tid}]
+                .spans_by_tid[{pid, tid}]
                 .push_back(std::move(span));
         }
     }
@@ -146,11 +147,9 @@ validateTrace(const config::JsonValue &root)
 TEST(TraceTest, DisabledByDefaultAndSpansAreNoOps)
 {
     ASSERT_FALSE(util::traceEnabled());
-    EXPECT_TRUE(util::traceFile().empty());
     {
         TRACE_SPAN("test.off", "should_not_record");
     }
-    util::traceInstant("test.off", "also_not_recorded");
     util::flushTrace(); // no file set: must be a no-op, not a crash
 }
 
@@ -160,7 +159,6 @@ TEST(TraceTest, SpansProduceValidParseableJson)
     std::remove(path.c_str());
     util::setTraceFile(path);
     ASSERT_TRUE(util::traceEnabled());
-    EXPECT_EQ(util::traceFile(), path);
 
     {
         TRACE_SPAN("test.outer", "outer");
@@ -171,8 +169,6 @@ TEST(TraceTest, SpansProduceValidParseableJson)
             TRACE_SPAN("test.inner", "sibling");
         }
     }
-    util::traceInstant("test.marker", "instant");
-
     // Spans emitted from pool worker threads must carry their own tids
     // and stay well-formed.
     util::setThreadCount(4);
@@ -196,7 +192,6 @@ TEST(TraceTest, SpansProduceValidParseableJson)
     EXPECT_TRUE(summary.categories.count("test.outer"));
     EXPECT_TRUE(summary.categories.count("test.inner"));
     EXPECT_TRUE(summary.categories.count("test.worker"));
-    EXPECT_TRUE(summary.categories.count("test.marker"));
     // util/parallel contributes its own spans around the runChunks.
     EXPECT_TRUE(summary.categories.count("util.parallel"));
 

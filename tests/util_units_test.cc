@@ -15,7 +15,6 @@ namespace {
 TEST(Units, MassConstructorsAgree)
 {
     EXPECT_DOUBLE_EQ(asGrams(kilograms(1.0)), 1000.0);
-    EXPECT_DOUBLE_EQ(asGrams(tonnes(1.0)), 1e6);
     EXPECT_DOUBLE_EQ(asKilograms(grams(500.0)), 0.5);
     EXPECT_DOUBLE_EQ(asMicrograms(grams(1.0)), 1e6);
 }
@@ -24,8 +23,7 @@ TEST(Units, EnergyConstructorsAgree)
 {
     EXPECT_DOUBLE_EQ(asJoules(kilowattHours(1.0)), 3.6e6);
     EXPECT_DOUBLE_EQ(asKilowattHours(joules(3.6e6)), 1.0);
-    EXPECT_DOUBLE_EQ(asMillijoules(millijoules(42.0)), 42.0);
-    EXPECT_DOUBLE_EQ(asKilowattHours(wattHours(1000.0)), 1.0);
+    EXPECT_DOUBLE_EQ(asMillijoules(joules(0.042)), 42.0);
 }
 
 TEST(Units, AreaConstructorsAgree)
@@ -38,15 +36,13 @@ TEST(Units, DurationConstructorsAgree)
 {
     EXPECT_DOUBLE_EQ(asSeconds(milliseconds(1500.0)), 1.5);
     EXPECT_DOUBLE_EQ(asSeconds(hours(2.0)), 7200.0);
-    EXPECT_DOUBLE_EQ(asSeconds(days(1.0)), 86400.0);
     EXPECT_DOUBLE_EQ(asYears(years(3.0)), 3.0);
     EXPECT_DOUBLE_EQ(asSeconds(years(1.0)), 365.0 * 86400.0);
 }
 
-TEST(Units, CapacityAndPower)
+TEST(Units, Capacity)
 {
     EXPECT_DOUBLE_EQ(asGigabytes(terabytes(2.0)), 2000.0);
-    EXPECT_DOUBLE_EQ(asWatts(milliwatts(2500.0)), 2.5);
 }
 
 TEST(Units, SameDimensionArithmetic)

@@ -16,7 +16,8 @@
 # overflows,
 # devices with a fractional or huge package count, a truncated trace,
 # a mistyped trace and a trace with a negative epoch, a huge --shards
-# flag, `act cpa`/`logic`/`footprint`/`status`/`sweep` numbers
+# flag, a shard count near 2^53 (which must still own the right chunks),
+# `act cpa`/`logic`/`footprint`/`status`/`sweep` numbers
 # that do not parse whole, overflow, are NaN or leave their argument's
 # range, `act cpa`/`logic`/`storage`/`footprint`/`device`/`device-file`/
 # `lifecycle`/`soc` inputs whose result overflows to infinity, and `sweep`/`merge --out` to a full device --
@@ -392,6 +393,24 @@ expect_fatal_without("overflowing fleet region series"
 expect_fatal("huge --shards"
     "flag --shards expects a non-negative integer, got 1e\\+300"
     sweep --plan "${PLAN}" --shards 1e300 --shard-index 0 --out huge_shards.json)
+
+# The last of 2^53 shards over 10000 one-item chunks owns chunk 9999.
+# chunks * shard_index used to wrap in 64 bits, so it claimed
+# chunks [1807, 1808) and exited 0.
+string(REGEX REPLACE "\"items\": *[0-9]+" "\"items\": 10000, \"grain\": 1"
+       fine_grain "${plan}")
+file(WRITE "${WORK_DIR}/fine_grain.json" "${fine_grain}")
+execute_process(COMMAND "${ACT}" sweep --plan fine_grain.json
+        --shards 9007199254740992 --shard-index 9007199254740991
+        --out last_shard.json
+    WORKING_DIRECTORY "${WORK_DIR}"
+    RESULT_VARIABLE status OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr)
+if(NOT status STREQUAL "0" OR NOT stdout MATCHES
+   "^shard 9007199254740991/9007199254740992 of 'cpa_montecarlo': chunks \\[9999, 10000\\) ")
+    message(FATAL_ERROR "last of 2^53 shards: expected exit 0 and chunks "
+                        "[9999, 10000), got exit ${status}:\n${stdout}${stderr}")
+endif()
+message(STATUS "last of 2^53 shards: ${stdout}")
 
 # A command-line number must parse whole, be finite and lie in its
 # argument's range. These used to abort on an uncaught std::stod
