@@ -137,11 +137,6 @@ class TraceCollector
     void
     writeLocked()
     {
-        std::ofstream out(path_, std::ios::trunc);
-        if (!out) {
-            warn("cannot write trace file '", path_, "'");
-            return;
-        }
         std::string body;
         body.reserve(events_.size() * 96 + 192);
         body += "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
@@ -172,7 +167,11 @@ class TraceCollector
             body += '}';
         }
         body += "]}\n";
+        std::ofstream out(path_, std::ios::trunc);
         out << body;
+        out.close();
+        if (!out)
+            warn("cannot write trace file '", path_, "'");
     }
 
     std::mutex mutex_;

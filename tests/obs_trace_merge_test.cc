@@ -4,8 +4,8 @@
  * timeline with pids remapped per source file, timestamps aligned on
  * the wall-clock epochs, per-file epoch anchors consumed, and
  * process_name labels added. The output must still satisfy the trace
- * validator in util_trace_test (exercised in CI via
- * ACT_TRACE_VALIDATE_MERGED).
+ * validator in util_trace_test, which ctest act_cli_telemetry runs on
+ * an `act trace-merge` output via ACT_TRACE_VALIDATE_MERGED.
  */
 
 #include <gtest/gtest.h>

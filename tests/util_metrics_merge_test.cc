@@ -3,9 +3,11 @@
  * Tests for the act.metrics.v1 document (obs/metrics_doc): snapshot
  * serialization, the merge semantics (counters sum, histograms merge
  * bucket-wise, gauges concatenate), schema rejection, and the
- * Prometheus rendering. The MetricsFileValidation test doubles as the
- * CI validator: set `ACT_METRICS_VALIDATE=<file>` to check an
- * externally produced (e.g. `act merge --metrics-out`) document.
+ * Prometheus rendering. The MetricsFileValidation test doubles as a
+ * validator: set `ACT_METRICS_VALIDATE=<file>` to check an externally
+ * produced document. ctest act_cli_telemetry
+ * (tools/cli_telemetry.cmake) sets it on an `act merge --metrics-out`
+ * of three metered shards.
  */
 
 #include <gtest/gtest.h>
@@ -360,7 +362,7 @@ TEST(MetricsDocTest, TableRenderingShowsMeans)
 }
 
 /**
- * CI hook: when ACT_METRICS_VALIDATE names a metrics document produced
+ * Validator: when ACT_METRICS_VALIDATE names a metrics document produced
  * by a real run (e.g. `act merge --metrics-out`), validate its schema
  * and require the sweep counters the engine always maintains.
  */

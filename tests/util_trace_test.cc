@@ -3,9 +3,11 @@
  * Trace-writer tests: the emitted Chrome trace-event file parses with
  * the in-repo config JSON parser, events carry well-formed thread ids
  * and phases, and spans on one thread nest properly. The
- * TraceFileValidation test doubles as the CI trace validator: set
- * `ACT_TRACE_VALIDATE=<file>` to check an externally produced trace
- * (e.g. a fig08 run with ACT_TRACE on).
+ * TraceFileValidation tests double as validators of real traces: set
+ * `ACT_TRACE_VALIDATE=<file>` and `ACT_TRACE_VALIDATE_MERGED=<file>`
+ * to check externally produced ones. ctest act_cli_telemetry
+ * (tools/cli_telemetry.cmake) sets both, on a traced fig08 run and on
+ * an `act trace-merge` of three shard traces.
  */
 
 #include <gtest/gtest.h>
@@ -245,7 +247,7 @@ TEST(TraceTest, NamesAreJsonEscaped)
 }
 
 /**
- * CI hook: when ACT_TRACE_VALIDATE names a trace file produced by a
+ * Validator: when ACT_TRACE_VALIDATE names a trace file produced by a
  * real run (e.g. `ACT_TRACE=trace.json fig08_mobile_design_space`),
  * validate it and require the spans the instrumentation contract
  * promises (util/parallel, the sweep engine, the bench harness).
@@ -268,7 +270,7 @@ TEST(TraceFileValidation, ExternalFile)
 }
 
 /**
- * CI hook: when ACT_TRACE_VALIDATE_MERGED names an `act trace-merge`
+ * Validator: when ACT_TRACE_VALIDATE_MERGED names an `act trace-merge`
  * output, validate it like any trace and require the merge artifacts:
  * one trace_epoch, one pid and process_name per source file.
  */

@@ -184,6 +184,17 @@ requireFinite(const std::string &what, double value)
                     config::shortest(value), ")");
 }
 
+/** Write @p text to the file @p path; false when the open or a write
+ *  fails, so that each caller picks its own diagnostic. */
+bool
+writeTextFile(const std::string &path, const std::string &text)
+{
+    std::ofstream file(path, std::ios::trunc);
+    file << text;
+    file.close();
+    return !file.fail();
+}
+
 /** Simple flag map over argv[from..). */
 class Args
 {
@@ -645,12 +656,9 @@ cmdMerge(const Args &args)
             obs::mergeMetricsDocs(metric_docs);
         if (!metrics_out.empty())
             config::saveJsonFile(metrics_out, aggregated);
-        if (!metrics_prom.empty()) {
-            std::ofstream prom(metrics_prom, std::ios::trunc);
-            if (!prom)
-                util::fatal("cannot write '", metrics_prom, "'");
-            prom << obs::renderPrometheus(aggregated);
-        }
+        if (!metrics_prom.empty() &&
+            !writeTextFile(metrics_prom, obs::renderPrometheus(aggregated)))
+            util::fatal("cannot write '", metrics_prom, "'");
         if (!metric_docs.empty()) {
             std::cout << "--- merged metrics (" << metric_docs.size()
                       << " of " << metrics.size() << " shards) ---\n"
@@ -798,15 +806,10 @@ main(int argc, char **argv)
     if (act::util::metricsEnabled()) {
         const act::config::JsonValue metrics = act::obs::metricsToJson(
             act::util::MetricsRegistry::instance().snapshot());
-        if (!prom_path.empty()) {
-            std::ofstream prom(prom_path, std::ios::trunc);
-            if (!prom) {
-                act::util::warn("cannot write Prometheus snapshot to '",
-                                prom_path, "'");
-            } else {
-                prom << act::obs::renderPrometheus(metrics);
-            }
-        }
+        if (!prom_path.empty() &&
+            !writeTextFile(prom_path, act::obs::renderPrometheus(metrics)))
+            act::util::warn("cannot write Prometheus snapshot to '",
+                            prom_path, "'");
         std::cout << "\n--- metrics ---\n"
                   << act::obs::renderMetricsDocTable(metrics);
     }

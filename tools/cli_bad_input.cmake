@@ -20,11 +20,13 @@
 # `act cpa`/`logic`/`footprint`/`status`/`sweep` numbers
 # that do not parse whole, overflow, are NaN or leave their argument's
 # range, `act cpa`/`logic`/`storage`/`footprint`/`device`/`device-file`/
-# `lifecycle`/`soc` inputs whose result overflows to infinity, and `sweep`/`merge --out` to a full device --
+# `lifecycle`/`soc` inputs whose result overflows to infinity, and `sweep`/`merge --out` and
+# `merge --metrics-prom` to a full device --
 # and checks that each run exits 1 with one `fatal:`
 # diagnostic naming the file and the field instead of aborting (and,
 # for merge, before writing --out). A heartbeat with bad counts must
-# instead be skipped by `act status` with a warning.
+# instead be skipped by `act status` with a warning, and a trace or
+# `--prom` snapshot that cannot be written must warn.
 #
 #   cmake -DACT=<act binary> -DPLAN=<sweep plan> -DWORK_DIR=<dir> \
 #         -P cli_bad_input.cmake
@@ -161,17 +163,6 @@ expect_fatal_without("non-finite result"
     chiplet_inf_out.json
     sweep --plan chiplet_inf.json --out chiplet_inf_out.json)
 
-# A write that fails (here: a full device) used to go unchecked, so the
-# run printed its summary and exited 0 with no result written.
-if(EXISTS /dev/full)
-    expect_fatal("sweep --out to a full device"
-        "cannot write JSON file '/dev/full'"
-        sweep --plan "${PLAN}" --out /dev/full)
-    expect_fatal("merge --out to a full device"
-        "cannot write JSON file '/dev/full'"
-        merge part0.json part1.json --out /dev/full)
-endif()
-
 # A partial's metrics section with a gauge stripped of its values used
 # to abort `act merge` on an uncaught JSON exception, and a negative
 # bucket count was summed into the merged metrics. Both must name the
@@ -202,6 +193,36 @@ file(WRITE "${WORK_DIR}/metrics_negative.json" "${negative_bucket}")
 expect_fatal("negative bucket count"
     "bad metrics in sweep partial 'metrics_negative\\.json': histogram '[^']+': 'counts\\[0\\]' must be a non-negative integer \\(got -3\\)"
     merge metrics_part0.json metrics_negative.json)
+
+# A write that fails (here: a full device) used to go unchecked, so the
+# run printed its summary and exited 0 with no result written.
+if(EXISTS /dev/full)
+    expect_fatal("sweep --out to a full device"
+        "cannot write JSON file '/dev/full'"
+        sweep --plan "${PLAN}" --out /dev/full)
+    expect_fatal("merge --out to a full device"
+        "cannot write JSON file '/dev/full'"
+        merge part0.json part1.json --out /dev/full)
+    expect_fatal("merge --metrics-prom to a full device"
+        "cannot write '/dev/full'"
+        merge metrics_part0.json metrics_part1.json --metrics-prom /dev/full)
+    # The calculator's own telemetry is best effort: a failed write
+    # warns, and the command's result and exit status stand.
+    set(ENV{ACT_TRACE} /dev/full)
+    run_act(cpa 7)
+    unset(ENV{ACT_TRACE})
+    if(NOT status STREQUAL "0" OR NOT stderr MATCHES
+       "^warn: cannot write trace file '/dev/full'")
+        message(FATAL_ERROR "trace to a full device: expected exit 0 and "
+                            "a warning, got exit ${status}:\n${stderr}")
+    endif()
+    run_act(cpa 7 --prom /dev/full)
+    if(NOT status STREQUAL "0" OR NOT stderr MATCHES
+       "^warn: cannot write Prometheus snapshot to '/dev/full'")
+        message(FATAL_ERROR "--prom to a full device: expected exit 0 and "
+                            "a warning, got exit ${status}:\n${stderr}")
+    endif()
+endif()
 
 # A Monte Carlo partial whose payload field is mistyped or missing used
 # to abort `act merge` on an uncaught JSON exception after --out was
