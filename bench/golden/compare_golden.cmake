@@ -1,12 +1,13 @@
 # Runs the program BENCH_BIN and byte-compares its output against the
 # checked-in goldens in GOLDEN_DIR. Without ARGS it runs the table mode
 # and the --csv mode, compared with ${NAME}.txt and ${NAME}_csv.txt;
-# with ARGS (a list) it runs `BENCH_BIN ARGS`, compared with ${NAME}.txt.
+# with ARGS (a list, empty for a bare run) it runs `BENCH_BIN ARGS`,
+# compared with ${NAME}.txt.
 # Every mode runs at ACT_THREADS=1 ACT_SIMD=scalar and again at
 # ACT_THREADS=4 ACT_SIMD=auto, and both runs must match the golden, so
 # the output is also thread-count and SIMD-level invariant.
 # Usage: cmake -DNAME=<name> -DBENCH_BIN=<path> -DGOLDEN_DIR=<dir>
-#              -DWORK_DIR=<dir> [-DARGS=<arg;...>] -P compare_golden.cmake
+#              -DWORK_DIR=<dir> [-DARGS=[<arg;...>]] -P compare_golden.cmake
 foreach(var NAME BENCH_BIN GOLDEN_DIR WORK_DIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "missing -D${var}")

@@ -2,8 +2,8 @@
  * @file
  * google-benchmark microbenchmarks for what the end-to-end harness
  * (perfbench/run.py) cannot isolate: the fleet replay pinned to one
- * SIMD dispatch level, the design-space sweeps and the Monte Carlo
- * driver at 1/4/8 worker threads (perfbench pins ACT_THREADS=1), and
+ * SIMD dispatch level, the in-process design-space sweeps and Monte
+ * Carlo driver (serial loops, so no thread-count arguments), and
  * single device and NPU evaluations. Whole-run and per-layer timings
  * come from perfbench, not from here.
  */
@@ -20,7 +20,6 @@
 #include "dse/scoreboard.h"
 #include "fleet/replay.h"
 #include "mobile/platform.h"
-#include "util/parallel.h"
 #include "util/simd.h"
 
 namespace {
@@ -38,11 +37,10 @@ BM_DeviceEvaluation(benchmark::State &state)
 }
 BENCHMARK(BM_DeviceEvaluation);
 
-/** Full Fig. 8 sweep + scoreboard at 1/4/8 worker threads. */
+/** Full Fig. 8 sweep + scoreboard. */
 void
 BM_MobileDesignSpace(benchmark::State &state)
 {
-    util::setThreadCount(static_cast<std::size_t>(state.range(0)));
     const core::FabParams fab;
     for (auto _ : state) {
         const auto space = mobile::mobileDesignSpace(fab);
@@ -50,15 +48,13 @@ BM_MobileDesignSpace(benchmark::State &state)
         benchmark::DoNotOptimize(
             scoreboard.winner(core::Metric::C2EP));
     }
-    util::setThreadCount(0);
 }
-BENCHMARK(BM_MobileDesignSpace)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_MobileDesignSpace);
 
-/** Eq. 5 Monte Carlo (Table 1 uncertainty) at 1/4/8 worker threads. */
+/** Eq. 5 Monte Carlo (Table 1 uncertainty). */
 void
 BM_MonteCarlo(benchmark::State &state)
 {
-    util::setThreadCount(static_cast<std::size_t>(state.range(0)));
     const std::vector<dse::UncertainParameter> parameters = {
         {"ci_fab", dse::Distribution::Triangular, 447.5, 41.0, 583.0},
         {"epa", dse::Distribution::Triangular, 1.52, 1.216, 1.824},
@@ -76,16 +72,13 @@ BM_MonteCarlo(benchmark::State &state)
         benchmark::DoNotOptimize(result.p95);
     }
     state.SetItemsProcessed(state.iterations() * 100'000);
-    util::setThreadCount(0);
 }
-BENCHMARK(BM_MonteCarlo)->Arg(1)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MonteCarlo)->Unit(benchmark::kMillisecond);
 
-/** Fig. 12-class NPU design-space walk across nodes, 1/4/8 threads. */
+/** Fig. 12-class NPU design-space walk across nodes. */
 void
 BM_NpuDesignSpaceWalk(benchmark::State &state)
 {
-    util::setThreadCount(static_cast<std::size_t>(state.range(0)));
     const accel::NpuModel model;
     const core::FabParams fab;
     for (auto _ : state) {
@@ -97,9 +90,8 @@ BM_NpuDesignSpaceWalk(benchmark::State &state)
         }
         benchmark::DoNotOptimize(total);
     }
-    util::setThreadCount(0);
 }
-BENCHMARK(BM_NpuDesignSpaceWalk)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_NpuDesignSpaceWalk);
 
 void
 BM_NpuEvaluation(benchmark::State &state)

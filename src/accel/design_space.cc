@@ -1,7 +1,8 @@
 #include "accel/design_space.h"
 
+#include <utility>
+
 #include "core/embodied.h"
-#include "sweep/engine.h"
 #include "util/logging.h"
 #include "util/strings.h"
 #include "util/trace.h"
@@ -29,31 +30,25 @@ sweepDesignSpace(const NpuModel &model, const Network &network,
     TRACE_SPAN("accel.design_space",
                "sweepDesignSpace:" + util::formatSig(node_nm, 3) +
                    "nm");
-    // Each MAC configuration evaluates independently; the sweep
-    // engine fills pre-sized slots so sweep order stays the paper's
-    // order. Every configuration shares (fab, node), so Eq. 5 is
-    // evaluated once for the whole sweep and embodied carbon is a
-    // single multiply per entry -- the same CPA * area product
-    // model.embodied() computes.
+    // Entries keep the paper's sweep order. Every configuration shares
+    // (fab, node), so Eq. 5 is evaluated once for the whole sweep and
+    // embodied carbon is a single multiply per entry -- the same
+    // CPA * area product model.embodied() computes.
     const util::CarbonPerArea cpa = core::carbonPerArea(fab, node_nm);
-    const std::vector<int> macs_sweep = macSweep();
-    return sweep::runSweepMap<SweepEntry>(
-        sweep::SweepPlan::map("accel.design_space", macs_sweep.size()),
-        [&](std::size_t i) {
-            SweepEntry entry;
-            const NpuConfig config{macs_sweep[i], node_nm};
-            entry.evaluation = model.evaluate(network, config);
-            entry.embodied = cpa * entry.evaluation.area;
+    std::vector<SweepEntry> entries;
+    for (const int macs : macSweep()) {
+        SweepEntry entry;
+        entry.evaluation = model.evaluate(network, {macs, node_nm});
+        entry.embodied = cpa * entry.evaluation.area;
 
-            entry.design_point.name =
-                std::to_string(macs_sweep[i]) + " MACs";
-            entry.design_point.embodied = entry.embodied;
-            entry.design_point.energy =
-                entry.evaluation.energy_per_frame;
-            entry.design_point.delay = entry.evaluation.latency;
-            entry.design_point.area = entry.evaluation.area;
-            return entry;
-        });
+        entry.design_point.name = std::to_string(macs) + " MACs";
+        entry.design_point.embodied = entry.embodied;
+        entry.design_point.energy = entry.evaluation.energy_per_frame;
+        entry.design_point.delay = entry.evaluation.latency;
+        entry.design_point.area = entry.evaluation.area;
+        entries.push_back(std::move(entry));
+    }
+    return entries;
 }
 
 double

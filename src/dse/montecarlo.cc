@@ -6,7 +6,6 @@
 #include <cstring>
 #include <utility>
 
-#include "sweep/engine.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -20,35 +19,14 @@ util::Counter &g_runs =
 util::Counter &g_samples = util::MetricsRegistry::instance().counter(
     "dse.montecarlo.samples");
 
-double
-sampleParameter(const UncertainParameter &parameter,
-                util::Xorshift64Star &rng)
-{
-    switch (parameter.distribution) {
-      case Distribution::Uniform:
-        return rng.nextUniform(parameter.low, parameter.high);
-      case Distribution::Triangular: {
-        // Inverse-CDF sampling for a triangular distribution with
-        // mode c in [a, b].
-        const double a = parameter.low;
-        const double b = parameter.high;
-        const double c = parameter.baseline;
-        const double u = rng.nextUnit();
-        const double pivot = (c - a) / (b - a);
-        if (u < pivot)
-            return a + std::sqrt(u * (b - a) * (c - a));
-        return b - std::sqrt((1.0 - u) * (b - a) * (b - c));
-      }
-    }
-    util::panic("unknown Distribution enumerator");
-}
-
 /**
- * Per-parameter sampling constants hoisted out of the chunk loop. The
- * precomputed differences keep sampleParameter()'s exact expression
- * shapes: `u * ba * ca` associates as `(u * ba) * ca`, matching
- * `u * (b - a) * (c - a)` above, so every sampled value is
- * bit-identical to sampleParameter() on the same unit draw.
+ * Per-parameter sampling constants hoisted out of the chunk loop: the
+ * parameter's value at a unit draw u, low + (high - low) * u for a
+ * uniform, and the triangular inverse CDF with mode c in [a, b],
+ * a + sqrt(u * (b - a) * (c - a)) below the pivot (c - a) / (b - a)
+ * and b - sqrt((1 - u) * (b - a) * (b - c)) above it. `u * ba * ca`
+ * associates as `(u * ba) * ca`, so the precomputed differences give
+ * those expressions' exact bits.
  */
 struct ColumnSampler
 {
@@ -298,12 +276,13 @@ monteCarloChunk(const std::vector<UncertainParameter> &parameters,
                     &model,
                 util::IndexRange range, util::Xorshift64Star &rng)
 {
+    const SamplerSet samplers(parameters);
     std::vector<double> values(parameters.size());
     MonteCarloPartial partial;
     partial.outputs.reserve(range.size());
     for (std::size_t s = range.begin; s < range.end; ++s) {
         for (std::size_t i = 0; i < parameters.size(); ++i)
-            values[i] = sampleParameter(parameters[i], rng);
+            values[i] = samplers[i](rng.nextUnit());
         const double output = model(values);
         partial.outputs.push_back(output);
         partial.sum += output;
@@ -440,27 +419,19 @@ monteCarlo(const std::vector<UncertainParameter> &parameters,
     g_samples.add(samples);
     validateMonteCarloInputs(parameters, samples);
 
-    // The sweep engine owns chunking, per-chunk derived RNG streams,
-    // and ordered reduction; the fixed grain keeps the chunk layout
-    // (and therefore every statistic) thread-count independent.
-    sweep::SweepPlan plan;
-    plan.domain = "dse.montecarlo";
-    plan.items = samples;
-    plan.grain = kMonteCarloChunk;
-    plan.seed = seed;
-    MonteCarloPartial init;
-    init.outputs.reserve(samples);
-    MonteCarloPartial merged = sweep::runSweep(
-        plan,
-        [&](std::size_t, util::IndexRange range,
-            util::Xorshift64Star &rng) {
-            return monteCarloChunk(parameters, model, range, rng);
-        },
-        [](MonteCarloPartial accumulator, MonteCarloPartial part) {
-            return mergePartial(std::move(accumulator),
-                                std::move(part));
-        },
-        std::move(init));
+    // Chunk c draws from the stream deriveSeed(seed, c) and partials
+    // fold in chunk order, so the statistics are a function of (seed,
+    // samples) alone -- the layout the sharded domain uses too.
+    MonteCarloPartial merged;
+    merged.outputs.reserve(samples);
+    const std::vector<util::IndexRange> chunks =
+        util::staticChunks(0, samples, kMonteCarloChunk);
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+        util::Xorshift64Star rng(util::deriveSeed(seed, c));
+        merged = mergePartial(
+            std::move(merged),
+            monteCarloChunk(parameters, model, chunks[c], rng));
+    }
     return finalizeMonteCarlo(samples, std::move(merged));
 }
 
@@ -490,10 +461,11 @@ monteCarloPlanChunk(const std::vector<UncertainParameter> &parameters,
     const SamplerSet samplers(parameters);
 
     // Sample-major stream consumption, exactly like monteCarloChunk():
-    // all of sample s's parameters before sample s+1's. Splitting the
-    // chunk into sub-blocks only changes *when* each sample is
-    // evaluated, never which draw feeds which (sample, parameter) --
-    // so outputs are bit-identical to the closure path.
+    // all of sample s's parameters before sample s+1's, through the
+    // same samplers. Splitting the chunk into sub-blocks only changes
+    // *when* each sample is evaluated, never which draw feeds which
+    // (sample, parameter) -- so outputs are bit-identical to the
+    // closure path.
     // evaluateBatch() runs its validation pass per sub-block, which
     // preserves first-failure semantics: validation order is sample
     // order, and a fatal() never returns.

@@ -57,14 +57,16 @@ struct MonteCarloResult
  * chunks of this many samples, and chunk c draws from the stream
  * seeded util::deriveSeed(seed, c). Chunk layout depends only on the
  * sample count, so the sampled distribution -- and every statistic
- * below -- is bit-identical for any thread count.
+ * below -- is bit-identical for any thread count or shard split of
+ * the cpa_montecarlo sweep domain.
  */
 inline constexpr std::size_t kMonteCarloChunk = 2048;
 
 /**
  * One chunk's contribution: the raw outputs in sampling order plus
  * running sums. Partials merge in chunk order (mergePartial) and
- * serialize through sweep/domains.h for multi-process sharding.
+ * serialize through the cpa_montecarlo sweep domain for multi-process
+ * sharding.
  */
 struct MonteCarloPartial
 {
@@ -81,8 +83,7 @@ void validateMonteCarloInputs(
 /**
  * Evaluate one chunk of the sweep: draw each sample's parameter
  * vector from @p rng (the chunk's derived stream) and run @p model.
- * Pure given (parameters, model, range, rng state) -- the shared
- * kernel of the in-process and sharded execution paths.
+ * Pure given (parameters, model, range, rng state).
  */
 MonteCarloPartial
 monteCarloChunk(const std::vector<UncertainParameter> &parameters,
@@ -100,12 +101,11 @@ MonteCarloResult finalizeMonteCarlo(std::size_t samples,
 
 /**
  * Run @p samples joint evaluations of @p model, sampling each input
- * from its distribution. Chunks execute on the util/parallel.h pool
- * (honoring ACT_THREADS / util::setThreadCount), and @p model must be
- * thread-safe. Deterministic for a fixed seed and independent of the
- * thread count via per-chunk derived RNG streams with ordered
- * reduction. Fatal on an empty parameter list, fewer than 100 samples,
- * or inverted ranges.
+ * from its distribution, chunk by chunk on the calling thread with
+ * per-chunk derived RNG streams and ordered reduction, so the result
+ * is a function of (parameters, model, samples, seed) alone. Fatal on
+ * an empty parameter list, fewer than 100 samples, or inverted
+ * ranges.
  */
 MonteCarloResult
 monteCarlo(const std::vector<UncertainParameter> &parameters,

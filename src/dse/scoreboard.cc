@@ -1,6 +1,7 @@
 #include "dse/scoreboard.h"
 
-#include "sweep/engine.h"
+#include <utility>
+
 #include "util/logging.h"
 #include "util/trace.h"
 
@@ -16,25 +17,20 @@ Scoreboard::Scoreboard(std::vector<core::DesignPoint> designs,
     if (baseline_index >= designs_.size())
         util::fatal("Scoreboard baseline index out of range");
 
-    // Metric columns are independent of each other; the sweep engine
-    // fills pre-sized slots so column order stays Table 2 order.
+    // One column per metric, in Table 2 order.
     const auto metrics = core::allMetrics();
-    columns_ = sweep::runSweepMap<MetricColumn>(
-        sweep::SweepPlan::map("dse.scoreboard", metrics.size()),
-        [&](std::size_t m) {
-            const core::Metric metric = metrics[m];
-            MetricColumn column;
-            column.metric = metric;
-            column.values.reserve(designs_.size());
-            for (const auto &design : designs_) {
-                column.values.push_back(
-                    core::evaluateMetric(metric, design));
-            }
-            column.normalized = core::normalizedMetric(
-                metric, designs_, baseline_index);
-            column.best_index = core::bestDesign(metric, designs_);
-            return column;
-        });
+    columns_.reserve(metrics.size());
+    for (const core::Metric metric : metrics) {
+        MetricColumn column;
+        column.metric = metric;
+        column.values.reserve(designs_.size());
+        for (const auto &design : designs_)
+            column.values.push_back(core::evaluateMetric(metric, design));
+        column.normalized =
+            core::normalizedMetric(metric, designs_, baseline_index);
+        column.best_index = core::bestDesign(metric, designs_);
+        columns_.push_back(std::move(column));
+    }
 }
 
 const MetricColumn &

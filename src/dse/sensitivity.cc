@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
-#include "sweep/engine.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -37,24 +37,20 @@ tornado(const std::vector<ParameterRange> &parameters,
     for (const auto &parameter : parameters)
         baseline.push_back(parameter.baseline);
 
-    // Each parameter's low/high pair is independent; the sweep engine
-    // fills pre-sized slots (choosing the chunk granularity itself),
-    // then we rank. The pre-sort order is the parameter order
-    // regardless of thread count, so ties rank identically in serial
-    // and parallel runs.
-    std::vector<TornadoEntry> entries =
-        sweep::runSweepMap<TornadoEntry>(
-            sweep::SweepPlan::map("dse.tornado", parameters.size()),
-            [&](std::size_t i) {
-                std::vector<double> values = baseline;
-                TornadoEntry entry;
-                entry.name = parameters[i].name;
-                values[i] = parameters[i].low;
-                entry.output_low = model(values);
-                values[i] = parameters[i].high;
-                entry.output_high = model(values);
-                return entry;
-            });
+    // Entries fill in parameter order, so ties keep parameter order
+    // through the stable sort below.
+    std::vector<TornadoEntry> entries;
+    entries.reserve(parameters.size());
+    for (std::size_t i = 0; i < parameters.size(); ++i) {
+        std::vector<double> values = baseline;
+        TornadoEntry entry;
+        entry.name = parameters[i].name;
+        values[i] = parameters[i].low;
+        entry.output_low = model(values);
+        values[i] = parameters[i].high;
+        entry.output_high = model(values);
+        entries.push_back(std::move(entry));
+    }
 
     std::stable_sort(entries.begin(), entries.end(),
                      [](const TornadoEntry &a, const TornadoEntry &b) {

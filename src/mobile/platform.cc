@@ -1,6 +1,5 @@
 #include "mobile/platform.h"
 
-#include "sweep/engine.h"
 #include "util/trace.h"
 
 namespace act::mobile {
@@ -49,13 +48,12 @@ std::vector<core::DesignPoint>
 mobileDesignSpace(const core::FabParams &fab)
 {
     TRACE_SPAN("mobile.design_space", "mobileDesignSpace");
-    // Each SoC evaluates independently; the sweep engine fills
-    // pre-sized slots so the result keeps database order for any
-    // thread count.
-    const auto records = data::SocDatabase::instance().records();
-    return sweep::runSweepMap<core::DesignPoint>(
-        sweep::SweepPlan::map("mobile", records.size()),
-        [&](std::size_t i) { return designPoint(records[i], fab); });
+    // Database order.
+    std::vector<core::DesignPoint> points;
+    for (const data::SocRecord &soc :
+         data::SocDatabase::instance().records())
+        points.push_back(designPoint(soc, fab));
+    return points;
 }
 
 } // namespace act::mobile

@@ -54,7 +54,6 @@ Experiment::~Experiment()
                   << obs::renderMetricsDocTable(obs::metricsToJson(
                          util::MetricsRegistry::instance().snapshot()));
     }
-    util::flushTrace();
 }
 
 void

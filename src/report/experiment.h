@@ -48,8 +48,9 @@ class Experiment
     Experiment(std::string id, std::string title);
 
     /**
-     * Ends the per-figure trace span, prints the end-of-run metrics
-     * table when metrics are enabled, and flushes the trace file.
+     * Ends the per-figure trace span and prints the end-of-run
+     * metrics table when metrics are enabled. The trace file is
+     * written once, at process exit.
      */
     ~Experiment();
 

@@ -44,32 +44,6 @@ sweepInstruments()
     return *instruments;
 }
 
-} // namespace
-
-namespace detail {
-
-void
-runPlanChunks(
-    const SweepPlan &plan, const std::vector<util::IndexRange> &chunks,
-    std::size_t chunk_offset,
-    const std::function<void(std::size_t, util::IndexRange)> &body)
-{
-    util::TraceSpan span("sweep", plan.domain);
-    SweepInstruments &instruments = sweepInstruments();
-    instruments.runs.add();
-    instruments.chunks.add(chunks.size());
-    for (const util::IndexRange &chunk : chunks)
-        instruments.items.add(chunk.size());
-    util::runChunks(chunks,
-                    [&](std::size_t local, util::IndexRange range) {
-                        body(chunk_offset + local, range);
-                    });
-}
-
-} // namespace detail
-
-namespace {
-
 /** Per-run heartbeat state: shared counters plus the gated writer. */
 struct HeartbeatState
 {
@@ -104,6 +78,45 @@ struct HeartbeatState
         writer.beat(heartbeat, force);
     }
 };
+
+/**
+ * The chunk loop of both execution paths: evaluate @p chunks, the
+ * plan's global chunks from @p chunk_offset on, on the shared pool
+ * with the sweep's trace span and metrics counters. Each chunk's RNG
+ * is seeded from its *global* index, so a shard samples exactly what
+ * the full run would. Each finished chunk is published to
+ * @p heartbeat when there is one. Returns the payloads in chunk
+ * order.
+ */
+JsonArray
+evaluateChunks(const SweepPlan &plan,
+               const std::vector<util::IndexRange> &chunks,
+               std::size_t chunk_offset,
+               const JsonChunkEvaluator &evaluator,
+               HeartbeatState *heartbeat)
+{
+    util::TraceSpan span("sweep", plan.domain);
+    SweepInstruments &instruments = sweepInstruments();
+    instruments.runs.add();
+    instruments.chunks.add(chunks.size());
+    for (const util::IndexRange &chunk : chunks)
+        instruments.items.add(chunk.size());
+    JsonArray payloads(chunks.size());
+    util::runChunks(
+        chunks, [&](std::size_t local, util::IndexRange range) {
+            const std::size_t chunk = chunk_offset + local;
+            util::Xorshift64Star rng(util::deriveSeed(plan.seed, chunk));
+            payloads[local] = evaluator(chunk, range, rng);
+            if (heartbeat != nullptr) {
+                heartbeat->items_done.fetch_add(
+                    range.size(), std::memory_order_relaxed);
+                heartbeat->chunks_done.fetch_add(
+                    1, std::memory_order_relaxed);
+                heartbeat->publish(/*force=*/false, /*done=*/false);
+            }
+        });
+    return payloads;
+}
 
 } // namespace
 
@@ -142,22 +155,8 @@ runShardedSweep(const SweepPlan &plan, const ShardSpec &shard,
         heartbeat->publish(/*force=*/true, /*done=*/false);
     }
 
-    // Streams derive from the *global* chunk index, so a shard samples
-    // exactly what the full run would.
-    result.chunks = detail::evaluateChunks(
-        plan, owned_chunks, owned.begin,
-        [&](std::size_t chunk, util::IndexRange range,
-            util::Xorshift64Star &rng) {
-            JsonValue payload = evaluator(chunk, range, rng);
-            if (heartbeat != nullptr) {
-                heartbeat->items_done.fetch_add(
-                    range.size(), std::memory_order_relaxed);
-                heartbeat->chunks_done.fetch_add(
-                    1, std::memory_order_relaxed);
-                heartbeat->publish(/*force=*/false, /*done=*/false);
-            }
-            return payload;
-        });
+    result.chunks = evaluateChunks(plan, owned_chunks, owned.begin,
+                                   evaluator, heartbeat.get());
     if (heartbeat != nullptr)
         heartbeat->publish(/*force=*/true, /*done=*/true);
     return result;
@@ -441,9 +440,8 @@ fullSweepResult(const SweepPlan &plan,
 {
     if (plan.items == 0)
         util::fatal("sweep plan '", plan.domain, "' has no items");
-    return resultDocument(
-        plan,
-        detail::evaluateChunks(plan, planChunks(plan), 0, evaluator));
+    return resultDocument(plan, evaluateChunks(plan, planChunks(plan), 0,
+                                               evaluator, nullptr));
 }
 
 } // namespace act::sweep

@@ -1,17 +1,15 @@
 /**
  * @file
- * The unified sweep engine: every design-space sweep in the repo --
- * Monte Carlo sampling, tornado sensitivity, scoreboard columns, the
- * mobile and accelerator design spaces -- runs through one driver that
- * owns chunking, per-chunk RNG streams, instrumentation, and ordered
- * reduction. Call sites supply only a plan and an evaluator; the
- * engine supplies the determinism contract:
+ * The serialized-plan sweep engine behind `act sweep` and `act merge`:
+ * it evaluates a registered domain's chunks (sweep/domains.h) on the
+ * util/parallel.h pool and owns chunking, per-chunk RNG streams,
+ * instrumentation, and result assembly. The determinism contract:
  *
  *  - Chunk layout is a pure function of the plan (see plan.h), so
  *    results are bit-identical for any thread count.
  *  - Chunk c draws from the RNG stream util::deriveSeed(plan.seed, c),
  *    so which thread runs a chunk never changes what it samples.
- *  - Reduction folds chunk results in chunk order on the caller.
+ *  - Payloads are kept in chunk order.
  *
  * The same layout drives multi-process sharding: `runShardedSweep`
  * evaluates one shard's contiguous chunk slice into JSON payloads,
@@ -32,8 +30,7 @@
 
 #include <cstddef>
 #include <functional>
-#include <type_traits>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "config/json.h"
@@ -43,89 +40,7 @@
 
 namespace act::sweep {
 
-namespace detail {
-
-/**
- * Run @p body over @p chunks on the shared pool with the sweep's trace
- * span and metrics counters. @p body receives *global* chunk indices
- * (local position + @p chunk_offset), which also seed the RNG streams,
- * so a shard's chunk 0 is not the sweep's chunk 0.
- */
-void runPlanChunks(
-    const SweepPlan &plan, const std::vector<util::IndexRange> &chunks,
-    std::size_t chunk_offset,
-    const std::function<void(std::size_t, util::IndexRange)> &body);
-
-/**
- * The one chunk loop of every seeded sweep: evaluate @p chunks, the
- * plan's global chunks from @p chunk_offset on, as
- * @p evaluator(chunk, range, rng), with the RNG pre-seeded with the
- * chunk's derived stream. Returns the results in chunk order.
- */
-template <typename Evaluator>
-auto
-evaluateChunks(const SweepPlan &plan,
-               const std::vector<util::IndexRange> &chunks,
-               std::size_t chunk_offset, Evaluator &&evaluator)
-{
-    using Chunk = std::decay_t<std::invoke_result_t<
-        Evaluator &, std::size_t, util::IndexRange,
-        util::Xorshift64Star &>>;
-    std::vector<Chunk> results(chunks.size());
-    runPlanChunks(plan, chunks, chunk_offset,
-                  [&](std::size_t chunk, util::IndexRange range) {
-                      util::Xorshift64Star rng(
-                          util::deriveSeed(plan.seed, chunk));
-                      results[chunk - chunk_offset] =
-                          evaluator(chunk, range, rng);
-                  });
-    return results;
-}
-
-} // namespace detail
-
-/**
- * Deterministic sweep with ordered reduction: evaluate every chunk,
- * then fold the chunk results in chunk order on the calling thread:
- *
- *   acc = reduce(reduce(init, chunk0), chunk1) ...
- *
- * Chunk layout and stream seeds come from the plan alone, so the
- * result is bit-identical for every thread count.
- */
-template <typename Accumulator, typename Evaluator, typename Reducer>
-Accumulator
-runSweep(const SweepPlan &plan, Evaluator &&evaluator, Reducer &&reduce,
-         Accumulator init = Accumulator{})
-{
-    auto partials =
-        detail::evaluateChunks(plan, planChunks(plan), 0, evaluator);
-    Accumulator accumulator = std::move(init);
-    for (auto &partial : partials)
-        accumulator = reduce(std::move(accumulator), std::move(partial));
-    return accumulator;
-}
-
-/**
- * Per-item map sweep: result[i] = @p evaluator(i) for i in
- * [0, plan.items), each item filling its own pre-sized slot, over the
- * same planChunks() layout as every other sweep.
- */
-template <typename T, typename Evaluator>
-std::vector<T>
-runSweepMap(const SweepPlan &plan, Evaluator &&evaluator)
-{
-    std::vector<T> out(plan.items);
-    detail::runPlanChunks(
-        plan, planChunks(plan), 0,
-        [&](std::size_t, util::IndexRange range) {
-            for (std::size_t i = range.begin; i < range.end; ++i)
-                out[i] = evaluator(i);
-        });
-    return out;
-}
-
-/** Chunk evaluator for the serializable (sharded) path. */
+/** A domain's chunk evaluator: the JSON payload of one chunk. */
 using JsonChunkEvaluator = std::function<config::JsonValue(
     std::size_t chunk, util::IndexRange range,
     util::Xorshift64Star &rng)>;

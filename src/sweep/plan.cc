@@ -13,15 +13,6 @@ namespace act::sweep {
 using config::JsonObject;
 using config::JsonValue;
 
-SweepPlan
-SweepPlan::map(std::string domain, std::size_t items)
-{
-    SweepPlan plan;
-    plan.domain = std::move(domain);
-    plan.items = items;
-    return plan;
-}
-
 std::vector<util::IndexRange>
 planChunks(const SweepPlan &plan)
 {

@@ -78,9 +78,6 @@ struct SweepPlan
      * config again. Prepare again after editing `config` or `seed`.
      */
     std::shared_ptr<const void> prepared;
-
-    /** Convenience constructor for in-process per-item map sweeps. */
-    static SweepPlan map(std::string domain, std::size_t items);
 };
 
 /**

@@ -1,16 +1,20 @@
 /**
  * @file
- * A small, dependency-free deterministic parallel execution layer for
- * the DSE hot loops (Monte Carlo, tornado sweeps, design-space
- * evaluation, scoreboard construction).
+ * A small, dependency-free deterministic parallel execution layer. Its
+ * one production caller is the serialized-plan sweep engine
+ * (sweep/engine.h), which runs the chunks of `act sweep` -- fleet
+ * replay, Monte Carlo and the other sweep domains -- on it. The
+ * in-process design-space loops (dse, mobile, accel) are plain serial
+ * loops: their items are microseconds each, and the pool measurably
+ * cost them time.
  *
  * Design contract -- determinism first:
  *  - Work is split into *static* chunks whose boundaries depend only on
  *    the iteration range and grain, never on the thread count. Threads
  *    pull chunks dynamically, but which chunk produced which result is
- *    fixed, so callers of `runChunks` (the sweep engine, sweep/engine.h)
- *    reduce per-chunk results in chunk order and return bit-identical
- *    output for any thread count (including 1, the serial fallback).
+ *    fixed, so the sweep engine keeps per-chunk results in chunk order
+ *    and returns bit-identical output for any thread count (including
+ *    1, the serial fallback).
  *  - The thread pool is lazily started on first parallel call and is
  *    shared process-wide. Nested parallel calls from inside a running
  *    parallel section (on a pool worker or on the submitting thread)

@@ -17,11 +17,11 @@ namespace act::util {
 
 /**
  * Derive the seed of an independent child stream from a base seed and
- * a stream index, via two rounds of the SplitMix64 finalizer. Used by
- * the parallel Monte Carlo driver so that chunk c of a sweep draws
- * from stream deriveSeed(seed, c) regardless of which thread runs it:
- * the sampled sequence is a pure function of (seed, chunk layout) and
- * therefore independent of the thread count.
+ * a stream index, via two rounds of the SplitMix64 finalizer. Chunk c
+ * of a sweep (dse::monteCarlo, and every sweep/engine.h chunk) draws
+ * from stream deriveSeed(seed, c) regardless of which thread or shard
+ * runs it: the sampled sequence is a pure function of (seed, chunk
+ * layout) and therefore independent of the thread count.
  */
 std::uint64_t deriveSeed(std::uint64_t base, std::uint64_t stream);
 

@@ -14,7 +14,9 @@
  * binaries / CLI, or `util::setTraceFile(path)`.
  *
  * Events are buffered in memory and written on `flushTrace()`, at
- * `setTraceFile()` changes, and automatically at process exit.
+ * `setTraceFile()` changes, and automatically at process exit (a
+ * `fatal()` exit included). The programs rely on the exit write alone,
+ * so a run writes its trace file, or warns that it cannot, once.
  */
 
 #ifndef ACT_UTIL_TRACE_H

@@ -1,25 +1,28 @@
 /**
  * @file
- * Tests for the batched Monte Carlo path: the compiled batch kernel
- * must be *bit-identical* to the scalar closure path -- every
- * statistic, at every thread count and shard count. The scalar path
- * stays in the tree precisely to serve as this oracle.
+ * Tests for the Monte Carlo samplers: dse::monteCarlo's sampled values
+ * must be the distributions' formulas bit for bit, and the compiled
+ * batch kernel of the sharded cpa_montecarlo domain must be
+ * *bit-identical* to dse::monteCarlo over the scalar closure -- every
+ * statistic, at every thread count and shard count.
  */
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/embodied.h"
-#include "core/fab_params.h"
 #include "dse/montecarlo.h"
 #include "sweep/domains.h"
 #include "sweep/engine.h"
 #include "sweep/plan.h"
 #include "util/parallel.h"
-#include "util/units.h"
+#include "util/random.h"
 
 namespace act::dse {
 namespace {
@@ -59,30 +62,69 @@ nodeParameters()
     };
 }
 
-TEST_F(DseBatchTest, ScalarClosureIsThreadCountInvariant)
+/**
+ * The reference sampler: parameter @p parameter's value at the next
+ * unit draw of @p rng, written out as the distribution's formula.
+ */
+double
+referenceSample(const UncertainParameter &parameter,
+                util::Xorshift64Star &rng)
 {
-    // The closure path is the oracle the batch kernel is checked
-    // against below, so it must itself be thread-count invariant.
+    const double u = rng.nextUnit();
+    const double a = parameter.low;
+    const double b = parameter.high;
+    if (parameter.distribution == Distribution::Uniform)
+        return a + (b - a) * u;
+    // Triangular inverse CDF with the mode c in [a, b].
+    const double c = parameter.baseline;
+    if (u < (c - a) / (b - a))
+        return a + std::sqrt(u * (b - a) * (c - a));
+    return b - std::sqrt((1.0 - u) * (b - a) * (b - c));
+}
+
+TEST_F(DseBatchTest, SamplesMatchTheReferenceFormulaBitwise)
+{
+    // The model records every sampled parameter vector and returns the
+    // sampled yield unchanged. Each vector must be the reference
+    // formula's bits on chunk c's stream deriveSeed(seed, c), drawn
+    // sample-major. 5000 samples make two full chunks and a short one.
     const std::vector<UncertainParameter> parameters =
         nodeParameters();
-    const auto closure = [](const std::vector<double> &values) {
-        core::FabParams fab;
-        fab.ci_fab = util::gramsPerKilowattHour(values[0]);
-        fab.yield = values[1];
-        fab.abatement = values[2];
-        return core::carbonPerArea(fab, 7.0).value();
-    };
+    constexpr std::size_t kSamples = 5000;
+    constexpr std::uint64_t kSeed = 7;
+    std::vector<std::vector<double>> seen;
+    const MonteCarloResult result = monteCarlo(
+        parameters,
+        [&](const std::vector<double> &values) {
+            seen.push_back(values);
+            return values[1];
+        },
+        kSamples, kSeed);
 
-    // 10k samples = 5 chunks: enough to exercise chunk boundaries and
-    // the partial-merge order at several pool widths.
-    util::setThreadCount(1);
-    const MonteCarloResult reference =
-        monteCarlo(parameters, closure, 10'000, 42);
-    for (const std::size_t threads : {2u, 7u}) {
-        util::setThreadCount(threads);
-        expectSameResult(monteCarlo(parameters, closure, 10'000, 42),
-                         reference);
+    ASSERT_EQ(seen.size(), kSamples);
+    MonteCarloPartial expected;
+    std::size_t sample = 0;
+    for (std::size_t c = 0; sample < kSamples; ++c) {
+        util::Xorshift64Star rng(util::deriveSeed(kSeed, c));
+        MonteCarloPartial chunk;
+        for (std::size_t k = 0; k < kMonteCarloChunk && sample < kSamples;
+             ++k, ++sample) {
+            for (std::size_t i = 0; i < parameters.size(); ++i) {
+                const double value = referenceSample(parameters[i], rng);
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(seen[sample][i]),
+                          std::bit_cast<std::uint64_t>(value))
+                    << "sample " << sample << ", parameter "
+                    << parameters[i].name;
+            }
+            const double output = seen[sample][1];
+            chunk.outputs.push_back(output);
+            chunk.sum += output;
+            chunk.sum_squares += output * output;
+        }
+        expected = mergePartial(std::move(expected), std::move(chunk));
     }
+    expectSameResult(result,
+                     finalizeMonteCarlo(kSamples, std::move(expected)));
 }
 
 TEST_F(DseBatchTest, ShardedDomainMatchesScalarOracle)

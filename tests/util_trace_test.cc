@@ -249,8 +249,7 @@ TEST(TraceTest, NamesAreJsonEscaped)
 /**
  * Validator: when ACT_TRACE_VALIDATE names a trace file produced by a
  * real run (e.g. `ACT_TRACE=trace.json fig08_mobile_design_space`),
- * validate it and require the spans the instrumentation contract
- * promises (util/parallel, the sweep engine, the bench harness).
+ * validate it and require the per-figure span of the bench harness.
  */
 TEST(TraceFileValidation, ExternalFile)
 {
@@ -261,18 +260,16 @@ TEST(TraceFileValidation, ExternalFile)
         config::JsonValue::parse(readFile(path));
     const TraceSummary summary = validateTrace(root);
     EXPECT_GT(summary.events, 0u);
-    EXPECT_TRUE(summary.categories.count("util.parallel"))
-        << "expected util/parallel spans";
-    EXPECT_TRUE(summary.categories.count("sweep"))
-        << "expected sweep-engine spans";
     EXPECT_TRUE(summary.categories.count("bench"))
         << "expected a per-figure bench span";
 }
 
 /**
  * Validator: when ACT_TRACE_VALIDATE_MERGED names an `act trace-merge`
- * output, validate it like any trace and require the merge artifacts:
- * one trace_epoch, one pid and process_name per source file.
+ * output of traced `act sweep` shards, validate it like any trace and
+ * require the merge artifacts -- one trace_epoch, one pid and
+ * process_name per source file -- and the spans the instrumentation
+ * contract promises: util/parallel, the sweep engine and the CLI.
  */
 TEST(TraceFileValidation, MergedFile)
 {
@@ -289,6 +286,12 @@ TEST(TraceFileValidation, MergedFile)
         << "expected each source trace on its own pid";
     EXPECT_TRUE(summary.metadata_names.count("process_name"))
         << "expected process_name labels for the merged pids";
+    EXPECT_TRUE(summary.categories.count("util.parallel"))
+        << "expected util/parallel spans";
+    EXPECT_TRUE(summary.categories.count("sweep"))
+        << "expected sweep-engine spans";
+    EXPECT_TRUE(summary.categories.count("cli"))
+        << "expected act command spans";
 }
 
 } // namespace

@@ -813,6 +813,5 @@ main(int argc, char **argv)
         std::cout << "\n--- metrics ---\n"
                   << act::obs::renderMetricsDocTable(metrics);
     }
-    act::util::flushTrace();
     return status;
 }

@@ -13,8 +13,9 @@
 #  - a merge into a FIFO gives the reference bytes, and a write that
 #    fails into a FIFO exits 1 without removing it (skipped without
 #    mkfifo and cp);
-#  - `act trace-merge` of the shard traces, and a traced
-#    `fig08_mobile_design_space --metrics` run;
+#  - `act trace-merge` of the shard traces, a traced
+#    `fig08_mobile_design_space --metrics` run, and a fig08 run whose
+#    trace cannot be written (one warning; needs /dev/full);
 #  - the metrics and trace validators (the MetricsFileValidation and
 #    TraceFileValidation gtests) accept the merged metrics, fig08's
 #    trace and the merged trace. A validator skips itself when its
@@ -159,6 +160,20 @@ run("trace-merge" "${ACT}" trace-merge mc_merged.trace.json
 
 run("traced fig08" ${CMAKE_COMMAND} -E env ACT_TRACE=trace.json
     "${FIG08}" --metrics)
+
+# A figure writes its trace once, at exit, so a trace it cannot write
+# warns once.
+if(EXISTS /dev/full)
+    execute_process(COMMAND "${FIG08}" --trace /dev/full
+        WORKING_DIRECTORY "${WORK_DIR}"
+        RESULT_VARIABLE status OUTPUT_QUIET ERROR_VARIABLE err)
+    if(NOT status STREQUAL "0" OR NOT err STREQUAL
+       "warn: cannot write trace file '/dev/full'\n")
+        message(FATAL_ERROR "fig08 --trace /dev/full: expected exit 0 and "
+                            "one warning line, got exit ${status}:\n${err}")
+    endif()
+    message(STATUS "fig08 --trace /dev/full: one warning")
+endif()
 
 validate("merged metrics" "MetricsFileValidation.*"
     ${CMAKE_COMMAND} -E env
