@@ -81,8 +81,8 @@ struct HeartbeatState
 
 /**
  * The chunk loop of both execution paths: evaluate @p chunks, the
- * plan's global chunks from @p chunk_offset on, on the shared pool
- * with the sweep's trace span and metrics counters. Each chunk's RNG
+ * plan's global chunks from @p chunk_offset on, with util::runChunks
+ * and with the sweep's trace span and metrics counters. Each chunk's RNG
  * is seeded from its *global* index, so a shard samples exactly what
  * the full run would. Each finished chunk is published to
  * @p heartbeat when there is one. Returns the payloads in chunk

@@ -1,9 +1,9 @@
 /**
  * @file
  * The serialized-plan sweep engine behind `act sweep` and `act merge`:
- * it evaluates a registered domain's chunks (sweep/domains.h) on the
- * util/parallel.h pool and owns chunking, per-chunk RNG streams,
- * instrumentation, and result assembly. The determinism contract:
+ * it evaluates a registered domain's chunks (sweep/domains.h) with
+ * util::runChunks (util/parallel.h) and owns chunking, per-chunk RNG
+ * streams, instrumentation, and result assembly. The determinism contract:
  *
  *  - Chunk layout is a pure function of the plan (see plan.h), so
  *    results are bit-identical for any thread count.
@@ -75,7 +75,7 @@ struct ShardRunOptions
 
 /**
  * Evaluate the slice of @p plan owned by @p shard (chunks still run in
- * parallel on the pool within the shard). Fatal when the plan has no
+ * parallel within the shard). Fatal when the plan has no
  * items or the shard spec is invalid. With a heartbeat path in
  * @p options, progress is published per chunk through a time-gated
  * obs::HeartbeatWriter -- purely observational, the payloads are

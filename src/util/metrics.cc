@@ -146,8 +146,8 @@ MetricsRegistry::MetricsRegistry() : impl_(new Impl) {}
 MetricsRegistry &
 MetricsRegistry::instance()
 {
-    // Leaked on purpose: pool workers and static destructors may still
-    // bump counters while the process shuts down.
+    // Leaked on purpose: runChunks helpers still running when a fatal()
+    // exits, and static destructors, may bump counters during shutdown.
     static MetricsRegistry *registry = new MetricsRegistry;
     return *registry;
 }

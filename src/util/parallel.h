@@ -5,7 +5,7 @@
  * (sweep/engine.h), which runs the chunks of `act sweep` -- fleet
  * replay, Monte Carlo and the other sweep domains -- on it. The
  * in-process design-space loops (dse, mobile, accel) are plain serial
- * loops: their items are microseconds each, and the pool measurably
+ * loops: their items are microseconds each, and threads measurably
  * cost them time.
  *
  * Design contract -- determinism first:
@@ -15,10 +15,9 @@
  *    fixed, so the sweep engine keeps per-chunk results in chunk order
  *    and returns bit-identical output for any thread count (including
  *    1, the serial fallback).
- *  - The thread pool is lazily started on first parallel call and is
- *    shared process-wide. Nested parallel calls from inside a running
- *    parallel section (on a pool worker or on the submitting thread)
- *    degrade to serial execution rather than deadlocking.
+ *  - Each parallel `runChunks` call starts its own helper threads and
+ *    joins them before it returns, so no thread outlives the call, and
+ *    a nested call simply starts helpers of its own.
  *  - The worker count resolves as: programmatic override
  *    (`setThreadCount`) > `ACT_THREADS` environment variable >
  *    `std::thread::hardware_concurrency()`.
@@ -47,8 +46,7 @@ std::size_t threadCount();
 /**
  * Override the worker count for subsequent parallel sections. Pass 0 to
  * restore automatic resolution (ACT_THREADS / hardware concurrency).
- * Thread-safe; existing pool workers are retained but idle when the
- * count shrinks.
+ * Thread-safe; it takes effect at the next `runChunks` call.
  */
 void setThreadCount(std::size_t count);
 
@@ -71,10 +69,11 @@ std::vector<IndexRange> staticChunks(std::size_t begin, std::size_t end,
                                      std::size_t grain);
 
 /**
- * Invoke @p body(chunk_index, range) once per chunk, distributing
- * chunks over the pool. Blocks until every chunk completed. Runs
- * serially when the effective thread count is 1, the range has a single
- * chunk, or the caller is itself running a parallel section's task.
+ * Invoke @p body(chunk_index, range) once per chunk. With
+ * `min(threadCount(), chunks.size())` workers above 1, the calling
+ * thread and workers - 1 helper threads started for this call claim
+ * chunks until none is left; the helpers are joined before it
+ * returns. Runs serially on the calling thread when that minimum is 1.
  */
 void runChunks(const std::vector<IndexRange> &chunks,
                const std::function<void(std::size_t, IndexRange)> &body);

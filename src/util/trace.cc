@@ -42,8 +42,9 @@ currentTid()
 /**
  * Global event buffer. A single mutex is fine here: events are span-
  * or chunk-granular (never per-sample), and the buffer is only touched
- * while tracing is enabled. Leaked on purpose so pool workers can
- * still record during static destruction.
+ * while tracing is enabled. Leaked on purpose so runChunks helper
+ * threads still running when another thread's fatal() exits the
+ * process can record during static destruction.
  */
 class TraceCollector
 {

@@ -1,6 +1,6 @@
 # Runs `act sweep` on a multi-chunk fleet plan whose hardware lifetime
-# is shorter than most jobs, so every chunk fails on its pool worker at
-# about the same time. Each of 20 runs at ACT_THREADS=4 must exit 1
+# is shorter than most jobs, so every chunk fails on its worker thread
+# at about the same time. Each of 20 runs at ACT_THREADS=4 must exit 1
 # with exactly one stderr line, `fatal: execution time ... exceeds
 # hardware lifetime ...` -- concurrent fatal() calls must neither
 # interleave their output nor print more than one diagnostic.

@@ -1,7 +1,7 @@
 /**
  * @file
  * Metrics-registry tests: counter and histogram correctness under
- * concurrent updates from the util/parallel thread pool, disabled-mode
+ * concurrent updates from util/parallel helper threads, disabled-mode
  * no-op behavior for histograms, and snapshots. The metrics table is
  * rendered from the act.metrics.v1 document (util_metrics_merge_test).
  */
@@ -200,14 +200,37 @@ TEST(MetricsRegistryTest, PoolInstrumentsPopulateWhenEnabled)
     ScopedMetricsEnabled enabled(true);
     util::MetricsRegistry &registry = util::MetricsRegistry::instance();
     util::Histogram &chunk_us = registry.histogram("parallel.chunk_us");
+    util::Histogram &queue_wait_us =
+        registry.histogram("parallel.queue_wait_us");
+    util::Histogram &imbalance_pct =
+        registry.histogram("parallel.imbalance_pct");
+    util::Gauge &utilization_pct =
+        registry.gauge("parallel.worker_utilization_pct");
+    util::Counter &serial_jobs = registry.counter("parallel.serial_jobs");
     const std::uint64_t before = chunk_us.count();
+    const std::uint64_t waits_before = queue_wait_us.count();
+    const std::uint64_t imbalances_before = imbalance_pct.count();
+    utilization_pct.set(0.0);
+    const auto spin = [](std::size_t, util::IndexRange range) {
+        // Enough work per chunk that every duration reads above 0.
+        volatile std::size_t sink = 0;
+        for (std::size_t i = 0; i < 10'000 * range.size(); ++i)
+            sink = sink + i;
+    };
     util::setThreadCount(3);
-    util::runChunks(util::staticChunks(0, 64, 8),
-                    [](std::size_t, util::IndexRange) {});
-    util::setThreadCount(0);
+    util::runChunks(util::staticChunks(0, 64, 8), spin);
     EXPECT_GT(chunk_us.count(), before);
+    EXPECT_GT(queue_wait_us.count(), waits_before);
+    EXPECT_GT(imbalance_pct.count(), imbalances_before);
+    EXPECT_GT(utilization_pct.value(), 0.0);
     EXPECT_GT(registry.counter("parallel.jobs").value(), 0u);
     EXPECT_GT(registry.counter("parallel.chunks").value(), 0u);
+
+    const std::uint64_t serial_before = serial_jobs.value();
+    util::setThreadCount(1);
+    util::runChunks(util::staticChunks(0, 64, 8), spin);
+    util::setThreadCount(0);
+    EXPECT_GT(serial_jobs.value(), serial_before);
 }
 
 } // namespace

@@ -171,8 +171,8 @@ TEST(TraceTest, SpansProduceValidParseableJson)
             TRACE_SPAN("test.inner", "sibling");
         }
     }
-    // Spans emitted from pool worker threads must carry their own tids
-    // and stay well-formed.
+    // Spans emitted from runChunks helper threads must carry their own
+    // tids and stay well-formed.
     util::setThreadCount(4);
     util::runChunks(util::staticChunks(0, 32, 2),
                     [](std::size_t, util::IndexRange range) {
