@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <map>
 
 #include "util/logging.h"
@@ -17,7 +16,7 @@ using config::JsonArray;
 using config::JsonObject;
 using config::JsonValue;
 
-const char *const kMetricsFormat = "act.metrics.v1";
+const char *const kMetricsFormat = "act.metrics.v2";
 
 namespace {
 
@@ -64,7 +63,7 @@ requireObject(const JsonValue &doc, const char *key)
 }
 
 /** Throws config::JsonTypeError naming the first field of @p doc that
- *  breaks the act.metrics.v1 shape. */
+ *  breaks the act.metrics.v2 shape. */
 void
 checkMetricsDoc(const JsonValue &doc)
 {
@@ -77,10 +76,6 @@ checkMetricsDoc(const JsonValue &doc)
                 config::count(doc.at("counters"), counter.first);
         },
         "counters");
-    for (const auto &[name, value] : requireObject(doc, "gauges")) {
-        config::inContext([&] { config::numbers(value, "values"); },
-                          "gauge '", name, "'");
-    }
     for (const auto &[name, value] : requireObject(doc, "histograms")) {
         config::inContext(
             [&] {
@@ -138,31 +133,6 @@ histogramToJson(const HistogramAccumulator &histogram)
     return JsonValue(std::move(object));
 }
 
-JsonValue
-gaugeToJson(const std::vector<double> &values)
-{
-    JsonObject object;
-    JsonArray list;
-    list.reserve(values.size());
-    double min = std::numeric_limits<double>::infinity();
-    double max = -std::numeric_limits<double>::infinity();
-    double sum = 0.0;
-    for (const double value : values) {
-        list.emplace_back(value);
-        min = std::min(min, value);
-        max = std::max(max, value);
-        sum += value;
-    }
-    object["values"] = JsonValue(std::move(list));
-    if (!values.empty()) {
-        object["min"] = JsonValue(min);
-        object["max"] = JsonValue(max);
-        object["mean"] =
-            JsonValue(sum / static_cast<double>(values.size()));
-    }
-    return JsonValue(std::move(object));
-}
-
 /**
  * Quantile @p q of a validated document histogram, by linear
  * interpolation inside the bucket that holds the requested rank; the
@@ -210,10 +180,6 @@ metricsToJson(const util::MetricsSnapshot &snapshot)
     for (const auto &[name, value] : snapshot.counters)
         counters[name] = JsonValue(static_cast<double>(value));
 
-    JsonObject gauges;
-    for (const auto &[name, value] : snapshot.gauges)
-        gauges[name] = gaugeToJson({value});
-
     JsonObject histograms;
     for (const util::HistogramSnapshot &histogram :
          snapshot.histograms) {
@@ -231,7 +197,6 @@ metricsToJson(const util::MetricsSnapshot &snapshot)
     JsonObject document;
     document["format"] = JsonValue(kMetricsFormat);
     document["counters"] = JsonValue(std::move(counters));
-    document["gauges"] = JsonValue(std::move(gauges));
     document["histograms"] = JsonValue(std::move(histograms));
     return JsonValue(std::move(document));
 }
@@ -249,19 +214,12 @@ JsonValue
 mergeMetricsDocs(const std::vector<JsonValue> &docs)
 {
     std::map<std::string, double> counters;
-    std::map<std::string, std::vector<double>> gauges;
     std::map<std::string, HistogramAccumulator> histograms;
 
     for (const JsonValue &doc : docs) {
         validateMetricsDoc(doc);
         for (const auto &[name, value] : requireObject(doc, "counters"))
             counters[name] += value.asNumber();
-        for (const auto &[name, value] : requireObject(doc, "gauges")) {
-            const std::vector<double> values =
-                config::numbers(value, "values");
-            auto &merged = gauges[name];
-            merged.insert(merged.end(), values.begin(), values.end());
-        }
         for (const auto &[name, value] :
              requireObject(doc, "histograms")) {
             const std::vector<double> bounds =
@@ -310,9 +268,6 @@ mergeMetricsDocs(const std::vector<JsonValue> &docs)
     JsonObject counters_json;
     for (const auto &[name, value] : counters)
         counters_json[name] = JsonValue(value);
-    JsonObject gauges_json;
-    for (const auto &[name, values] : gauges)
-        gauges_json[name] = gaugeToJson(values);
     JsonObject histograms_json;
     for (const auto &[name, histogram] : histograms)
         histograms_json[name] = histogramToJson(histogram);
@@ -320,7 +275,6 @@ mergeMetricsDocs(const std::vector<JsonValue> &docs)
     JsonObject document;
     document["format"] = JsonValue(kMetricsFormat);
     document["counters"] = JsonValue(std::move(counters_json));
-    document["gauges"] = JsonValue(std::move(gauges_json));
     document["histograms"] = JsonValue(std::move(histograms_json));
     return JsonValue(std::move(document));
 }
@@ -335,21 +289,6 @@ renderPrometheus(const JsonValue &doc)
         const std::string metric = promName(name);
         out += "# TYPE " + metric + " counter\n";
         out += metric + " " + formatNumber(value.asNumber()) + "\n";
-    }
-
-    for (const auto &[name, value] : requireObject(doc, "gauges")) {
-        const std::vector<double> values =
-            config::numbers(value, "values");
-        const std::string metric = promName(name);
-        out += "# TYPE " + metric + " gauge\n";
-        if (values.size() == 1) {
-            out += metric + " " + formatNumber(values[0]) + "\n";
-        } else {
-            for (std::size_t i = 0; i < values.size(); ++i) {
-                out += metric + "{shard=\"" + std::to_string(i) +
-                       "\"} " + formatNumber(values[i]) + "\n";
-            }
-        }
     }
 
     for (const auto &[name, value] : requireObject(doc, "histograms")) {
@@ -386,14 +325,6 @@ renderMetricsDocTable(const JsonValue &doc)
     for (const auto &[name, value] : requireObject(doc, "counters")) {
         table.addRow({name, "counter", formatNumber(value.asNumber()),
                       "", "", "", "", ""});
-    }
-    for (const auto &[name, value] : requireObject(doc, "gauges")) {
-        const std::vector<double> values =
-            config::numbers(value, "values");
-        table.addRow({name, "gauge", std::to_string(values.size()),
-                      sig(config::number(value, "mean", 0.0)), "", "",
-                      sig(config::number(value, "min", 0.0)),
-                      sig(config::number(value, "max", 0.0))});
     }
     for (const auto &[name, value] : requireObject(doc, "histograms")) {
         const double count = value.at("count").asNumber();

@@ -55,7 +55,7 @@ struct ShardResult
     /** Payloads for chunks [chunk_begin, chunk_begin + size()). */
     std::vector<config::JsonValue> chunks;
     /**
-     * Optional telemetry: an act.metrics.v1 document (obs/metrics_doc)
+     * Optional telemetry: an act.metrics.v2 document (obs/metrics_doc)
      * riding along in the partial file, or null. Telemetry never
      * touches the result path -- mergeShards() strips it, so the
      * merged document stays byte-identical whether or not shards

@@ -136,7 +136,6 @@ struct MetricsRegistry::Impl
     mutable std::mutex mutex;
     std::map<std::string, std::unique_ptr<Counter>, std::less<>>
         counters;
-    std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
     std::map<std::string, std::unique_ptr<Histogram>, std::less<>>
         histograms;
 };
@@ -161,20 +160,6 @@ MetricsRegistry::counter(std::string_view name)
         found = impl_->counters
                     .emplace(std::string(name),
                              std::make_unique<Counter>())
-                    .first;
-    }
-    return *found->second;
-}
-
-Gauge &
-MetricsRegistry::gauge(std::string_view name)
-{
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    auto found = impl_->gauges.find(name);
-    if (found == impl_->gauges.end()) {
-        found = impl_->gauges
-                    .emplace(std::string(name),
-                             std::make_unique<Gauge>())
                     .first;
     }
     return *found->second;
@@ -205,8 +190,6 @@ MetricsRegistry::snapshot() const
     std::lock_guard<std::mutex> lock(impl_->mutex);
     for (const auto &[name, counter] : impl_->counters)
         snapshot.counters.emplace_back(name, counter->value());
-    for (const auto &[name, gauge] : impl_->gauges)
-        snapshot.gauges.emplace_back(name, gauge->value());
     for (const auto &[name, histogram] : impl_->histograms) {
         HistogramSnapshot h;
         h.name = name;

@@ -1,23 +1,23 @@
 /**
  * @file
- * Process-wide metrics registry: named counters, gauges, and
- * fixed-bucket histograms that any layer can update from any thread.
- * Metrics leave the registry in one form: `snapshot()`, which
- * obs/metrics_doc.h serializes as an `act.metrics.v1` document. Every
- * metrics table (bench `--metrics`, `act --metrics`, `act merge`) and
- * the Prometheus output are rendered from that document.
+ * Process-wide metrics registry: named counters and fixed-bucket
+ * histograms that any layer can update from any thread. Metrics leave
+ * the registry in one form: `snapshot()`, which obs/metrics_doc.h
+ * serializes as an `act.metrics.v2` document. Every metrics table
+ * (bench `--metrics`, `act --metrics`, `act merge`) and the Prometheus
+ * output are rendered from that document.
  *
  * Overhead contract:
- *  - Counters and gauges are always live: an update is one relaxed
- *    atomic. Counters are bumped per call or per block of work, never
- *    per sample, so model-level statistics (e.g. the Eq. 5 evaluation
+ *  - Counters are always live: an update is one relaxed atomic.
+ *    Counters are bumped per call or per block of work, never per
+ *    sample, so model-level statistics (e.g. the Eq. 5 evaluation
  *    count) cost nothing measurable and work with metrics off.
  *  - Histograms record nothing while `metricsEnabled()` (a single
  *    relaxed atomic flag) is false, and callers gate any measurement
  *    feeding an observe (clock reads, per-chunk bookkeeping) on the
  *    same flag. A snapshot's histogram `count` therefore always equals
  *    the sum of its bucket counts.
- *  - Registration (`counter()`, `gauge()`, `histogram()`) takes a lock
+ *  - Registration (`counter()`, `histogram()`) takes a lock
  *    and is intended for cold paths; call sites cache the returned
  *    reference, which stays valid for the life of the process (the
  *    registry is intentionally leaked so worker threads may update
@@ -69,30 +69,6 @@ class Counter
     std::atomic<std::uint64_t> value_{0};
 };
 
-/** A last-value-wins instantaneous measurement; always live. */
-class Gauge
-{
-  public:
-    Gauge() = default;
-    Gauge(const Gauge &) = delete;
-    Gauge &operator=(const Gauge &) = delete;
-
-    void
-    set(double value)
-    {
-        value_.store(value, std::memory_order_relaxed);
-    }
-
-    double
-    value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<double> value_{0.0};
-};
-
 /**
  * A fixed-bucket histogram. Bucket upper bounds are set at registration
  * (ascending; one implicit overflow bucket is appended). `observe()`
@@ -126,7 +102,7 @@ class Histogram
     std::atomic<double> max_{0.0};
 };
 
-/** One histogram in a MetricsSnapshot, in the act.metrics.v1 shape. */
+/** One histogram in a MetricsSnapshot, in the act.metrics.v2 shape. */
 struct HistogramSnapshot
 {
     std::string name;
@@ -144,7 +120,6 @@ struct HistogramSnapshot
 struct MetricsSnapshot
 {
     std::vector<std::pair<std::string, std::uint64_t>> counters;
-    std::vector<std::pair<std::string, double>> gauges;
     std::vector<HistogramSnapshot> histograms;
 };
 
@@ -161,7 +136,6 @@ class MetricsRegistry
     static MetricsRegistry &instance();
 
     Counter &counter(std::string_view name);
-    Gauge &gauge(std::string_view name);
     Histogram &histogram(std::string_view name,
                          std::vector<double> bucket_bounds = {});
 

@@ -36,8 +36,15 @@ autoThreadCount()
     return resolved;
 }
 
+/** The bucket ladder of runChunks' two once-per-call percentages. */
+std::vector<double>
+percentBuckets()
+{
+    return {1, 2, 5, 10, 20, 30, 50, 75, 90, 100};
+}
+
 /** runChunks' observability instruments, registered once. Counters are
- *  always live; the histograms/gauge only fill while metrics are on
+ *  always live; the histograms only fill while metrics are on
  *  (runChunks times chunks only when metrics or tracing are on). */
 struct PoolInstruments
 {
@@ -52,10 +59,9 @@ struct PoolInstruments
     Histogram &queue_wait_us = MetricsRegistry::instance().histogram(
         "parallel.queue_wait_us");
     Histogram &imbalance_pct = MetricsRegistry::instance().histogram(
-        "parallel.imbalance_pct",
-        {1, 2, 5, 10, 20, 30, 50, 75, 90, 100});
-    Gauge &utilization_pct = MetricsRegistry::instance().gauge(
-        "parallel.worker_utilization_pct");
+        "parallel.imbalance_pct", percentBuckets());
+    Histogram &utilization_pct = MetricsRegistry::instance().histogram(
+        "parallel.worker_utilization_pct", percentBuckets());
 };
 
 PoolInstruments &
@@ -180,7 +186,7 @@ runChunks(const std::vector<IndexRange> &chunks,
             static_cast<double>(slowest));
     }
     if (wall_ns > 0) {
-        instruments.utilization_pct.set(
+        instruments.utilization_pct.observe(
             100.0 * static_cast<double>(busy_ns) /
             (static_cast<double>(wall_ns) *
              static_cast<double>(workers)));

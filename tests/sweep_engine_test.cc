@@ -477,9 +477,8 @@ TEST_F(SweepEngineTest, MetricsAndHeartbeatsNeverChangeTheResult)
         fullSweepResult(plan, domain.evaluator(plan)).dump();
 
     const config::JsonValue metrics = config::JsonValue::parse(R"({
-        "format": "act.metrics.v1",
+        "format": "act.metrics.v2",
         "counters": {"sweep.items": 5000},
-        "gauges": {},
         "histograms": {}
     })");
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the act.metrics.v1 document (obs/metrics_doc): snapshot
+ * Tests for the act.metrics.v2 document (obs/metrics_doc): snapshot
  * serialization, the merge semantics (counters sum, histograms merge
- * bucket-wise, gauges concatenate), schema rejection, and the
+ * bucket-wise), schema rejection, and the
  * Prometheus rendering. The MetricsFileValidation test doubles as a
  * validator: set `ACT_METRICS_VALIDATE=<file>` to check an externally
  * produced document. ctest act_cli_telemetry
@@ -34,20 +34,10 @@ parseDoc(const std::string &text)
 
 /** A synthetic one-process snapshot document. */
 config::JsonValue
-snapshotDoc(double items, double gauge, double low_bucket,
-            double high_bucket)
+snapshotDoc(double items, double low_bucket, double high_bucket)
 {
     config::JsonObject counters;
     counters["sweep.items"] = config::JsonValue(items);
-
-    config::JsonObject gauges;
-    config::JsonObject gauge_obj;
-    gauge_obj["values"] =
-        config::JsonValue(config::JsonArray{config::JsonValue(gauge)});
-    gauge_obj["min"] = config::JsonValue(gauge);
-    gauge_obj["max"] = config::JsonValue(gauge);
-    gauge_obj["mean"] = config::JsonValue(gauge);
-    gauges["pool.util"] = config::JsonValue(std::move(gauge_obj));
 
     config::JsonObject histogram;
     histogram["bounds"] = config::JsonValue(config::JsonArray{
@@ -68,7 +58,6 @@ snapshotDoc(double items, double gauge, double low_bucket,
     config::JsonObject doc;
     doc["format"] = config::JsonValue(obs::kMetricsFormat);
     doc["counters"] = config::JsonValue(std::move(counters));
-    doc["gauges"] = config::JsonValue(std::move(gauges));
     doc["histograms"] = config::JsonValue(std::move(histograms));
     return config::JsonValue(std::move(doc));
 }
@@ -78,7 +67,6 @@ TEST(MetricsDocTest, SnapshotSerializesAndValidates)
     util::setMetricsEnabled(true);
     auto &registry = util::MetricsRegistry::instance();
     registry.counter("merge_test.count").add(7);
-    registry.gauge("merge_test.gauge").set(0.25);
     auto &histogram =
         registry.histogram("merge_test.hist", {1.0, 10.0});
     histogram.observe(0.5);
@@ -123,9 +111,9 @@ TEST(MetricsDocTest, MergeOfShardsEqualsOneProcessTotals)
 {
     // Three "shards" whose work sums to one known single-process run.
     const std::vector<config::JsonValue> shards = {
-        snapshotDoc(4000, 0.5, 3, 1),
-        snapshotDoc(4000, 0.7, 2, 0),
-        snapshotDoc(2000, 0.6, 0, 4),
+        snapshotDoc(4000, 3, 1),
+        snapshotDoc(4000, 2, 0),
+        snapshotDoc(2000, 0, 4),
     };
     const config::JsonValue merged = obs::mergeMetricsDocs(shards);
     obs::validateMetricsDoc(merged);
@@ -143,19 +131,11 @@ TEST(MetricsDocTest, MergeOfShardsEqualsOneProcessTotals)
     EXPECT_EQ(hist.at("sum").asNumber(), 5.0 * 5.0 + 50.0 * 5.0);
     EXPECT_EQ(hist.at("min").asNumber(), 5.0);
     EXPECT_EQ(hist.at("max").asNumber(), 50.0);
-
-    // Gauges keep every per-shard value plus min/max/mean.
-    const config::JsonValue &gauge =
-        merged.at("gauges").at("pool.util");
-    EXPECT_EQ(gauge.at("values").asArray().size(), 3u);
-    EXPECT_EQ(gauge.at("min").asNumber(), 0.5);
-    EXPECT_EQ(gauge.at("max").asNumber(), 0.7);
-    EXPECT_NEAR(gauge.at("mean").asNumber(), 0.6, 1e-12);
 }
 
 TEST(MetricsDocTest, MergingOneDocumentIsTheIdentity)
 {
-    const config::JsonValue doc = snapshotDoc(123, 0.5, 2, 1);
+    const config::JsonValue doc = snapshotDoc(123, 2, 1);
     EXPECT_EQ(obs::mergeMetricsDocs({doc}).dump(), doc.dump());
 }
 
@@ -169,9 +149,9 @@ TEST(MetricsDocTest, MergeToleratesEmptyAndAbsentSections)
     // A format-only document (absent sections) merges cleanly with a
     // full one.
     const config::JsonValue minimal =
-        parseDoc(R"({"format": "act.metrics.v1"})");
+        parseDoc(R"({"format": "act.metrics.v2"})");
     const config::JsonValue merged =
-        obs::mergeMetricsDocs({minimal, snapshotDoc(10, 0.5, 1, 0)});
+        obs::mergeMetricsDocs({minimal, snapshotDoc(10, 1, 0)});
     EXPECT_EQ(merged.at("counters").at("sweep.items").asNumber(),
               10.0);
 }
@@ -179,13 +159,13 @@ TEST(MetricsDocTest, MergeToleratesEmptyAndAbsentSections)
 TEST(MetricsDocDeathTest, RejectsIncompatibleHistogramBounds)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    config::JsonValue other = snapshotDoc(10, 0.5, 1, 0);
+    config::JsonValue other = snapshotDoc(10, 1, 0);
     other.asObject()["histograms"]
         .asObject()["chunk_us"]
         .asObject()["bounds"] = config::JsonValue(config::JsonArray{
         config::JsonValue(10.0), config::JsonValue(999.0)});
     EXPECT_EXIT(
-        obs::mergeMetricsDocs({snapshotDoc(10, 0.5, 1, 0), other}),
+        obs::mergeMetricsDocs({snapshotDoc(10, 1, 0), other}),
         ::testing::ExitedWithCode(1), "incompatible bucket bounds");
 }
 
@@ -197,15 +177,22 @@ TEST(MetricsDocDeathTest, RejectsWrongFormatAndBadShapes)
                 "bad metrics document: missing 'format'");
     EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(R"({"format": "x"})")),
                 ::testing::ExitedWithCode(1),
-                "'format' must be one of 'act\\.metrics\\.v1' "
+                "'format' must be one of 'act\\.metrics\\.v2' "
                 "\\(got \"x\"\\)");
+    // A v1 document, which could carry a third metric kind, is
+    // refused as a whole rather than read without it.
     EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(
-                    R"({"format": "act.metrics.v1",
+                    R"({"format": "act.metrics.v1", "counters": {}})")),
+                ::testing::ExitedWithCode(1),
+                "'format' must be one of 'act\\.metrics\\.v2' "
+                "\\(got \"act\\.metrics\\.v1\"\\)");
+    EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(
+                    R"({"format": "act.metrics.v2",
                         "counters": {"x": -1}})")),
                 ::testing::ExitedWithCode(1), "non-negative");
     // counts must be bounds + 1 (the overflow bucket).
     EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(
-                    R"({"format": "act.metrics.v1", "histograms":
+                    R"({"format": "act.metrics.v2", "histograms":
                         {"h": {"bounds": [1, 2], "counts": [0, 0],
                                "count": 0, "sum": 0, "min": 0,
                                "max": 0}}})")),
@@ -217,18 +204,13 @@ TEST(MetricsDocDeathTest, MissingRequiredFieldsAreFatal)
     // A fatal naming the field, not an uncaught JsonTypeError.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(
-                    R"({"format": "act.metrics.v1",
-                        "gauges": {"g": {"min": 1}}})")),
-                ::testing::ExitedWithCode(1),
-                "gauge 'g': missing 'values'");
-    EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(
-                    R"({"format": "act.metrics.v1", "histograms":
+                    R"({"format": "act.metrics.v2", "histograms":
                         {"h": {"counts": [0], "count": 0, "sum": 0,
                                "min": 0, "max": 0}}})")),
                 ::testing::ExitedWithCode(1),
                 "histogram 'h': missing 'bounds'");
     EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(
-                    R"({"format": "act.metrics.v1", "histograms":
+                    R"({"format": "act.metrics.v2", "histograms":
                         {"h": {"bounds": [], "counts": [0],
                                "sum": 0, "min": 0, "max": 0}}})")),
                 ::testing::ExitedWithCode(1),
@@ -242,7 +224,7 @@ TEST(MetricsDocDeathTest, CountsMustBeNonNegativeIntegers)
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const auto histogram = [](const std::string &counts,
                               const std::string &count) {
-        return parseDoc(R"({"format": "act.metrics.v1", "histograms":
+        return parseDoc(R"({"format": "act.metrics.v2", "histograms":
                             {"h": {"bounds": [1], "counts": )" +
                         counts + R"(, "count": )" + count +
                         R"(, "sum": 0, "min": 0, "max": 0}}})");
@@ -260,13 +242,13 @@ TEST(MetricsDocDeathTest, CountsMustBeNonNegativeIntegers)
                 "histogram 'h': 'counts\\[0\\]' must be a non-negative "
                 "integer \\(got 0\\.5\\)");
     EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(
-                    R"({"format": "act.metrics.v1",
+                    R"({"format": "act.metrics.v2",
                         "counters": {"x": 2.5}})")),
                 ::testing::ExitedWithCode(1),
                 "counters: 'x' must be a non-negative integer "
                 "\\(got 2\\.5\\)");
     EXPECT_EXIT(obs::validateMetricsDoc(parseDoc(
-                    R"({"format": "act.metrics.v1",
+                    R"({"format": "act.metrics.v2",
                         "counters": {"x": 1e30}})")),
                 ::testing::ExitedWithCode(1),
                 "counters: 'x' must be a non-negative integer "
@@ -277,7 +259,7 @@ TEST(MetricsDocDeathTest, FatalNamesTheOrigin)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_EXIT(obs::validateMetricsDoc(
-                    parseDoc(R"({"format": "act.metrics.v1",
+                    parseDoc(R"({"format": "act.metrics.v2",
                                  "counters": {"x": -1}})"),
                     "sweep partial 'part1.json'"),
                 ::testing::ExitedWithCode(1),
@@ -288,15 +270,12 @@ TEST(MetricsDocDeathTest, FatalNamesTheOrigin)
 TEST(MetricsDocTest, PrometheusRenderingIsWellFormed)
 {
     const config::JsonValue merged = obs::mergeMetricsDocs(
-        {snapshotDoc(4000, 0.5, 3, 1), snapshotDoc(6000, 0.7, 2, 0)});
+        {snapshotDoc(4000, 3, 1), snapshotDoc(6000, 2, 0)});
     const std::string prom = obs::renderPrometheus(merged);
 
     EXPECT_NE(prom.find("# TYPE act_sweep_items counter\n"),
               std::string::npos);
     EXPECT_NE(prom.find("act_sweep_items 10000\n"), std::string::npos);
-    // Multi-shard gauges carry a shard label.
-    EXPECT_NE(prom.find("act_pool_util{shard=\"0\"} 0.5\n"),
-              std::string::npos);
     // Histogram buckets are cumulative and end at +Inf == _count.
     EXPECT_NE(prom.find("act_chunk_us_bucket{le=\"10\"} 5\n"),
               std::string::npos);
@@ -333,7 +312,7 @@ tableRows(const std::string &table)
 TEST(MetricsDocTest, TableRenderingShowsMeans)
 {
     const std::string table =
-        obs::renderMetricsDocTable(snapshotDoc(100, 0.5, 3, 1));
+        obs::renderMetricsDocTable(snapshotDoc(100, 3, 1));
     EXPECT_NE(table.find("sweep.items"), std::string::npos);
     EXPECT_NE(table.find("histogram"), std::string::npos);
     // mean = (5*3 + 50*1) / 4 = 16.25
@@ -343,7 +322,7 @@ TEST(MetricsDocTest, TableRenderingShowsMeans)
     // observed min/max close the first and overflow buckets.
     const std::vector<std::vector<std::string>> rows =
         tableRows(obs::renderMetricsDocTable(parseDoc(
-            R"({"format": "act.metrics.v1", "histograms": {"h": {
+            R"({"format": "act.metrics.v2", "histograms": {"h": {
                 "bounds": [1, 10, 100], "counts": [2, 1, 1, 1],
                 "count": 5, "sum": 598.5, "min": 0.5, "max": 500}}})")));
     ASSERT_EQ(rows.size(), 2u);

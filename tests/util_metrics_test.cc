@@ -3,7 +3,7 @@
  * Metrics-registry tests: counter and histogram correctness under
  * concurrent updates from util/parallel helper threads, disabled-mode
  * no-op behavior for histograms, and snapshots. The metrics table is
- * rendered from the act.metrics.v1 document (util_metrics_merge_test).
+ * rendered from the act.metrics.v2 document (util_metrics_merge_test).
  */
 
 #include <gtest/gtest.h>
@@ -85,16 +85,6 @@ TEST(MetricsCounterTest, ConcurrentAddsFromPool)
     }
 }
 
-TEST(MetricsGaugeTest, SetAndRead)
-{
-    util::Gauge &gauge =
-        util::MetricsRegistry::instance().gauge("test.gauge.basic");
-    gauge.set(12.5);
-    EXPECT_DOUBLE_EQ(gauge.value(), 12.5);
-    gauge.set(-3.0);
-    EXPECT_DOUBLE_EQ(gauge.value(), -3.0);
-}
-
 TEST(MetricsHistogramTest, DisabledModeRecordsNothing)
 {
     ScopedMetricsEnabled disabled(false);
@@ -167,7 +157,6 @@ TEST(MetricsRegistryTest, SnapshotAndRendering)
     ScopedMetricsEnabled enabled(true);
     util::MetricsRegistry &registry = util::MetricsRegistry::instance();
     registry.counter("test.render.counter").add(5);
-    registry.gauge("test.render.gauge").set(2.25);
     util::Histogram &histogram =
         registry.histogram("test.render.histogram", {10.0, 20.0});
     histogram.observe(15.0);
@@ -204,13 +193,13 @@ TEST(MetricsRegistryTest, PoolInstrumentsPopulateWhenEnabled)
         registry.histogram("parallel.queue_wait_us");
     util::Histogram &imbalance_pct =
         registry.histogram("parallel.imbalance_pct");
-    util::Gauge &utilization_pct =
-        registry.gauge("parallel.worker_utilization_pct");
+    util::Histogram &utilization_pct =
+        registry.histogram("parallel.worker_utilization_pct");
     util::Counter &serial_jobs = registry.counter("parallel.serial_jobs");
     const std::uint64_t before = chunk_us.count();
     const std::uint64_t waits_before = queue_wait_us.count();
     const std::uint64_t imbalances_before = imbalance_pct.count();
-    utilization_pct.set(0.0);
+    const std::uint64_t utilizations_before = utilization_pct.count();
     const auto spin = [](std::size_t, util::IndexRange range) {
         // Enough work per chunk that every duration reads above 0.
         volatile std::size_t sink = 0;
@@ -222,7 +211,7 @@ TEST(MetricsRegistryTest, PoolInstrumentsPopulateWhenEnabled)
     EXPECT_GT(chunk_us.count(), before);
     EXPECT_GT(queue_wait_us.count(), waits_before);
     EXPECT_GT(imbalance_pct.count(), imbalances_before);
-    EXPECT_GT(utilization_pct.value(), 0.0);
+    EXPECT_GT(utilization_pct.count(), utilizations_before);
     EXPECT_GT(registry.counter("parallel.jobs").value(), 0u);
     EXPECT_GT(registry.counter("parallel.chunks").value(), 0u);
 

@@ -84,7 +84,7 @@ printUsage()
         "  merge <partial.json...> [--out <file>]  recombine shard\n"
         "        partials into the single-process result document\n"
         "        [--metrics-out <file>]  write the aggregated\n"
-        "        act.metrics.v1 document merged from the partials\n"
+        "        act.metrics.v2 document merged from the partials\n"
         "        [--metrics-prom <file>]  same, Prometheus text format\n"
         "  status <dir> [--stale-secs S] [--watch <secs>]  render a\n"
         "        fleet table from the heartbeat sidecars in <dir>\n"
@@ -106,8 +106,7 @@ printUsage()
         "  --prom <file>      write this process's metrics snapshot "
         "in the\n"
         "                     Prometheus text format (implies "
-        "--metrics;\n"
-        "                     env: ACT_METRICS_PROM)\n";
+        "--metrics)\n";
 }
 
 /** Flags that stand alone instead of taking a value. */
@@ -763,9 +762,8 @@ main(int argc, char **argv)
 {
     // Peel the observability flags off before command parsing so they
     // work uniformly with every command (and mirror ACT_METRICS /
-    // ACT_TRACE / ACT_METRICS_PROM).
-    std::string prom_path =
-        act::util::envString("ACT_METRICS_PROM", "");
+    // ACT_TRACE).
+    std::string prom_path;
     std::vector<char *> arguments;
     arguments.reserve(static_cast<std::size_t>(argc));
     for (int i = 0; i < argc; ++i) {

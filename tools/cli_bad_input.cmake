@@ -6,7 +6,7 @@
 # config field, a plan whose abatement range leaves the model's domain,
 # a chiplet plan with a huge or fractional max_chiplets, a chiplet plan
 # whose result overflows to infinity, partials whose metrics section
-# lacks a gauge's values or has a negative bucket count, Monte Carlo
+# is of the old v1 format or has a negative bucket count, Monte Carlo
 # and mobile partials with a mistyped or missing payload field, Monte
 # Carlo partials whose packed outputs have a bad hex digit, a length
 # that is not a multiple of 16, a NaN or infinite sample, or an empty or
@@ -163,10 +163,10 @@ expect_fatal_without("non-finite result"
     chiplet_inf_out.json
     sweep --plan chiplet_inf.json --out chiplet_inf_out.json)
 
-# A partial's metrics section with a gauge stripped of its values used
-# to abort `act merge` on an uncaught JSON exception, and a negative
-# bucket count was summed into the merged metrics. Both must name the
-# partial and the field.
+# A partial's metrics section of the old v1 format, which could carry a
+# metric kind v2 no longer has, must be refused as a whole rather than
+# merged without it, and a negative bucket count was once summed into
+# the merged metrics. Both must name the partial and the field.
 set(ENV{ACT_METRICS} 1)
 foreach(index 0 1)
     run_act(sweep --plan "${PLAN}" --shards 2 --shard-index ${index}
@@ -177,18 +177,18 @@ foreach(index 0 1)
 endforeach()
 unset(ENV{ACT_METRICS})
 file(READ "${WORK_DIR}/metrics_part1.json" metrics_partial)
-string(REPLACE "\"values\":" "\"no_values\":" no_values
+string(REPLACE "\"act.metrics.v2\"" "\"act.metrics.v1\"" v1_metrics
        "${metrics_partial}")
 string(REGEX REPLACE "(\"counts\": *\\[[ \n]*)0" "\\1-3" negative_bucket
        "${metrics_partial}")
-if(no_values STREQUAL metrics_partial OR
+if(v1_metrics STREQUAL metrics_partial OR
    negative_bucket STREQUAL metrics_partial)
-    message(FATAL_ERROR "no gauge or histogram in metrics_part1.json")
+    message(FATAL_ERROR "no v2 metrics or histogram in metrics_part1.json")
 endif()
-file(WRITE "${WORK_DIR}/metrics_no_values.json" "${no_values}")
-expect_fatal("gauge without values"
-    "bad metrics in sweep partial 'metrics_no_values\\.json': gauge '[^']+': missing 'values'"
-    merge metrics_part0.json metrics_no_values.json)
+file(WRITE "${WORK_DIR}/metrics_v1.json" "${v1_metrics}")
+expect_fatal("a v1 metrics section is refused on 'format'"
+    "bad metrics in sweep partial 'metrics_v1\\.json': 'format' must be one of 'act\\.metrics\\.v2' \\(got \"act\\.metrics\\.v1\"\\)"
+    merge metrics_part0.json metrics_v1.json)
 file(WRITE "${WORK_DIR}/metrics_negative.json" "${negative_bucket}")
 expect_fatal("negative bucket count"
     "bad metrics in sweep partial 'metrics_negative\\.json': histogram '[^']+': 'counts\\[0\\]' must be a non-negative integer \\(got -3\\)"

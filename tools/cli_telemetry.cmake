@@ -112,6 +112,15 @@ file(READ "${WORK_DIR}/mc_metrics.prom" prom)
 if(NOT prom MATCHES "\nact_sweep_items [1-9]")
     message(FATAL_ERROR "mc_metrics.prom has no act_sweep_items:\n${prom}")
 endif()
+# Each shard observes its worker utilization once, for its one timed
+# runChunks call; the merge sums the three shards bucket-wise.
+set(utilization act_parallel_worker_utilization_pct)
+if(NOT prom MATCHES "# TYPE ${utilization} histogram\n" OR
+   NOT prom MATCHES "\n${utilization}_bucket{le=\"\\+Inf\"} 3\n" OR
+   NOT prom MATCHES "\n${utilization}_count 3\n")
+    message(FATAL_ERROR "mc_metrics.prom: expected ${utilization} as a "
+                        "histogram of 3 observations:\n${prom}")
+endif()
 
 # A FIFO is read by cp, the first command of the pipeline, concurrently
 # with act: cp opens the FIFO once and writes nothing to act's stdin or

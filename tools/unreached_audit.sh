@@ -39,7 +39,7 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 # One name a line, then its reason. A name keeps every overload and
 # instantiation of that function.
 keep_list=$(cat <<'EOF'
-act::util::setThreadCount test hook: pins the pool size inside one test process
+act::util::setThreadCount test hook: sets the runChunks thread count inside one test process
 act::util::setSimdLevel test hook: forces a SIMD dispatch level inside one test process
 act::util::simd::detCos test hook: the scalar reference of the 4-lane job-stream kernel
 act::util::simd::detExp test hook: the scalar reference of the 4-lane job-stream kernel
