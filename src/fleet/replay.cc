@@ -56,16 +56,16 @@ weightAt(const RegionTable &table, std::size_t region, std::size_t start,
     return weight;
 }
 
-/** Hours of start slip a policy of @p kind grants a job with the
- *  given deferral fields. Placement depends on the policy only
- *  through this value and the cross-region flag. */
+/** Hours of start slip this scenario's policy grants @p job.
+ *  Placement depends on the policy only through this value and the
+ *  cross-region flag. */
 double
-allowedSlackHours(const FleetSetup &setup, core::DeferralPolicy kind,
-                  bool deferrable, double slack_hours)
+allowedSlack(const FleetSetup &setup, const FleetScenario &scenario,
+             const Job &job)
 {
-    if (!deferrable)
+    if (!job.deferrable)
         return 0.0;
-    switch (kind) {
+    switch (scenario.policy.kind) {
     case core::DeferralPolicy::Uniform:
         return 0.0;
     case core::DeferralPolicy::GreedyGreenest:
@@ -74,108 +74,34 @@ allowedSlackHours(const FleetSetup &setup, core::DeferralPolicy kind,
         return setup.jobs.max_slack_hours;
     case core::DeferralPolicy::DeadlineBounded:
     case core::DeferralPolicy::GreenestRegion:
-        return slack_hours;
+        return job.slack_hours;
     }
     util::fatal("unknown deferral policy kind");
-}
-
-/** Hours of start slip this scenario's policy grants @p job. */
-double
-allowedSlack(const FleetSetup &setup, const FleetScenario &scenario,
-             const Job &job)
-{
-    return allowedSlackHours(setup, scenario.policy.kind,
-                             job.deferrable, job.slack_hours);
 }
 
 /** Jobs per SoA generation block: big enough to amortize the kernel
  *  dispatch, small enough to stay cache-resident per thread. */
 constexpr std::size_t kJobBlock = 512;
 
-/** Shift-window classes a job exposes, ordered by width: the fixed
- *  arrival sample, the per-job slack draw, and the fleet-wide greedy
- *  window. Counts never shrink along this order (see
- *  allowedSlackHours()), so each class's window is a prefix of the
- *  next one's. */
-enum WindowClass : std::size_t
-{
-    kWindowUnit = 0,
-    kWindowSlack = 1,
-    kWindowGreedy = 2,
-    kWindowClasses = 3,
-};
+/** How a scenario's running sums are kept: a policy kind's placement
+ *  rule (util/simd_kernels.h), or the home baseline for Uniform. */
+constexpr std::size_t kBaselineRule = util::simd::kPlacementRules;
 
-/**
- * Scenarios sharing one placement per job. Placement depends on the
- * scenario only through the policy kind (slack + cross-region flag)
- * and the home region; lifetime enters the Eq. 1 amortization
- * afterwards. A policy x region x lifetime grid therefore needs only
- * |kinds| x |regions| placements per job, fanned out to its cells.
- */
-struct PlacementGroup
-{
-    core::DeferralPolicy kind = core::DeferralPolicy::Uniform;
-    std::size_t home_region = 0;
-    /** Index into a job's per-class shift counts. */
-    std::size_t window_class = kWindowUnit;
-    /** GreenestRegion scans every region, not just home. */
-    bool cross_region = false;
-    /** Scenario indices this placement fans out to, ascending. */
-    std::vector<std::size_t> scenarios;
-};
-
-/** The window class a policy kind's slack grant falls in. */
 std::size_t
-windowClassOf(core::DeferralPolicy kind)
+placementRuleOf(core::DeferralPolicy kind)
 {
     switch (kind) {
     case core::DeferralPolicy::Uniform:
-        return kWindowUnit;
+        return kBaselineRule;
     case core::DeferralPolicy::GreedyGreenest:
-        return kWindowGreedy;
+        return util::simd::kWideHome;
     case core::DeferralPolicy::DeadlineBounded:
+        return util::simd::kSlackHome;
     case core::DeferralPolicy::GreenestRegion:
-        return kWindowSlack;
+        return util::simd::kSlackCross;
     }
     util::fatal("unknown deferral policy kind");
 }
-
-std::vector<PlacementGroup>
-buildPlacementGroups(const FleetSetup &setup)
-{
-    std::vector<PlacementGroup> groups;
-    for (std::size_t s = 0; s < setup.scenarios.size(); ++s) {
-        const FleetScenario &scenario = setup.scenarios[s];
-        PlacementGroup *match = nullptr;
-        for (PlacementGroup &group : groups) {
-            if (group.kind == scenario.policy.kind &&
-                group.home_region == scenario.home_region) {
-                match = &group;
-                break;
-            }
-        }
-        if (match == nullptr) {
-            groups.push_back(
-                {scenario.policy.kind, scenario.home_region,
-                 windowClassOf(scenario.policy.kind),
-                 scenario.policy.kind ==
-                     core::DeferralPolicy::GreenestRegion,
-                 {}});
-            match = &groups.back();
-        }
-        match->scenarios.push_back(s);
-    }
-    return groups;
-}
-
-/** Running per-job sums of one placement group: every scenario in the
- *  group receives exactly these adds, in this order. */
-struct GroupSums
-{
-    std::uint64_t deferred = 0;
-    std::uint64_t migrated = 0;
-    double operational_g = 0.0;
-};
 
 } // namespace
 
@@ -238,6 +164,32 @@ fleetSetupFromJson(const config::JsonValue &config, std::uint64_t seed)
                     regions[r].stringOr("name", series.name()));
             },
             "regions[", r, "]");
+    }
+
+    // Each jobs field in hours becomes a sample count through a
+    // double -> size_t cast (the arrival sample, a duration's whole
+    // samples, a slack's shift count), which past 2^53 samples is
+    // undefined or rounded; refuse the stream here, where the step is
+    // known.
+    const std::pair<const char *, double> hours_fields[] = {
+        {"horizon_hours", setup.jobs.horizon_hours},
+        {"median_duration_hours", setup.jobs.median_duration_hours},
+        {"max_duration_hours", setup.jobs.max_duration_hours},
+        {"max_slack_hours", setup.jobs.max_slack_hours},
+    };
+    for (const auto &[field, hours] : hours_fields) {
+        if (hours / table.step_hours > 0x1p53) {
+            config::inContext(
+                [&] {
+                    config::badField(
+                        field,
+                        util::detail::concatenate(
+                            "at most 2^53 samples of ",
+                            config::shortest(table.step_hours), " h"),
+                        config::JsonValue(hours));
+                },
+                "jobs");
+        }
     }
 
     std::vector<core::PolicySpec> policies;
@@ -309,21 +261,22 @@ replayJobs(const FleetSetup &setup, util::IndexRange range)
 
     const RegionTable &table = setup.intensity;
     const std::size_t n_regions = table.regions;
-    const std::size_t n = table.n;
-    const double step = table.step_hours;
     const double embodied_g = util::asGrams(setup.platform.embodied);
-    const std::vector<PlacementGroup> groups =
-        buildPlacementGroups(setup);
 
     // Every scenario's accumulator gets its adds in job order, and
     // each field's add depends on the scenario only through one key:
     // energy and busy hours on nothing, embodied on the lifetime,
     // baseline on the home region, and operational / deferred /
-    // migrated on the placement group. One running sum per distinct
-    // key therefore carries the exact bits of every accumulator that
-    // shares it; the accumulators are filled from them at the end.
+    // migrated on the (placement rule, home region) pair. One running
+    // sum per distinct key therefore carries the exact bits of every
+    // accumulator that shares it; the accumulators are filled from
+    // them at the end.
     std::vector<core::Eq1Amortizer> lifetimes;
     std::vector<std::size_t> lifetime_of(setup.scenarios.size());
+    // The shift windows the kernel scans: the arrival sample always,
+    // then the per-job slack and the fleet-wide (greedy) slack when a
+    // scenario reads them.
+    std::size_t windows = 1;
     for (std::size_t s = 0; s < setup.scenarios.size(); ++s) {
         const FleetScenario &scenario = setup.scenarios[s];
         std::size_t l = 0;
@@ -333,46 +286,41 @@ replayJobs(const FleetSetup &setup, util::IndexRange range)
         if (l == lifetimes.size())
             lifetimes.emplace_back(scenario.lifetime);
         lifetime_of[s] = l;
+        const std::size_t rule = placementRuleOf(scenario.policy.kind);
+        if (rule == util::simd::kWideHome)
+            windows = 3;
+        else if (rule != kBaselineRule)
+            windows = std::max<std::size_t>(windows, 2);
     }
     double energy_kwh = 0.0;
     double busy_hours = 0.0;
     std::vector<double> embodied_sums(lifetimes.size(), 0.0);
+    const std::size_t rule_sums = util::simd::kPlacementRules * n_regions;
     std::vector<double> baseline_sums(n_regions, 0.0);
-    std::vector<GroupSums> group_sums(groups.size());
+    std::vector<double> operational_sums(rule_sums, 0.0);
+    std::vector<std::uint64_t> deferred_sums(rule_sums, 0);
+    std::vector<std::uint64_t> migrated_sums(rule_sums, 0);
+    const util::simd::FleetBlockSums sums = {
+        baseline_sums.data(), operational_sums.data(),
+        deferred_sums.data(), migrated_sums.data()};
 
     const util::simd::KernelTable &kt = util::simd::activeKernels();
     const double idle_w = util::asWatts(setup.platform.idle_power);
     const double span_w = util::asWatts(setup.platform.peak_power -
                                         setup.platform.idle_power);
 
-    // The widest window class any group reads, and the classes a
-    // cross-region group reads. The kernel answers every class up to
-    // the widest; the unit class (shift 0) always, for the baseline.
-    std::size_t widest = kWindowUnit;
-    bool cross_class[kWindowClasses] = {};
-    for (const PlacementGroup &group : groups) {
-        widest = std::max(widest, group.window_class);
-        cross_class[group.window_class] |= group.cross_region;
-    }
-    // Per job, best_shift / best_weight[c * n_regions + r] is region
-    // r's best start within window class c and its cost; class
-    // kWindowUnit's cost is each region's cost at the arrival sample.
-    std::vector<std::size_t> best_shift(kWindowClasses * n_regions);
-    std::vector<double> best_weight(kWindowClasses * n_regions);
-    std::size_t ends[kWindowClasses] = {1, 1, 1};
-    util::simd::PlacementScanProblem problem;
+    // Reused per-thread scratch: the SoA job block and its grid draws.
+    thread_local JobBlock block;
+    thread_local std::vector<double> grid_kw;
+
+    util::simd::FleetBlockProblem problem;
     problem.prefix = table.prefix.data();
     problem.samples = table.samples.data();
     problem.regions = n_regions;
-    problem.n = n;
-    problem.step = step;
-    problem.ends = ends;
-    problem.classes = widest + 1;
-
-    // Reused per-thread scratch: the SoA job block.
-    thread_local JobBlock block;
-    thread_local std::vector<double> grid_kw;
-    thread_local std::vector<std::size_t> arrivals;
+    problem.n = table.n;
+    problem.step = table.step_hours;
+    problem.wide_slack_hours = setup.jobs.max_slack_hours;
+    problem.windows = windows;
 
     for (std::size_t first = range.begin; first < range.end;
          first += kJobBlock) {
@@ -380,131 +328,58 @@ replayJobs(const FleetSetup &setup, util::IndexRange range)
             std::min<std::size_t>(kJobBlock, range.end - first);
         jobBlockAt(setup.jobs, first, count, block);
         grid_kw.resize(count);
-        arrivals.resize(count);
 
         for (std::size_t i = 0; i < count; ++i) {
-            // powerAtUtilization()'s range check in stream order, so
-            // its fatal names the first offending job like the
-            // oracle; then the grid draw of the job (IT power x PUE)
-            // in kW, with the watts tree idle + (peak - idle) * u.
+            // powerAtUtilization()'s range check, then Eq. 1's
+            // lifetime checks in list order, job by job: a fatal names
+            // the oracle's first offending job and scenario. The grid
+            // draw (IT power x PUE) is in kW, with the watts tree
+            // idle + (peak - idle) * u.
             const double u = block.utilization[i];
             if (!(u >= 0.0 && u <= 1.0))
                 (void)server::powerAtUtilization(setup.platform, u);
             grid_kw[i] = (idle_w + span_w * u) / 1000.0 * setup.pue;
-            arrivals[i] = static_cast<std::size_t>(
-                block.arrival_hours[i] / step);
-        }
-
-        for (std::size_t i = 0; i < count; ++i) {
             const double duration = block.duration_hours[i];
-            const double job_grid_kw = grid_kw[i];
-            const bool deferrable = block.deferrable[i] != 0;
-            const double job_slack = block.slack_hours[i];
-
-            // Eq. 1's embodied share, once per distinct lifetime; in
-            // lifetime order, so a too-short lifetime fails with the
-            // oracle's message (it checks the scenarios in order).
             for (std::size_t l = 0; l < lifetimes.size(); ++l) {
                 embodied_sums[l] +=
                     util::asGrams(lifetimes[l].allocateEmbodied(
                         util::grams(embodied_g),
                         util::hours(duration)));
             }
-
-            // The window shape every region shares for this job, and
-            // its shift count per window class: the arrival sample,
-            // the per-job slack (deadline / migrate) and the
-            // fleet-wide greedy window.
-            const auto full_samples =
-                static_cast<std::size_t>(duration / step);
-            problem.start0 = arrivals[i];
-            problem.rem = full_samples % n;
-            problem.cycles = static_cast<double>(full_samples / n);
-            problem.tail_hours =
-                duration - static_cast<double>(full_samples) * step;
-            const auto shifts = [&](core::DeferralPolicy kind) {
-                return static_cast<std::size_t>(
-                           allowedSlackHours(setup, kind, deferrable,
-                                             job_slack) /
-                           step) +
-                       1;
-            };
-            ends[kWindowSlack] =
-                shifts(core::DeferralPolicy::DeadlineBounded);
-            ends[kWindowGreedy] =
-                shifts(core::DeferralPolicy::GreedyGreenest);
-            kt.placement_scan(problem, best_shift.data(),
-                              best_weight.data());
-            const double *cost0 = best_weight.data();
-
-            energy_kwh += job_grid_kw * duration;
+            energy_kwh += grid_kw[i] * duration;
             busy_hours += duration;
-            for (std::size_t r = 0; r < n_regions; ++r)
-                baseline_sums[r] += job_grid_kw * cost0[r];
-
-            // Cross-region winner per class: the lexicographic minimum
-            // of (cost, shift) over the regions' best starts, the
-            // lowest region on a tie. That is the first minimum of the
-            // oracle's shift-major, region-minor strict-< scan (costs
-            // are never NaN, see fleetSetupFromJson()).
-            std::size_t win_region[kWindowClasses] = {};
-            for (std::size_t c = kWindowSlack; c <= widest; ++c) {
-                if (!cross_class[c])
-                    continue;
-                const std::size_t *shift = best_shift.data() + c * n_regions;
-                const double *weight = best_weight.data() + c * n_regions;
-                std::size_t best = 0;
-                for (std::size_t r = 1; r < n_regions; ++r) {
-                    if (weight[r] < weight[best] ||
-                        (weight[r] == weight[best] &&
-                         shift[r] < shift[best]))
-                        best = r;
-                }
-                win_region[c] = best;
-            }
-
-            for (std::size_t g = 0; g < groups.size(); ++g) {
-                const PlacementGroup &group = groups[g];
-                const std::size_t c = group.window_class;
-                // A uniform group's operational sum is its home
-                // region's baseline sum, filled in at the end.
-                if (c == kWindowUnit)
-                    continue;
-                const std::size_t home = group.home_region;
-                // The oracle's initial candidate home@0 shadows every
-                // start that only ties it, so a winner at home's
-                // shift-0 cost keeps the job at home.
-                std::size_t region = home;
-                if (group.cross_region &&
-                    best_weight[c * n_regions + win_region[c]] !=
-                        cost0[home])
-                    region = win_region[c];
-                GroupSums &sums = group_sums[g];
-                sums.deferred +=
-                    best_shift[c * n_regions + region] != 0 ? 1 : 0;
-                sums.migrated += region != home ? 1 : 0;
-                sums.operational_g +=
-                    job_grid_kw * best_weight[c * n_regions + region];
-            }
         }
+
+        problem.arrival_hours = block.arrival_hours.data();
+        problem.duration_hours = block.duration_hours.data();
+        problem.slack_hours = block.slack_hours.data();
+        problem.deferrable = block.deferrable.data();
+        problem.grid_kw = grid_kw.data();
+        problem.count = count;
+        kt.fleet_block(problem, sums);
         core::countEq1Evals(count * setup.scenarios.size());
     }
 
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        const std::size_t home = groups[g].home_region;
-        const bool uniform = groups[g].window_class == kWindowUnit;
-        for (const std::size_t s : groups[g].scenarios) {
-            FleetAccumulator &acc = accumulators[s];
-            acc.jobs = range.size();
-            acc.deferred = group_sums[g].deferred;
-            acc.migrated = group_sums[g].migrated;
-            acc.operational_g = uniform ? baseline_sums[home]
-                                        : group_sums[g].operational_g;
-            acc.embodied_g = embodied_sums[lifetime_of[s]];
-            acc.energy_kwh = energy_kwh;
-            acc.busy_hours = busy_hours;
-            acc.baseline_g = baseline_sums[home];
+    for (std::size_t s = 0; s < setup.scenarios.size(); ++s) {
+        const FleetScenario &scenario = setup.scenarios[s];
+        const std::size_t home = scenario.home_region;
+        const std::size_t rule = placementRuleOf(scenario.policy.kind);
+        FleetAccumulator &acc = accumulators[s];
+        acc.jobs = range.size();
+        if (rule == kBaselineRule) {
+            // A uniform scenario's operational sum has its home
+            // baseline's addends in the same order.
+            acc.operational_g = baseline_sums[home];
+        } else {
+            const std::size_t key = rule * n_regions + home;
+            acc.deferred = deferred_sums[key];
+            acc.migrated = migrated_sums[key];
+            acc.operational_g = operational_sums[key];
         }
+        acc.embodied_g = embodied_sums[lifetime_of[s]];
+        acc.energy_kwh = energy_kwh;
+        acc.busy_hours = busy_hours;
+        acc.baseline_g = baseline_sums[home];
     }
     return accumulators;
 }

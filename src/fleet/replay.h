@@ -50,8 +50,8 @@ namespace act::fleet {
  * one lane load reads the same sample of consecutive regions: entry
  * (i, r) of a table sits at [i * regions + r]. The prefix sums make
  * any cyclic window cost O(1) to evaluate. Both tables carry
- * util::simd::kMaxLanes - 1 zeros past their last row, so the
- * placement kernel's lane loads at the last region stay in bounds.
+ * util::simd::kMaxLanes - 1 zeros past their last row, so the block
+ * kernel's lane loads at the last region stay in bounds.
  */
 struct RegionTable
 {
@@ -103,8 +103,10 @@ struct FleetSetup
  * (the plan seed) becomes the job stream's base seed. Throws
  * config::JsonTypeError, naming the field and its section, on
  * malformed input, empty regions, regions whose series disagree on
- * length or step, or a region whose samples do not sum to a finite
- * number (a window cost would then be inf - inf).
+ * length or step, a region whose samples do not sum to a finite
+ * number (a window cost would then be inf - inf), or a jobs field in
+ * hours longer than 2^53 samples (its sample count would not fit a
+ * cast to an integer).
  */
 FleetSetup fleetSetupFromJson(const config::JsonValue &config,
                               std::uint64_t seed);
@@ -139,18 +141,18 @@ struct FleetAccumulator
  * lowest region index).
  *
  * Batched implementation (DESIGN.md §15): jobs are generated in SoA
- * blocks; scenarios sharing a (policy kind, home region) pair share
- * one placement per job. One call of the SIMD placement kernel per
- * job scans every region's window costs together and returns each
- * region's best shift for every window class (each class's window is
- * a prefix of the next); the cross-region choice is then made once
- * per class, not once per home region. Totals are kept as one running
- * sum per distinct key -- job stream, lifetime, home region,
- * placement group -- and copied into each scenario's accumulator at
- * the end, so Eq. 1's embodied share is computed once per (job,
- * distinct lifetime) and a uniform scenario's operational sum is its
- * home region's baseline sum. Every scenario still receives its adds
- * in job order: the result is bit-identical to replayJobsOracle() at
+ * blocks, and one call of the SIMD block kernel per 512-job block
+ * scans every job's shift windows for all regions together (a lane
+ * is a region) and adds each placement rule's per-home-region sums in
+ * lanes. Scenarios sharing a (policy kind, home region) pair share
+ * those sums, and the cross-region choice is made once per job, not
+ * once per home region. Totals are kept as one running sum per
+ * distinct key -- job stream, lifetime, home region, placement rule
+ * -- and copied into each scenario's accumulator at the end, so
+ * Eq. 1's embodied share is computed once per (job, distinct
+ * lifetime) and a uniform scenario's operational sum is its home
+ * region's baseline sum. Every scenario still receives its adds in
+ * job order: the result is bit-identical to replayJobsOracle() at
  * every dispatch level, and "core.eq1.evals" grows by jobs x
  * scenarios on both paths.
  */

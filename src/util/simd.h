@@ -1,6 +1,6 @@
 /**
  * @file
- * Runtime SIMD dispatch for the fleet replayer's placement scan and
+ * Runtime SIMD dispatch for the fleet replayer's block kernel and
  * the job stream's log-normal transform (util/simd_kernels.h), the
  * only dispatched kernels: two tiers, the 4-lane AVX2 kernels and the
  * one-lane scalar tier, selected once per process from CPU features

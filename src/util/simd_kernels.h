@@ -1,7 +1,7 @@
 /**
  * @file
  * Internal kernel table behind util/simd.h: the fleet replayer's
- * placement scan and the job stream's log-normal duration transform,
+ * block kernel and the job stream's log-normal duration transform,
  * the two loops where the 4-lane AVX2 tier measurably shortens an
  * end-to-end run (DESIGN.md §11), as per-level tables of function
  * pointers: the scalar tier and the 4-lane AVX2 tier. The problem
@@ -25,13 +25,14 @@
 #define ACT_UTIL_SIMD_KERNELS_H
 
 #include <cstddef>
+#include <cstdint>
 
 #include "util/simd.h"
 
 namespace act::util::simd {
 
 /**
- * The widest lane count of any tier. A table the placement kernel
+ * The widest lane count of any tier. A table the fleet block kernel
  * reads with lane loads carries kMaxLanes - 1 readable doubles past
  * its last entry, so a load that starts at the last region stays in
  * bounds; the extra lanes are never stored.
@@ -39,42 +40,100 @@ namespace act::util::simd {
 constexpr std::size_t kMaxLanes = 4;
 
 /**
- * One job's placement scan over every region of a fleet at once.
- * Both tables are region-interleaved: entry (i, r) sits at
+ * The placement rules the fleet block kernel sums, one running sum
+ * per (rule, home region). A rule fixes which shift window a job may
+ * start in and whether it may leave its home region:
+ *  - kSlackHome: the job's own slack window, home region only;
+ *  - kWideHome: the block-wide slack window, home region only;
+ *  - kSlackCross: the job's own slack window, any region.
+ * The zero-slack rule (start at arrival, at home) is the baseline sum.
+ */
+enum PlacementRule : std::size_t
+{
+    kSlackHome = 0,
+    kWideHome = 1,
+    kSlackCross = 2,
+    kPlacementRules = 3,
+};
+
+/**
+ * One block of fleet jobs placed against every region at once. Both
+ * tables are region-interleaved: entry (i, r) sits at
  * [i * regions + r], so one lane load reads one row for consecutive
- * regions. For each region r and each shift k in [0, ends[classes-1])
- * the kernel evaluates the fleet replayer's weightAt()/sumSamples()
- * expression exactly:
+ * regions.
+ *
+ * Per job the kernel derives the window shape
+ *
+ *   start0 = size_t(arrival_hours / step),  full = size_t(duration / step)
+ *   cycles = double(full / n),  rem = full % n
+ *   tail   = duration - double(full) * step
+ *
+ * and, for each region r and shift k, evaluates the fleet replayer's
+ * weightAt()/sumSamples() expression exactly:
  *
  *   s0     = (start0 + k) % n,  hi = s0 + rem
  *   base   = cycles * prefix(n, r)
  *   sum    = base + (hi <= n
  *                      ? prefix(hi, r) - prefix(s0, r)
  *                      : (prefix(n, r) - prefix(s0, r)) + prefix(hi-n, r))
- *   w(k,r) = sum * step  (+ sample(hi < n ? hi : hi - n, r) * tail_hours
- *                         if tail_hours > 0)
+ *   w(k,r) = sum * step  (+ sample(hi < n ? hi : hi - n, r) * tail
+ *                         if tail > 0)
  *
- * and keeps a strict-< running argmin over k, so ties resolve to the
- * earliest shift. No cost may be NaN (the fleet setup refuses series
- * whose sums are not finite). Window class c covers shifts
- * [0, ends[c]); ends never decrease, so each class's window is a
- * prefix of the next and one pass answers all of them.
- * cycles = double(full / n) and rem = full % n are per-job constants
- * (full = whole samples covered).
+ * keeping a strict-< running argmin over k (ties resolve to the
+ * earliest shift). No cost may be NaN (the fleet setup refuses series
+ * whose sums are not finite). Three nested shift windows are read:
+ * [0, 1), [0, size_t(slack / step) + 1) and
+ * [0, size_t(wide / step) + 1), where slack is the job's slack_hours
+ * and wide is wide_slack_hours for a deferrable job and 0 otherwise
+ * (no job's slack_hours exceeds wide_slack_hours, so they nest).
+ * Each window end is capped at n: shift k + n reads the same table
+ * rows as shift k and so costs the same bits, which the strict-< scan
+ * never prefers. Only the first `windows` windows are scanned; the
+ * others collapse onto the widest scanned one.
  */
-struct PlacementScanProblem
+struct FleetBlockProblem
 {
     const double *prefix = nullptr;  ///< (n + 1) x regions prefix sums
     const double *samples = nullptr; ///< n x regions samples
     std::size_t regions = 0;         ///< row stride of both tables
-    std::size_t n = 0;               ///< series length
-    std::size_t start0 = 0;          ///< window start of shift 0
-    std::size_t rem = 0;             ///< full % n
-    double cycles = 0.0;             ///< double(full / n)
+    std::size_t n = 0;               ///< series length, >= 1
     double step = 0.0;               ///< sample step, hours
-    double tail_hours = 0.0;         ///< fractional tail; <= 0 -> none
-    const std::size_t *ends = nullptr; ///< class ends; ends[0] >= 1
-    std::size_t classes = 0;         ///< window classes, >= 1
+    /** Job columns, count entries each; slack_hours is 0 for a job
+     *  that is not deferrable. grid_kw is the job's grid draw. */
+    const double *arrival_hours = nullptr;
+    const double *duration_hours = nullptr;
+    const double *slack_hours = nullptr;
+    const std::uint8_t *deferrable = nullptr;
+    const double *grid_kw = nullptr;
+    std::size_t count = 0;
+    double wide_slack_hours = 0.0; ///< kWideHome's slack, deferrable jobs
+    std::size_t windows = 1;       ///< shift windows scanned, 1 to 3
+};
+
+/**
+ * The running sums a fleet block kernel call adds to, kept by the
+ * caller across blocks. Per job, with kw its grid_kw, home region h
+ * receives:
+ *  - baseline[h] += kw * w(0, h);
+ *  - for a home-only rule over window c, the best (k, w) of region h
+ *    in c: operational[rule * regions + h] += kw * w, and deferred
+ *    += (k != 0);
+ *  - for kSlackCross, the lexicographic minimum (w*, k*, r*) of
+ *    (weight, shift, region) over every region's best in the slack
+ *    window: if w* < w(0, h) the job moves to r*, adding kw * w* to
+ *    operational, (k* != 0) to deferred and (r* != h) to migrated;
+ *    otherwise it stays at home at shift 0 and adds kw * w(0, h).
+ *    This is the first minimum of a shift-major, region-minor
+ *    strict-< scan seeded with home at shift 0.
+ * Every sum receives its adds in job order, so it has the bits of the
+ * scalar running sum.
+ */
+struct FleetBlockSums
+{
+    double *baseline = nullptr;        ///< [regions]
+    double *operational = nullptr;     ///< [kPlacementRules x regions]
+    std::uint64_t *deferred = nullptr; ///< [kPlacementRules x regions]
+    std::uint64_t *migrated = nullptr; ///< [kPlacementRules x regions]
 };
 
 /**
@@ -106,14 +165,10 @@ struct LogNormalProblem
  */
 struct KernelTable
 {
-    /**
-     * The placement scan; see PlacementScanProblem. For class c and
-     * region r, best_shift[c * regions + r] is the earliest shift in
-     * [0, ends[c]) with the lowest window cost and
-     * best_weight[c * regions + r] that cost.
-     */
-    void (*placement_scan)(const PlacementScanProblem &problem,
-                           std::size_t *best_shift, double *best_weight);
+    /** One block of fleet jobs into @p sums; see FleetBlockProblem
+     *  and FleetBlockSums. */
+    void (*fleet_block)(const FleetBlockProblem &problem,
+                        const FleetBlockSums &sums);
 
     /** Log-normal draws [0, count) into out; see LogNormalProblem. */
     void (*log_normal)(const LogNormalProblem &problem, double *out);

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "util/simd_kernels.h"
 
@@ -149,7 +150,7 @@ const KernelTable *
 avx2Kernels()
 {
     static const KernelTable table = {
-        &placementScanT<LanesAvx2>,
+        &fleetBlockT<LanesAvx2>,
         &logNormalT<LanesAvx2>,
     };
     return &table;

@@ -7,7 +7,7 @@
  * it contains no include guard and no #include directives, and is
  * meant to be included INSIDE an anonymous namespace within
  * act::util::simd, in a translation unit that already included
- * <cstddef>, <cstdint>, <limits> and util/simd_kernels.h.
+ * <cstddef>, <cstdint>, <limits>, <vector> and util/simd_kernels.h.
  *
  * Internal linkage is load-bearing, not style: the AVX2 translation
  * unit compiles with -mavx2, so any inline function it shared with
@@ -40,80 +40,287 @@
  *   selectSign(m, a, b)             per-lane top bit of m set ? a : b
  */
 
+/** The window shape of one fleet job; see FleetBlockProblem. */
+struct FleetJobShape
+{
+    std::size_t s0 = 0;  ///< start0 % n
+    std::size_t rem = 0; ///< full % n
+    double cycles = 0.0; ///< double(full / n)
+    double tail = 0.0;   ///< fractional tail hours
+    std::size_t ends[3] = {1, 1, 1}; ///< window ends, capped at n
+};
+
+/** The end of a shift window of @p slack_hours: its shift count,
+ *  capped at the series length. */
+std::size_t
+windowEnd(const FleetBlockProblem &pr, double slack_hours)
+{
+    const std::size_t shifts =
+        static_cast<std::size_t>(slack_hours / pr.step) + 1;
+    return shifts < pr.n ? shifts : pr.n;
+}
+
+/** Job @p i's shape, scalar and shared by every lane width; @p wide_end
+ *  is windowEnd() of the block's wide slack. Forced inline, like the
+ *  shift scan: where GCC 12 kept the scan out of line, its calls (with
+ *  the scan state in memory) made this kernel slower than the per-job
+ *  kernel it replaced. */
+[[gnu::always_inline]] inline FleetJobShape
+fleetJobShape(const FleetBlockProblem &pr, std::size_t i,
+              std::size_t wide_end)
+{
+    const std::size_t n = pr.n;
+    const double step = pr.step;
+    const double duration = pr.duration_hours[i];
+    const auto full = static_cast<std::size_t>(duration / step);
+    FleetJobShape job;
+    job.s0 = static_cast<std::size_t>(pr.arrival_hours[i] / step) % n;
+    job.rem = full % n;
+    job.cycles = static_cast<double>(full / n);
+    job.tail = duration - static_cast<double>(full) * step;
+    if (pr.windows >= 2)
+        job.ends[1] = windowEnd(pr, pr.slack_hours[i]);
+    job.ends[2] = pr.windows >= 3 && pr.deferrable[i] != 0 ? wide_end
+                                                          : job.ends[1];
+    return job;
+}
+
 /**
- * The placement scan, region-lane: each lane holds one region and
- * walks the shifts in order, W regions per pass. Every region shares
- * n, start0 and rem, so at a fixed shift all lanes take the same wrap
- * branch and evaluate the same expression tree as the scalar
- * sumSamples()/weightAt() pair; each lane's strict-< running argmin is
- * the scalar left-to-right scan of its region. The running answer is
- * recorded at every class end. The lanes past the last region read
- * the next row (or the table's padding) and are never stored.
+ * Per-chunk kernel state is kept as plain lanes of doubles, read and
+ * written with loadu/storeu: a std::vector of vector-typed structs
+ * takes glibc's aligned-allocation path, which raised the peak RSS of
+ * a statically linked `act sweep` of the fleet_year plan by 128 kB.
+ */
+
+/** One lane chunk's best (weight, shift) at the end of each window:
+ *  [0] the arrival sample, [1] the job's slack, [2] the wide slack. */
+template <std::size_t W>
+struct WindowEnds
+{
+    double weight[3][W];
+    double shift[3][W];
+};
+
+/**
+ * The region-lane shift scan of one job over regions
+ * [r0, r0 + kLanes): each lane walks the shifts in order, and since
+ * every region shares n, s0 and rem, all lanes take the same wrap
+ * branch at a shift and evaluate the scalar sumSamples()/weightAt()
+ * tree. Each lane's strict-< running argmin is the scalar
+ * left-to-right scan of its region. Lanes past the last region read
+ * the next row or the table's padding and are never stored.
+ */
+template <class L>
+struct ShiftScan
+{
+    using VF = typename L::VF;
+
+    const double *prefix;
+    const double *samples;
+    std::size_t stride;
+    std::size_t n;
+    std::size_t rem;
+    bool tail;
+    VF vstep;
+    VF vtail;
+    VF pn;
+    VF base;
+    // A +inf start loses to any finite shift-0 cost: the scan seeded
+    // with shift 0.
+    VF best = L::bcast(std::numeric_limits<double>::infinity());
+    VF best_k = L::bcast(0.0);
+    VF k_lanes = L::bcast(0.0);
+    std::size_t s0;
+    std::size_t k = 0;
+
+    [[gnu::always_inline]] ShiftScan(const FleetBlockProblem &pr,
+                                     const FleetJobShape &job,
+                                     std::size_t r0)
+        : prefix(pr.prefix + r0), samples(pr.samples + r0),
+          stride(pr.regions), n(pr.n), rem(job.rem), tail(job.tail > 0.0),
+          vstep(L::bcast(pr.step)), vtail(L::bcast(job.tail)),
+          pn(L::loadu(prefix + n * stride)),
+          base(L::mul(L::bcast(job.cycles), pn)), s0(job.s0)
+    {}
+
+    /** Advance the running argmin through shift end - 1. */
+    [[gnu::always_inline]] void
+    scanTo(std::size_t end)
+    {
+        const VF one = L::bcast(1.0);
+        for (; k < end; ++k) {
+            const std::size_t hi = s0 + rem;
+            const VF lo = L::loadu(prefix + s0 * stride);
+            VF sum;
+            if (hi <= n) {
+                const VF up = L::loadu(prefix + hi * stride);
+                sum = L::add(base, L::sub(up, lo));
+            } else {
+                const VF up = L::loadu(prefix + (hi - n) * stride);
+                sum = L::add(base, L::add(L::sub(pn, lo), up));
+            }
+            VF w = L::mul(sum, vstep);
+            if (tail) {
+                const std::size_t at = hi < n ? hi : hi - n;
+                const VF g = L::loadu(samples + at * stride);
+                w = L::add(w, L::mul(g, vtail));
+            }
+            // The index blend reads the running minimum before it is
+            // updated.
+            best_k = L::blendLess(w, best, k_lanes, best_k);
+            best = L::min(w, best);
+            k_lanes = L::add(k_lanes, one);
+            if (++s0 == n)
+                s0 = 0;
+        }
+    }
+};
+
+/** The shift scan read at each window end: it runs to one end,
+ *  records each lane's answer and resumes (a single pass over every
+ *  shift that blended the snapshots in measured ~25% slower). */
+template <class L>
+[[gnu::always_inline]] inline void
+scanWindowsT(const FleetBlockProblem &pr, const FleetJobShape &job,
+             std::size_t r0, WindowEnds<L::kLanes> &ends)
+{
+    ShiftScan<L> scan(pr, job, r0);
+    for (std::size_t w = 0; w < 3; ++w) {
+        scan.scanTo(job.ends[w]);
+        L::storeu(ends.weight[w], scan.best);
+        L::storeu(ends.shift[w], scan.best_k);
+    }
+}
+
+/** One lane chunk's home regions and running sums (FleetBlockSums);
+ *  the counts stay exact in doubles within a block. */
+template <std::size_t W>
+struct HomeLaneSums
+{
+    double region[W]; ///< each lane's region index
+    double baseline[W];
+    double operational[kPlacementRules][W];
+    double deferred[kPlacementRules][W];
+    double migrated[kPlacementRules][W];
+};
+
+/** lanes += v, lane by lane. */
+template <class L>
+void
+addLanesT(double *lanes, typename L::VF v)
+{
+    L::storeu(lanes, L::add(L::loadu(lanes), v));
+}
+
+/**
+ * The fleet block kernel. Regions go in lane chunks of kLanes. Per
+ * job, each chunk's shift scan runs first and the kSlackCross winner
+ * is reduced over every live lane in region order; then each chunk
+ * adds its lanes' rule sums. The sums are loaded once per block and
+ * stored once, so each lane adds in job order and the counts reach
+ * the caller's integers once per block. (Keeping one chunk's state in
+ * registers instead of this per-chunk scratch measured no faster.)
  */
 template <class L>
 void
-placementScanT(const PlacementScanProblem &pr, std::size_t *best_shift,
-               double *best_weight)
+fleetBlockT(const FleetBlockProblem &pr, const FleetBlockSums &out)
 {
     using VF = typename L::VF;
     constexpr std::size_t W = L::kLanes;
-    const std::size_t stride = pr.regions;
-    const std::size_t n = pr.n;
-    const std::size_t rem = pr.rem;
-    const VF vcycles = L::bcast(pr.cycles);
-    const VF vstep = L::bcast(pr.step);
-    const VF vtail = L::bcast(pr.tail_hours);
+    const std::size_t regions = pr.regions;
+    const std::size_t chunks = (regions + W - 1) / W;
+    const VF zero = L::bcast(0.0);
     const VF one = L::bcast(1.0);
-    const bool tail = pr.tail_hours > 0.0;
-    for (std::size_t r0 = 0; r0 < pr.regions; r0 += W) {
-        const double *prefix = pr.prefix + r0;
-        const double *samples = pr.samples + r0;
-        const VF pn = L::loadu(prefix + n * stride);
-        const VF base = L::mul(vcycles, pn);
-        // A +inf start loses to any finite shift-0 cost and otherwise
-        // leaves index 0 with cost +inf: the scan seeded with shift 0.
-        VF best = L::bcast(std::numeric_limits<double>::infinity());
-        VF best_k = L::bcast(0.0);
-        VF k_lanes = best_k;
-        const std::size_t live =
-            pr.regions - r0 < W ? pr.regions - r0 : W;
-        std::size_t s0 = pr.start0 % n;
-        std::size_t k = 0;
-        for (std::size_t c = 0; c < pr.classes; ++c) {
-            const std::size_t end = pr.ends[c];
-            for (; k < end; ++k) {
-                const std::size_t hi = s0 + rem;
-                const VF lo = L::loadu(prefix + s0 * stride);
-                VF sum;
-                if (hi <= n) {
-                    const VF up = L::loadu(prefix + hi * stride);
-                    sum = L::add(base, L::sub(up, lo));
-                } else {
-                    const VF up = L::loadu(prefix + (hi - n) * stride);
-                    sum = L::add(base, L::add(L::sub(pn, lo), up));
+    const auto liveLanes = [&](std::size_t r0) {
+        return regions - r0 < W ? regions - r0 : W;
+    };
+
+    // Zeroed: the lanes past the last region start at 0 and are never
+    // stored.
+    std::vector<HomeLaneSums<W>> sums(chunks);
+    std::vector<WindowEnds<W>> ends(chunks);
+    for (std::size_t c = 0; c < chunks; ++c) {
+        const std::size_t r0 = c * W;
+        HomeLaneSums<W> &s = sums[c];
+        for (std::size_t j = 0; j < W; ++j)
+            s.region[j] = static_cast<double>(r0 + j);
+        for (std::size_t j = 0; j < liveLanes(r0); ++j) {
+            s.baseline[j] = out.baseline[r0 + j];
+            for (std::size_t rule = 0; rule < kPlacementRules; ++rule)
+                s.operational[rule][j] =
+                    out.operational[rule * regions + r0 + j];
+        }
+    }
+
+    const std::size_t wide_end = windowEnd(pr, pr.wide_slack_hours);
+    for (std::size_t i = 0; i < pr.count; ++i) {
+        const FleetJobShape job = fleetJobShape(pr, i, wide_end);
+        // The kSlackCross winner: the lexicographic minimum of
+        // (weight, shift) over the regions' slack-window answers, the
+        // lowest region on a tie.
+        double win_w = std::numeric_limits<double>::infinity();
+        double win_k = 0.0;
+        std::size_t win_r = 0;
+        for (std::size_t c = 0; c < chunks; ++c) {
+            const std::size_t r0 = c * W;
+            scanWindowsT<L>(pr, job, r0, ends[c]);
+            const double *weights = ends[c].weight[1];
+            const double *shifts = ends[c].shift[1];
+            for (std::size_t j = 0; j < liveLanes(r0); ++j) {
+                if (weights[j] < win_w ||
+                    (weights[j] == win_w && shifts[j] < win_k)) {
+                    win_w = weights[j];
+                    win_k = shifts[j];
+                    win_r = r0 + j;
                 }
-                VF w = L::mul(sum, vstep);
-                if (tail) {
-                    const std::size_t at = hi < n ? hi : hi - n;
-                    const VF g = L::loadu(samples + at * stride);
-                    w = L::add(w, L::mul(g, vtail));
-                }
-                // The index blend reads the running minimum before it
-                // is updated.
-                best_k = L::blendLess(w, best, k_lanes, best_k);
-                best = L::min(w, best);
-                k_lanes = L::add(k_lanes, one);
-                if (++s0 == n)
-                    s0 = 0;
             }
-            double weights[W];
-            double shifts[W];
-            L::storeu(weights, best);
-            L::storeu(shifts, best_k);
-            for (std::size_t j = 0; j < live; ++j) {
-                best_weight[c * stride + r0 + j] = weights[j];
-                best_shift[c * stride + r0 + j] =
-                    static_cast<std::size_t>(shifts[j]);
+        }
+        const VF kw = L::bcast(pr.grid_kw[i]);
+        const VF vwin_w = L::bcast(win_w);
+        const VF vwin_r = L::bcast(static_cast<double>(win_r));
+        const VF win_deferred = L::bcast(win_k != 0.0 ? 1.0 : 0.0);
+        for (std::size_t c = 0; c < chunks; ++c) {
+            const WindowEnds<W> &e = ends[c];
+            HomeLaneSums<W> &s = sums[c];
+            const VF cost0 = L::loadu(e.weight[0]);
+            addLanesT<L>(s.baseline, L::mul(kw, cost0));
+            const auto addHome = [&](std::size_t rule, std::size_t window) {
+                addLanesT<L>(s.operational[rule],
+                             L::mul(kw, L::loadu(e.weight[window])));
+                addLanesT<L>(s.deferred[rule],
+                             L::blendLess(zero, L::loadu(e.shift[window]),
+                                          one, zero));
+            };
+            addHome(kSlackHome, 1);
+            addHome(kWideHome, 2);
+            // The job leaves home@0 only for a strictly greener winner
+            // (w* <= w(0, h) always, so != is <); min() is then the
+            // weight the job runs at.
+            const VF region = L::loadu(s.region);
+            const VF other_region =
+                L::blendLess(region, vwin_r, one,
+                             L::blendLess(vwin_r, region, one, zero));
+            addLanesT<L>(s.operational[kSlackCross],
+                         L::mul(kw, L::min(vwin_w, cost0)));
+            addLanesT<L>(s.deferred[kSlackCross],
+                         L::blendLess(vwin_w, cost0, win_deferred, zero));
+            addLanesT<L>(s.migrated[kSlackCross],
+                         L::blendLess(vwin_w, cost0, other_region, zero));
+        }
+    }
+
+    for (std::size_t c = 0; c < chunks; ++c) {
+        const std::size_t r0 = c * W;
+        const HomeLaneSums<W> &s = sums[c];
+        for (std::size_t j = 0; j < liveLanes(r0); ++j) {
+            out.baseline[r0 + j] = s.baseline[j];
+            for (std::size_t rule = 0; rule < kPlacementRules; ++rule) {
+                const std::size_t key = rule * regions + r0 + j;
+                out.operational[key] = s.operational[rule][j];
+                out.deferred[key] +=
+                    static_cast<std::uint64_t>(s.deferred[rule][j]);
+                out.migrated[key] +=
+                    static_cast<std::uint64_t>(s.migrated[rule][j]);
             }
         }
     }

@@ -1,8 +1,8 @@
 /**
  * @file
  * The scalar kernel table: the one-lane instantiation of the
- * templates the AVX2 tier instantiates at four lanes (the placement
- * scan, the log-normal transform) and the scalar-width
+ * templates the AVX2 tier instantiates at four lanes (the fleet
+ * block kernel, the log-normal transform) and the scalar-width
  * detLog/detCos/detExp built from the same templates. It is the tier
  * every host can run and the one ACT_SIMD=scalar selects.
  */
@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "util/simd_kernels.h"
 
@@ -133,7 +134,7 @@ const KernelTable &
 scalarKernels()
 {
     static const KernelTable table = {
-        &placementScanT<LanesScalar>,
+        &fleetBlockT<LanesScalar>,
         &logNormalT<LanesScalar>,
     };
     return table;

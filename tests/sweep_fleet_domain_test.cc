@@ -375,7 +375,7 @@ TEST_F(SweepFleetDomainTest, DuplicateLifetimesMatchOracle)
 
 TEST_F(SweepFleetDomainTest, WideWindowMatchesOracle)
 {
-    // 97 shifts: the placement kernel's scan runs far past its class
+    // 97 shifts: the block kernel's scan runs far past its window
     // ends and past several days of the series. A seasonal envelope
     // keeps the series from repeating every 24 h, so the greenest
     // start is often days into the window.
@@ -390,9 +390,12 @@ TEST_F(SweepFleetDomainTest, WideWindowMatchesOracle)
 }
 
 /** A fleet plan of @p regions regions cycling through solar, wind
- *  and flat series, with all four policies. */
+ *  and flat series, with @p policies (all four by default). */
 std::string
-regionCountPlanText(std::size_t regions)
+regionCountPlanText(
+    std::size_t regions,
+    const std::string &policies =
+        R"(["uniform", "greedy", "deadline", "migrate"])")
 {
     const char *series[] = {
         R"({"profile": "solar", "region": "Taiwan", "share": 0.25})",
@@ -408,7 +411,8 @@ regionCountPlanText(std::size_t regions)
     }
     return R"({"domain": "fleet", "items": 600, "seed": 5,
         "config": {"lifetime_years": [4],
-            "policies": ["uniform", "greedy", "deadline", "migrate"],
+            "policies": )" +
+           policies + R"(,
             "regions": [)" +
            list + R"(],
             "jobs": {"horizon_hours": 72, "max_slack_hours": 20}}})";
@@ -416,7 +420,7 @@ regionCountPlanText(std::size_t regions)
 
 TEST_F(SweepFleetDomainTest, RegionCountsAcrossLaneBoundariesMatchOracle)
 {
-    // The placement kernel holds four regions per AVX2 pass: one
+    // The block kernel holds four regions per AVX2 pass: one
     // region, exactly one full pass, one region past it, and a third
     // partial pass must all match the per-region scalar scan.
     for (const std::size_t regions : {1, 4, 5, 9}) {
@@ -426,6 +430,33 @@ TEST_F(SweepFleetDomainTest, RegionCountsAcrossLaneBoundariesMatchOracle)
         expectOracleParity(setup, 600,
                            std::to_string(regions) + " regions");
     }
+}
+
+TEST_F(SweepFleetDomainTest, RepeatedPolicyKindsMatchOracle)
+{
+    // A policy kind listed twice reads one running sum into two
+    // scenario columns per home region, and the migrate winner is
+    // chosen across the 4-lane boundary of five regions.
+    const fleet::FleetSetup setup = setupFromText(regionCountPlanText(
+        5, R"(["migrate", "greedy", "migrate", "uniform", "greedy"])"));
+    ASSERT_EQ(setup.scenarios.size(), 25u);
+    expectOracleParity(setup, 600, "repeated policy kinds");
+}
+
+TEST_F(SweepFleetDomainTest, SlackLongerThanTheSeriesMatchesOracle)
+{
+    // 60 h of slack over a 24-sample series: the kernel caps each
+    // window at 24 shifts, since shift k + 24 costs what shift k does
+    // and the strict-< scan keeps the earlier one. The oracle walks
+    // every shift.
+    const fleet::FleetSetup setup = setupFromText(fleetPlanText(
+        R"(
+        "lifetime_years": [4],
+        "policies": ["uniform", "greedy", "deadline", "migrate"],
+        "jobs": {"horizon_hours": 48, "max_slack_hours": 60})",
+        R"(, "days": 1)"));
+    ASSERT_EQ(setup.intensity.n, 24u);
+    expectOracleParity(setup, 1100, "slack longer than the series");
 }
 
 TEST_F(SweepFleetDomainTest, IdenticalRegionsKeepTheOraclesTieBreak)
@@ -875,6 +906,32 @@ TEST_F(SweepFleetDeathTest, MalformedJobStreamThrows)
     EXPECT_EQ(prepareError(R"({"jobs": {"horizon_hours": -1}, "regions": [
                   {"profile": "flat", "region": "Iceland"}]})"),
               "jobs: 'horizon_hours' must be a number > 0 (got -1)");
+}
+
+TEST_F(SweepFleetDeathTest, HoursPast2To53SamplesThrow)
+{
+    // Each of these used to overflow a double -> size_t cast and run:
+    // a slack of one shift, arrival samples past 2^64, a duration's
+    // whole-sample count past 2^64.
+    const char *cases[][3] = {
+        {R"("max_slack_hours": 1e25)", "max_slack_hours", "1e+25"},
+        {R"("horizon_hours": 1e30)", "horizon_hours", "1e+30"},
+        {R"("median_duration_hours": 1e25, "max_duration_hours": 1e25)",
+         "median_duration_hours", "1e+25"},
+        {R"("max_duration_hours": 1e25)", "max_duration_hours", "1e+25"},
+    };
+    for (const auto &[fields, field, value] : cases) {
+        EXPECT_EQ(prepareError(std::string(R"({"lifetime_years": [1e300],
+                      "jobs": {)") + fields + R"(}, "regions": [
+                      {"profile": "flat", "region": "Iceland"}]})"),
+                  std::string("jobs: '") + field +
+                      "' must be at most 2^53 samples of 1 h (got " +
+                      value + ")");
+    }
+    // 2^53 samples exactly is still accepted.
+    EXPECT_EQ(prepareError(R"({"jobs": {"max_slack_hours": 9007199254740992},
+                  "regions": [{"profile": "flat", "region": "Iceland"}]})"),
+              "");
 }
 
 TEST_F(SweepFleetDeathTest, UnitSigmaFactorThrows)

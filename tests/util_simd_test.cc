@@ -76,7 +76,7 @@ TEST(SimdKernelsTest, TableForEveryAvailableLevel)
 {
     for (SimdLevel level : availableLevels()) {
         const KernelTable &table = kernels(level);
-        EXPECT_NE(table.placement_scan, nullptr);
+        EXPECT_NE(table.fleet_block, nullptr);
         EXPECT_NE(table.log_normal, nullptr);
     }
 }
@@ -89,9 +89,11 @@ TEST(SimdKernelsTest, TableForEveryAvailableLevel)
 double
 referenceWeight(const std::vector<double> &prefix,
                 const std::vector<double> &grams, std::size_t start,
-                std::size_t full, double step, double tail_hours)
+                double duration, double step)
 {
     const std::size_t n = grams.size();
+    const auto full = static_cast<std::size_t>(duration / step);
+    const double tail_hours = duration - static_cast<double>(full) * step;
     double sum = static_cast<double>(full / n) * prefix[n];
     const std::size_t rem = full % n;
     const std::size_t s0 = start % n;
@@ -141,105 +143,254 @@ regionTables(std::size_t regions, std::size_t n, bool flat)
     return t;
 }
 
-/** The naive placement answer: a strict-< scan of each region's
- *  costs over [0, ends.back()), read at every class end. */
-void
-naiveScan(const RegionTables &t, const PlacementScanProblem &pr,
-          std::size_t full, std::vector<std::size_t> &best_shift,
-          std::vector<double> &best_weight)
+/** A block of fleet jobs as SoA columns. */
+struct JobColumns
 {
-    best_shift.assign(pr.classes * pr.regions, 0);
-    best_weight.assign(pr.classes * pr.regions, 0.0);
-    for (std::size_t r = 0; r < pr.regions; ++r) {
-        std::size_t best = 0;
-        double best_value = referenceWeight(t.prefix[r], t.grams[r],
-                                            pr.start0, full, pr.step,
-                                            pr.tail_hours);
-        std::size_t k = 1;
-        for (std::size_t c = 0; c < pr.classes; ++c) {
-            for (; k < pr.ends[c]; ++k) {
-                const double value =
-                    referenceWeight(t.prefix[r], t.grams[r], pr.start0 + k,
-                                    full, pr.step, pr.tail_hours);
-                if (value < best_value) {
-                    best_value = value;
-                    best = k;
+    std::vector<double> arrival_hours;
+    std::vector<double> duration_hours;
+    std::vector<double> slack_hours;
+    std::vector<std::uint8_t> deferrable;
+    std::vector<double> grid_kw;
+
+    void
+    add(double arrival, double duration, double slack, bool can_defer,
+        double kw)
+    {
+        arrival_hours.push_back(arrival);
+        duration_hours.push_back(duration);
+        slack_hours.push_back(can_defer ? slack : 0.0);
+        deferrable.push_back(can_defer ? 1 : 0);
+        grid_kw.push_back(kw);
+    }
+};
+
+/** The block kernel's running sums, owned. */
+struct BlockSums
+{
+    std::vector<double> baseline;
+    std::vector<double> operational;
+    std::vector<std::uint64_t> deferred;
+    std::vector<std::uint64_t> migrated;
+
+    explicit BlockSums(std::size_t regions)
+        : baseline(regions, 0.0), operational(kPlacementRules * regions, 0.0),
+          deferred(kPlacementRules * regions, 0),
+          migrated(kPlacementRules * regions, 0)
+    {}
+
+    FleetBlockSums
+    view()
+    {
+        return {baseline.data(), operational.data(), deferred.data(),
+                migrated.data()};
+    }
+
+};
+
+/**
+ * The naive answer for jobs [first, last) of @p jobs, added to
+ * @p sums: per job and home region, the replay oracle's scan -- home
+ * at shift 0 as the first candidate, then a strict-< walk over every
+ * shift up to the uncapped slack count, shift-major and (for the
+ * cross-region rule) region-minor -- and the scalar per-rule adds.
+ */
+void
+naiveBlock(const RegionTables &t, double step, const JobColumns &jobs,
+           std::size_t first, std::size_t last, double wide_slack,
+           std::size_t windows, BlockSums &sums)
+{
+    const std::size_t regions = t.grams.size();
+    for (std::size_t i = first; i < last; ++i) {
+        const auto start = static_cast<std::size_t>(
+            jobs.arrival_hours[i] / step);
+        const double duration = jobs.duration_hours[i];
+        const double kw = jobs.grid_kw[i];
+        const double slack = windows >= 2 ? jobs.slack_hours[i] : 0.0;
+        const double wide =
+            windows >= 3 && jobs.deferrable[i] != 0 ? wide_slack : slack;
+        for (std::size_t home = 0; home < regions; ++home) {
+            const double cost0 = referenceWeight(t.prefix[home],
+                                                 t.grams[home], start,
+                                                 duration, step);
+            sums.baseline[home] += kw * cost0;
+            const auto place = [&](std::size_t rule, double slack_hours,
+                                   bool cross) {
+                double best = cost0;
+                std::size_t best_shift = 0;
+                std::size_t best_region = home;
+                const auto max_shift =
+                    static_cast<std::size_t>(slack_hours / step);
+                for (std::size_t k = 0; k <= max_shift; ++k) {
+                    for (std::size_t r = cross ? 0 : home;
+                         r < (cross ? regions : home + 1); ++r) {
+                        const double w = referenceWeight(
+                            t.prefix[r], t.grams[r], start + k, duration,
+                            step);
+                        if (w < best) {
+                            best = w;
+                            best_shift = k;
+                            best_region = r;
+                        }
+                    }
                 }
-            }
-            best_shift[c * pr.regions + r] = best;
-            best_weight[c * pr.regions + r] = best_value;
+                const std::size_t key = rule * regions + home;
+                sums.operational[key] += kw * best;
+                sums.deferred[key] += best_shift != 0 ? 1 : 0;
+                sums.migrated[key] += best_region != home ? 1 : 0;
+            };
+            place(kSlackHome, slack, false);
+            place(kWideHome, wide, false);
+            place(kSlackCross, slack, true);
         }
     }
 }
 
-TEST(SimdKernelsTest, PlacementScanMatchesNaiveReferenceBitwise)
+/** Run every available level's block kernel on jobs [first, last) and
+ *  require the naive reference's sums bit for bit. */
+void
+expectBlockMatches(const RegionTables &tables, std::size_t n, double step,
+                   const JobColumns &jobs, std::size_t first,
+                   std::size_t last, double wide_slack, std::size_t windows,
+                   const std::string &where)
+{
+    const std::size_t regions = tables.grams.size();
+    // Start from nonzero sums, as a later block of a replay does.
+    BlockSums want(regions);
+    for (std::size_t r = 0; r < regions; ++r)
+        want.baseline[r] = 0.25 * static_cast<double>(r + 1);
+    for (std::size_t key = 0; key < want.operational.size(); ++key) {
+        want.operational[key] = 1.5 + static_cast<double>(key);
+        want.deferred[key] = 3 * key;
+        want.migrated[key] = 7 + key;
+    }
+    const BlockSums before = want;
+    naiveBlock(tables, step, jobs, first, last, wide_slack, windows, want);
+
+    FleetBlockProblem problem;
+    problem.prefix = tables.prefix_table.data();
+    problem.samples = tables.sample_table.data();
+    problem.regions = regions;
+    problem.n = n;
+    problem.step = step;
+    problem.arrival_hours = jobs.arrival_hours.data() + first;
+    problem.duration_hours = jobs.duration_hours.data() + first;
+    problem.slack_hours = jobs.slack_hours.data() + first;
+    problem.deferrable = jobs.deferrable.data() + first;
+    problem.grid_kw = jobs.grid_kw.data() + first;
+    problem.count = last - first;
+    problem.wide_slack_hours = wide_slack;
+    problem.windows = windows;
+    for (SimdLevel level : availableLevels()) {
+        BlockSums got = before;
+        kernels(level).fleet_block(problem, got.view());
+        const std::string label =
+            std::string(simdLevelName(level)) + " " + where;
+        ASSERT_EQ(got.baseline, want.baseline) << label;
+        // A rule the windows leave unscanned is not compared.
+        for (std::size_t rule = 0; rule < kPlacementRules; ++rule) {
+            if ((rule == kWideHome ? 3 : 2) > windows)
+                continue;
+            for (std::size_t r = 0; r < regions; ++r) {
+                const std::size_t key = rule * regions + r;
+                ASSERT_EQ(got.operational[key], want.operational[key])
+                    << label << " rule " << rule << " home " << r;
+                ASSERT_EQ(got.deferred[key], want.deferred[key])
+                    << label << " rule " << rule << " home " << r;
+                ASSERT_EQ(got.migrated[key], want.migrated[key])
+                    << label << " rule " << rule << " home " << r;
+            }
+        }
+    }
+}
+
+TEST(SimdKernelsTest, FleetBlockMatchesNaiveReferenceBitwise)
 {
     // Region counts on both sides of the 4-lane boundary, shift counts
-    // up to four cycles of the series, starts that wrap, windows that
-    // cover the whole series, fractional tails, nested class ends
-    // (equal ones included), and flat series whose exact ties must
-    // resolve to the earliest shift.
+    // up to four cycles of the series (capped at its length by the
+    // kernel), starts that wrap, windows that cover the whole series,
+    // fractional tails, nested and equal window ends, and flat series
+    // whose exact ties must resolve to the earliest shift and the
+    // lowest region. Each (width, windows) case is one block of jobs.
     constexpr std::size_t kSamples = 24;
-    using Ends = std::vector<std::size_t>;
-    std::vector<std::size_t> want_shift;
-    std::vector<double> want_weight;
+    constexpr double kStep = 0.5;
     for (const bool flat : {false, true}) {
         for (std::size_t regions = 1; regions <= 9; ++regions) {
             const RegionTables tables =
                 regionTables(regions, kSamples, flat);
             for (const std::size_t width :
                  {1, 2, 4, 5, 13, 24, 31, 97, 100}) {
-                const Ends class_ends[] = {{width},
-                                           {1, width},
-                                           {1, 1, width},
-                                           {1, width, width},
-                                           {1, (width + 1) / 2, width}};
-                for (const Ends &ends : class_ends) {
-                    for (const std::size_t start0 : {0, 5, 23, 70}) {
-                        for (const std::size_t full :
-                             {0, 1, 11, 23, 24, 59}) {
-                            for (const double tail : {0.0, 0.37}) {
-                                PlacementScanProblem problem;
-                                problem.prefix = tables.prefix_table.data();
-                                problem.samples = tables.sample_table.data();
-                                problem.regions = regions;
-                                problem.n = kSamples;
-                                problem.start0 = start0;
-                                problem.rem = full % kSamples;
-                                problem.cycles =
-                                    static_cast<double>(full / kSamples);
-                                problem.step = 0.5;
-                                problem.tail_hours = tail;
-                                problem.ends = ends.data();
-                                problem.classes = ends.size();
-                                naiveScan(tables, problem, full, want_shift,
-                                          want_weight);
-                                for (SimdLevel level : availableLevels()) {
-                                    std::vector<std::size_t> shift(
-                                        want_shift.size(), 999);
-                                    std::vector<double> weight(
-                                        want_weight.size(), -1.0);
-                                    kernels(level).placement_scan(
-                                        problem, shift.data(),
-                                        weight.data());
-                                    const std::string where =
-                                        std::string(simdLevelName(level)) +
-                                        " flat " + std::to_string(flat) +
-                                        " regions " +
-                                        std::to_string(regions) +
-                                        " width " + std::to_string(width) +
-                                        " start0 " +
-                                        std::to_string(start0) + " full " +
-                                        std::to_string(full) + " tail " +
-                                        std::to_string(tail);
-                                    ASSERT_EQ(shift, want_shift) << where;
-                                    ASSERT_EQ(weight, want_weight) << where;
-                                }
+                // A job's slack window is never wider than the wide one.
+                const std::size_t slack_widths[] = {1, (width + 1) / 2,
+                                                    width};
+                JobColumns jobs;
+                double kw = 0.2;
+                for (const std::size_t start0 : {0, 5, 23, 70}) {
+                    for (const std::size_t full : {0, 1, 11, 23, 24, 59}) {
+                        for (const double tail : {0.0, 0.37}) {
+                            const double duration =
+                                static_cast<double>(full) * kStep + tail;
+                            const double arrival =
+                                static_cast<double>(start0) * kStep + 0.1;
+                            jobs.add(arrival, duration, 0.0, false, kw);
+                            for (const std::size_t slack : slack_widths) {
+                                kw += 0.013;
+                                jobs.add(arrival, duration,
+                                         static_cast<double>(slack - 1) *
+                                             kStep,
+                                         true, kw);
                             }
                         }
                     }
                 }
+                const double wide =
+                    static_cast<double>(width - 1) * kStep;
+                for (const std::size_t windows : {1, 2, 3}) {
+                    expectBlockMatches(
+                        tables, kSamples, kStep, jobs, 0,
+                        jobs.grid_kw.size(), wide, windows,
+                        "flat " + std::to_string(flat) + " regions " +
+                            std::to_string(regions) + " width " +
+                            std::to_string(width) + " windows " +
+                            std::to_string(windows));
+                }
             }
+        }
+    }
+}
+
+TEST(SimdKernelsTest, FleetBlockLengthsMatchNaiveReferenceBitwise)
+{
+    // Irregular jobs in blocks of 1, 511 and 512 (the replayer's
+    // block), and a block where no job may defer, over one lane chunk
+    // of regions, a ragged second chunk, and a series whose slack
+    // windows outrun its length.
+    constexpr double kStep = 1.0;
+    for (const std::size_t n : {24, 168}) {
+        for (const std::size_t regions : {3, 6}) {
+            const RegionTables tables = regionTables(regions, n, false);
+            Xorshift64Star rng(900 + n + regions);
+            JobColumns jobs;
+            JobColumns pinned;
+            for (std::size_t i = 0; i < 512; ++i) {
+                const double arrival = rng.nextUniform(0.0, 400.0);
+                const double duration = rng.nextUniform(0.0, 60.0);
+                const double slack = rng.nextUniform(0.0, 40.0);
+                const double kw = rng.nextUniform(0.1, 0.5);
+                jobs.add(arrival, duration, slack, rng.nextUnit() < 0.6, kw);
+                pinned.add(arrival, duration, slack, false, kw);
+            }
+            const std::string where =
+                "n " + std::to_string(n) + " regions " +
+                std::to_string(regions);
+            for (const std::size_t count : {1, 511, 512}) {
+                expectBlockMatches(tables, n, kStep, jobs, 0, count, 40.0,
+                                   3, where + " count " +
+                                          std::to_string(count));
+            }
+            expectBlockMatches(tables, n, kStep, jobs, 7, 8, 40.0, 3,
+                               where + " job 7 alone");
+            expectBlockMatches(tables, n, kStep, pinned, 0, 512, 40.0, 3,
+                               where + " no deferrable job");
         }
     }
 }

@@ -12,8 +12,9 @@
 # that is not a multiple of 16, a NaN or infinite sample, or an empty or
 # non-string value, a v1 partial, a fleet partial with a negative job
 # count, fleet plans with a huge deadline_samples or region day count,
-# a duration sigma factor of 1 or a region series whose total
-# overflows,
+# a duration sigma factor of 1, a region series whose total
+# overflows or a jobs field in hours past 2^53 samples, a fleet plan
+# whose slack far outruns its series (which must finish and exit 0),
 # devices with a fractional or huge package count, a truncated trace,
 # a mistyped trace and a trace with a negative epoch, a huge --shards
 # flag, a shard count near 2^53 (which must still own the right chunks),
@@ -396,6 +397,64 @@ foreach(threads 1 4)
         sweep --plan fleet_sigma.json --out sigma_out.json)
 endforeach()
 set(ENV{ACT_THREADS} 1)
+
+# A jobs field in hours past 2^53 samples used to overflow a
+# double -> size_t cast and exit 0 with wrong totals: a slack of 1e25 h
+# read as one shift (no job deferred), a horizon of 1e30 h overflowed
+# the arrival sample, and durations of 1e25 h (with a lifetime long
+# enough to amortize them) overflowed the whole-sample count. Each must
+# fail at load, naming the field.
+string(REPLACE "\"horizon_hours\": 48}"
+       "\"horizon_hours\": 48, \"max_slack_hours\": 1e25}"
+       huge_slack_plan "${fleet_plan}")
+string(REPLACE "\"horizon_hours\": 48}" "\"horizon_hours\": 1e30}"
+       huge_horizon_plan "${fleet_plan}")
+string(REPLACE "\"horizon_hours\": 48}"
+       "\"horizon_hours\": 48, \"median_duration_hours\": 1e25, \"max_duration_hours\": 1e25}"
+       huge_duration_plan "${fleet_plan}")
+string(REPLACE "\"config\": {" "\"config\": {\"lifetime_years\": [1e300], "
+       huge_duration_plan "${huge_duration_plan}")
+foreach(edited huge_slack_plan huge_horizon_plan huge_duration_plan)
+    if(${edited} STREQUAL fleet_plan)
+        message(FATAL_ERROR "could not edit fleet_plan.json for ${edited}")
+    endif()
+endforeach()
+file(WRITE "${WORK_DIR}/fleet_huge_slack.json" "${huge_slack_plan}")
+expect_fatal("slack past 2^53 samples"
+    "bad sweep plan 'fleet_huge_slack\\.json': jobs: 'max_slack_hours' must be at most 2\\^53 samples of 1 h \\(got 1e\\+25\\)"
+    sweep --plan fleet_huge_slack.json)
+file(WRITE "${WORK_DIR}/fleet_huge_horizon.json" "${huge_horizon_plan}")
+expect_fatal("horizon past 2^53 samples"
+    "bad sweep plan 'fleet_huge_horizon\\.json': jobs: 'horizon_hours' must be at most 2\\^53 samples of 1 h \\(got 1e\\+30\\)"
+    sweep --plan fleet_huge_horizon.json)
+file(WRITE "${WORK_DIR}/fleet_huge_duration.json" "${huge_duration_plan}")
+expect_fatal("durations past 2^53 samples"
+    "bad sweep plan 'fleet_huge_duration\\.json': jobs: 'median_duration_hours' must be at most 2\\^53 samples of 1 h \\(got 1e\\+25\\)"
+    sweep --plan fleet_huge_duration.json)
+
+# A slack of 1e9 h used to scan a billion shifts per deferrable job, so
+# a year-long fleet plan of 1000 jobs ran for minutes. Each shift
+# window is now capped at the series length (a shift one series later
+# costs the same, and the earlier one wins), so it finishes and exits 0.
+file(WRITE "${WORK_DIR}/fleet_long_slack.json" [=[
+{"domain": "fleet", "items": 1000, "seed": 42,
+ "config": {"pue": 1.3, "lifetime_years": [4],
+            "policies": ["uniform", "greedy", "deadline", "migrate"],
+            "regions": [
+                {"name": "tw-solar", "profile": "solar", "region": "Taiwan",
+                 "share": 0.25, "days": 365, "seasonal_amplitude": 0.15},
+                {"name": "us-wind", "profile": "wind",
+                 "region": "United States", "share": 0.3, "days": 365},
+                {"name": "is-flat", "profile": "flat", "region": "Iceland",
+                 "days": 365}],
+            "jobs": {"horizon_hours": 8760, "max_slack_hours": 1e9}}}
+]=])
+run_act(sweep --plan fleet_long_slack.json --out long_slack_out.json)
+if(NOT status STREQUAL "0" OR NOT EXISTS "${WORK_DIR}/long_slack_out.json")
+    message(FATAL_ERROR "slack of 1e9 h: expected exit 0 and a result, "
+                        "got exit ${status}:\n${stderr}")
+endif()
+message(STATUS "slack of 1e9 h: exit 0")
 
 # A region whose samples sum past the double range used to run the
 # whole sweep on NaN window costs (inf - inf) and only then fail in the
