@@ -1,5 +1,7 @@
 #include "fleet/job_stream.h"
 
+#include <type_traits>
+
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/simd_kernels.h"
@@ -75,26 +77,53 @@ jobBlockAt(const JobStreamParams &params, std::uint64_t first,
     block.normal_u2.resize(count);
     for (std::size_t i = 0; i < count; ++i)
         block.seeds[i] = util::deriveSeed(params.seed, first + i);
-    for (std::size_t i = 0; i < count; ++i) {
-        util::Xorshift64Star rng(block.seeds[i]);
-        block.arrival_hours[i] =
-            rng.nextUniform(0.0, params.horizon_hours);
-        block.duration_hours[i] = rng.nextUnit();
-        block.normal_u2[i] = rng.nextUnit();
-        block.utilization[i] = rng.nextUnit();
-        const bool deferrable =
-            rng.nextUnit() < params.deferrable_fraction;
+
+    const std::uint64_t *seeds = block.seeds.data();
+    double *arrival = block.arrival_hours.data();
+    double *u1 = block.duration_hours.data();
+    double *u2 = block.normal_u2.data();
+    double *utilization = block.utilization.data();
+    double *slack_hours = block.slack_hours.data();
+    std::uint8_t *deferrable = block.deferrable.data();
+    const double horizon = params.horizon_hours;
+    const double fraction = params.deferrable_fraction;
+    const double max_slack = params.max_slack_hours;
+    // Jobs [i, i + K) at once: the K streams advance in lock-step, one
+    // draw of each per step, so their multiply chains overlap; each
+    // stream still yields its draws in jobAt()'s order.
+    const auto drawJobs = [&](auto lanes, std::size_t i) {
+        constexpr std::size_t K = decltype(lanes)::value;
+        util::Xorshift64Star rng[K];
+        for (std::size_t j = 0; j < K; ++j)
+            rng[j] = util::Xorshift64Star(seeds[i + j]);
+        for (std::size_t j = 0; j < K; ++j)
+            arrival[i + j] = rng[j].nextUniform(0.0, horizon);
+        for (std::size_t j = 0; j < K; ++j)
+            u1[i + j] = rng[j].nextUnit();
+        for (std::size_t j = 0; j < K; ++j)
+            u2[i + j] = rng[j].nextUnit();
+        for (std::size_t j = 0; j < K; ++j)
+            utilization[i + j] = rng[j].nextUnit();
+        bool defers[K];
+        for (std::size_t j = 0; j < K; ++j)
+            defers[j] = rng[j].nextUnit() < fraction;
         // The slack draw is always consumed, then zeroed for pinned
         // jobs, like jobAt().
-        const double slack = rng.nextUniform(0.0, params.max_slack_hours);
-        block.deferrable[i] = deferrable ? 1 : 0;
-        block.slack_hours[i] = deferrable ? slack : 0.0;
-    }
-    duration.u1 = block.duration_hours.data();
-    duration.u2 = block.normal_u2.data();
+        for (std::size_t j = 0; j < K; ++j) {
+            const double slack = rng[j].nextUniform(0.0, max_slack);
+            deferrable[i + j] = defers[j] ? 1 : 0;
+            slack_hours[i + j] = defers[j] ? slack : 0.0;
+        }
+    };
+    std::size_t i = 0;
+    for (; i + 4 <= count; i += 4)
+        drawJobs(std::integral_constant<std::size_t, 4>{}, i);
+    for (; i < count; ++i)
+        drawJobs(std::integral_constant<std::size_t, 1>{}, i);
+    duration.u1 = u1;
+    duration.u2 = u2;
     duration.count = count;
-    util::simd::activeKernels().log_normal(duration,
-                                           block.duration_hours.data());
+    util::simd::activeKernels().log_normal(duration, u1);
 }
 
 JobStreamParams

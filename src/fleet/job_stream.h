@@ -87,7 +87,8 @@ struct JobBlock
 /**
  * Generate jobs [first, first + count) of the stream into @p block,
  * bit-identical to `count` jobAt() calls: two scalar loops derive
- * each job's seed and consume its stream in jobAt()'s draw order, then
+ * each job's seed and consume its stream in jobAt()'s draw order
+ * (four streams in lock-step, then the last count % 4 one by one), then
  * the dispatched log-normal kernel (util::simd::activeKernels(), 4
  * lanes on AVX2) turns the parked Box-Muller pairs into durations,
  * with log(sigma) computed once per block instead of once per job.

@@ -144,17 +144,22 @@ struct FleetAccumulator
  * blocks, and one call of the SIMD block kernel per 512-job block
  * scans every job's shift windows for all regions together (a lane
  * is a region) and adds each placement rule's per-home-region sums in
- * lanes. Scenarios sharing a (policy kind, home region) pair share
- * those sums, and the cross-region choice is made once per job, not
- * once per home region. Totals are kept as one running sum per
- * distinct key -- job stream, lifetime, home region, placement rule
- * -- and copied into each scenario's accumulator at the end, so
- * Eq. 1's embodied share is computed once per (job, distinct
- * lifetime) and a uniform scenario's operational sum is its home
- * region's baseline sum. Every scenario still receives its adds in
- * job order: the result is bit-identical to replayJobsOracle() at
- * every dispatch level, and "core.eq1.evals" grows by jobs x
- * scenarios on both paths.
+ * lanes. A job whose windows end before the series does keeps only
+ * each window's minimum cost, since (minimum < shift-0 cost) is
+ * whether it defers, and picks its cross-region winner without a
+ * data-dependent branch; a job whose window wraps the series end, or
+ * whose cross-region minimum two regions share, also tracks each
+ * minimum's shift for the oracle's tie-break. Scenarios sharing a
+ * (policy kind, home region) pair share those sums, and the
+ * cross-region choice is made once per job, not once per home region.
+ * Totals are kept as one running sum per distinct key -- job stream,
+ * lifetime, home region, placement rule -- and copied into each
+ * scenario's accumulator at the end, so Eq. 1's embodied share is
+ * computed once per (job, distinct lifetime) and a uniform scenario's
+ * operational sum is its home region's baseline sum. Every scenario
+ * still receives its adds in job order: the result is bit-identical
+ * to replayJobsOracle() at every dispatch level, and "core.eq1.evals"
+ * grows by jobs x scenarios on both paths.
  */
 std::vector<FleetAccumulator> replayJobs(const FleetSetup &setup,
                                          util::IndexRange range);

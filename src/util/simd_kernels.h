@@ -127,6 +127,17 @@ struct FleetBlockProblem
  *    strict-< scan seeded with home at shift 0.
  * Every sum receives its adds in job order, so it has the bits of the
  * scalar running sum.
+ *
+ * Most jobs need no shift index: a strict-< scan's best k is nonzero
+ * exactly when its w is below w(0, h), and a winner r* that no other
+ * region ties has k* != 0 exactly when w* < w(0, r*). So a job whose
+ * widest window ends before the series does (its last sample
+ * start0 % n + end - 1 + rem is below n) runs a scan that keeps only
+ * each region's running minimum, and its winner is the region holding
+ * the least slack-window minimum. A job whose window wraps the series
+ * end, or whose least minimum two regions share, runs the indexed
+ * scan that also keeps each first minimum's shift, and the
+ * lexicographic winner above.
  */
 struct FleetBlockSums
 {

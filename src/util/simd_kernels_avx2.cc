@@ -18,6 +18,7 @@
  * int <-> double conversion, which AVX2 lacks.
  */
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -98,6 +99,19 @@ struct LanesAvx2
         // minpd returns its second operand unless a < b: exactly
         // a < b ? a : b, NaN and signed-zero lanes included.
         return _mm256_min_pd(a, b);
+    }
+    static double
+    hmin(VF v)
+    {
+        const __m128d half = _mm_min_pd(_mm256_castpd256_pd128(v),
+                                        _mm256_extractf128_pd(v, 1));
+        return _mm_cvtsd_f64(_mm_min_sd(half, _mm_unpackhi_pd(half, half)));
+    }
+    static unsigned
+    equalMask(VF a, VF b)
+    {
+        return static_cast<unsigned>(
+            _mm256_movemask_pd(_mm256_cmp_pd(a, b, _CMP_EQ_OQ)));
     }
     static VI
     bits(VF v)

@@ -6,7 +6,7 @@
  * simd_kernels_scalar.cc implement the surface). NOT a normal header:
  * it contains no include guard and no #include directives, and is
  * meant to be included INSIDE an anonymous namespace within
- * act::util::simd, in a translation unit that already included
+ * act::util::simd, in a translation unit that already included <bit>,
  * <cstddef>, <cstdint>, <limits>, <vector> and util/simd_kernels.h.
  *
  * Internal linkage is load-bearing, not style: the AVX2 translation
@@ -33,6 +33,8 @@
  *   sqrt(VF) -> VF                  IEEE (correctly rounded) sqrt
  *   blendLess(u, pivot, lo, hi)     per-lane u < pivot ? lo : hi
  *   min(a, b)                       per-lane a < b ? a : b
+ *   hmin(v) -> double               the least lane of v (no NaN lane)
+ *   equalMask(a, b) -> unsigned     bit j set when lane j has a == b
  *   bits(VF) -> VI, fromBits(VI) -> VF
  *                                   reinterpret, no value conversion
  *   andBits/orBits/xorBits(VI, VI) -> VI
@@ -74,9 +76,14 @@ fleetJobShape(const FleetBlockProblem &pr, std::size_t i,
     const double duration = pr.duration_hours[i];
     const auto full = static_cast<std::size_t>(duration / step);
     FleetJobShape job;
-    job.s0 = static_cast<std::size_t>(pr.arrival_hours[i] / step) % n;
-    job.rem = full % n;
-    job.cycles = static_cast<double>(full / n);
+    const auto start0 =
+        static_cast<std::size_t>(pr.arrival_hours[i] / step);
+    // A sample count already below n, as is every arrival and duration
+    // of a year-long series, skips its 64-bit division (two of them
+    // cost ~4 ns per job).
+    job.s0 = start0 < n ? start0 : start0 % n;
+    job.rem = full < n ? full : full % n;
+    job.cycles = full < n ? 0.0 : static_cast<double>(full / n);
     job.tail = duration - static_cast<double>(full) * step;
     if (pr.windows >= 2)
         job.ends[1] = windowEnd(pr, pr.slack_hours[i]);
@@ -92,8 +99,10 @@ fleetJobShape(const FleetBlockProblem &pr, std::size_t i,
  * a statically linked `act sweep` of the fleet_year plan by 128 kB.
  */
 
-/** One lane chunk's best (weight, shift) at the end of each window:
- *  [0] the arrival sample, [1] the job's slack, [2] the wide slack. */
+/** One lane chunk's minimum cost at the end of each window: [0] the
+ *  arrival sample (the shift-0 cost), [1] the job's slack, [2] the
+ *  wide slack. Only the indexed scan fills `shift`, the shift of each
+ *  lane's first minimum. */
 template <std::size_t W>
 struct WindowEnds
 {
@@ -102,13 +111,59 @@ struct WindowEnds
 };
 
 /**
- * The region-lane shift scan of one job over regions
- * [r0, r0 + kLanes): each lane walks the shifts in order, and since
- * every region shares n, s0 and rem, all lanes take the same wrap
- * branch at a shift and evaluate the scalar sumSamples()/weightAt()
- * tree. Each lane's strict-< running argmin is the scalar
- * left-to-right scan of its region. Lanes past the last region read
+ * The index-free shift scan of one job over regions
+ * [r0, r0 + kLanes), for a job whose widest window ends before the
+ * series does (s0 + ends[2] - 1 + rem < n). No shift wraps, so shift
+ * k reads prefix rows s0 + k and s0 + k + rem and the tail sample at
+ * row s0 + k + rem: three lane pointers at one offset that steps one
+ * row per shift. Each lane evaluates ShiftScan's non-wrapping tree,
+ * (base + (P[hi] - P[lo])) * step, plus g * tail when kTail, and
+ * keeps only its running minimum. Lanes past the last region read
  * the next row or the table's padding and are never stored.
+ */
+template <class L, bool kTail>
+[[gnu::always_inline]] inline void
+scanWrapFreeT(const FleetBlockProblem &pr, const FleetJobShape &job,
+              std::size_t r0, WindowEnds<L::kLanes> &ends)
+{
+    using VF = typename L::VF;
+    const std::size_t stride = pr.regions;
+    const double *lo = pr.prefix + job.s0 * stride + r0;
+    const double *hi = lo + job.rem * stride;
+    const double *g = pr.samples + (job.s0 + job.rem) * stride + r0;
+    const VF vstep = L::bcast(pr.step);
+    const VF vtail = L::bcast(job.tail);
+    const VF base = L::mul(L::bcast(job.cycles),
+                           L::loadu(pr.prefix + pr.n * stride + r0));
+    const auto costAt = [&](std::size_t at) {
+        const VF cost = L::mul(
+            L::add(base, L::sub(L::loadu(hi + at), L::loadu(lo + at))),
+            vstep);
+        if constexpr (kTail)
+            return L::add(cost, L::mul(L::loadu(g + at), vtail));
+        return cost;
+    };
+    // Window 0 is shift 0 alone.
+    VF best = costAt(0);
+    L::storeu(ends.weight[0], best);
+    std::size_t at = stride;
+    for (std::size_t w = 1; w < 3; ++w) {
+        for (const std::size_t stop = job.ends[w] * stride; at != stop;
+             at += stride)
+            best = L::min(costAt(at), best);
+        L::storeu(ends.weight[w], best);
+    }
+}
+
+/**
+ * The indexed region-lane shift scan of one job over regions
+ * [r0, r0 + kLanes), for any window shape: each lane walks the shifts
+ * in order, and since every region shares n, s0 and rem, all lanes
+ * take the same wrap branch at a shift and evaluate the scalar
+ * sumSamples()/weightAt() tree. Each lane's strict-< running argmin
+ * is the scalar left-to-right scan of its region. Lanes past the last
+ * region read the next row or the table's padding and are never
+ * stored.
  */
 template <class L>
 struct ShiftScan
@@ -176,7 +231,7 @@ struct ShiftScan
     }
 };
 
-/** The shift scan read at each window end: it runs to one end,
+/** The indexed scan read at each window end: it runs to one end,
  *  records each lane's answer and resumes (a single pass over every
  *  shift that blended the snapshots in measured ~25% slower). */
 template <class L>
@@ -214,12 +269,26 @@ addLanesT(double *lanes, typename L::VF v)
 
 /**
  * The fleet block kernel. Regions go in lane chunks of kLanes. Per
- * job, each chunk's shift scan runs first and the kSlackCross winner
- * is reduced over every live lane in region order; then each chunk
- * adds its lanes' rule sums. The sums are loaded once per block and
- * stored once, so each lane adds in job order and the counts reach
- * the caller's integers once per block. (Keeping one chunk's state in
- * registers instead of this per-chunk scratch measured no faster.)
+ * job, every chunk's shift scan runs first, then the kSlackCross
+ * winner is picked, then each chunk adds its lanes' rule sums.
+ *
+ * Most jobs need no shift index. A strict-< scan's first minimum lies
+ * past shift 0 exactly when the window's minimum is below the shift-0
+ * cost, so a home rule's deferred add is (minimum < cost0), and a
+ * kSlackCross winner that no other region ties defers exactly when
+ * its slack minimum is below its own shift-0 cost. Such a job runs
+ * the index-free scan, and its winner is the lane holding the least
+ * slack minimum: per chunk a horizontal min, an equality mask and
+ * the mask's first lane, merged across chunks with selects. Two kinds
+ * of job run the indexed scan and the lexicographic (weight, shift)
+ * winner instead: one whose widest window wraps the series end, and
+ * one where two regions tie on the least slack minimum, since the
+ * tie-break then reads each region's first-minimum shift.
+ *
+ * The sums are loaded once per block and stored once, so each lane
+ * adds in job order and the counts reach the caller's integers once
+ * per block. (Keeping one chunk's state in registers instead of this
+ * per-chunk scratch measured no faster.)
  */
 template <class L>
 void
@@ -227,10 +296,13 @@ fleetBlockT(const FleetBlockProblem &pr, const FleetBlockSums &out)
 {
     using VF = typename L::VF;
     constexpr std::size_t W = L::kLanes;
+    constexpr double inf = std::numeric_limits<double>::infinity();
     const std::size_t regions = pr.regions;
     const std::size_t chunks = (regions + W - 1) / W;
     const VF zero = L::bcast(0.0);
     const VF one = L::bcast(1.0);
+    const VF vinf = L::bcast(inf);
+    const VF vregions = L::bcast(static_cast<double>(regions));
     const auto liveLanes = [&](std::size_t r0) {
         return regions - r0 < W ? regions - r0 : W;
     };
@@ -255,41 +327,78 @@ fleetBlockT(const FleetBlockProblem &pr, const FleetBlockSums &out)
     const std::size_t wide_end = windowEnd(pr, pr.wide_slack_hours);
     for (std::size_t i = 0; i < pr.count; ++i) {
         const FleetJobShape job = fleetJobShape(pr, i, wide_end);
-        // The kSlackCross winner: the lexicographic minimum of
-        // (weight, shift) over the regions' slack-window answers, the
-        // lowest region on a tie.
-        double win_w = std::numeric_limits<double>::infinity();
-        double win_k = 0.0;
+        // The kSlackCross winner: its region, its slack-window weight
+        // and whether it starts past shift 0.
+        double win_w = inf;
         std::size_t win_r = 0;
-        for (std::size_t c = 0; c < chunks; ++c) {
-            const std::size_t r0 = c * W;
-            scanWindowsT<L>(pr, job, r0, ends[c]);
-            const double *weights = ends[c].weight[1];
-            const double *shifts = ends[c].shift[1];
-            for (std::size_t j = 0; j < liveLanes(r0); ++j) {
-                if (weights[j] < win_w ||
-                    (weights[j] == win_w && shifts[j] < win_k)) {
-                    win_w = weights[j];
-                    win_k = shifts[j];
-                    win_r = r0 + j;
+        bool win_deferred = false;
+        bool indexed = job.s0 + job.ends[2] - 1 + job.rem >= pr.n;
+        if (!indexed) {
+            const bool tail = job.tail > 0.0;
+            std::size_t win_c = 0;
+            std::size_t win_lane = 0;
+            bool tie = false;
+            for (std::size_t c = 0; c < chunks; ++c) {
+                if (tail)
+                    scanWrapFreeT<L, true>(pr, job, c * W, ends[c]);
+                else
+                    scanWrapFreeT<L, false>(pr, job, c * W, ends[c]);
+                // Lanes past the last region hold +inf.
+                const VF slack =
+                    L::blendLess(L::loadu(sums[c].region), vregions,
+                                 L::loadu(ends[c].weight[1]), vinf);
+                const double least = L::hmin(slack);
+                const unsigned lanes = L::equalMask(slack, L::bcast(least));
+                tie = tie | ((lanes & (lanes - 1)) != 0) | (least == win_w);
+                const bool better = least < win_w;
+                win_w = better ? least : win_w;
+                win_c = better ? c : win_c;
+                win_lane = better ? static_cast<std::size_t>(
+                                        std::countr_zero(lanes))
+                                  : win_lane;
+            }
+            const WindowEnds<W> &e = ends[win_c];
+            win_w = e.weight[1][win_lane];
+            win_r = win_c * W + win_lane;
+            win_deferred = win_w < e.weight[0][win_lane];
+            indexed = tie;
+        }
+        if (indexed) [[unlikely]] {
+            // The lexicographic minimum of (weight, shift) over the
+            // regions' slack-window answers, the lowest region on a
+            // tie.
+            win_w = inf;
+            double win_k = 0.0;
+            for (std::size_t c = 0; c < chunks; ++c) {
+                const std::size_t r0 = c * W;
+                scanWindowsT<L>(pr, job, r0, ends[c]);
+                const double *weights = ends[c].weight[1];
+                const double *shifts = ends[c].shift[1];
+                for (std::size_t j = 0; j < liveLanes(r0); ++j) {
+                    if (weights[j] < win_w ||
+                        (weights[j] == win_w && shifts[j] < win_k)) {
+                        win_w = weights[j];
+                        win_k = shifts[j];
+                        win_r = r0 + j;
+                    }
                 }
             }
+            win_deferred = win_k != 0.0;
         }
         const VF kw = L::bcast(pr.grid_kw[i]);
         const VF vwin_w = L::bcast(win_w);
         const VF vwin_r = L::bcast(static_cast<double>(win_r));
-        const VF win_deferred = L::bcast(win_k != 0.0 ? 1.0 : 0.0);
+        const VF win_defers = L::bcast(win_deferred ? 1.0 : 0.0);
         for (std::size_t c = 0; c < chunks; ++c) {
             const WindowEnds<W> &e = ends[c];
             HomeLaneSums<W> &s = sums[c];
             const VF cost0 = L::loadu(e.weight[0]);
             addLanesT<L>(s.baseline, L::mul(kw, cost0));
             const auto addHome = [&](std::size_t rule, std::size_t window) {
-                addLanesT<L>(s.operational[rule],
-                             L::mul(kw, L::loadu(e.weight[window])));
+                const VF best = L::loadu(e.weight[window]);
+                addLanesT<L>(s.operational[rule], L::mul(kw, best));
                 addLanesT<L>(s.deferred[rule],
-                             L::blendLess(zero, L::loadu(e.shift[window]),
-                                          one, zero));
+                             L::blendLess(best, cost0, one, zero));
             };
             addHome(kSlackHome, 1);
             addHome(kWideHome, 2);
@@ -303,7 +412,7 @@ fleetBlockT(const FleetBlockProblem &pr, const FleetBlockSums &out)
             addLanesT<L>(s.operational[kSlackCross],
                          L::mul(kw, L::min(vwin_w, cost0)));
             addLanesT<L>(s.deferred[kSlackCross],
-                         L::blendLess(vwin_w, cost0, win_deferred, zero));
+                         L::blendLess(vwin_w, cost0, win_defers, zero));
             addLanesT<L>(s.migrated[kSlackCross],
                          L::blendLess(vwin_w, cost0, other_region, zero));
         }

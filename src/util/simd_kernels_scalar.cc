@@ -84,6 +84,16 @@ struct LanesScalar
     {
         return a < b ? a : b;
     }
+    static double
+    hmin(VF v)
+    {
+        return v;
+    }
+    static unsigned
+    equalMask(VF a, VF b)
+    {
+        return a == b ? 1u : 0u;
+    }
     static VI
     bits(VF v)
     {

@@ -208,10 +208,12 @@ bitsOf(double value)
 
 TEST_F(SweepFleetDomainTest, JobBlockMatchesJobAtBitwise)
 {
-    // Block lengths around the 4-lane width and the replayer's
-    // 512-job block, from the stream start and from a non-zero first
-    // index, with no, some and every job deferrable, at every SIMD
-    // level the log-normal kernel dispatches to.
+    // Block lengths 1-9 (the draw pass takes 4 jobs at a time, then
+    // one at a time, and the log-normal kernel 4 lanes at a time) and
+    // around the replayer's 512-job block, from the stream start and
+    // from a non-zero first index, with no, some and every job
+    // deferrable, at every SIMD level the log-normal kernel dispatches
+    // to.
     for (const util::SimdLevel level : availableSimdLevels()) {
         util::setSimdLevel(level);
         for (const double fraction : {0.0, 0.6, 1.0}) {
@@ -221,7 +223,7 @@ TEST_F(SweepFleetDomainTest, JobBlockMatchesJobAtBitwise)
             params.deferrable_fraction = fraction;
             fleet::JobBlock block;
             for (const std::size_t count :
-                 {1u, 3u, 4u, 5u, 511u, 512u, 513u}) {
+                 {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 511u, 512u, 513u}) {
                 for (const std::uint64_t first :
                      {std::uint64_t{0}, std::uint64_t{987'654'321}}) {
                     fleet::jobBlockAt(params, first, count, block);
@@ -375,15 +377,15 @@ TEST_F(SweepFleetDomainTest, DuplicateLifetimesMatchOracle)
 
 TEST_F(SweepFleetDomainTest, WideWindowMatchesOracle)
 {
-    // 97 shifts: the block kernel's scan runs far past its window
-    // ends and past several days of the series. A seasonal envelope
-    // keeps the series from repeating every 24 h, so the greenest
-    // start is often days into the window.
+    // 97 shifts, set by max_slack_hours (each job's slack is drawn up
+    // to it): the block kernel's scan runs far past its window ends
+    // and past several days of the series. A seasonal envelope keeps
+    // the series from repeating every 24 h, so the greenest start is
+    // often days into the window.
     const fleet::FleetSetup setup = setupFromText(fleetPlanText(
         R"(
         "lifetime_years": [3],
         "policies": ["uniform", "greedy", "deadline", "migrate"],
-        "deadline_samples": 96,
         "jobs": {"horizon_hours": 600, "max_slack_hours": 96})",
         R"(, "days": 28, "seasonal_amplitude": 0.3)"));
     expectOracleParity(setup, 1100, "wide window");
@@ -489,6 +491,44 @@ TEST_F(SweepFleetDomainTest, IdenticalRegionsKeepTheOraclesTieBreak)
     EXPECT_EQ(totals[1].deferred, totals[0].deferred);
     EXPECT_EQ(totals[1].migrated, totals[1].deferred);
     EXPECT_EQ(totals[1].operational_g, totals[0].operational_g);
+}
+
+TEST_F(SweepFleetDomainTest, TiedAndWrappingJobsMatchOracle)
+{
+    // Integer series, so equal windows cost equal bits. us-east's day
+    // is eu-west's three hours on, so its cheapest window often costs
+    // what eu-west's does three starts earlier: the tie goes to the
+    // higher region by its earlier start. eu-north equals eu-west, so
+    // they tie at the same start and the lower region wins; ap-south
+    // costs more everywhere. Arrivals span three days of the one-day
+    // series, so many windows wrap its end. Both kinds of job take the
+    // block kernel's indexed scan.
+    const int west[24] = {102, 140, 97,  131, 88, 120, 105, 93,
+                          118, 99,  126, 91,  110, 84, 137, 95,
+                          123, 89,  115, 101, 129, 92, 108, 96};
+    std::string day;
+    std::string east;
+    std::string south;
+    for (std::size_t i = 0; i < 24; ++i) {
+        const std::string sep = i > 0 ? ", " : "";
+        day += sep + std::to_string(west[i]);
+        east += sep + std::to_string(west[(i + 3) % 24]);
+        south += sep + std::to_string(west[i] + 40);
+    }
+    const auto region = [](const char *name, const std::string &samples) {
+        return std::string(R"({"name": ")") + name +
+               R"(", "samples_g_per_kwh": [)" + samples + "]}";
+    };
+    const fleet::FleetSetup setup = setupFromText(
+        R"({"domain": "fleet", "items": 1100, "seed": 13,
+        "config": {"lifetime_years": [4],
+            "policies": ["uniform", "greedy", "deadline", "migrate"],
+            "regions": [)" +
+        region("ap-south", south) + ", " + region("eu-west", day) + ", " +
+        region("us-east", east) + ", " + region("eu-north", day) + R"(],
+            "jobs": {"horizon_hours": 72, "max_slack_hours": 12}}})");
+    ASSERT_EQ(setup.intensity.n, 24u);
+    expectOracleParity(setup, 1100, "tied and wrapping jobs");
 }
 
 TEST_F(SweepFleetDomainTest, PartlyCrossRegionGridsMatchOracle)

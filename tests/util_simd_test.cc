@@ -7,6 +7,7 @@
  * ragged tails.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -117,30 +118,42 @@ struct RegionTables
     std::vector<double> sample_table;
 };
 
-/** @p regions series of @p n samples, irregular or all equal. The
- *  tables are sized exactly, padding included, so a lane load past
- *  the padding is an out-of-bounds read under AddressSanitizer. */
+/** The tables of the series @p grams, one per region, all of one
+ *  length. They are sized exactly, padding included, so a lane load
+ *  past the padding is an out-of-bounds read under AddressSanitizer. */
 RegionTables
-regionTables(std::size_t regions, std::size_t n, bool flat)
+tablesOf(std::vector<std::vector<double>> grams)
 {
+    const std::size_t regions = grams.size();
+    const std::size_t n = grams[0].size();
     RegionTables t;
     t.prefix_table.assign((n + 1) * regions + kMaxLanes - 1, 0.0);
     t.sample_table.assign(n * regions + kMaxLanes - 1, 0.0);
     for (std::size_t r = 0; r < regions; ++r) {
-        std::vector<double> grams = unitDraws(300 + r, n);
         std::vector<double> prefix(1, 0.0);
-        for (double &g : grams) {
-            g = flat ? 250.0 : 100.0 + 500.0 * g;
+        for (const double g : grams[r])
             prefix.push_back(prefix.back() + g);
-        }
         for (std::size_t i = 0; i <= n; ++i)
             t.prefix_table[i * regions + r] = prefix[i];
         for (std::size_t i = 0; i < n; ++i)
-            t.sample_table[i * regions + r] = grams[i];
-        t.grams.push_back(std::move(grams));
+            t.sample_table[i * regions + r] = grams[r][i];
         t.prefix.push_back(std::move(prefix));
     }
+    t.grams = std::move(grams);
     return t;
+}
+
+/** @p regions series of @p n samples, irregular or all equal. */
+RegionTables
+regionTables(std::size_t regions, std::size_t n, bool flat)
+{
+    std::vector<std::vector<double>> grams;
+    for (std::size_t r = 0; r < regions; ++r) {
+        grams.push_back(unitDraws(300 + r, n));
+        for (double &g : grams.back())
+            g = flat ? 250.0 : 100.0 + 500.0 * g;
+    }
+    return tablesOf(std::move(grams));
 }
 
 /** A block of fleet jobs as SoA columns. */
@@ -391,6 +404,172 @@ TEST(SimdKernelsTest, FleetBlockLengthsMatchNaiveReferenceBitwise)
                                where + " job 7 alone");
             expectBlockMatches(tables, n, kStep, pinned, 0, 512, 40.0, 3,
                                where + " no deferrable job");
+        }
+    }
+}
+
+TEST(SimdKernelsTest, FleetBlockWindowsAtTheSeriesEndMatchNaiveReferenceBitwise)
+{
+    // Jobs whose widest window's last sample, s0 + end - 1 + rem, is
+    // n - 1 (the last one scanned without a wrap), n or n + 1 (the
+    // first two that wrap), with a tail and without, and lasting up to
+    // two full series more (cycles > 0). A pinned job's widest window
+    // is one shift; a deferrable job's is the wide one at 3 windows,
+    // and at 2 windows too when its own slack is the wide slack.
+    constexpr std::size_t kSamples = 24;
+    constexpr double kStep = 0.5;
+    for (const std::size_t regions : {1, 3, 4, 5}) {
+        const RegionTables tables = regionTables(regions, kSamples, false);
+        for (const std::size_t width : {1, 2, 7, 24}) {
+            JobColumns jobs;
+            double kw = 0.3;
+            for (const std::size_t cycles : {0, 1, 2}) {
+                for (const std::size_t rem : {0, 1, 9, 23}) {
+                    for (const double tail : {0.0, 0.125}) {
+                        const double duration =
+                            static_cast<double>(cycles * kSamples + rem) *
+                                kStep +
+                            tail;
+                        for (const std::size_t last :
+                             {kSamples - 1, kSamples, kSamples + 1}) {
+                            for (const std::size_t end :
+                                 {std::size_t{1}, width}) {
+                                if (last + 1 < end + rem ||
+                                    last + 1 - end - rem >= kSamples)
+                                    continue;
+                                const double arrival =
+                                    (static_cast<double>(last + 1 - end -
+                                                         rem) +
+                                     0.25) *
+                                    kStep;
+                                kw += 0.011;
+                                if (end == 1) {
+                                    jobs.add(arrival, duration, 0.0, false,
+                                             kw);
+                                    continue;
+                                }
+                                for (const std::size_t slack :
+                                     {std::size_t{1}, width}) {
+                                    jobs.add(arrival, duration,
+                                             static_cast<double>(slack - 1) *
+                                                 kStep,
+                                             true, kw);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            const double wide = static_cast<double>(width - 1) * kStep;
+            for (const std::size_t windows : {2, 3}) {
+                expectBlockMatches(tables, kSamples, kStep, jobs, 0,
+                                   jobs.grid_kw.size(), wide, windows,
+                                   "regions " + std::to_string(regions) +
+                                       " width " + std::to_string(width) +
+                                       " windows " +
+                                       std::to_string(windows));
+            }
+        }
+    }
+}
+
+/** Region @p r's first strict-< minimum over @p shifts shifts from
+ *  sample @p start, as (weight, shift). */
+std::pair<double, std::size_t>
+firstMinimum(const RegionTables &t, std::size_t r, std::size_t start,
+             double duration, double step, std::size_t shifts)
+{
+    std::pair<double, std::size_t> best = {
+        referenceWeight(t.prefix[r], t.grams[r], start, duration, step), 0};
+    for (std::size_t k = 1; k < shifts; ++k) {
+        const double w =
+            referenceWeight(t.prefix[r], t.grams[r], start + k, duration,
+                            step);
+        if (w < best.first)
+            best = {w, k};
+    }
+    return best;
+}
+
+TEST(SimdKernelsTest, FleetBlockCrossRegionTiesMatchNaiveReferenceBitwise)
+{
+    // Two regions whose slack-window minima are equal: at different
+    // first-minimum shifts (one series is the other rotated by three
+    // samples) or at the same shift (equal series). The cross-region
+    // winner is then the earlier shift, and the lower region only at
+    // the same shift. Every other region costs more. The pair sits in
+    // either order, in one lane chunk or across the 4-lane boundary.
+    // Integer samples, a whole-hour step and a quarter-hour tail keep
+    // every cost exact, so equal window sums are equal bits.
+    constexpr std::size_t kSamples = 24;
+    constexpr double kStep = 1.0;
+    constexpr double kWide = 16.0;
+    std::vector<double> base = unitDraws(77, kSamples);
+    for (double &g : base)
+        g = static_cast<double>(100 + static_cast<int>(50.0 * g));
+    Xorshift64Star rng(78);
+    JobColumns jobs;
+    for (std::size_t i = 0; i < 300; ++i) {
+        const double arrival =
+            static_cast<double>(rng.nextBelow(2 * kSamples)) + 0.5;
+        const double duration =
+            static_cast<double>(rng.nextBelow(30)) +
+            (rng.nextUnit() < 0.5 ? 0.25 : 0.0);
+        const double slack = static_cast<double>(rng.nextBelow(17));
+        jobs.add(arrival, duration, slack, rng.nextUnit() < 0.8,
+                 rng.nextUniform(0.1, 0.5));
+    }
+    for (const bool rotated : {true, false}) {
+        std::vector<double> other = base;
+        if (rotated)
+            std::rotate(other.begin(), other.begin() + 3, other.end());
+        for (const std::size_t regions : {1, 3, 4, 5, 9}) {
+            for (const bool swapped : {false, true}) {
+                const std::size_t low = regions / 2;
+                const std::size_t high = regions - 1;
+                std::vector<std::vector<double>> grams;
+                for (std::size_t r = 0; r < regions; ++r) {
+                    grams.push_back(base);
+                    for (double &g : grams.back())
+                        g += 60.0 + static_cast<double>(r);
+                }
+                grams[swapped ? high : low] = base;
+                grams[swapped ? low : high] = other;
+                const RegionTables tables = tablesOf(std::move(grams));
+                const std::string where =
+                    std::string(rotated ? "rotated" : "equal") +
+                    " regions " + std::to_string(regions) +
+                    (swapped ? " swapped" : "");
+
+                // The cases must hold the ties they are named for.
+                std::size_t ties = 0;
+                for (std::size_t i = 0; i < jobs.grid_kw.size(); ++i) {
+                    const auto start = static_cast<std::size_t>(
+                        jobs.arrival_hours[i] / kStep);
+                    const auto shifts = static_cast<std::size_t>(
+                                            jobs.slack_hours[i] / kStep) +
+                                        1;
+                    const auto a =
+                        firstMinimum(tables, low, start,
+                                     jobs.duration_hours[i], kStep, shifts);
+                    const auto b =
+                        firstMinimum(tables, high, start,
+                                     jobs.duration_hours[i], kStep, shifts);
+                    if (a.first == b.first &&
+                        (a.second != b.second) == rotated)
+                        ++ties;
+                }
+                if (regions > 1) {
+                    ASSERT_GT(ties, 10u) << where;
+                }
+
+                for (const std::size_t windows : {2, 3}) {
+                    expectBlockMatches(tables, kSamples, kStep, jobs, 0,
+                                       jobs.grid_kw.size(), kWide, windows,
+                                       where + " windows " +
+                                           std::to_string(windows));
+                }
+            }
         }
     }
 }
