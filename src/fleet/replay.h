@@ -147,9 +147,10 @@ struct FleetAccumulator
  * lanes. A job whose windows end before the series does keeps only
  * each window's minimum cost, since (minimum < shift-0 cost) is
  * whether it defers, and picks its cross-region winner without a
- * data-dependent branch; a job whose window wraps the series end, or
- * whose cross-region minimum two regions share, also tracks each
- * minimum's shift for the oracle's tie-break. Scenarios sharing a
+ * data-dependent branch. Where two regions share the cross-region
+ * minimum, the tied regions are scanned again for the first shift
+ * that reaches it (the oracle's tie-break); a job whose window wraps
+ * the series end also tracks each minimum's shift. Scenarios sharing a
  * (policy kind, home region) pair share those sums, and the
  * cross-region choice is made once per job, not once per home region.
  * Totals are kept as one running sum per distinct key -- job stream,

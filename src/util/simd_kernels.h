@@ -134,10 +134,12 @@ struct FleetBlockProblem
  * widest window ends before the series does (its last sample
  * start0 % n + end - 1 + rem is below n) runs a scan that keeps only
  * each region's running minimum, and its winner is the region holding
- * the least slack-window minimum. A job whose window wraps the series
- * end, or whose least minimum two regions share, runs the indexed
- * scan that also keeps each first minimum's shift, and the
- * lexicographic winner above.
+ * the least slack-window minimum. When two regions share that least
+ * minimum, only the tied regions are scanned again, for the first
+ * shift at which one costs it (the lowest such region wins). A job
+ * whose window wraps the series end runs the indexed scan that also
+ * keeps each first minimum's shift, and the lexicographic winner
+ * above.
  */
 struct FleetBlockSums
 {

@@ -111,16 +111,53 @@ struct WindowEnds
 };
 
 /**
- * The index-free shift scan of one job over regions
- * [r0, r0 + kLanes), for a job whose widest window ends before the
- * series does (s0 + ends[2] - 1 + rem < n). No shift wraps, so shift
- * k reads prefix rows s0 + k and s0 + k + rem and the tail sample at
- * row s0 + k + rem: three lane pointers at one offset that steps one
- * row per shift. Each lane evaluates ShiftScan's non-wrapping tree,
- * (base + (P[hi] - P[lo])) * step, plus g * tail when kTail, and
- * keeps only its running minimum. Lanes past the last region read
- * the next row or the table's padding and are never stored.
+ * The cost of one job's shifts over regions [r0, r0 + kLanes), for a
+ * job whose widest window ends before the series does
+ * (s0 + ends[2] - 1 + rem < n). No shift wraps, so shift k reads
+ * prefix rows s0 + k and s0 + k + rem and the tail sample at row
+ * s0 + k + rem: three lane pointers at one offset that steps one row
+ * per shift. Each lane evaluates ShiftScan's non-wrapping tree,
+ * (base + (P[hi] - P[lo])) * step, plus g * tail when kTail. Lanes
+ * past the last region read the next row or the table's padding.
  */
+template <class L, bool kTail>
+struct WrapFreeCost
+{
+    using VF = typename L::VF;
+
+    const double *lo;
+    const double *hi;
+    const double *g;
+    VF vstep;
+    VF vtail;
+    VF base;
+
+    [[gnu::always_inline]] WrapFreeCost(const FleetBlockProblem &pr,
+                                        const FleetJobShape &job,
+                                        std::size_t r0)
+        : lo(pr.prefix + job.s0 * pr.regions + r0),
+          hi(lo + job.rem * pr.regions),
+          g(pr.samples + (job.s0 + job.rem) * pr.regions + r0),
+          vstep(L::bcast(pr.step)), vtail(L::bcast(job.tail)),
+          base(L::mul(L::bcast(job.cycles),
+                      L::loadu(pr.prefix + pr.n * pr.regions + r0)))
+    {}
+
+    /** The cost at shift at / regions. */
+    [[gnu::always_inline]] VF
+    operator()(std::size_t at) const
+    {
+        const VF cost = L::mul(
+            L::add(base, L::sub(L::loadu(hi + at), L::loadu(lo + at))),
+            vstep);
+        if constexpr (kTail)
+            return L::add(cost, L::mul(L::loadu(g + at), vtail));
+        return cost;
+    }
+};
+
+/** The index-free shift scan of a WrapFreeCost job: each lane keeps
+ *  only its running minimum, stored at each window end. */
 template <class L, bool kTail>
 [[gnu::always_inline]] inline void
 scanWrapFreeT(const FleetBlockProblem &pr, const FleetJobShape &job,
@@ -128,21 +165,7 @@ scanWrapFreeT(const FleetBlockProblem &pr, const FleetJobShape &job,
 {
     using VF = typename L::VF;
     const std::size_t stride = pr.regions;
-    const double *lo = pr.prefix + job.s0 * stride + r0;
-    const double *hi = lo + job.rem * stride;
-    const double *g = pr.samples + (job.s0 + job.rem) * stride + r0;
-    const VF vstep = L::bcast(pr.step);
-    const VF vtail = L::bcast(job.tail);
-    const VF base = L::mul(L::bcast(job.cycles),
-                           L::loadu(pr.prefix + pr.n * stride + r0));
-    const auto costAt = [&](std::size_t at) {
-        const VF cost = L::mul(
-            L::add(base, L::sub(L::loadu(hi + at), L::loadu(lo + at))),
-            vstep);
-        if constexpr (kTail)
-            return L::add(cost, L::mul(L::loadu(g + at), vtail));
-        return cost;
-    };
+    const WrapFreeCost<L, kTail> costAt(pr, job, r0);
     // Window 0 is shift 0 alone.
     VF best = costAt(0);
     L::storeu(ends.weight[0], best);
@@ -153,6 +176,25 @@ scanWrapFreeT(const FleetBlockProblem &pr, const FleetJobShape &job,
             best = L::min(costAt(at), best);
         L::storeu(ends.weight[w], best);
     }
+}
+
+/** The first shift below @p stop at which a lane in the bit mask
+ *  @p lanes of a WrapFreeCost job costs @p least, or @p stop if there
+ *  is none; @p hit gets the lanes that cost @p least there. */
+template <class L, bool kTail>
+[[gnu::always_inline]] inline std::size_t
+firstShiftAtT(const FleetBlockProblem &pr, const FleetJobShape &job,
+              std::size_t r0, double least, unsigned lanes,
+              std::size_t stop, unsigned &hit)
+{
+    const WrapFreeCost<L, kTail> costAt(pr, job, r0);
+    const typename L::VF vleast = L::bcast(least);
+    for (std::size_t k = 0; k < stop; ++k) {
+        hit = L::equalMask(costAt(k * pr.regions), vleast) & lanes;
+        if (hit != 0)
+            return k;
+    }
+    return stop;
 }
 
 /**
@@ -279,11 +321,12 @@ addLanesT(double *lanes, typename L::VF v)
  * its slack minimum is below its own shift-0 cost. Such a job runs
  * the index-free scan, and its winner is the lane holding the least
  * slack minimum: per chunk a horizontal min, an equality mask and
- * the mask's first lane, merged across chunks with selects. Two kinds
- * of job run the indexed scan and the lexicographic (weight, shift)
- * winner instead: one whose widest window wraps the series end, and
- * one where two regions tie on the least slack minimum, since the
- * tie-break then reads each region's first-minimum shift.
+ * the mask's first lane, merged across chunks with selects. When two
+ * regions tie on the least slack minimum, the tie-break reads the
+ * tied regions' first-minimum shifts, so only their lanes are scanned
+ * again, up to the first shift that costs the minimum. A job whose
+ * widest window wraps the series end runs the indexed scan and the
+ * lexicographic (weight, shift) winner instead.
  *
  * The sums are loaded once per block and stored once, so each lane
  * adds in job order and the counts reach the caller's integers once
@@ -332,9 +375,14 @@ fleetBlockT(const FleetBlockProblem &pr, const FleetBlockSums &out)
         double win_w = inf;
         std::size_t win_r = 0;
         bool win_deferred = false;
-        bool indexed = job.s0 + job.ends[2] - 1 + job.rem >= pr.n;
+        const bool indexed = job.s0 + job.ends[2] - 1 + job.rem >= pr.n;
         if (!indexed) {
             const bool tail = job.tail > 0.0;
+            // Lanes past the last region hold +inf.
+            const auto slackLanes = [&](std::size_t c) {
+                return L::blendLess(L::loadu(sums[c].region), vregions,
+                                    L::loadu(ends[c].weight[1]), vinf);
+            };
             std::size_t win_c = 0;
             std::size_t win_lane = 0;
             bool tie = false;
@@ -343,10 +391,7 @@ fleetBlockT(const FleetBlockProblem &pr, const FleetBlockSums &out)
                     scanWrapFreeT<L, true>(pr, job, c * W, ends[c]);
                 else
                     scanWrapFreeT<L, false>(pr, job, c * W, ends[c]);
-                // Lanes past the last region hold +inf.
-                const VF slack =
-                    L::blendLess(L::loadu(sums[c].region), vregions,
-                                 L::loadu(ends[c].weight[1]), vinf);
+                const VF slack = slackLanes(c);
                 const double least = L::hmin(slack);
                 const unsigned lanes = L::equalMask(slack, L::bcast(least));
                 tie = tie | ((lanes & (lanes - 1)) != 0) | (least == win_w);
@@ -361,7 +406,31 @@ fleetBlockT(const FleetBlockProblem &pr, const FleetBlockSums &out)
             win_w = e.weight[1][win_lane];
             win_r = win_c * W + win_lane;
             win_deferred = win_w < e.weight[0][win_lane];
-            indexed = tie;
+            if (tie) [[unlikely]] {
+                // The tied region whose cost first reaches win_w wins,
+                // the lowest on a shared shift. Each chunk with a tied
+                // lane rescans its tied lanes, only as far as the best
+                // shift found so far.
+                std::size_t win_k = job.ends[1];
+                for (std::size_t c = 0; c < chunks; ++c) {
+                    const unsigned lanes =
+                        L::equalMask(slackLanes(c), L::bcast(win_w));
+                    if (lanes == 0)
+                        continue;
+                    unsigned hit = 0;
+                    const std::size_t k =
+                        tail ? firstShiftAtT<L, true>(pr, job, c * W, win_w,
+                                                      lanes, win_k, hit)
+                             : firstShiftAtT<L, false>(pr, job, c * W, win_w,
+                                                       lanes, win_k, hit);
+                    if (k < win_k) {
+                        win_k = k;
+                        win_r = c * W + static_cast<std::size_t>(
+                                            std::countr_zero(hit));
+                    }
+                }
+                win_deferred = win_k != 0;
+            }
         }
         if (indexed) [[unlikely]] {
             // The lexicographic minimum of (weight, shift) over the
